@@ -1,4 +1,4 @@
-//! `promote_overhead` — batched transitive promotion (v2) vs the v1 per-object path.
+//! `promote_overhead` — cost of one promoting pointer write, per closure size.
 //!
 //! Each iteration runs one promoting pointer write: a child task (owning a fresh
 //! heap under the eager per-fork configuration) builds a cons closure of N objects
@@ -6,10 +6,6 @@
 //! evacuate the whole closure. Only the `write_ptr` call is timed (`iter_custom`),
 //! so the build cost does not dilute the comparison.
 //!
-//! v1 (`batched_promotion: false`) pays one registry allocation, one per-heap stats
-//! update, and two counter increments per object; v2 batches all of it behind a
-//! single allocation cursor and flushes counters once per pass. The acceptance bar
-//! for promotion v2 is v2 ≥ 3× faster than v1 on the 1000-object closure.
 //! The measurement helpers are shared with `repro promote`
 //! (`hh_harness::measure::{promotion_runtime, time_promotions}`), so the bench and
 //! the table always measure the same comparison.
@@ -21,12 +17,10 @@ fn bench_promote(c: &mut Criterion) {
     let mut group = c.benchmark_group("promote_overhead");
     group.sample_size(10);
     for &len in &[16usize, 1000] {
-        for (name, batched) in [("v1-per-object", false), ("v2-batched", true)] {
-            let rt = promotion_runtime(batched);
-            group.bench_function(format!("{len}-obj-closure/{name}"), |b| {
-                b.iter_custom(|iters| time_promotions(&rt, len, iters));
-            });
-        }
+        let rt = promotion_runtime();
+        group.bench_function(format!("{len}-obj-closure"), |b| {
+            b.iter_custom(|iters| time_promotions(&rt, len, iters));
+        });
     }
     group.finish();
 }

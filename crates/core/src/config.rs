@@ -39,16 +39,6 @@ pub struct HhConfig {
     /// pool would exceed this many words, the excess chunks are released instead of
     /// kept for reuse, bounding the runtime's resident footprint between bursts.
     pub max_free_words: usize,
-    /// Use the batched transitive promotion pass (promotion v2 / ablation A3).
-    ///
-    /// When enabled (the default), a promoting pointer write evacuates the pointee's
-    /// reachable closure in one Cheney-style pass with a single allocation cursor on
-    /// the target heap (one allocation-lock acquisition and one counter flush per
-    /// *pass*), and resolutions compress forwarding chains as they walk them. When
-    /// disabled, the v1 shape is used: one registry allocation, one heap-statistics
-    /// update, and two counter increments per *object*. The flag exists so the
-    /// `promote_overhead` bench and `repro promote` can quantify the difference.
-    pub batched_promotion: bool,
     /// Run the debug-build invariant checker (promotion v2).
     ///
     /// When enabled **and** the build has `debug_assertions`, the runtime verifies
@@ -128,7 +118,6 @@ impl Default for HhConfig {
             enable_read_write_fast_path: true,
             enable_write_ptr_fast_path: true,
             max_free_words: 64 * 1024 * 1024, // 512 MiB of reusable chunk memory
-            batched_promotion: true,
             check_invariants: cfg!(debug_assertions),
             epoch_reclaim: true,
             server_mode: false,
@@ -188,7 +177,6 @@ mod tests {
         assert!(c.gc_threshold_words > c.chunk_words);
         assert!(c.max_free_words > c.gc_threshold_words);
         assert!(c.enable_gc && c.enable_read_write_fast_path && c.enable_write_ptr_fast_path);
-        assert!(c.batched_promotion);
         assert_eq!(c.gc_workers, 0, "default GC team = pool size");
         assert!(
             !c.incremental_gc,

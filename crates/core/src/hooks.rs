@@ -60,6 +60,13 @@ pub enum GcScheduleEvent {
         /// Run epoch (reclamation epoch) of the ending run.
         run_epoch: u64,
     },
+    /// A promotion running under an open window has filled a copy and is about
+    /// to CAS-install the original's forwarding pointer. The promoter holds the
+    /// WRITE locks of its whole path here, so a handler that blocks stalls only
+    /// lock-taking accesses — lock-free optimistic writes to the original still
+    /// land, which is the interleaving the post-install re-copy exists for
+    /// (DESIGN.md §6.7).
+    PromoteCopyFilled,
 }
 
 /// Observer and schedule controller for the GC / run lifecycle, installed via
@@ -244,8 +251,12 @@ impl GcScheduleHooks for FaultPlan {
                 self.maybe_fault(FaultSite::FinalizePreMerge)
             }
             GcScheduleEvent::FinalizeDone { .. } => self.maybe_fault(FaultSite::FinalizeDone),
-            // Teardown-path events are observation-only (see `FaultSite` docs).
-            GcScheduleEvent::FinalizeWait { .. } | GcScheduleEvent::EndRunPreDispose { .. } => {}
+            // Teardown-path events are observation-only (see `FaultSite` docs), and
+            // so is the promotion point: it fires with heap WRITE locks held, which
+            // no teardown path releases.
+            GcScheduleEvent::FinalizeWait { .. }
+            | GcScheduleEvent::EndRunPreDispose { .. }
+            | GcScheduleEvent::PromoteCopyFilled => {}
         }
     }
 

@@ -2,14 +2,50 @@
 //! (the paper's Figure 6 and the dispatch part of Figure 7).
 
 use crate::runtime::Inner;
-use hh_heaps::HeapId;
-use hh_objmodel::ObjPtr;
-use std::sync::atomic::Ordering;
+use hh_heaps::{Heap, HeapId};
+use hh_objmodel::{ObjPtr, ObjView};
+use std::sync::atomic::{fence, Ordering};
+
+/// An object resolved to its chunk view and its (live) heap, so that code handed one
+/// need not walk the chunk and heap tables again.
+#[derive(Copy, Clone)]
+pub(crate) struct Located<'a> {
+    pub(crate) view: ObjView<'a>,
+    pub(crate) heap: &'a Heap,
+}
+
+/// What `findMaster` returns: the master copy of an object, with a READ lock held on
+/// its heap for as long as this guard lives (so no promotion can install a newer
+/// copy meanwhile). Dropping the guard releases the lock — also on unwind.
+pub(crate) struct Master<'a>(Located<'a>);
+
+impl<'a> std::ops::Deref for Master<'a> {
+    type Target = Located<'a>;
+    fn deref(&self) -> &Located<'a> {
+        &self.0
+    }
+}
+
+impl Drop for Master<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.0.heap.lock.unlock_shared();
+    }
+}
 
 impl Inner {
+    /// Resolves `view`'s object to its heap.
+    #[inline]
+    pub(crate) fn locate<'a>(&'a self, view: ObjView<'a>) -> Located<'a> {
+        Located {
+            view,
+            heap: self.registry.heap_of_chunk(view.chunk()),
+        }
+    }
+
     /// `findMaster` (Figure 6, lines 5–10): walks the forwarding chain to the master
     /// copy using double-checked locking, and returns with a READ lock held on the
-    /// master's heap. **The caller must release that lock.**
+    /// master's heap (released when the returned [`Master`] drops).
     ///
     /// Promotion v2: chains of two or more hops are **path-compressed** after the
     /// chase — every intermediate hop is CAS-shortcut to the chain's end (see
@@ -17,21 +53,26 @@ impl Inner {
     /// once and `O(1)` on every later resolution. The fast path (no forwarding
     /// pointer) performs no extra atomic traffic; hops and compressions are counted
     /// only when a chain was actually walked.
-    pub(crate) fn find_master(&self, obj: ObjPtr) -> (ObjPtr, HeapId) {
+    ///
+    /// Inlined into each operation so the guard stays in registers: returning its
+    /// three words through memory cost every slow-path access ~9 ns on the
+    /// reference host.
+    #[inline(always)]
+    pub(crate) fn find_master(&self, obj: ObjPtr) -> Master<'_> {
         let store: &hh_objmodel::ChunkStore = self.registry.store();
         let mut start = obj;
         loop {
             // Chase forwarding pointers without holding any lock.
             let mut cur = start;
             let mut hops = 0u64;
-            loop {
+            let v = loop {
                 let v = store.view(cur);
                 if !v.has_fwd() {
-                    break;
+                    break v;
                 }
                 cur = v.fwd();
                 hops += 1;
-            }
+            };
             if hops > 0 {
                 self.counters.fwd_hops.fetch_add(hops, Ordering::Relaxed);
                 if hops >= 2 {
@@ -46,12 +87,12 @@ impl Inner {
             // Candidate master found: lock its heap in shared mode and re-check. A
             // concurrent promotion may have installed a forwarding pointer in between;
             // if so, drop the lock and chase again from the candidate.
-            let heap = self.registry.heap_of(cur);
-            self.registry.heap(heap).lock.lock_shared();
-            if !store.view(cur).has_fwd() {
-                return (cur, heap);
+            let master = self.locate(v);
+            master.heap.lock.lock_shared();
+            let master = Master(master);
+            if !v.has_fwd() {
+                return master;
             }
-            self.registry.heap(heap).lock.unlock_shared();
             start = cur;
         }
     }
@@ -67,10 +108,7 @@ impl Inner {
                 return res;
             }
         }
-        let (master, heap) = self.find_master(obj);
-        let res = store.view(master).field(field);
-        self.registry.heap(heap).lock.unlock_shared();
-        res
+        self.read_master(obj, field)
     }
 
     /// `writeNonptr` (Figure 6, lines 18–23).
@@ -89,9 +127,7 @@ impl Inner {
                 return;
             }
         }
-        let (master, heap) = self.find_master(obj);
-        store.view(master).set_field(field, val);
-        self.registry.heap(heap).lock.unlock_shared();
+        self.write_master(obj, field, val);
     }
 
     /// Atomic compare-and-swap on a mutable non-pointer field.
@@ -121,87 +157,122 @@ impl Inner {
                 // below re-establishes the intended outcome on the authoritative copy).
             }
         }
-        let (master, heap) = self.find_master(obj);
-        let res = store.view(master).cas_field(field, expected, new);
-        self.registry.heap(heap).lock.unlock_shared();
-        res
+        self.cas_master(obj, field, expected, new)
+    }
+
+    // The scalar operations' locked halves live out of line so that the optimistic
+    // halves — Figure 8's few-instruction fast paths — stay small enough to inline
+    // into `HhCtx` with their chunk lookup.
+
+    #[cold]
+    #[inline(never)]
+    fn read_master(&self, obj: ObjPtr, field: usize) -> u64 {
+        self.find_master(obj).view.field(field)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_master(&self, obj: ObjPtr, field: usize, val: u64) {
+        self.find_master(obj).view.set_field(field, val);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn cas_master(&self, obj: ObjPtr, field: usize, expected: u64, new: u64) -> Result<u64, u64> {
+        self.find_master(obj).view.cas_field(field, expected, new)
     }
 
     // ------------------------------------------------------------------
     // Bulk field operations (ParCtx v2).
     //
-    // The scalar operations above pay one `findMaster` (forwarding-chain walk plus a
-    // heap lock round-trip) per word in the slow path, and one forwarding check per
-    // word even in the fast path. The bulk operations resolve the master copy exactly
-    // once per object operand and hold that heap's READ lock across the whole slice:
-    // the lock is what keeps a concurrent promotion from installing a new copy
-    // mid-slice (promotion takes the exclusive lock), so the slice is read or written
-    // on a single authoritative copy.
+    // The scalar operations above pay one forwarding check per word, and one
+    // `findMaster` (forwarding-chain walk plus a heap lock round-trip) per word once
+    // the object has been promoted. The bulk operations pay each once per object
+    // operand, through `on_master` below.
     // ------------------------------------------------------------------
 
-    /// As [`Inner::find_master`], but also counts the lookup in the bulk-op statistics.
-    /// Every bulk implementation resolves masters through this wrapper, so the
-    /// `bulk_master_lookups` counter is a measurement: if an implementation regressed
-    /// to per-element resolution, the counter would expose it.
-    fn find_master_counted(&self, obj: ObjPtr) -> (ObjPtr, HeapId) {
+    /// Applies `op` — a straight field loop over one slice, storing iff `stores` — to
+    /// the master copy of `obj`, with the optimistic protocol Figure 6 gives the
+    /// scalars: operate on `obj` itself, then re-check that it has no forwarding
+    /// pointer. If it had none before and after, `obj` was the master throughout,
+    /// and a promotion that forwards it later copies (or, under an incremental
+    /// window, re-copies) its fields only after installing the pointer — so
+    /// everything `op` stored is carried over. Otherwise `op` is (re-)applied to the
+    /// master under its heap's READ lock, which keeps a concurrent promotion — it
+    /// takes the WRITE lock — from installing a newer copy mid-slice. Slow-path
+    /// resolutions are counted in `bulk_master_lookups`: at most one per operand,
+    /// never one per element.
+    ///
+    /// The fence between a storing `op` and the re-check pairs with the one the
+    /// promoter issues between installing the pointer and copying
+    /// (`copy_and_forward`): without them both sides could miss each other's store
+    /// (store buffering) and the slice's tail would be lost. A slice amortizes the
+    /// fence; the scalar `write_nonptr` keeps the paper's fence-free fast path
+    /// (DESIGN.md §6.7).
+    fn on_master(&self, obj: ObjPtr, stores: bool, mut op: impl FnMut(ObjView<'_>)) {
+        let store = self.registry.store();
+        if self.config.enable_read_write_fast_path {
+            let v = store.view(obj);
+            if !v.has_fwd() {
+                op(v);
+                if stores {
+                    fence(Ordering::SeqCst);
+                }
+                if !v.has_fwd() {
+                    return;
+                }
+            }
+        }
         self.counters
             .bulk_master_lookups
             .fetch_add(1, Ordering::Relaxed);
-        self.find_master(obj)
+        op(self.find_master(obj).view);
     }
 
-    /// Bulk `readMutable`: one `findMaster`, then a straight field loop under the
-    /// master heap's read lock.
+    /// Bulk `readMutable`.
     pub(crate) fn read_mut_bulk_impl(&self, obj: ObjPtr, start: usize, out: &mut [u64]) {
         if out.is_empty() {
             return;
         }
         self.counters.record_bulk(out.len() as u64);
-        let store = self.registry.store();
-        let (master, heap) = self.find_master_counted(obj);
-        let v = store.view(master);
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = v.field(start + k);
-        }
-        self.registry.heap(heap).lock.unlock_shared();
+        self.on_master(obj, false, |v| {
+            for (k, slot) in out.iter_mut().enumerate() {
+                *slot = v.field(start + k);
+            }
+        });
     }
 
-    /// Bulk `writeNonptr`: one `findMaster`, then a straight field-store loop under the
-    /// master heap's read lock.
+    /// Bulk `writeNonptr`.
     pub(crate) fn write_nonptr_bulk_impl(&self, obj: ObjPtr, start: usize, vals: &[u64]) {
         if vals.is_empty() {
             return;
         }
         self.gc_barrier(obj);
         self.counters.record_bulk(vals.len() as u64);
-        let store = self.registry.store();
-        let (master, heap) = self.find_master_counted(obj);
-        let v = store.view(master);
-        for (k, &val) in vals.iter().enumerate() {
-            v.set_field(start + k, val);
-        }
-        self.registry.heap(heap).lock.unlock_shared();
+        self.on_master(obj, true, |v| {
+            for (k, &val) in vals.iter().enumerate() {
+                v.set_field(start + k, val);
+            }
+        });
     }
 
-    /// Bulk fill: one `findMaster`, then a repeated store under the read lock.
+    /// Bulk fill.
     pub(crate) fn fill_nonptr_impl(&self, obj: ObjPtr, start: usize, len: usize, val: u64) {
         if len == 0 {
             return;
         }
         self.gc_barrier(obj);
         self.counters.record_bulk(len as u64);
-        let store = self.registry.store();
-        let (master, heap) = self.find_master_counted(obj);
-        let v = store.view(master);
-        for k in 0..len {
-            v.set_field(start + k, val);
-        }
-        self.registry.heap(heap).lock.unlock_shared();
+        self.on_master(obj, true, |v| {
+            for k in 0..len {
+                v.set_field(start + k, val);
+            }
+        });
     }
 
-    /// Object→object range copy: one `findMaster` per operand (two in total).
+    /// Object→object range copy: one master resolution per operand (two in total).
     ///
-    /// The source slice is staged through a buffer between the two lock scopes, so
+    /// The source slice is staged through a buffer between the two resolutions, so
     /// at most one heap read lock is held at a time — taking both at once could
     /// deadlock against a writer waiting between the two acquisitions under the
     /// writer-preferring heap lock. The buffer is a **per-worker thread-local**,
@@ -236,28 +307,21 @@ impl Inner {
         // `find_master` and from-space stays readable until finalize retires it.
         self.gc_barrier(dst);
         self.counters.record_bulk(len as u64);
-        let store = self.registry.store();
         COPY_BUF.with(|cell| {
             let mut buf = cell.borrow_mut();
             let cap_before = buf.capacity();
             buf.clear();
             buf.resize(len, 0);
-            {
-                let (master, heap) = self.find_master_counted(src);
-                let v = store.view(master);
+            self.on_master(src, false, |v| {
                 for (k, slot) in buf.iter_mut().enumerate() {
                     *slot = v.field(src_start + k);
                 }
-                self.registry.heap(heap).lock.unlock_shared();
-            }
-            {
-                let (master, heap) = self.find_master_counted(dst);
-                let v = store.view(master);
+            });
+            self.on_master(dst, true, |v| {
                 for (k, &val) in buf.iter().enumerate() {
                     v.set_field(dst_start + k, val);
                 }
-                self.registry.heap(heap).lock.unlock_shared();
-            }
+            });
             if buf.capacity() != cap_before {
                 self.counters
                     .promo_buf_allocs
@@ -289,7 +353,7 @@ impl Inner {
         // necessarily a leaf, so no promotion can be needed — and has no copies.
         if self.config.enable_write_ptr_fast_path {
             let v = store.view(obj);
-            if !v.has_fwd() && self.registry.heap_of(obj) == current_heap {
+            if !v.has_fwd() && self.registry.heap_of_chunk(v.chunk()).id() == current_heap {
                 v.set_field(field, ptr.to_bits());
                 self.counters
                     .fast_ptr_writes
@@ -299,30 +363,78 @@ impl Inner {
         }
 
         // Slow path: find the master copy (read lock held on its heap).
-        let (master, master_heap) = self.find_master(obj);
+        let master = self.find_master(obj);
 
-        // Writing NULL can never create entanglement.
-        let no_promotion_needed = ptr.is_null() || {
-            let obj_depth = self.registry.heap(master_heap).depth();
-            let ptr_depth = self.registry.depth(self.registry.heap_of(ptr));
-            obj_depth >= ptr_depth
+        // Writing NULL can never create entanglement; neither can a pointee at the
+        // master's level or above (lines 7–10).
+        let deeper_pointee = if ptr.is_null() {
+            None
+        } else {
+            let pointee = self.locate(store.view(ptr));
+            (pointee.heap.depth() > master.heap.depth()).then_some(pointee)
         };
-
-        if no_promotion_needed {
-            // Lines 7–10: the pointee is at the same level or above; write directly.
-            store.view(master).set_field(field, ptr.to_bits());
-            self.registry.heap(master_heap).lock.unlock_shared();
+        let Some(pointee) = deeper_pointee else {
+            master.view.set_field(field, ptr.to_bits());
+            drop(master);
             self.counters
                 .slow_ptr_writes
                 .fetch_add(1, Ordering::Relaxed);
             return;
-        }
+        };
 
-        // Lines 11–12: writing would create a down-pointer; promote first.
-        self.registry.heap(master_heap).lock.unlock_shared();
+        // Lines 11–12: writing would create a down-pointer; promote first. Both heaps
+        // are ancestors-or-self of the running task's heap, so neither can be merged
+        // away between this resolution and `write_promote`'s use of it.
+        let target = *master;
+        drop(master);
         self.counters
             .promoting_writes
             .fetch_add(1, Ordering::Relaxed);
-        self.write_promote(master, field, ptr);
+        self.write_promote(target, field, ptr, pointee);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{HhConfig, HhRuntime};
+    use hh_api::{ParCtx, Runtime};
+    use hh_heaps::HeapId;
+    use hh_objmodel::{Header, ObjKind};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+
+    /// A bulk operation that panics while it holds the master's READ lock (here: a
+    /// slice running past the object's last field, caught by the debug bounds
+    /// check) must release the lock on unwind, or every later promotion into that
+    /// heap would wait forever.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn panic_inside_a_bulk_op_on_a_forwarded_object_releases_the_heap_lock() {
+        let rt = HhRuntime::new(HhConfig::eager_heaps(2));
+        let inner = rt.inner();
+        let reg = &inner.registry;
+        let root = reg.new_root_heap();
+        let child = reg.new_child_heap(root);
+        let holder = reg.alloc_obj(root, Header::new(1, 1, ObjKind::Ref));
+        let arr = reg.alloc_obj(child, Header::new(4, 0, ObjKind::ArrayData));
+        inner.write_ptr_impl(child, holder, 0, arr);
+        assert!(reg.store().view(arr).has_fwd(), "arr was promoted");
+
+        let mut out = [0u64; 8];
+        let read = catch_unwind(AssertUnwindSafe(|| {
+            inner.read_mut_bulk_impl(arr, 0, &mut out)
+        }));
+        assert!(read.is_err(), "reading 8 fields of a 4-field object");
+        let write = catch_unwind(AssertUnwindSafe(|| inner.fill_nonptr_impl(arr, 2, 6, 1)));
+        assert!(write.is_err(), "filling past the last field");
+        for id in 0..reg.n_heaps() {
+            let heap = reg.heap(HeapId::from_raw(id as u32));
+            assert!(!heap.lock.is_locked(), "{:?} left locked", heap.id());
+        }
+        // The lock is usable again, and so is the runtime.
+        inner.write_nonptr_bulk_impl(arr, 0, &[5, 6, 7, 8]);
+        assert_eq!(inner.read_mut_impl(arr, 3), 8);
+        let ctl = Arc::new(hh_api::RunCtl::new());
+        assert!(rt.try_run(&ctl, |ctx| ctx.alloc_ref_data(3)).is_ok());
     }
 }

@@ -23,21 +23,27 @@
 //!   across promotions, so the lock path performs no heap allocation after warm-up
 //!   (regression-tested via the `promo_buf_allocs` counter).
 //!
-//! The v1 per-object path is kept behind [`crate::HhConfig::batched_promotion`]
-//! (ablation A3) so the `promote_overhead` bench and `repro promote` can quantify
-//! the difference. See DESIGN.md §6.
+//! * **One-object early-out** (`promote_leaf`): a pointee none of whose pointer
+//!   fields needs promoting — every promotion of the mutator-heavy workloads — is
+//!   copied with one plain allocation and none of the pass machinery.
+//!
+//! The v1 per-object path (ablation A3) was retired once the early-out covered the
+//! small closures it was competitive on; DESIGN.md §7 pins its last measurement.
+//! See DESIGN.md §6.
 
+use crate::ops::Located;
 use crate::runtime::Inner;
-use hh_heaps::{BatchAlloc, HeapId};
-use hh_objmodel::{Chunk, ChunkStore, ObjPtr, ObjView};
+use hh_heaps::{BatchAlloc, Heap, HeapId};
+use hh_objmodel::{Chunk, ChunkStore, Header, ObjPtr, ObjView};
 use std::cell::RefCell;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 /// Per-worker scratch buffers reused across promotions (cleared, never shrunk).
 #[derive(Default)]
 struct PromoScratch {
-    /// Heaps locked by the current `write_promote`, deepest first.
+    /// Heaps locked by the current `write_promote` below the top of its path,
+    /// deepest first.
     locked: Vec<HeapId>,
     /// Cheney worklist of copies whose pointer fields still need scanning, with
     /// each copy's pointer-field count (saves a header reload in the scan phase).
@@ -102,8 +108,9 @@ impl<'s> ChunkClassCache<'s> {
 impl Inner {
     /// `writePromote` (Figure 7, lines 13–27).
     ///
-    /// Preconditions: `obj` is (a candidate for) the master copy of the object being
-    /// written, and its heap is strictly shallower than `ptr`'s heap.
+    /// Preconditions, as `write_ptr_impl` just established them: `obj` is (a
+    /// candidate for) the master copy of the object being written, `pointee` is the
+    /// non-NULL `ptr`, and `obj`'s heap is strictly shallower than `pointee`'s.
     ///
     /// The three phases of the paper:
     /// 1. lock, in WRITE mode and bottom-up, every heap on the path from `heapOf(ptr)`
@@ -115,9 +122,14 @@ impl Inner {
     /// The lock path is recorded in a reusable per-worker buffer (no allocation on
     /// this path after warm-up) and the promotion itself runs as one batched pass
     /// (see the module docs).
-    pub(crate) fn write_promote(&self, mut obj: ObjPtr, field: usize, ptr: ObjPtr) {
+    pub(crate) fn write_promote<'a>(
+        &'a self,
+        mut obj: Located<'a>,
+        field: usize,
+        ptr: ObjPtr,
+        pointee: Located<'a>,
+    ) {
         let store = self.registry.store();
-        debug_assert!(!ptr.is_null());
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let scratch = &mut *scratch;
@@ -125,58 +137,58 @@ impl Inner {
                 scratch.locked.capacity() + scratch.pending.capacity() + scratch.copies.capacity();
             scratch.locked.clear();
 
-            // Phase 1: path locking, deepest heap first. The ancestor walk pushes
-            // straight into the reusable buffer instead of materializing a path `Vec`
-            // per climb.
-            let mut prev_heap = self.registry.heap_of(ptr);
-            self.registry.heap(prev_heap).lock.lock_exclusive();
-            scratch.locked.push(prev_heap);
+            // Phase 1: path locking, deepest heap first. `cur` is the top of the
+            // locked path; the heaps below it go straight into the reusable buffer
+            // instead of a path `Vec` materialized per climb.
+            let mut cur = pointee.heap;
+            cur.lock.lock_exclusive();
             loop {
-                let obj_heap = self.registry.heap_of(obj);
-                let to = self.registry.resolve(obj_heap);
-                let mut cur = self.registry.resolve(prev_heap);
-                while cur != to {
-                    let parent = self.registry.heap(cur).parent();
+                while cur.id() != obj.heap.id() {
+                    let parent = cur.parent();
                     if parent.is_none() {
-                        // `to` was not an ancestor: treat the root as the end of the
-                        // path (defensive — disentanglement violations would already
-                        // have been detected by the depth comparison in
+                        // `obj`'s heap was not an ancestor: treat the root as the end
+                        // of the path (defensive — disentanglement violations would
+                        // already have been detected by the depth comparison in
                         // `write_ptr_impl`).
                         break;
                     }
-                    let parent = self.registry.resolve(parent);
-                    self.registry.heap(parent).lock.lock_exclusive();
-                    scratch.locked.push(parent);
-                    cur = parent;
+                    scratch.locked.push(cur.id());
+                    cur = if parent == obj.heap.id() {
+                        obj.heap
+                    } else {
+                        self.registry.heap(self.registry.resolve(parent))
+                    };
+                    cur.lock.lock_exclusive();
                 }
-                if !store.view(obj).has_fwd() {
+                if !obj.view.has_fwd() {
                     break;
                 }
                 // The master moved further up while we were climbing; keep locking
                 // upward from where we are.
-                prev_heap = obj_heap;
-                obj = store.view(obj).fwd();
+                obj = self.locate(store.view(obj.view.fwd()));
             }
 
             // Phase 2: promote and publish. We hold WRITE locks on every heap between
             // the pointee and the master (inclusive), so no concurrent `findMaster`
             // can observe a half-copied object and no concurrent promotion can race
             // on the same forwarding pointers.
-            let target_heap = self.registry.heap_of(obj);
+            let target = obj.heap;
+            let target_depth = target.depth();
             self.counters.promotions.fetch_add(1, Ordering::Relaxed);
-            let promoted = if self.config.batched_promotion {
-                self.promote_value_batched(
-                    target_heap,
+            let promoted = match self.promote_leaf(target, target_depth, pointee.view) {
+                Some(copy) => copy,
+                None => self.promote_value_batched(
+                    target,
+                    target_depth,
                     ptr,
                     &mut scratch.pending,
                     &mut scratch.copies,
-                )
-            } else {
-                self.promote_value_v1(target_heap, ptr)
+                ),
             };
-            store.view(obj).set_field(field, promoted.to_bits());
+            obj.view.set_field(field, promoted.to_bits());
 
             // Phase 3: unlock top-down.
+            cur.lock.unlock_exclusive();
             for h in scratch.locked.iter().rev() {
                 self.registry.heap(*h).lock.unlock_exclusive();
             }
@@ -195,6 +207,94 @@ impl Inner {
         });
     }
 
+    /// Early-out of `promote` for a one-object closure: the root `v` (which lies below
+    /// `target`) has no copy yet and every pointer field is NULL or already at or
+    /// above `target_depth`, so the pass would copy exactly this object and scan
+    /// nothing. Copies it with one plain allocation — no cursor, worklist, chunk
+    /// classification cache or copy log — and flushes the counters once. Returns
+    /// `None`, having changed nothing that matters, when the general pass is needed.
+    fn promote_leaf(&self, target: &Heap, target_depth: u32, v: ObjView<'_>) -> Option<ObjPtr> {
+        let store = self.registry.store();
+        if v.has_fwd() {
+            return None;
+        }
+        let header = v.header();
+        for f in 0..header.n_ptr() {
+            let p = v.field_ptr(f);
+            if !p.is_null() && self.locate(store.view(p)).heap.depth() > target_depth {
+                return None;
+            }
+        }
+        let copy = target.alloc_obj(store, header);
+        if !self.copy_and_forward(v, store.view(copy), copy, header) {
+            // Lost the install to an incremental collection: the general pass
+            // follows the winner's copy.
+            return None;
+        }
+        let words = header.size_words();
+        target.note_promoted_in(words);
+        self.counters
+            .promoted_objects
+            .fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .promoted_words
+            .fetch_add(words as u64, Ordering::Relaxed);
+        self.verify_promotion(target.id(), &[copy]);
+        Some(copy)
+    }
+
+    /// Copies `v`'s fields into its fresh copy `cv` (at `copy`) and installs `v`'s
+    /// forwarding pointer. Returns `false` if an incremental collection forwarded
+    /// `v` first; `cv` is then an unreachable filler.
+    fn copy_and_forward(
+        &self,
+        v: ObjView<'_>,
+        cv: ObjView<'_>,
+        copy: ObjPtr,
+        header: Header,
+    ) -> bool {
+        let fill = |from: usize| {
+            for f in from..header.n_fields() {
+                cv.set_field(f, v.field(f));
+            }
+        };
+        if !self.incremental_active.load(Ordering::Acquire) {
+            // The forwarding pointer is installed *before* the fields are filled in
+            // (as in the paper): an optimistic writer that misses it wrote before
+            // the copy reads the field, and one that sees it waits for our WRITE
+            // locks. Concurrent `findMaster` calls cannot observe the half-filled
+            // copy for the same reason, and `readImmutable` never follows
+            // forwarding pointers. The fence keeps the field loads from overtaking
+            // the install (it pairs with the optimistic bulk writers' fence and
+            // with `cas_nonptr`'s read-modify-write).
+            v.set_fwd(copy);
+            fence(Ordering::SeqCst);
+            fill(0);
+            return true;
+        }
+        // An incremental collection may be evacuating `v`'s heap right now:
+        // idle-worker drains install forwarding pointers without holding our write
+        // locks, so the install must be a CAS, and the fields are filled *before*
+        // publishing the copy (engine scanners chase forwarding chains outside our
+        // locks and must never observe a half-written copy). On loss the copy is
+        // retagged as an opaque filler.
+        fill(0);
+        self.fire_hook(crate::hooks::GcScheduleEvent::PromoteCopyFilled);
+        if v.try_set_fwd(copy).is_err() {
+            cv.retag_as_filler();
+            return false;
+        }
+        // A lock-free optimistic write (`write_nonptr`, `cas_nonptr`, the bulk
+        // writes) that landed on `v` between the fill and the install passed its
+        // `!has_fwd()` re-check and is missing from the copy: take the non-pointer
+        // fields again now that every later writer sees the pointer and waits for
+        // our locks. (Pointer fields are only written under the heap lock or by
+        // `v`'s own task.)
+        fence(Ordering::SeqCst);
+        fill(header.n_ptr());
+        true
+    }
+
     /// `promote` (Figure 7, lines 28–40) as one batched Cheney pass: the reachable
     /// closure of `root` that lies below `target` is evacuated into `target` through
     /// a single allocation cursor, and every forwarding chain walked on the way is
@@ -202,15 +302,13 @@ impl Inner {
     /// or one of its ancestors.
     fn promote_value_batched(
         &self,
-        target: HeapId,
+        heap: &Heap,
+        target_depth: u32,
         root: ObjPtr,
         pending: &mut Vec<(ObjPtr, u32)>,
         copies: &mut Vec<ObjPtr>,
     ) -> ObjPtr {
         let store: &ChunkStore = self.registry.store();
-        let target = self.registry.resolve(target);
-        let target_depth = self.registry.depth(target);
-        let heap = self.registry.heap(target);
         let record_copies = self.invariants_enabled();
         pending.clear();
         copies.clear();
@@ -290,7 +388,7 @@ impl Inner {
         }
 
         if record_copies {
-            self.verify_promotion(target, copies);
+            self.verify_promotion(heap.id(), copies);
             copies.clear();
         }
         result
@@ -341,39 +439,18 @@ impl Inner {
                 hops += 1;
                 continue;
             }
-            // Introduce a new copy in the target heap. The forwarding pointer is
-            // installed *before* the fields are filled in (as in the paper);
-            // concurrent `findMaster` calls cannot observe the half-initialized copy
-            // because we hold the target heap's WRITE lock, and `readImmutable`
-            // never follows forwarding pointers. `alloc_for_copy` leaves the fields
-            // raw — the loop below stores every one before the lock is released.
+            // Introduce a new copy in the target heap. `alloc_for_copy` leaves the
+            // fields raw — `copy_and_forward` stores every one before the lock is
+            // released. If an incremental collection won the install, its to-space
+            // copy — still deeper than the target — is promoted on the next trip
+            // around the loop.
             let header = v.header();
             let (copy, copy_chunk) = batch.alloc_for_copy(header);
             let cv = ObjView::new(copy_chunk, copy.offset());
-            if self.incremental_active.load(Ordering::Acquire) {
-                // An incremental collection may be evacuating `cur`'s heap right
-                // now: idle-worker drains install forwarding pointers without
-                // holding our write locks, so the install must be a CAS. Fields
-                // are filled *before* publishing the copy (engine scanners chase
-                // forwarding chains outside our locks and must never observe a
-                // half-written copy). On loss the copy is retagged as an opaque
-                // filler and the winner's copy — the engine's to-space copy,
-                // still deeper than the target — is promoted on the next trip
-                // around the loop.
-                for f in 0..header.n_fields() {
-                    cv.set_field(f, v.field(f));
-                }
-                if v.try_set_fwd(copy).is_err() {
-                    cv.retag_as_filler();
-                    cur = v.fwd();
-                    hops += 1;
-                    continue;
-                }
-            } else {
-                v.set_fwd(copy);
-                for f in 0..header.n_fields() {
-                    cv.set_field(f, v.field(f));
-                }
+            if !self.copy_and_forward(v, cv, copy, header) {
+                cur = v.fwd();
+                hops += 1;
+                continue;
             }
             stats.objects += 1;
             if header.n_ptr() > 0 {
@@ -390,83 +467,74 @@ impl Inner {
         }
         resolved
     }
+}
 
-    /// The v1 per-object promotion (ablation A3, `batched_promotion == false`): one
-    /// registry allocation, one per-heap statistics update, and two counter
-    /// increments per object, plus a worklist `Vec` allocated per pass — exactly
-    /// the original implementation's shape, kept faithful so the `promote_overhead`
-    /// bench compares against what v1 actually did. No chain compression.
-    fn promote_value_v1(&self, target: HeapId, root: ObjPtr) -> ObjPtr {
-        let store = self.registry.store();
-        let target_depth = self.registry.depth(target);
-        let mut pending: Vec<ObjPtr> = Vec::new();
-        let result = self.forward_for_promotion_v1(target, target_depth, root, &mut pending);
-        while let Some(copy) = pending.pop() {
-            let v = store.view(copy);
-            for f in 0..v.n_ptr() {
-                let old = v.field_ptr(f);
-                let new = self.forward_for_promotion_v1(target, target_depth, old, &mut pending);
-                v.set_field_ptr(f, new);
-            }
-        }
-        result
+#[cfg(test)]
+mod tests {
+    use crate::hooks::{GcScheduleEvent, GcScheduleHooks};
+    use crate::{HhConfig, HhRuntime};
+    use hh_objmodel::{Header, ObjKind};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Stalls the promoter between filling the copy and installing the forwarding
+    /// pointer until the test has landed its optimistic write.
+    #[derive(Default)]
+    struct FillGate {
+        reached: AtomicBool,
+        release: AtomicBool,
     }
 
-    /// One step of the v1 path (see [`Inner::promote_value_v1`]).
-    fn forward_for_promotion_v1(
-        &self,
-        target: HeapId,
-        target_depth: u32,
-        obj: ObjPtr,
-        pending: &mut Vec<ObjPtr>,
-    ) -> ObjPtr {
-        if obj.is_null() {
-            return ObjPtr::NULL;
+    impl GcScheduleHooks for FillGate {
+        fn on_event(&self, event: GcScheduleEvent) {
+            if event == GcScheduleEvent::PromoteCopyFilled {
+                self.reached.store(true, Ordering::Release);
+                while !self.release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
         }
-        let store = self.registry.store();
-        let mut cur = obj;
-        loop {
-            let cur_depth = self.registry.depth(self.registry.heap_of(cur));
-            if cur_depth <= target_depth {
-                return cur;
+    }
+
+    /// Under an open incremental window the promoter fills the copy *before* it
+    /// CAS-installs the forwarding pointer. A lock-free optimistic `write_nonptr`
+    /// and `cas_nonptr` landing in between pass their `!has_fwd()` re-check, so the
+    /// promoter must pick them up after the install or they are lost.
+    #[test]
+    fn optimistic_writes_between_fill_and_install_reach_the_master() {
+        let rt = HhRuntime::new(HhConfig::incremental(1));
+        let gate = Arc::new(FillGate::default());
+        rt.install_gc_hooks(Arc::clone(&gate) as Arc<dyn GcScheduleHooks>);
+        let inner = rt.inner();
+        let reg = &inner.registry;
+        let root = reg.new_root_heap();
+        let mid = reg.new_child_heap(root);
+        let promoter_heap = reg.new_child_heap(mid);
+        let holder = reg.alloc_obj(root, Header::new(1, 1, ObjKind::Ref));
+        let x = reg.alloc_obj(mid, Header::new(2, 0, ObjKind::Ref));
+        inner.write_nonptr_impl(x, 1, 10);
+        // A window is open somewhere in the runtime (nothing of ours is in its zone).
+        inner.incremental_active.store(true, Ordering::Release);
+
+        std::thread::scope(|s| {
+            // A task two levels down publishes `x` into the root: promotes it.
+            s.spawn(|| inner.write_ptr_impl(promoter_heap, holder, 0, x));
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !gate.reached.load(Ordering::Acquire) {
+                assert!(Instant::now() < deadline, "promoter never reached the gate");
+                std::thread::yield_now();
             }
-            let v = store.view(cur);
-            if v.has_fwd() {
-                cur = v.fwd();
-                continue;
-            }
-            let header = v.header();
-            let copy = self.registry.alloc_obj(target, header);
-            let cv = store.view(copy);
-            if self.incremental_active.load(Ordering::Acquire) {
-                // Same race as the batched path: CAS the install, loser retags
-                // and follows the winner (see `forward_batched`).
-                for f in 0..header.n_fields() {
-                    cv.set_field(f, v.field(f));
-                }
-                if v.try_set_fwd(copy).is_err() {
-                    cv.retag_as_filler();
-                    cur = v.fwd();
-                    continue;
-                }
-            } else {
-                v.set_fwd(copy);
-                for f in 0..header.n_fields() {
-                    cv.set_field(f, v.field(f));
-                }
-            }
-            let words = header.size_words();
-            self.counters
-                .promoted_objects
-                .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .promoted_words
-                .fetch_add(words as u64, Ordering::Relaxed);
-            self.registry
-                .heap(self.registry.resolve(target))
-                .note_promoted_in(words);
-            pending.push(copy);
-            return copy;
-        }
+            // A sibling's lock-free writes land on the not-yet-forwarded original.
+            inner.write_nonptr_impl(x, 0, 42);
+            assert_eq!(inner.cas_nonptr_impl(x, 1, 10, 11), Ok(10));
+            gate.release.store(true, Ordering::Release);
+        });
+        inner.incremental_active.store(false, Ordering::Release);
+
+        assert!(reg.store().view(x).has_fwd(), "x was promoted");
+        assert_eq!(inner.read_mut_impl(x, 0), 42, "write_nonptr lost");
+        assert_eq!(inner.read_mut_impl(x, 1), 11, "cas_nonptr lost");
+        assert_eq!(reg.check_disentangled().len(), 0);
     }
 }

@@ -371,6 +371,12 @@ impl HhRuntime {
         Self::new(HhConfig::with_workers(n))
     }
 
+    /// The shared state, for in-crate tests that drive `Inner`'s operations directly.
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &Inner {
+        &self.inner
+    }
+
     /// The configuration this runtime was built with.
     pub fn config(&self) -> &HhConfig {
         &self.inner.config

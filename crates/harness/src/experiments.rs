@@ -534,42 +534,33 @@ fn mem_lifecycle_for(cfg: ExpConfig, benches: &[BenchId]) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Promotion v2 (not in the paper; DESIGN.md §6 / ablation A3).
+// Promotion v2 (not in the paper; DESIGN.md §6).
 // ---------------------------------------------------------------------------
 
-/// `repro promote`, part 1 — microbenchmark: batched promotion (v2) vs the v1
-/// per-object path on closures of increasing size. Each repetition publishes a
-/// freshly built cons closure from a child heap into a parent-heap ref under the
-/// eager per-fork configuration, and only the promoting `write_ptr` is timed
-/// (shared helpers in [`mod@crate::measure`], so this table and the
-/// `promote_overhead` bench always measure the same comparison). The
-/// configuration is fixed (1 worker, fixed closure sizes); the CLI flags apply to
-/// part 2 only. The acceptance bar for promotion v2 is a ≥ 3× speedup on the
-/// 1000-object closure.
+/// `repro promote`, part 1 — microbenchmark: cost per promoted object on
+/// closures of increasing size. Each repetition publishes a freshly built cons
+/// closure from a child heap into a parent-heap ref under the eager per-fork
+/// configuration, and only the promoting `write_ptr` is timed (shared helpers
+/// in [`mod@crate::measure`], so this table and the `promote_overhead` bench
+/// always measure the same thing). The configuration is fixed (1 worker, fixed
+/// closure sizes); the CLI flags apply to part 2 only. (The retired v1
+/// per-object path's last measurement is pinned in DESIGN.md §7, A3.)
 pub fn promote_micro(_cfg: ExpConfig) -> Table {
     use crate::measure::{promotion_runtime, time_promotions};
 
     let mut table = Table::new(
-        "Promotion v2 — batched vs per-object promotion (ns per promoted object; \
+        "Promotion v2 — batched promotion (ns per promoted object; \
          fixed 1-worker eager config, --scale/--procs/--grain not applicable)",
-        &["closure objects", "v1 ns/obj", "v2 ns/obj", "speedup"],
+        &["closure objects", "ns/obj"],
     );
     for &len in &[16usize, 256, 1024, 4096] {
         let reps = (200_000 / len).clamp(20, 2_000) as u64;
-        let v1_rt = promotion_runtime(false);
-        let v2_rt = promotion_runtime(true);
-        // Warm both runtimes once so chunk minting is off the measured path.
-        time_promotions(&v1_rt, len, 2);
-        time_promotions(&v2_rt, len, 2);
-        let per_obj = |d: std::time::Duration| d.as_nanos() as f64 / (reps as usize * len) as f64;
-        let v1 = per_obj(time_promotions(&v1_rt, len, reps));
-        let v2 = per_obj(time_promotions(&v2_rt, len, reps));
-        table.row(vec![
-            len.to_string(),
-            format!("{v1:.1}"),
-            format!("{v2:.1}"),
-            ratio(v1, v2),
-        ]);
+        let rt = promotion_runtime();
+        // Warm the runtime once so chunk minting is off the measured path.
+        time_promotions(&rt, len, 2);
+        let total = time_promotions(&rt, len, reps);
+        let per_obj = total.as_nanos() as f64 / (reps as usize * len) as f64;
+        table.row(vec![len.to_string(), format!("{per_obj:.1}")]);
     }
     table
 }

@@ -124,14 +124,11 @@ pub fn measure_parmem_with_config(config: HhConfig, bench: BenchId, params: Para
 // ---------------------------------------------------------------------------
 
 /// A runtime configured for promotion micro-measurement: one worker, eager
-/// per-fork heaps (a publish promotes even unstolen), invariant checker off, and
-/// the promotion path selected by `batched` (v2 when true, the preserved v1
-/// per-object path — ablation A3 — when false).
-pub fn promotion_runtime(batched: bool) -> HhRuntime {
+/// per-fork heaps (a publish promotes even unstolen), invariant checker off.
+pub fn promotion_runtime() -> HhRuntime {
     HhRuntime::new(HhConfig {
         n_workers: 1,
         lazy_child_heaps: false,
-        batched_promotion: batched,
         check_invariants: false,
         ..HhConfig::default()
     })

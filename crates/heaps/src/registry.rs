@@ -2,7 +2,7 @@
 
 use crate::heap::Heap;
 use crate::id::HeapId;
-use hh_objmodel::{AppendVec, ChunkForensics, ChunkStore, Header, ObjPtr};
+use hh_objmodel::{AppendVec, Chunk, ChunkForensics, ChunkStore, Header, ObjPtr};
 use std::sync::Arc;
 
 /// One disentanglement violation found by [`HeapRegistry::check_disentangled`]:
@@ -162,13 +162,28 @@ impl HeapRegistry {
     /// merge-link resolution; the chunk's owner field is path-compressed so repeated
     /// queries are O(1).
     pub fn heap_of(&self, ptr: ObjPtr) -> HeapId {
-        let chunk = self.store.chunk(ptr.chunk());
+        self.owner_of(self.store.chunk(ptr.chunk())).0
+    }
+
+    /// As [`HeapRegistry::heap_of`], for a caller that already holds the object's
+    /// chunk and wants the heap itself.
+    #[inline]
+    pub fn heap_of_chunk(&self, chunk: &Chunk) -> &Heap {
+        self.owner_of(chunk).1
+    }
+
+    /// The live heap owning `chunk`: one table lookup when the recorded owner has
+    /// not been merged away.
+    #[inline]
+    fn owner_of(&self, chunk: &Chunk) -> (HeapId, &Heap) {
         let recorded = HeapId::from_raw(chunk.owner());
-        let resolved = self.resolve(recorded);
-        if resolved != recorded {
-            chunk.compare_set_owner(recorded.raw(), resolved.raw());
+        let heap = self.heap(recorded);
+        if heap.is_live() {
+            return (recorded, heap);
         }
-        resolved
+        let resolved = self.resolve(recorded);
+        chunk.compare_set_owner(recorded.raw(), resolved.raw());
+        (resolved, self.heap(resolved))
     }
 
     /// `depth`: the depth of (the resolved version of) heap `id`.

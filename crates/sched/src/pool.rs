@@ -459,6 +459,12 @@ impl Pool {
         self.inner.steals.load(Ordering::Relaxed)
     }
 
+    /// Number of workers currently announced as sleepers.
+    #[cfg(test)]
+    fn sleepers(&self) -> usize {
+        self.inner.sleepers.load(Ordering::SeqCst)
+    }
+
     /// Snapshot of the scheduler counters (cumulative over the pool's lifetime).
     pub fn sched_stats(&self) -> SchedStats {
         SchedStats {
@@ -695,6 +701,7 @@ fn worker_loop(pool: Arc<PoolInner>, index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     /// Fork/join fib. The current worker is re-derived inside each branch (as the
     /// real runtimes do): a *stolen* branch executes on a different worker, and using
@@ -1043,6 +1050,16 @@ mod tests {
         assert_eq!(r, 42);
     }
 
+    /// Polls `cond` (with a short sleep, so the workers under observation get the
+    /// CPU) until it holds; the generous bound turns a hang into a failure.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn idle_hook_is_invoked() {
         let pool = Pool::new(2);
@@ -1051,8 +1068,9 @@ mod tests {
         pool.set_idle_hook(move |_| {
             h2.fetch_add(1, Ordering::Relaxed);
         });
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(hits.load(Ordering::Relaxed) > 0);
+        wait_until("an idle worker to run the hook", || {
+            hits.load(Ordering::Relaxed) > 0
+        });
     }
 
     #[test]
@@ -1064,33 +1082,44 @@ mod tests {
         pool.set_idle_hook(move |_| {
             f2.fetch_add(1, Ordering::Relaxed);
         });
-        std::thread::sleep(Duration::from_millis(30));
+        // Only once a worker has cached the first hook does replacing it test the
+        // refresh.
+        wait_until("a worker to cache the first hook", || {
+            first.load(Ordering::Relaxed) > 0
+        });
         let s2 = Arc::clone(&second);
         pool.set_idle_hook(move |_| {
             s2.fetch_add(1, Ordering::Relaxed);
         });
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(first.load(Ordering::Relaxed) > 0);
-        assert!(
-            second.load(Ordering::Relaxed) > 0,
-            "epoch-cached workers must refresh to the replacement hook"
+        wait_until(
+            "epoch-cached workers to refresh to the replacement hook",
+            || second.load(Ordering::Relaxed) > 0,
         );
     }
 
     #[test]
     fn workers_park_when_idle_and_wake_for_work() {
         let pool = Pool::new(3);
-        // Give the workers time to burn through their spin budget and park.
-        std::thread::sleep(Duration::from_millis(60));
-        let parked = pool.sched_stats().parks;
-        assert!(parked > 0, "idle workers should park, not busy-wait");
-        // Parked workers must still pick work up promptly.
-        let r = pool.run(|w| {
-            let (a, b) = w.join(|| 20u64, || 22u64);
-            a + b
-        });
-        assert_eq!(r, 42);
-        assert!(pool.sched_stats().wakes > 0, "the push must wake a sleeper");
+        // A push is only promised to deposit a wake token when it observes an
+        // announced sleeper; a worker in its spin phase (or between a park timeout
+        // and its next announcement) is legitimately not one. So observe every
+        // worker announced and parked, push, and look for the token — retrying if a
+        // park timeout happened to empty `sleepers` in between.
+        for _ in 0..100 {
+            wait_until("every worker to park", || {
+                pool.sleepers() == 3 && pool.sched_stats().parks > 0
+            });
+            let wakes = pool.sched_stats().wakes;
+            let r = pool.run(|w| {
+                let (a, b) = w.join(|| 20u64, || 22u64);
+                a + b
+            });
+            assert_eq!(r, 42, "parked workers must still pick work up");
+            if pool.sched_stats().wakes > wakes {
+                return;
+            }
+        }
+        panic!("100 pushes at a fully parked pool woke no sleeper");
     }
 
     #[test]

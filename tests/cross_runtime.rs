@@ -60,9 +60,9 @@ fn all_runtimes_agree_on_deterministic_benchmarks() {
 }
 
 /// The adversarial workloads (`wavefront`, `entangle`) agree across all four
-/// runtimes *and* across the hierarchical runtime's ablation matrix — A3
-/// (per-object promotion), A4 (serial GC), A6 (monolithic collections, the
-/// default shape), and incremental collection — under GC-pressure thresholds
+/// runtimes *and* across the hierarchical runtime's ablation matrix — A4
+/// (serial GC), A6 (monolithic collections, the default shape), and
+/// incremental collection — under GC-pressure thresholds
 /// with the invariant checker on, leaving no entanglement after any run.
 #[test]
 fn adversarial_workloads_agree_across_runtimes_and_ablations() {
@@ -92,14 +92,7 @@ fn adversarial_workloads_agree_across_runtimes_and_ablations() {
             check_invariants: true,
             ..HhConfig::default()
         };
-        let shapes: [(&str, HhConfig); 4] = [
-            (
-                "A3 (per-object promotion)",
-                HhConfig {
-                    batched_promotion: false,
-                    ..base.clone()
-                },
-            ),
+        let shapes: [(&str, HhConfig); 3] = [
             (
                 "A4 (serial GC)",
                 HhConfig {
@@ -236,10 +229,24 @@ fn collections_happen_under_pressure_and_results_survive() {
 /// runtime.
 type ArrayPair = (Vec<u64>, Vec<u64>);
 
+const MIX_LEN: usize = 257; // deliberately not a power of two
+
 fn random_op_mix<C: ParCtx>(ctx: &C, seed: u64, use_bulk: bool) -> ArrayPair {
-    const LEN: usize = 257; // deliberately not a power of two
-    let a = ctx.alloc_data_array(LEN);
-    let b = ctx.alloc_data_array(LEN);
+    let a = ctx.alloc_data_array(MIX_LEN);
+    let b = ctx.alloc_data_array(MIX_LEN);
+    random_op_mix_on(ctx, a, b, seed, use_bulk)
+}
+
+/// The op mix of [`random_op_mix`] on two given `MIX_LEN`-word arrays (which may be
+/// stale pointers to promoted objects).
+fn random_op_mix_on<C: ParCtx>(
+    ctx: &C,
+    a: ObjPtr,
+    b: ObjPtr,
+    seed: u64,
+    use_bulk: bool,
+) -> ArrayPair {
+    const LEN: usize = MIX_LEN;
     let mut rng = Rng::new(seed);
     for _ in 0..40 {
         let start = (rng.next_u64() % (LEN as u64 - 1)) as usize;
@@ -355,6 +362,88 @@ fn bulk_ops_equal_scalar_loops_on_all_runtimes() {
     }
 }
 
+/// Property: the same equivalence holds when the operands are stale pointers to
+/// objects promoted zero, one or two times — zero exercises the optimistic bulk path
+/// (operate, then re-check the forwarding pointer), one and two the locked path
+/// behind a forwarding chain — and the master copies end up holding the result.
+#[test]
+fn bulk_ops_equal_scalar_loops_on_promoted_operands() {
+    /// Runs the mix two eager forks down, after publishing both arrays `promotions`
+    /// levels up; returns what the mix read back through the stale pointers and
+    /// what the root reads through the published (master) pointers.
+    fn mix_after_promotions(
+        rt: &HhRuntime,
+        seed: u64,
+        use_bulk: bool,
+        promotions: usize,
+    ) -> (ArrayPair, Option<ArrayPair>) {
+        rt.run(|ctx| {
+            let top = ctx.alloc_ptr_array(2);
+            let seen = ctx
+                .join(
+                    |c1| {
+                        let mid = c1.alloc_ptr_array(2);
+                        c1.join(
+                            |c2| {
+                                let a = c2.alloc_data_array(MIX_LEN);
+                                let b = c2.alloc_data_array(MIX_LEN);
+                                for cell in [mid, top].into_iter().take(promotions) {
+                                    c2.write_ptr(cell, 0, a);
+                                    c2.write_ptr(cell, 1, b);
+                                }
+                                random_op_mix_on(c2, a, b, seed, use_bulk)
+                            },
+                            |_| (),
+                        )
+                        .0
+                    },
+                    |_| (),
+                )
+                .0;
+            let masters = (promotions == 2).then(|| {
+                let read_all = |obj: ObjPtr| {
+                    let mut out = vec![0u64; MIX_LEN];
+                    ctx.read_mut_bulk(obj, 0, &mut out);
+                    out
+                };
+                (
+                    read_all(ctx.read_mut_ptr(top, 0)),
+                    read_all(ctx.read_mut_ptr(top, 1)),
+                )
+            });
+            (seen, masters)
+        })
+    }
+
+    for seed in [7u64, 0xB01C] {
+        let reference = SeqRuntime::new().run(|ctx| random_op_mix(ctx, seed, false));
+        for promotions in 0..=2 {
+            for use_bulk in [false, true] {
+                let rt = HhRuntime::new(HhConfig {
+                    check_invariants: true,
+                    ..HhConfig::eager_heaps(hh_api::env_workers(2))
+                });
+                let (seen, masters) = mix_after_promotions(&rt, seed, use_bulk, promotions);
+                let what = format!("seed {seed}, {promotions} promotions, bulk {use_bulk}");
+                assert_eq!(seen, reference, "through the stale pointers ({what})");
+                if let Some(masters) = masters {
+                    assert_eq!(masters, reference, "through the master copies ({what})");
+                }
+                assert_eq!(rt.check_disentangled(), 0, "{what}");
+                let s = rt.stats();
+                assert_eq!(s.promotions, 2 * promotions as u64, "{what}");
+                assert_eq!(s.promoted_objects, 2 * promotions as u64, "{what}");
+                if use_bulk && promotions == 0 {
+                    assert_eq!(
+                        s.bulk_master_lookups, 0,
+                        "unforwarded operands must stay on the optimistic path ({what})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Property: bulk operations remain correct under concurrent promotion — a child task
 /// bulk-writes an array that gets promoted mid-run, and the parent then reads the
 /// values through the master copy.
@@ -411,80 +500,108 @@ fn bulk_writes_survive_concurrent_promotion() {
 
 /// A genuinely *racing* variant of the promotion test: one child continuously
 /// bulk-writes uniform patterns into arrays it allocated, while its sibling
-/// concurrently promotes those same arrays by publishing them into a root-allocated
-/// cell (the array pointer crosses between the tasks through a Rust-side atomic, so
-/// the promotion really does run while bulk writes are in flight).
-///
-/// The heap read lock held across each bulk slice must make every bulk operation
-/// atomic with respect to the promotion copy (`write_promote` takes the exclusive
-/// lock on the whole pointee→master path): every observer — the writer reading back
-/// through its stale pointer, and the parent reading the master copy — must always
-/// see a *uniform* array, never a torn half-pattern. A regression that dropped the
-/// lock (or released it before the loop) shows up here as a torn read.
-#[test]
-fn bulk_writes_race_concurrent_promotion_without_tearing() {
+/// concurrently promotes those same arrays by publishing them into every cell of
+/// `cells` in turn — one promotion per cell, each one level further up (the array
+/// pointer crosses between the tasks through a Rust-side atomic, so the promotions
+/// really do run while bulk writes are in flight). Returns the number of torn
+/// slices the writer read back through its stale pointer.
+fn race_bulk_writer_against_promoter<C: ParCtx>(ctx: &C, cells: &[ObjPtr], trial: u64) -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     const LEN: usize = 512;
     const ROUNDS: u64 = 30;
     const PATTERNS: u64 = 40;
-    for trial in 0..3u64 {
+    // Rust-side mailbox handing freshly allocated array pointers to the promoter;
+    // `done` ends the promoter's spin loop.
+    let mailbox = AtomicU64::new(0);
+    let done = AtomicU64::new(0);
+    let publish = |c: &C, bits: u64| {
+        for &cell in cells {
+            c.write_ptr(cell, 0, ObjPtr::from_bits(bits));
+        }
+    };
+    ctx.join(
+        |c| {
+            let mut torn = 0u64;
+            let mut back = vec![0u64; LEN];
+            for round in 0..ROUNDS {
+                let arr = c.alloc_data_array(LEN);
+                c.fill_nonptr(arr, 0, LEN, u64::MAX);
+                mailbox.store(arr.to_bits(), Ordering::Release);
+                for pat in 0..PATTERNS {
+                    let val = trial << 32 | round << 16 | pat;
+                    c.fill_nonptr(arr, 0, LEN, val);
+                    c.read_mut_bulk(arr, 0, &mut back);
+                    if back.windows(2).any(|w| w[0] != w[1]) {
+                        torn += 1;
+                    }
+                }
+            }
+            done.store(1, Ordering::Release);
+            torn
+        },
+        |c| {
+            // Promote whatever array the writer last published, as soon as it
+            // appears, while the writer keeps bulk-writing it.
+            let mut last = 0u64;
+            while done.load(Ordering::Acquire) == 0 {
+                let bits = mailbox.load(Ordering::Acquire);
+                if bits != 0 && bits != last {
+                    last = bits;
+                    publish(c, bits);
+                }
+                std::hint::spin_loop();
+            }
+            // If this branch was not stolen (possible on a single-core machine: it
+            // then runs sequentially after the writer, with `done` already set),
+            // still promote the final array so the promotion assertions hold under
+            // every schedule; when the race did happen this is a no-op-ish
+            // re-publication.
+            let bits = mailbox.load(Ordering::Acquire);
+            if bits != 0 {
+                publish(c, bits);
+            }
+        },
+    )
+    .0
+}
+
+/// The writer's bulk slices take the optimistic path while its array is unforwarded
+/// and the locked path afterwards. A slice that a promotion overtakes is re-applied
+/// to the master under its heap's READ lock (`write_promote` holds the WRITE locks
+/// of the whole pointee→master path while it copies), so every observer ordered
+/// after the slice — the writer reading back through its stale pointer, and the
+/// parent reading the master copy — must see a *uniform* array, never a torn
+/// half-pattern, whether the array was promoted once or twice under the writer's
+/// feet. A regression that skipped the re-check (or released the lock before the
+/// loop) shows up here as a torn read.
+#[test]
+fn bulk_writes_race_concurrent_promotion_without_tearing() {
+    for (trial, hops) in [(0u64, 1), (1, 2), (2, 1), (3, 2)] {
         // Eager per-fork heaps, for the same reason as above: the writer is the left
         // branch and must allocate in its own heap for the promoter to have anything
         // to promote.
         let rt = HhRuntime::new(HhConfig::eager_heaps(4));
         let torn = rt.run(|ctx| {
             let cell = ctx.alloc_ref_ptr(ObjPtr::NULL);
-            // Rust-side mailbox handing freshly allocated array pointers to the
-            // promoter; `done` ends the promoter's spin loop.
-            let mailbox = AtomicU64::new(0);
-            let done = AtomicU64::new(0);
-            let (mut torn, _) = ctx.join(
-                |c| {
-                    let mut torn = 0u64;
-                    let mut back = vec![0u64; LEN];
-                    for round in 0..ROUNDS {
-                        let arr = c.alloc_data_array(LEN);
-                        c.fill_nonptr(arr, 0, LEN, u64::MAX);
-                        mailbox.store(arr.to_bits(), Ordering::Release);
-                        for pat in 0..PATTERNS {
-                            let val = trial << 32 | round << 16 | pat;
-                            c.fill_nonptr(arr, 0, LEN, val);
-                            c.read_mut_bulk(arr, 0, &mut back);
-                            if back.windows(2).any(|w| w[0] != w[1]) {
-                                torn += 1;
-                            }
-                        }
-                    }
-                    done.store(1, Ordering::Release);
-                    torn
-                },
-                |c| {
-                    // Promote whatever array the writer last published, as soon as
-                    // it appears, while the writer keeps bulk-writing it.
-                    let mut last = 0u64;
-                    while done.load(Ordering::Acquire) == 0 {
-                        let bits = mailbox.load(Ordering::Acquire);
-                        if bits != 0 && bits != last {
-                            last = bits;
-                            c.write_ptr(cell, 0, ObjPtr::from_bits(bits));
-                        }
-                        std::hint::spin_loop();
-                    }
-                    // If this branch was not stolen (possible on a single-core
-                    // machine: it then runs sequentially after the writer, with
-                    // `done` already set), still promote the final array so the
-                    // promotion assertions below hold under every schedule; when the
-                    // race did happen this is a no-op-ish re-publication.
-                    let bits = mailbox.load(Ordering::Acquire);
-                    if bits != 0 {
-                        c.write_ptr(cell, 0, ObjPtr::from_bits(bits));
-                    }
-                },
-            );
+            let mut torn = if hops == 1 {
+                race_bulk_writer_against_promoter(ctx, &[cell], trial)
+            } else {
+                // One fork further down, publishing into the middle heap first:
+                // every array is promoted twice and the writer's pointer ends up
+                // two forwarding hops from the master.
+                ctx.join(
+                    |c| {
+                        let mid = c.alloc_ref_ptr(ObjPtr::NULL);
+                        race_bulk_writer_against_promoter(c, &[mid, cell], trial)
+                    },
+                    |_| (),
+                )
+                .0
+            };
             // The parent observes the last promoted array through the master copy.
             let master = ctx.read_mut_ptr(cell, 0);
             if !master.is_null() {
-                let mut out = vec![0u64; LEN];
+                let mut out = vec![0u64; ctx.obj_len(master)];
                 ctx.read_mut_bulk(master, 0, &mut out);
                 if out.windows(2).any(|w| w[0] != w[1]) {
                     torn += 1;
@@ -494,13 +611,67 @@ fn bulk_writes_race_concurrent_promotion_without_tearing() {
         });
         assert_eq!(
             torn, 0,
-            "torn bulk slice under concurrent promotion (trial {trial})"
+            "torn bulk slice under concurrent promotion (trial {trial}, {hops} hops)"
         );
         assert_eq!(rt.check_disentangled(), 0);
         assert!(
             rt.stats().promoted_objects > 0,
             "the promoter must have promoted at least one in-flight array (trial {trial})"
         );
+    }
+}
+
+/// The promotion volume of the two promotion-bound workloads is fixed by the program,
+/// not by which path copies the objects: under eager per-fork heaps every
+/// `union_find` edge record and every cross-subtree `entangle` message is a
+/// one-object closure published into the root heap — exactly one promotion, one
+/// promoted object and its size in words each — at one worker and at eight, with the
+/// invariant checker on.
+#[test]
+fn promotion_counts_are_exact_on_union_find_and_entangle() {
+    use hierheap::workloads::adversary::entangle;
+    use hierheap::workloads::mutator::union_find;
+    const N: usize = 80_000;
+    const ACTORS: usize = 16;
+    const OPS: usize = 4_000;
+    const PERMILLE: u64 = 500;
+    const SEED: u64 = 0x5EED;
+    // `entangle`'s own send predicate (see `adversary.rs`).
+    let sends = (0..ACTORS as u64)
+        .flat_map(|t| (0..OPS as u64).map(move |op| hash64(SEED ^ (t << 32) ^ op)))
+        .filter(|h| h % 1000 < PERMILLE)
+        .count() as u64;
+    let uf_expected = SeqRuntime::new().run(|c| union_find(c, N, N, 512, SEED));
+    let en_expected = SeqRuntime::new().run(|c| entangle(c, ACTORS, OPS, PERMILLE, SEED));
+    for workers in [1, 8] {
+        let eager = || {
+            HhRuntime::new(HhConfig {
+                check_invariants: true,
+                ..HhConfig::eager_heaps(workers)
+            })
+        };
+        let rt = eager();
+        assert_eq!(rt.run(|c| union_find(c, N, N, 512, SEED)), uf_expected);
+        assert_eq!(rt.check_disentangled(), 0);
+        let s = rt.stats();
+        let counts = (s.promotions, s.promoted_objects, s.promoted_words);
+        // A record is one non-pointer field: header + forwarding slot + field.
+        assert_eq!(
+            counts,
+            (N as u64, N as u64, 3 * N as u64),
+            "{workers} workers"
+        );
+
+        let rt = eager();
+        assert_eq!(
+            rt.run(|c| entangle(c, ACTORS, OPS, PERMILLE, SEED)),
+            en_expected
+        );
+        assert_eq!(rt.check_disentangled(), 0);
+        let s = rt.stats();
+        let counts = (s.promotions, s.promoted_objects, s.promoted_words);
+        // A message is two non-pointer fields.
+        assert_eq!(counts, (sends, sends, 4 * sends), "{workers} workers");
     }
 }
 
