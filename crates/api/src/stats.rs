@@ -109,7 +109,7 @@ pub struct RunStats {
     /// Quarantined chunks moved out of quarantine (freed or released) by the
     /// epoch watermark — i.e. reclaimed because every run whose epoch could hold
     /// a stale pointer into them had ended, without waiting for global quiescence
-    /// (monotone; 0 under the A5 global-horizon ablation).
+    /// (monotone).
     pub epoch_reclaims: u64,
     /// Highest number of simultaneously active epoch-tracked runs observed
     /// (gauge of run overlap; merged by max).

@@ -116,8 +116,8 @@ impl FlatHeap {
 /// The flat heaps of a completed run are unreachable once `run` has returned, but
 /// stale `ObjPtr`s in that run's Rust locals resolved through forwarding until then —
 /// so disposal (retire + reclaim into the store's free lists) happens at the *next*
-/// run start, and only once no other run is active. This mirrors `HhRuntime`'s reuse
-/// horizon; see DESIGN.md §5.
+/// run start, and only once no other run is active — the global reuse horizon
+/// `HhRuntime` replaced with per-run epochs; see DESIGN.md §5.
 #[derive(Default)]
 pub struct RunEpoch {
     state: Mutex<EpochState>,

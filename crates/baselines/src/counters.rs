@@ -43,8 +43,8 @@ pub struct Counters {
     /// Longest single collection pause observed, in nanoseconds (`fetch_max`).
     pub gc_max_pause_ns: AtomicU64,
     /// One sample per stop-the-world pause; feeds the GC pause CDF in
-    /// [`RunStats`] (same recorder the hierarchical runtime uses, so the
-    /// `repro gc` table contrasts like with like).
+    /// [`RunStats`] (same recorder the hierarchical runtime uses, so pause
+    /// percentiles compare like with like across runtimes).
     pub gc_pauses: parking_lot::Mutex<LatencyRecorder>,
 }
 

@@ -1,10 +1,6 @@
 //! Runtime configuration.
 
 /// Tunables of the hierarchical-heap runtime.
-///
-/// The two `enable_*` flags exist for the ablation experiments (DESIGN.md, A1): they
-/// disable the single-instruction / few-instruction fast paths of Figure 8 so the cost
-/// of always taking the locking slow path can be measured.
 #[derive(Clone, Debug)]
 pub struct HhConfig {
     /// Number of scheduler worker threads.
@@ -24,14 +20,6 @@ pub struct HhConfig {
     /// Helpers are best-effort — a busy pool contributes fewer members and the
     /// collection still completes. See DESIGN.md §9.
     pub gc_workers: usize,
-    /// Master switch for garbage collection (disabled for some microbenchmarks).
-    pub enable_gc: bool,
-    /// Enable the fast path of `readMutable` / `writeNonptr` (skip `findMaster` when the
-    /// object has no forwarding pointer).
-    pub enable_read_write_fast_path: bool,
-    /// Enable the fast path of `writePtr` (skip master lookup and depth comparison when
-    /// the object is in the current task's heap and has no forwarding pointer).
-    pub enable_write_ptr_fast_path: bool,
     /// Cap, in words, on the chunk store's free pool (memory v2).
     ///
     /// Chunks retired by collections flow back to the allocator through size-classed
@@ -49,18 +37,6 @@ pub struct HhConfig {
     /// offending objects. Defaults to on in debug builds (so every debug `cargo
     /// test` run is checked) and compiles to nothing in release builds.
     pub check_invariants: bool,
-    /// Reclaim retired chunks per run via the epoch watermark (ablation A5 when
-    /// off).
-    ///
-    /// When enabled (the default), every `run` draws a monotone epoch from the
-    /// store's `RunEpochs`, its heap tree is disposed *at run end*, and the
-    /// quarantine is drained up to the min-active-epoch watermark — so one run's
-    /// chunks recycle while other runs are still mid-flight (the quiescence-free
-    /// horizon a server needs; see DESIGN.md §5). When disabled, the v2 global
-    /// horizon is used: completed runs' trees are disposed at the next `run` start
-    /// that observes **no** active run, which under sustained overlapping load
-    /// never happens — the A5 ablation exists to measure exactly that degradation.
-    pub epoch_reclaim: bool,
     /// Server mode: promote the "no `ObjPtr` crosses runs" rule from documented
     /// convention to a debug assertion. Every mutable-access entry point checks (in
     /// debug builds) that the object's chunk belongs to the accessing run — a stale
@@ -114,12 +90,8 @@ impl Default for HhConfig {
             chunk_words: 8 * 1024,
             gc_threshold_words: 4 * 1024 * 1024,
             gc_workers: 0,
-            enable_gc: true,
-            enable_read_write_fast_path: true,
-            enable_write_ptr_fast_path: true,
             max_free_words: 64 * 1024 * 1024, // 512 MiB of reusable chunk memory
             check_invariants: cfg!(debug_assertions),
-            epoch_reclaim: true,
             server_mode: false,
             incremental_gc: false,
             lazy_child_heaps: true,
@@ -151,18 +123,6 @@ impl HhConfig {
             ..Default::default()
         }
     }
-
-    /// Configuration with the v2 global reuse horizon (ablation A5, see
-    /// [`HhConfig::epoch_reclaim`]): retired chunks are reclaimed only at a `run`
-    /// start with no other run active. Under overlapping runs recycling degrades to
-    /// nothing — the contrast the `serve` experiment measures.
-    pub fn global_horizon(n_workers: usize) -> Self {
-        HhConfig {
-            n_workers,
-            epoch_reclaim: false,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +136,6 @@ mod tests {
         assert!(c.chunk_words >= 16);
         assert!(c.gc_threshold_words > c.chunk_words);
         assert!(c.max_free_words > c.gc_threshold_words);
-        assert!(c.enable_gc && c.enable_read_write_fast_path && c.enable_write_ptr_fast_path);
         assert_eq!(c.gc_workers, 0, "default GC team = pool size");
         assert!(
             !c.incremental_gc,

@@ -91,8 +91,7 @@ impl Inner {
 
     /// True if `heap`'s allocation volume warrants a collection at the next safe point.
     pub(crate) fn should_collect(&self, heap: HeapId) -> bool {
-        self.config.enable_gc
-            && self.registry.heap(heap).allocated_words() >= self.config.gc_threshold_words
+        self.registry.heap(heap).allocated_words() >= self.config.gc_threshold_words
     }
 
     /// Collects the (leaf) heap `heap_id`, treating `roots` as the root set and
@@ -216,9 +215,6 @@ impl Inner {
     /// See the module docs for the GC v2 structure (chunk-tag membership, the team,
     /// scan-block stealing, the CAS forwarding race — all in `hh_sched::evac` now).
     pub(crate) fn collect_zone(&self, zone: Vec<HeapId>, roots: &mut [ObjPtr]) {
-        if !self.config.enable_gc {
-            return;
-        }
         // A monolithic collection requires a quiescent zone; an open incremental
         // window (necessarily of a disjoint zone, but conservatively: any) is
         // completed first so the two engines never interleave on shared store

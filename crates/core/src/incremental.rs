@@ -110,16 +110,16 @@ impl ActiveGc {
 impl Inner {
     /// Starts an incremental collection of `zone` (resolved, non-empty), seeding
     /// `roots` (rewritten in place) as the complete current root set. Returns
-    /// `false` — having collected nothing — when GC is disabled, the zone
-    /// overflows the chunk tag's slot range, or another window is already open
-    /// (at most one per runtime; contending triggers keep draining the open one
-    /// from their own safe points instead, which is what makes it finish).
+    /// `false` — having collected nothing — when the zone overflows the chunk
+    /// tag's slot range or another window is already open (at most one per
+    /// runtime; contending triggers keep draining the open one from their own
+    /// safe points instead, which is what makes it finish).
     ///
     /// The caller must guarantee root-set completeness (see the module docs):
     /// owners call between joins; borrowers call under a momentary exclusive
     /// steal-gate acquisition.
     pub(crate) fn start_incremental(&self, zone: Vec<HeapId>, roots: &mut [ObjPtr]) -> bool {
-        if !self.config.enable_gc || zone.is_empty() || zone.len() > GC_MAX_ZONE_SLOTS {
+        if zone.is_empty() || zone.len() > GC_MAX_ZONE_SLOTS {
             return false;
         }
         let Some(mut guard) = self.active_gc.try_lock() else {

@@ -99,14 +99,11 @@ impl Inner {
 
     /// `readMutable` (Figure 6, lines 11–17).
     pub(crate) fn read_mut_impl(&self, obj: ObjPtr, field: usize) -> u64 {
-        let store = self.registry.store();
-        if self.config.enable_read_write_fast_path {
-            // Fast path: read optimistically, then check that the object has no copies.
-            let v = store.view(obj);
-            let res = v.field(field);
-            if !v.has_fwd() {
-                return res;
-            }
+        // Fast path: read optimistically, then check that the object has no copies.
+        let v = self.registry.store().view(obj);
+        let res = v.field(field);
+        if !v.has_fwd() {
+            return res;
         }
         self.read_master(obj, field)
     }
@@ -118,14 +115,11 @@ impl Inner {
         // `find_master`) necessarily lands in to-space and the update cannot be
         // lost to a concurrent evacuation snapshot.
         self.gc_barrier(obj);
-        let store = self.registry.store();
-        if self.config.enable_read_write_fast_path {
-            // Fast path: write optimistically, then check whether `obj` was the master.
-            let v = store.view(obj);
-            v.set_field(field, val);
-            if !v.has_fwd() {
-                return;
-            }
+        // Fast path: write optimistically, then check whether `obj` was the master.
+        let v = self.registry.store().view(obj);
+        v.set_field(field, val);
+        if !v.has_fwd() {
+            return;
         }
         self.write_master(obj, field, val);
     }
@@ -144,18 +138,15 @@ impl Inner {
         new: u64,
     ) -> Result<u64, u64> {
         self.gc_barrier(obj);
-        let store = self.registry.store();
-        if self.config.enable_read_write_fast_path {
-            let v = store.view(obj);
+        let v = self.registry.store().view(obj);
+        if !v.has_fwd() {
+            let res = v.cas_field(field, expected, new);
             if !v.has_fwd() {
-                let res = v.cas_field(field, expected, new);
-                if !v.has_fwd() {
-                    return res;
-                }
-                // A promotion raced with us; fall through and apply on the master copy
-                // (the promotion copied either the pre- or post-CAS value, and the CAS
-                // below re-establishes the intended outcome on the authoritative copy).
+                return res;
             }
+            // A promotion raced with us; fall through and apply on the master copy
+            // (the promotion copied either the pre- or post-CAS value, and the CAS
+            // below re-establishes the intended outcome on the authoritative copy).
         }
         self.cas_master(obj, field, expected, new)
     }
@@ -210,17 +201,14 @@ impl Inner {
     /// fence; the scalar `write_nonptr` keeps the paper's fence-free fast path
     /// (DESIGN.md §6.7).
     fn on_master(&self, obj: ObjPtr, stores: bool, mut op: impl FnMut(ObjView<'_>)) {
-        let store = self.registry.store();
-        if self.config.enable_read_write_fast_path {
-            let v = store.view(obj);
+        let v = self.registry.store().view(obj);
+        if !v.has_fwd() {
+            op(v);
+            if stores {
+                fence(Ordering::SeqCst);
+            }
             if !v.has_fwd() {
-                op(v);
-                if stores {
-                    fence(Ordering::SeqCst);
-                }
-                if !v.has_fwd() {
-                    return;
-                }
+                return;
             }
         }
         self.counters
@@ -351,15 +339,13 @@ impl Inner {
 
         // Fast path (lines 2–5): the object lives in the current task's heap — which is
         // necessarily a leaf, so no promotion can be needed — and has no copies.
-        if self.config.enable_write_ptr_fast_path {
-            let v = store.view(obj);
-            if !v.has_fwd() && self.registry.heap_of_chunk(v.chunk()).id() == current_heap {
-                v.set_field(field, ptr.to_bits());
-                self.counters
-                    .fast_ptr_writes
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        let v = store.view(obj);
+        if !v.has_fwd() && self.registry.heap_of_chunk(v.chunk()).id() == current_heap {
+            v.set_field(field, ptr.to_bits());
+            self.counters
+                .fast_ptr_writes
+                .fetch_add(1, Ordering::Relaxed);
+            return;
         }
 
         // Slow path: find the master copy (read lock held on its heap).

@@ -10,29 +10,6 @@ use hh_sched::Pool;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Bookkeeping of active and completed `run` calls under the **global** reuse
-/// horizon (ablation A5, `HhConfig::epoch_reclaim = false`): the memory of a
-/// completed run's heap tree is disposed of — and the store's quarantine reclaimed —
-/// at the start of the next run, once no other run is active (see
-/// `ChunkStore::reclaim_retired` and DESIGN.md §5). The default epoch mode disposes
-/// at run end instead and never touches this struct.
-#[derive(Default)]
-struct RunEpoch {
-    /// Number of `run` calls currently executing.
-    active: usize,
-    /// Completed runs awaiting disposal.
-    completed_roots: Vec<CompletedRun>,
-}
-
-/// A completed run: its root heap plus the registry-index range of heaps created
-/// while it was active. Disposal scans only that range instead of every heap the
-/// runtime ever created, so the per-run cost is bounded by the run's own heap count
-/// (plus any concurrently created heaps, which the ancestor filter skips).
-struct CompletedRun {
-    root: HeapId,
-    heaps: std::ops::Range<usize>,
-}
-
 /// Shared state of one hierarchical-heap runtime: the heap registry (which owns the
 /// chunk store), the scheduler pool, the configuration, and the statistics counters.
 pub(crate) struct Inner {
@@ -48,7 +25,6 @@ pub(crate) struct Inner {
     /// reading this heap as one of its ancestors) is in flight, with new steals
     /// blocking for the (short) duration of the collection. See DESIGN.md §4.2.
     pub(crate) steal_gate: std::sync::RwLock<()>,
-    run_epoch: parking_lot::Mutex<RunEpoch>,
     /// True while an incremental collection window is open (GC v3). The write
     /// barrier's per-operation test: one atomic load, behind a plain
     /// `config.incremental_gc` test so the A6 shape pays nothing.
@@ -117,67 +93,35 @@ impl Inner {
         hooks.is_some_and(|h| h.inject_alloc_fault())
     }
 
-    /// Starts a run.
-    ///
-    /// **Epoch mode** (default): the run draws a monotone epoch from the store's
+    /// Starts a run: the run draws a monotone epoch from the store's
     /// [`hh_objmodel::RunEpochs`] and its root heap carries that tag, so every chunk
     /// the run allocates is attributed to it; nothing is disposed here — each run
     /// cleans up after *itself* at `end_run`.
     ///
-    /// **Global-horizon mode** (A5): disposes of the heap trees of previously
-    /// completed runs and passes the store's reuse horizon if no other run is
-    /// active. Retired chunks stay readable until here so that stale `ObjPtr`s in
-    /// the completed runs' Rust locals kept resolving through forwarding; those
-    /// locals are gone once their run returned, and concurrent runs' trees are
-    /// disjoint (disentanglement), so reclaiming with *no* run active is the sound
-    /// horizon.
-    ///
-    /// In both modes an `ObjPtr` must not be carried from one `run` into a later
-    /// one: its chunk may have been recycled for the new run (debug builds catch
-    /// such stale pointers via the zeroed headers and the chunk generation tag; in
-    /// server mode the access paths assert the chunk's run tag — see
-    /// `HhConfig::server_mode`).
+    /// An `ObjPtr` must not be carried from one `run` into a later one: its chunk
+    /// may have been recycled for the new run (debug builds catch such stale
+    /// pointers via the zeroed headers and the chunk generation tag; in server mode
+    /// the access paths assert the chunk's run tag — see `HhConfig::server_mode`).
     fn begin_run(&self) -> (HeapId, usize, u64) {
-        if self.config.epoch_reclaim {
-            let epoch = self.registry.store().run_epochs().begin();
-            let heaps_before = self.registry.n_heaps();
-            let root = self.registry.new_root_heap_for_run(epoch);
-            self.counters.heaps_created.fetch_add(1, Ordering::Relaxed);
-            return (root, heaps_before, epoch);
-        }
-        let mut state = self.run_epoch.lock();
-        if state.active == 0 {
-            for run in state.completed_roots.drain(..) {
-                self.registry.dispose_subtree_in(run.root, run.heaps);
-            }
-            self.registry.store().reclaim_retired();
-        }
-        state.active += 1;
-        drop(state);
+        let epoch = self.registry.store().run_epochs().begin();
         // Watermark before creating the root: every heap of this run (the root
         // included) gets an index at or above it.
         let heaps_before = self.registry.n_heaps();
-        let root = self.registry.new_root_heap();
+        let root = self.registry.new_root_heap_for_run(epoch);
         self.counters.heaps_created.fetch_add(1, Ordering::Relaxed);
-        (root, heaps_before, 0)
+        (root, heaps_before, epoch)
     }
 
-    /// Ends a run.
-    ///
-    /// **Epoch mode**: the run's own heap tree is disposed immediately (its tasks
-    /// are gone, so no live `ObjPtr` into it remains *inside* the managed world —
-    /// only the caller's Rust locals, which must not cross runs), its epoch retires,
-    /// and the quarantine is drained up to the new watermark — reclaiming this run's
+    /// Ends a run: the run's own heap tree is disposed immediately (its tasks are
+    /// gone, so no live `ObjPtr` into it remains *inside* the managed world — only
+    /// the caller's Rust locals, which must not cross runs), its epoch retires, and
+    /// the quarantine is drained up to the new watermark — reclaiming this run's
     /// chunks, and any older conservative stamps it was holding back, while other
     /// runs keep flying.
-    ///
-    /// **Global-horizon mode** (A5): the tree becomes disposable at the next
-    /// `begin_run` that observes no active runs.
     fn end_run(&self, root: HeapId, heaps_before: usize, heaps_after: usize, epoch: u64) {
         // A window of the ending run must complete before its tree is disposed:
         // its semispaces are on no heap's chunk list mid-window, so disposal
-        // would leak both. (A5's untagged runs all read tag 0 and finalize
-        // conservatively.)
+        // would leak both.
         //
         // Both the forced finalize and the pre-dispose event fire schedule
         // hooks, and hooks may panic (the fault-injection layer models crashes
@@ -191,20 +135,11 @@ impl Inner {
             self.finalize_incremental_now(|gc| gc.zone_run_tag == epoch);
             self.fire_hook(crate::hooks::GcScheduleEvent::EndRunPreDispose { run_epoch: epoch });
         }));
-        if self.config.epoch_reclaim {
-            self.registry
-                .dispose_subtree_in(root, heaps_before..heaps_after);
-            let store = self.registry.store();
-            store.run_epochs().end(epoch);
-            store.reclaim_watermark();
-        } else {
-            let mut state = self.run_epoch.lock();
-            state.active -= 1;
-            state.completed_roots.push(CompletedRun {
-                root,
-                heaps: heaps_before..heaps_after,
-            });
-        }
+        self.registry
+            .dispose_subtree_in(root, heaps_before..heaps_after);
+        let store = self.registry.store();
+        store.run_epochs().end(epoch);
+        store.reclaim_watermark();
         if let Err(payload) = teardown {
             std::panic::resume_unwind(payload);
         }
@@ -340,7 +275,6 @@ impl HhRuntime {
                 config,
                 counters,
                 steal_gate: std::sync::RwLock::new(()),
-                run_epoch: parking_lot::Mutex::new(RunEpoch::default()),
                 incremental_active: std::sync::atomic::AtomicBool::new(false),
                 active_gc: parking_lot::Mutex::new(None),
                 active_gc_epoch: std::sync::atomic::AtomicU64::new(0),
@@ -498,9 +432,9 @@ impl HhRuntime {
         F: FnOnce(&HhCtx) -> R + Send,
     {
         // Each root task gets a fresh root heap, mirroring `main` owning the root of
-        // the hierarchy in the paper's Figure 2. `begin_run` also disposes of earlier
-        // runs' heap trees and recycles their chunks (see `Inner::begin_run`); the
-        // guard ends the run even if `f` panics out through `Pool::run`.
+        // the hierarchy in the paper's Figure 2. The guard ends the run — disposing
+        // of its heap tree and recycling its chunks (see `Inner::end_run`) — even if
+        // `f` panics out through `Pool::run`.
         let (root_heap, heaps_before, epoch) = self.inner.begin_run();
         let _guard = EndRunGuard {
             inner: &self.inner,

@@ -380,38 +380,6 @@ fn maybe_collect_honours_threshold() {
     );
 }
 
-/// Disabling the fast paths (ablation A1) must not change results, only counters.
-#[test]
-fn fast_path_ablation_is_semantically_equivalent() {
-    for (fast_rw, fast_ptr) in [(true, true), (false, false), (true, false), (false, true)] {
-        let rt = HhRuntime::new(HhConfig {
-            n_workers: 2,
-            enable_read_write_fast_path: fast_rw,
-            enable_write_ptr_fast_path: fast_ptr,
-            ..Default::default()
-        });
-        let v = rt.run(|ctx| {
-            let shared = ctx.alloc_ref_ptr(ObjPtr::NULL);
-            let (_, _) = ctx.join(
-                |c| {
-                    let local = c.alloc_ref_data(13);
-                    c.write_ptr(shared, 0, local);
-                },
-                |c| {
-                    let p = c.read_mut_ptr(shared, 0);
-                    if !p.is_null() {
-                        let _ = c.read_mut(p, 0);
-                    }
-                },
-            );
-            let p = ctx.read_mut_ptr(shared, 0);
-            ctx.read_mut(p, 0)
-        });
-        assert_eq!(v, 13);
-        assert_eq!(rt.check_disentangled(), 0);
-    }
-}
-
 /// A tournament-style reduction: every join point allocates a node and sets "parent
 /// pointers" in both operands — the representative local, non-promoting write pattern.
 #[test]

@@ -2,10 +2,11 @@
 //! cross-run pointer check.
 //!
 //! The deterministic overlap test pins the exact property the watermark buys over
-//! the old global horizon: a run that *began first* (smallest epoch) gets its
-//! chunks reclaimed the moment it ends — while younger runs are still mid-flight —
-//! because the min-active-epoch watermark has moved past its epoch. Under the
-//! global horizon nothing would be reclaimed until every run ended.
+//! the retired global horizon (A5, DESIGN.md §7): a run that *began first*
+//! (smallest epoch) gets its chunks reclaimed the moment it ends — while younger
+//! runs are still mid-flight — because the min-active-epoch watermark has moved
+//! past its epoch. Under the global horizon nothing was reclaimed until every run
+//! ended.
 
 use hh_api::{ObjKind, ParCtx, Runtime};
 use hh_runtime::{HhConfig, HhRuntime};
@@ -125,62 +126,6 @@ fn first_run_reclaims_while_later_runs_still_flying() {
     );
     assert_eq!(s.active_runs, 0);
     assert_eq!(s.chunks_quarantined, 0, "final watermark drains everything");
-}
-
-/// The A5 contrast: under the global horizon the same overlap pattern reclaims
-/// nothing at A's end — completed trees wait for a run start that observes zero
-/// active runs.
-#[test]
-fn global_horizon_holds_chunks_across_same_overlap() {
-    let rt = HhRuntime::new(HhConfig::global_horizon(4));
-    let a_started = Barrier::new(2);
-    let bc_started = Barrier::new(3);
-    let a_finish = Gate::new();
-    let bc_finish = Gate::new();
-
-    std::thread::scope(|scope| {
-        let a = scope.spawn(|| {
-            rt.run(|ctx| {
-                let arr = ctx.alloc_data_array(3000);
-                ctx.write_nonptr(arr, 0, 1);
-                a_started.wait();
-                a_finish.wait();
-                ctx.read_mut(arr, 0)
-            })
-        });
-        a_started.wait();
-        let b = scope.spawn(|| {
-            rt.run(|_ctx| {
-                bc_started.wait();
-                bc_finish.wait();
-                2u64
-            })
-        });
-        let c = scope.spawn(|| {
-            rt.run(|_ctx| {
-                bc_started.wait();
-                bc_finish.wait();
-                3u64
-            })
-        });
-        bc_started.wait();
-        a_finish.open();
-        a.join().unwrap();
-
-        let stats = rt.stats();
-        assert_eq!(
-            stats.epoch_reclaims, 0,
-            "the global horizon never reclaims via the watermark"
-        );
-        assert_eq!(
-            stats.chunks_recycled, 0,
-            "A's chunks must NOT have been recycled mid-overlap under A5"
-        );
-
-        bc_finish.open();
-        b.join().unwrap();
-        c.join().unwrap();
-    });
 }
 
 /// Server mode (debug builds): carrying an `ObjPtr` from one run into a later one

@@ -15,8 +15,9 @@
 //!
 //! With a single run at a time the watermark degenerates to the old horizon: the only
 //! active epoch is the run's own, and its dispose advances the watermark past
-//! everything it retired. The global horizon itself is kept as ablation A5
-//! (`HhConfig::epoch_reclaim = false`); see DESIGN.md §5.
+//! everything it retired. Only the baselines, whose flat heaps are shared across
+//! runs, still dispose of those at the global horizon; the hierarchical runtime's
+//! A5 ablation that kept it is retired (DESIGN.md §§5, 7).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -62,10 +63,7 @@ impl RunEpochs {
         let epoch = self.next.fetch_add(1, Ordering::Relaxed);
         active.insert(epoch);
         self.refresh_watermark(&active);
-        let n = active.len();
-        drop(active);
-        self.active_runs.store(n, Ordering::Relaxed);
-        self.active_runs_peak.fetch_max(n, Ordering::Relaxed);
+        self.store_gauges(&active);
         epoch
     }
 
@@ -76,9 +74,16 @@ impl RunEpochs {
         let mut active = self.active.lock();
         active.remove(&epoch);
         self.refresh_watermark(&active);
+        self.store_gauges(&active);
+    }
+
+    /// Publishes the active-run gauges. Called under the `active` lock: stored
+    /// after it, a begin's or end's count could land after a later end's and
+    /// leave a nonzero gauge with no run active.
+    fn store_gauges(&self, active: &BTreeSet<u64>) {
         let n = active.len();
-        drop(active);
         self.active_runs.store(n, Ordering::Relaxed);
+        self.active_runs_peak.fetch_max(n, Ordering::Relaxed);
     }
 
     fn refresh_watermark(&self, active: &BTreeSet<u64>) {

@@ -596,9 +596,9 @@ impl ChunkStore {
     /// Moves every quarantined chunk to the free lists (or releases it once the free
     /// pool exceeds [`ChunkStore::set_max_free_words`]), making the memory retired by
     /// past collections available for reuse. This is the **global** horizon — the
-    /// degenerate single-run case of [`ChunkStore::reclaim_watermark`] and ablation
-    /// A5; it additionally flushes the per-thread allocation caches, which only a
-    /// quiescent point may do.
+    /// degenerate single-run case of [`ChunkStore::reclaim_watermark`], used by the
+    /// baselines between runs; it additionally flushes the per-thread allocation
+    /// caches, which only a quiescent point may do.
     ///
     /// # Reuse horizon
     ///

@@ -4,20 +4,18 @@
 //! ```text
 //! serve [--runs N] [--clients C] [--executors E] [--workers W] [--queue-cap Q]
 //!       [--seed S] [--scale K] [--gc-threshold WORDS]
-//!       [--mode epoch|epoch-inc|global|both|all]
+//!       [--mode epoch|epoch-inc|all]
 //!       [--runtime parmem|seq|stw|dlg] [--workload NAME] [--json PATH]
 //!       [--faults PPM] [--deadline-ms MS] [--max-attempts N] [--backoff-us US]
 //!       [--shed-inflight N]
 //! ```
 //!
-//! `--mode both` (the default for parmem) runs the epoch-reclamation runtime and
-//! the A5 global-horizon ablation back to back under the identical load, printing
-//! the contrast the PR-6 tentpole claims: epoch mode keeps recycling under
-//! perpetual overlap, the global horizon does not. `epoch-inc` is the epoch
-//! runtime with incremental collection (GC v3) enabled — one tenant's collection
-//! no longer pauses for its whole live set, which shows up in the tail of every
-//! other tenant's latency; `all` runs all three parmem shapes. `--json PATH`
-//! appends one JSON object per mode (machine-readable, for CI artifacts).
+//! `--mode epoch` (the default for parmem) runs the epoch-reclamation runtime.
+//! `epoch-inc` is the same runtime with incremental collection (GC v3) enabled —
+//! one tenant's collection no longer pauses for its whole live set, which shows
+//! up in the tail of every other tenant's latency; `all` runs both shapes back to
+//! back under the identical load. `--json PATH` appends one JSON object per mode
+//! (machine-readable, for CI artifacts).
 //! `--gc-threshold` lowers the per-heap collection threshold (parmem only) so a
 //! large-live-set tenant mix actually collects mid-run — the configuration the
 //! epoch vs epoch-inc p999 contrast is measured under. `--workload NAME` pins
@@ -46,7 +44,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--runs N] [--clients C] [--executors E] [--workers W] \
          [--queue-cap Q] [--seed S] [--scale K] [--gc-threshold WORDS] \
-         [--mode epoch|epoch-inc|global|both|all] \
+         [--mode epoch|epoch-inc|all] \
          [--runtime parmem|seq|stw|dlg] [--workload {}] [--json PATH] \
          [--faults PPM] [--deadline-ms MS] [--max-attempts N] [--backoff-us US] \
          [--shed-inflight N]",
@@ -94,7 +92,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ServeConfig::default();
     let mut workers = 2usize;
-    let mut mode = String::from("both");
+    let mut mode = String::from("epoch");
     let mut runtime = String::from("parmem");
     let mut json_path: Option<String> = None;
     let mut gc_threshold: Option<usize> = None;
@@ -147,25 +145,16 @@ fn main() {
     let mut reports: Vec<ServeReport> = Vec::new();
     match runtime.as_str() {
         "parmem" => {
-            if !matches!(
-                mode.as_str(),
-                "epoch" | "epoch-inc" | "global" | "both" | "all"
-            ) {
+            if !matches!(mode.as_str(), "epoch" | "epoch-inc" | "all") {
                 usage();
             }
             type ConfigCtor = fn(usize) -> HhConfig;
-            let shapes: [(&str, ConfigCtor); 3] = [
+            let shapes: [(&str, ConfigCtor); 2] = [
                 ("epoch", HhConfig::with_workers),
                 ("epoch-inc", HhConfig::incremental),
-                ("global", HhConfig::global_horizon),
             ];
             for (label, config) in shapes {
-                let selected = match mode.as_str() {
-                    "both" => label != "epoch-inc",
-                    "all" => true,
-                    m => m == label,
-                };
-                if !selected {
+                if mode != "all" && mode != label {
                     continue;
                 }
                 let mut hh_cfg = config(workers);

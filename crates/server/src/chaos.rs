@@ -25,11 +25,9 @@ use hh_runtime::{FaultPlan, HhConfig, HhRuntime, Runtime};
 use hh_workloads::ServeWorkloadId;
 use std::sync::Arc;
 
-/// Configuration of one chaos sweep (shared by the test lane and `repro chaos`).
+/// Configuration of one chaos sweep (`tests/chaos.rs` picks the sweep width).
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
-    /// Number of chaos seeds to sweep.
-    pub seeds: u64,
     /// First chaos seed; seed `i` of the sweep is `base_seed + i`.
     pub base_seed: u64,
     /// Requests per seed's serve sweep.
@@ -57,7 +55,6 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
-            seeds: 64,
             base_seed: 0xC4A0_5EED,
             runs: 10,
             clients: 2,
@@ -104,6 +101,27 @@ impl ChaosOutcome {
             && self.active_runs == 0
             && self.violation.is_none()
             && self.checksum_ok
+    }
+
+    /// One JSON line of replay forensics for a dirty seed (hand-rolled — no
+    /// serde here): the sweep index (`HH_CHAOS_SEED=<sweep_index>` replays it),
+    /// seed, fault rate, the first violated invariant and the serve report.
+    pub fn violation_json(&self, sweep_index: u64) -> String {
+        let reason = match &self.violation {
+            Some(v) => v.reason.clone(),
+            None if !self.checksum_ok => "survivor checksum mismatch".to_string(),
+            None => format!("{} leaked run epoch(s)", self.active_runs),
+        };
+        format!(
+            "{{\"kind\":\"chaos-violation\",\"sweep_index\":{sweep_index},\"seed\":{},\
+             \"rate_ppm\":{},\"reason\":{reason:?},\"active_runs\":{},\"checksum_ok\":{},\
+             \"report\":{}}}",
+            self.seed,
+            self.rate_ppm,
+            self.active_runs,
+            self.checksum_ok,
+            self.report.to_json(),
+        )
     }
 }
 
@@ -173,14 +191,6 @@ pub fn chaos_one(cfg: &ChaosConfig, seed: u64) -> ChaosOutcome {
     }
 }
 
-/// Sweeps `cfg.seeds` chaos seeds and returns every outcome (callers assert
-/// [`ChaosOutcome::clean`] per seed to keep the failing seed in the message).
-pub fn chaos_sweep(cfg: &ChaosConfig) -> Vec<ChaosOutcome> {
-    (0..cfg.seeds)
-        .map(|i| chaos_one(cfg, cfg.base_seed + i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +198,6 @@ mod tests {
     #[test]
     fn one_chaos_seed_aborts_and_stays_quiescent() {
         let cfg = ChaosConfig {
-            seeds: 1,
             runs: 6,
             ..ChaosConfig::default()
         };
@@ -203,5 +212,16 @@ mod tests {
             out.active_runs,
             out.checksum_ok
         );
+        let json = out.violation_json(3);
+        for key in [
+            "\"kind\":\"chaos-violation\"",
+            "\"sweep_index\":3",
+            &format!("\"seed\":{}", out.seed),
+            "\"reason\":",
+            "\"report\":{",
+        ] {
+            assert!(json.contains(key), "missing {key} in {json}");
+        }
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -10,9 +10,9 @@
 //!
 //! The experiment exists to demonstrate the epoch-based reclamation of DESIGN.md
 //! §5: under perpetual overlap the hierarchical runtime keeps recycling chunks
-//! (`chunks_recycled` ≈ 100% of handouts, footprint bounded), while the A5
-//! global-horizon ablation — which reclaims only when *no* run is active — lets
-//! its quarantine grow with the request count.
+//! (`chunks_recycled` ≈ 100% of handouts, footprint bounded), where the retired
+//! A5 global horizon — which reclaimed only when *no* run was active — let its
+//! quarantine grow with the request count (DESIGN.md §7).
 //!
 //! Entry points: [`serve()`] (the loop), [`ServeConfig`], [`ServeReport`] (with
 //! machine-readable [`ServeReport::to_json`]), and [`verify_quiescent`] (post-run
@@ -22,7 +22,7 @@ pub mod chaos;
 pub mod queue;
 pub mod serve;
 
-pub use chaos::{chaos_one, chaos_sweep, ChaosConfig, ChaosOutcome};
+pub use chaos::{chaos_one, ChaosConfig, ChaosOutcome};
 pub use hh_api::{LatencyRecorder, LatencySummary};
 pub use queue::{BoundedQueue, TryPushError};
 pub use serve::{serve, verify_quiescent, QuiescenceViolation, ServeConfig, ServeReport};

@@ -3,8 +3,9 @@
 //! *shared* runtime — so at any instant up to M runs overlap on one chunk store.
 //!
 //! This is the experiment the epoch watermark exists for (DESIGN.md §5): under
-//! perpetual overlap the old global reuse horizon ("reclaim when no run is active")
-//! never passes, so quarantined chunks pile up and every run pays fresh minting.
+//! perpetual overlap the retired global reuse horizon ("reclaim when no run is
+//! active", A5) never passed, so quarantined chunks piled up and every run paid
+//! fresh minting.
 //! With per-run epochs each completed run's chunks recycle as soon as every run
 //! alive at their retirement has ended — the quarantine stays bounded by the
 //! in-flight working set and `chunks_recycled` approaches 100% of handouts.
@@ -603,6 +604,11 @@ mod tests {
             "executors must actually overlap runs (peak {})",
             report.stats.active_runs_peak
         );
+        // The epoch watermark reclaims per run, mid-overlap.
+        assert!(
+            report.stats.epoch_reclaims > 0,
+            "watermark reclamation must fire under overlap"
+        );
         verify_quiescent(&rt).unwrap();
     }
 
@@ -622,40 +628,6 @@ mod tests {
             a.checksum, b.checksum,
             "run results must not depend on scheduling"
         );
-    }
-
-    #[test]
-    fn epoch_mode_recycles_under_overlap_where_global_horizon_cannot() {
-        // Same load on both reclamation modes. The epoch runtime reclaims per run
-        // (watermark advances as runs end), so it recycles and drains its
-        // quarantine; the global-horizon runtime (A5) only reclaims at a run start
-        // observing zero active runs, which under continuous overlap essentially
-        // never happens — its quarantine at the end still holds the backlog.
-        let cfg = small_cfg(48);
-        let epoch_rt = HhRuntime::new(HhConfig::with_workers(2));
-        let epoch = serve(&epoch_rt, &cfg, "epoch");
-        let global_rt = HhRuntime::new(HhConfig::global_horizon(2));
-        let global = serve(&global_rt, &cfg, "global");
-        assert_eq!(
-            epoch.checksum, global.checksum,
-            "mode must not change results"
-        );
-        assert!(
-            epoch.stats.epoch_reclaims > 0,
-            "watermark reclamation must fire under overlap"
-        );
-        assert_eq!(
-            global.stats.epoch_reclaims, 0,
-            "A5 never reclaims via the watermark"
-        );
-        assert!(
-            epoch.stats.quarantine_lag_words <= global.stats.quarantine_lag_words,
-            "epoch quarantine ({} words) must not exceed the A5 backlog ({} words)",
-            epoch.stats.quarantine_lag_words,
-            global.stats.quarantine_lag_words
-        );
-        verify_quiescent(&epoch_rt).unwrap();
-        verify_quiescent(&global_rt).unwrap();
     }
 
     /// Pinned registry workloads (the `--workload` path) complete, stay

@@ -7,7 +7,9 @@
 //! checksum-correct survivors. Replay protocol (parity with the stress lanes):
 //! `HH_CHAOS_SEED=<i>` reruns just sweep index `i`; `HH_CHAOS_SEEDS=<n>` widens
 //! or narrows the sweep (default 64); `HH_WORKERS` sizes the pools (the CI
-//! chaos job runs the sweep at 1 and 8).
+//! chaos job runs the sweep at 1 and 8). A dirty seed appends one JSON
+//! forensics line (sweep index, seed, rate, reason, serve report) to
+//! `$HH_VIOLATION_JSON` when set, before the assertion fails.
 //!
 //! The two overlap-abort tests are the deterministic core of the failure model:
 //! three overlapping server-mode runs, one killed mid-promotion (between two
@@ -40,6 +42,9 @@ fn chaos_sweep_every_seed_aborts_and_holds_invariants() {
     for i in sweep_indices() {
         let seed = cfg.base_seed + i;
         let out = chaos_one(&cfg, seed);
+        if !out.clean() {
+            append_violation_json(&out.violation_json(i));
+        }
         // `chaos_one` escalates the fault rate until the seed aborts, so this
         // is an assertion about the lane's own honesty: a sweep where nothing
         // ever died would vacuously "pass" every invariant below.
@@ -62,6 +67,21 @@ fn chaos_sweep_every_seed_aborts_and_holds_invariants() {
             out.report.to_json(),
         );
     }
+}
+
+/// Appends a dirty seed's forensics line to `$HH_VIOLATION_JSON` when set, so
+/// the CI chaos lane can archive the replay seed after the runner is gone.
+fn append_violation_json(line: &str) {
+    use std::io::Write;
+    let Some(path) = std::env::var_os("HH_VIOLATION_JSON").filter(|p| !p.is_empty()) else {
+        return;
+    };
+    let mut out = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .unwrap_or_else(|e| panic!("cannot open {path:?}: {e}"));
+    writeln!(out, "{line}").expect("writing chaos forensics");
 }
 
 /// Fixed survivor workload: its result is a pure function of nothing but the

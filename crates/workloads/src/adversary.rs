@@ -12,8 +12,8 @@
 //!
 //! Sweeping `promote_permille` from 0 to 1000 moves the workload from perfectly
 //! hierarchy-friendly (zero pointer writes, zero promotions) to
-//! promotion-saturated (every op publishes and promotes), which is how
-//! `repro promote` maps where promotion cost overtakes hierarchy benefit.
+//! promotion-saturated (every op publishes and promotes); the
+//! `promote_rate_sweeps_from_friendly_to_saturated` test below pins both ends.
 //!
 //! Determinism (the oracle-soundness argument, DESIGN.md §12): each actor's op
 //! stream, receivers, and payloads are hash-derived from `(seed, actor, op)`, so

@@ -35,7 +35,7 @@
 //! * [`strassen`] — quadtree matrices and Strassen multiplication;
 //! * [`ray`] — the sphere-scene raytracer;
 //! * [`suite`] — a registry that prepares inputs and times each benchmark's kernel,
-//!   used by the harness and by the Criterion benches.
+//!   used by the cross-runtime tests and by `hhbench` (`benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -377,7 +377,7 @@ pub fn run_timed<C: ParCtx>(ctx: &C, id: BenchId, p: Params) -> BenchOutcome {
         }
         BenchId::Entangle => {
             // The entanglement adversary at the sweep's mid-point (half of all
-            // ops cross subtrees and promote); `repro promote` sweeps the rate.
+            // ops cross subtrees and promote); `adversary`'s tests sweep the rate.
             let actors = 16;
             let ops = p.scaled(2_000_000, 8_000) / actors;
             timed(|| entangle(ctx, actors, ops, 500, 0xC0DE_0005))

@@ -13,15 +13,17 @@
 //!   paper's six scalar operations plus bulk field operations (`read_imm_bulk`,
 //!   `read_mut_bulk`, `write_nonptr_bulk`, `fill_nonptr`, `copy_nonptr`) and n-ary
 //!   fork-join (`join_many`, `par_for`) — crate `hh-api`;
-//! * [`workloads`] — the paper's 17-benchmark suite and its substrates;
-//! * [`harness`] — the experiment driver regenerating the paper's tables and figures.
+//! * [`workloads`] — the paper's 17-benchmark suite and its substrates.
+//!
+//! The paper's evaluation is measured by the `hhbench` package in `benchmark/` (its
+//! own cargo workspace; see `benchmark/README.md`).
 //!
 //! Scheduling uses the v2 work-first scheduler (crate `hh-sched`): lock-free
 //! Chase–Lev deques, stack-resident fork jobs (an unstolen `join` allocates
 //! nothing), parking-based wakeups, and **lazy steal-time child heaps** — a fork
 //! creates heaps only when its right branch is actually stolen, which is what makes
 //! the common sequential case near-free (see the `heaps_elided` statistic in
-//! [`RunStats`] and the `join_overhead` bench).
+//! [`RunStats`] and `hhbench`'s `sched.join_unstolen_ns` / `heaps.elide_rate` rows).
 //!
 //! Memory management uses the v2 chunk lifecycle (crates `hh-objmodel` /
 //! `hh-runtime`): chunks retired by collections flow back to the allocator through
@@ -29,7 +31,7 @@
 //! can evacuate a whole heap-hierarchy *subtree* (an internal node plus its
 //! completed descendants) in one promotion-aware pass, and steady-state churn runs
 //! with a bounded footprint (see the `chunks_recycled` / `subtree_collections`
-//! statistics and the `chunk_churn` bench). The design — object model, stack-map
+//! statistics and `hhbench`'s `objmodel.recycle_rate` row). The design — object model, stack-map
 //! substitution, scheduler protocols, GC ownership rule, memory lifecycle,
 //! ablations — is documented in
 //! [`DESIGN.md`](https://github.com/paper-repo-growth/hierheap/blob/main/DESIGN.md)
@@ -103,11 +105,6 @@ pub use hh_runtime::{HhConfig, HhCtx, HhRuntime};
 /// The benchmark suite and its substrates (sequences, graphs, matrices, raytracer).
 pub mod workloads {
     pub use hh_workloads::*;
-}
-
-/// The experiment driver (tables/figures of the paper's evaluation).
-pub mod harness {
-    pub use hh_harness::*;
 }
 
 /// Low-level building blocks, exposed for advanced use and for the tests.

@@ -145,9 +145,9 @@ fn promotion_volume_shape_matches_the_paper() {
 
     // The DLG baseline's promotion comes from data built by stolen tasks. With a
     // flat-array sequence representation `map` builds nothing in its leaves, so the
-    // effect shows on `msort-pure`, whose leaves allocate their partitions locally (see
-    // EXPERIMENTS.md, E6). Run it a few times and require that at least one run with
-    // several workers promotes something (steals are scheduling-dependent).
+    // effect shows on `msort-pure`, whose leaves allocate their partitions locally.
+    // Run it a few times and require that at least one run with several workers
+    // promotes something (steals are scheduling-dependent).
     let mut dlg_promoted = 0;
     for _ in 0..5 {
         let dlg = DlgRuntime::with_workers(4);
@@ -186,6 +186,54 @@ fn bfs_promotion_matches_figure9() {
         "usp-tree must perform promoting writes"
     );
     assert_eq!(hh2.check_disentangled(), 0);
+}
+
+/// Every mutator-heavy and adversarial workload publishes cross-heap structures:
+/// under eager per-fork heaps (so the count does not depend on steals) the
+/// hierarchical runtime promotes at least once on each, and stays disentangled.
+#[test]
+fn eager_heaps_promote_on_every_mutator_and_adversarial_workload() {
+    let p = Params {
+        scale: 0.0005,
+        grain: 256,
+    };
+    for &id in BenchId::MUTATOR.iter().chain(BenchId::ADVERSARIAL.iter()) {
+        let rt = HhRuntime::new(HhConfig::eager_heaps(2));
+        rt.run(|ctx| run_timed(ctx, id, p));
+        assert!(
+            rt.stats().promotions > 0,
+            "{}: eager run never promoted",
+            id.name()
+        );
+        assert_eq!(rt.check_disentangled(), 0, "{} entangled", id.name());
+    }
+}
+
+/// Every runtime reuses chunk memory across runs: the second run of a workload on
+/// the same runtime is served (in part) from the chunks the first one retired.
+#[test]
+fn every_runtime_recycles_chunks_on_a_second_run() {
+    fn twice<R: Runtime>(rt: &R, id: BenchId) -> u64 {
+        for _ in 0..2 {
+            rt.run(|ctx| run_timed(ctx, id, tiny()));
+        }
+        rt.stats().chunks_recycled
+    }
+    for id in [BenchId::Reduce, BenchId::MsortPure] {
+        let recycled = [
+            ("seq", twice(&SeqRuntime::new(), id)),
+            ("stw", twice(&StwRuntime::with_workers(2), id)),
+            ("dlg", twice(&DlgRuntime::with_workers(2), id)),
+            ("parmem", twice(&HhRuntime::with_workers(2), id)),
+        ];
+        for (runtime, n) in recycled {
+            assert!(
+                n > 0,
+                "{} on {runtime}: no chunks recycled across runs",
+                id.name()
+            );
+        }
+    }
 }
 
 /// Garbage collection triggers under allocation pressure on every runtime that
