@@ -1,8 +1,9 @@
 //! Shared machinery for the baseline runtimes: flat heaps over the chunk store, the
 //! forwarding-resolution read barrier, root registries, and a plain semispace collector.
 
+use crate::counters::Counters;
 use hh_objmodel::{Chunk, ChunkId, ChunkStore, Header, ObjPtr};
-use hh_sched::{EvacEngine, EvacZone};
+use hh_sched::{EvacEngine, EvacZone, Safepoints};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -36,12 +37,8 @@ impl FlatHeap {
         }
     }
 
-    /// The raw owner id stamped on this heap's chunks.
-    pub fn owner_raw(&self) -> u32 {
-        self.owner_raw
-    }
-
     /// Words allocated since creation or the last [`FlatHeap::replace_chunks`].
+    #[inline]
     pub fn allocated_words(&self) -> usize {
         self.allocated_words.load(Ordering::Relaxed)
     }
@@ -97,11 +94,6 @@ impl FlatHeap {
         old
     }
 
-    /// The chunk store this heap allocates from.
-    pub fn store(&self) -> &Arc<ChunkStore> {
-        &self.store
-    }
-
     /// Retires every chunk of this heap and resets its allocation state. Used by the
     /// runtimes to dispose of a completed run's memory before recycling (memory v2).
     pub fn dispose(&self) {
@@ -132,11 +124,6 @@ struct EpochState {
 }
 
 impl RunEpoch {
-    /// Creates the bookkeeping for a freshly constructed runtime.
-    pub fn new() -> RunEpoch {
-        RunEpoch::default()
-    }
-
     /// Marks a run as starting. If no other run is active and a previous run has
     /// completed, `dispose` runs first — the runtime retires its heaps' chunks and
     /// reclaims the store's quarantine there. The returned guard marks the run as
@@ -224,11 +211,7 @@ pub fn resolve(store: &ChunkStore, mut obj: ObjPtr) -> ObjPtr {
 /// counter parity with the hierarchical runtime; the lock-freedom argument lives on
 /// that method and `ObjView::compress_fwd`).
 #[inline]
-pub fn resolve_tracked(
-    store: &ChunkStore,
-    counters: &crate::counters::Counters,
-    obj: ObjPtr,
-) -> ObjPtr {
+pub fn resolve_tracked(store: &ChunkStore, counters: &Counters, obj: ObjPtr) -> ObjPtr {
     let mut cur = obj;
     let mut hops = 0u64;
     loop {
@@ -258,146 +241,9 @@ pub fn resolve_tracked(
 /// `bulk_master_lookups` counter is a measurement: if an implementation regressed to
 /// per-element resolution, the counter would expose it.
 #[inline]
-pub fn resolve_counted(
-    store: &ChunkStore,
-    counters: &crate::counters::Counters,
-    obj: ObjPtr,
-) -> ObjPtr {
+pub fn resolve_counted(store: &ChunkStore, counters: &Counters, obj: ObjPtr) -> ObjPtr {
     counters.bulk_master_lookups.fetch_add(1, Ordering::Relaxed);
     resolve_tracked(store, counters, obj)
-}
-
-// ---------------------------------------------------------------------------
-// Shared bulk-operation bodies (ParCtx v2).
-//
-// All three baselines implement the bulk field operations the same way: one optional
-// safepoint poll, one counted forwarding resolution per object operand, then a straight
-// field loop over the view. `sp` is `None` for the sequential baseline (it has no
-// safepoint protocol) and `Some` for the parallel ones. Not polling inside the loop is
-// safe for the STW designs — a collection cannot start until every thread parks at a
-// poll, so no forwarding pointer can appear mid-slice — and for DLG it has exactly the
-// scalar loop's semantics with respect to concurrent promotion (the scalar path also
-// resolves once before each access).
-// ---------------------------------------------------------------------------
-
-use crate::counters::Counters;
-use hh_sched::Safepoints;
-
-/// Shared body of `read_imm_bulk`: immutable fields never change and never need the
-/// forwarding chain, so a single view resolution amortizes the whole slice.
-pub(crate) fn bulk_read_imm(
-    store: &ChunkStore,
-    counters: &Counters,
-    obj: ObjPtr,
-    start: usize,
-    out: &mut [u64],
-) {
-    if out.is_empty() {
-        return;
-    }
-    counters.record_bulk(out.len() as u64);
-    let v = store.view(obj);
-    for (k, slot) in out.iter_mut().enumerate() {
-        *slot = v.field(start + k);
-    }
-}
-
-/// Shared body of `read_mut_bulk`.
-pub(crate) fn bulk_read_mut(
-    store: &ChunkStore,
-    counters: &Counters,
-    sp: Option<&Safepoints>,
-    obj: ObjPtr,
-    start: usize,
-    out: &mut [u64],
-) {
-    if out.is_empty() {
-        return;
-    }
-    if let Some(sp) = sp {
-        sp.poll();
-    }
-    counters.record_bulk(out.len() as u64);
-    let obj = resolve_counted(store, counters, obj);
-    let v = store.view(obj);
-    for (k, slot) in out.iter_mut().enumerate() {
-        *slot = v.field(start + k);
-    }
-}
-
-/// Shared body of `write_nonptr_bulk`.
-pub(crate) fn bulk_write_nonptr(
-    store: &ChunkStore,
-    counters: &Counters,
-    sp: Option<&Safepoints>,
-    obj: ObjPtr,
-    start: usize,
-    vals: &[u64],
-) {
-    if vals.is_empty() {
-        return;
-    }
-    if let Some(sp) = sp {
-        sp.poll();
-    }
-    counters.record_bulk(vals.len() as u64);
-    let obj = resolve_counted(store, counters, obj);
-    let v = store.view(obj);
-    for (k, &val) in vals.iter().enumerate() {
-        v.set_field(start + k, val);
-    }
-}
-
-/// Shared body of `fill_nonptr`.
-pub(crate) fn bulk_fill_nonptr(
-    store: &ChunkStore,
-    counters: &Counters,
-    sp: Option<&Safepoints>,
-    obj: ObjPtr,
-    start: usize,
-    len: usize,
-    val: u64,
-) {
-    if len == 0 {
-        return;
-    }
-    if let Some(sp) = sp {
-        sp.poll();
-    }
-    counters.record_bulk(len as u64);
-    let obj = resolve_counted(store, counters, obj);
-    let v = store.view(obj);
-    for k in 0..len {
-        v.set_field(start + k, val);
-    }
-}
-
-/// Shared body of `copy_nonptr`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bulk_copy_nonptr(
-    store: &ChunkStore,
-    counters: &Counters,
-    sp: Option<&Safepoints>,
-    src: ObjPtr,
-    src_start: usize,
-    dst: ObjPtr,
-    dst_start: usize,
-    len: usize,
-) {
-    if len == 0 {
-        return;
-    }
-    if let Some(sp) = sp {
-        sp.poll();
-    }
-    counters.record_bulk(len as u64);
-    let src = resolve_counted(store, counters, src);
-    let dst = resolve_counted(store, counters, dst);
-    let sv = store.view(src);
-    let dv = store.view(dst);
-    for k in 0..len {
-        dv.set_field(dst_start + k, sv.field(src_start + k));
-    }
 }
 
 /// A registry of per-task shadow stacks, so a collector can find every root.
@@ -408,11 +254,6 @@ pub struct RootRegistry {
 }
 
 impl RootRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers a new task's root set and returns its id plus the shared vector.
     pub fn register(&self) -> (u64, Arc<Mutex<Vec<ObjPtr>>>) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -437,16 +278,6 @@ impl RootRegistry {
             }
         }
     }
-
-    /// Number of registered root sets (diagnostics).
-    pub fn len(&self) -> usize {
-        self.sets.lock().len()
-    }
-
-    /// True if no root set is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Result of a semispace collection.
@@ -462,27 +293,6 @@ pub struct CollectOutcome {
     pub steal_blocks: u64,
 }
 
-/// A plain (non-hierarchical) semispace collection over an explicit zone, run solo
-/// by the calling thread. Shorthand for [`par_semispace_collect`] without a draft.
-pub fn semispace_collect(
-    store: &Arc<ChunkStore>,
-    owner_raw: u32,
-    zone: &[ChunkId],
-    registry: &RootRegistry,
-    extra_roots: &mut [ObjPtr],
-    chunk_words_hint: usize,
-) -> CollectOutcome {
-    par_semispace_collect(
-        store,
-        owner_raw,
-        zone,
-        registry,
-        extra_roots,
-        chunk_words_hint,
-        None,
-    )
-}
-
 /// The flat slot-to-heap mapping for the shared evacuation engine
 /// ([`hh_sched::EvacEngine`], GC v3): a single zone slot backed by one owner's
 /// to-space. The member body, span pack/steal loop, CAS forwarding race, and
@@ -491,7 +301,6 @@ pub fn semispace_collect(
 struct FlatZone {
     store: Arc<ChunkStore>,
     owner_raw: u32,
-    chunk_words_hint: usize,
 }
 
 impl EvacZone for FlatZone {
@@ -504,8 +313,7 @@ impl EvacZone for FlatZone {
     }
 
     fn alloc_chunk(&self, _slot: u16, min_words: usize) -> Arc<Chunk> {
-        self.store
-            .alloc_chunk(self.owner_raw, min_words.max(self.chunk_words_hint))
+        self.store.alloc_chunk(self.owner_raw, min_words)
     }
 }
 
@@ -513,14 +321,13 @@ impl EvacZone for FlatZone {
 /// optionally run on a **GC team** (GC v2): `draft = Some((safepoints, helpers))`
 /// offers the collection to up to `helpers` threads parked at the safepoint — the
 /// stop-the-world baselines' workers stop sleeping through the pause and collect
-/// instead, so the fig12/fig13 comparisons measure parallel collectors on both
-/// sides of the hierarchical-vs-flat divide.
+/// instead, with the same evacuation engine as the hierarchical collector. `None`
+/// is a solo collection by the calling thread.
 ///
 /// `zone` is the set of chunks being evacuated; objects outside it are left alone
 /// (membership is decided by epoch-tagged chunk metadata, not hash sets). Roots are
-/// rewritten in place via `registry`, plus any extra roots supplied in
-/// `extra_roots`. The caller must have stopped the world; drafted helpers are
-/// parked mutators, so they are quiescent by construction.
+/// rewritten in place via `registry`. The caller must have stopped the world;
+/// drafted helpers are parked mutators, so they are quiescent by construction.
 ///
 /// The trigger is **pre-registered** at engine construction — before the
 /// pause-work offer is published — and non-idle throughout seeding, so a
@@ -533,8 +340,6 @@ pub fn par_semispace_collect(
     owner_raw: u32,
     zone: &[ChunkId],
     registry: &RootRegistry,
-    extra_roots: &mut [ObjPtr],
-    chunk_words_hint: usize,
     draft: Option<(&Safepoints, usize)>,
 ) -> CollectOutcome {
     let epoch = store.next_gc_epoch();
@@ -546,7 +351,6 @@ pub fn par_semispace_collect(
         FlatZone {
             store: Arc::clone(store),
             owner_raw,
-            chunk_words_hint,
         },
         Arc::clone(store),
         epoch,
@@ -569,9 +373,6 @@ pub fn par_semispace_collect(
     };
     engine.run_trigger(|fwd| {
         registry.for_each_root_mut(|r| *r = fwd(*r));
-        for r in extra_roots.iter_mut() {
-            *r = fwd(*r);
-        }
     });
     engine.await_team();
     if let Some(safepoints) = drafted {
@@ -663,17 +464,20 @@ mod tests {
 
     #[test]
     fn root_registry_registers_and_iterates() {
-        let reg = RootRegistry::new();
-        assert!(reg.is_empty());
+        let reg = RootRegistry::default();
+        let count = |reg: &RootRegistry| {
+            let mut seen = 0;
+            reg.for_each_root_mut(|_| seen += 1);
+            seen
+        };
+        assert_eq!(count(&reg), 0);
         let (id1, set1) = reg.register();
         let (_id2, set2) = reg.register();
         set1.lock().push(ObjPtr::new(hh_objmodel::ChunkId(0), 4));
         set2.lock().push(ObjPtr::new(hh_objmodel::ChunkId(1), 8));
-        let mut seen = 0;
-        reg.for_each_root_mut(|_| seen += 1);
-        assert_eq!(seen, 2);
+        assert_eq!(count(&reg), 2);
         reg.unregister(id1);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(count(&reg), 1);
     }
 
     #[test]
@@ -692,12 +496,12 @@ mod tests {
         for _ in 0..100 {
             heap.alloc(0, Header::new(50, 0, ObjKind::ArrayData));
         }
-        let registry = RootRegistry::new();
+        let registry = RootRegistry::default();
         let (_id, roots) = registry.register();
         roots.lock().push(list);
 
         let zone = heap.chunks();
-        let outcome = semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, &mut [], 256);
+        let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, None);
         heap.replace_chunks(outcome.new_chunks, outcome.copied_words);
 
         // Live data: 5 cells of 5 words each.
@@ -722,12 +526,12 @@ mod tests {
         let (store, heap) = setup();
         let obj = heap.alloc(0, Header::new(3, 0, ObjKind::ArrayData));
         store.view(obj).set_field(1, 42);
-        let registry = RootRegistry::new();
+        let registry = RootRegistry::default();
         let (_id, roots) = registry.register();
         roots.lock().push(obj);
         for _ in 0..2 {
             let zone = heap.chunks();
-            let outcome = semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, &mut [], 256);
+            let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, None);
             heap.replace_chunks(outcome.new_chunks, outcome.copied_words);
             assert_eq!(outcome.copied_words, 5);
         }

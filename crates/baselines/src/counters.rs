@@ -116,6 +116,7 @@ impl Counters {
     /// counted separately, at the `resolve` call sites themselves (see
     /// `common::resolve_counted`), so `bulk_master_lookups` measures what actually
     /// happened rather than restating what the implementation intends.
+    #[inline]
     pub fn record_bulk(&self, words: u64) {
         self.bulk_ops.fetch_add(1, Ordering::Relaxed);
         self.bulk_words.fetch_add(words, Ordering::Relaxed);

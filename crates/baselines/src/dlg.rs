@@ -16,492 +16,180 @@
 //!   local heaps independently — that does not affect the promotion-cost comparison this
 //!   baseline exists for; the paper does not report Manticore GC percentages either).
 
-use crate::common::{
-    par_semispace_collect, resolve_tracked, FlatHeap, RootRegistry, RunEpoch, OWNER_GLOBAL,
-};
+use crate::common::{resolve_tracked, FlatHeap, OWNER_GLOBAL};
 use crate::counters::Counters;
-use hh_api::{ParCtx, RunStats, Runtime};
-use hh_objmodel::{ChunkStore, Header, ObjKind, ObjPtr};
-use hh_sched::{Pool, Safepoints, Worker};
+use crate::flat::{FlatCtx, FlatRuntime, Policy, Pooled};
+use hh_objmodel::{ChunkId, ChunkStore, Header, ObjPtr};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-pub(crate) struct DlgInner {
-    pub(crate) store: Arc<ChunkStore>,
-    pub(crate) global: FlatHeap,
-    pub(crate) locals: Vec<FlatHeap>,
-    pub(crate) roots: RootRegistry,
-    pub(crate) safepoints: Arc<Safepoints>,
-    pub(crate) pool: Pool,
-    pub(crate) counters: Counters,
-    pub(crate) epoch: RunEpoch,
-    pub(crate) promote_lock: Mutex<()>,
-    pub(crate) gc_threshold_words: usize,
-    pub(crate) chunk_words: usize,
-    pub(crate) enable_gc: bool,
+/// The DLG policy: a local heap per worker plus the global heap.
+pub struct Dlg {
+    global: FlatHeap,
+    locals: Vec<FlatHeap>,
+    promote_lock: Mutex<()>,
 }
 
 /// The DLG / Manticore-style baseline runtime.
-pub struct DlgRuntime {
-    inner: Arc<DlgInner>,
+pub type DlgRuntime = FlatRuntime<Dlg>;
+
+/// Per-task context of the DLG baseline.
+pub type DlgCtx = FlatCtx<Dlg>;
+
+fn is_global(store: &ChunkStore, obj: ObjPtr) -> bool {
+    store.chunk_owner(obj) == OWNER_GLOBAL
 }
 
-impl DlgRuntime {
-    /// Creates a runtime with `n_workers` workers and default memory parameters.
-    pub fn with_workers(n_workers: usize) -> DlgRuntime {
-        Self::with_params(n_workers, 8 * 1024, 4 * 1024 * 1024, true)
-    }
-
-    /// Creates a runtime with explicit chunk size and GC threshold (in words).
-    pub fn with_params(
-        n_workers: usize,
-        chunk_words: usize,
-        gc_threshold_words: usize,
-        enable_gc: bool,
-    ) -> DlgRuntime {
-        let n = n_workers.max(1);
-        let store = Arc::new(ChunkStore::new(chunk_words));
-        let global = FlatHeap::new(Arc::clone(&store), OWNER_GLOBAL, n);
-        let locals = (0..n)
-            .map(|w| FlatHeap::new(Arc::clone(&store), w as u32, 1))
-            .collect();
-        let safepoints = Arc::new(Safepoints::new());
-        for _ in 0..n {
-            safepoints.register();
-        }
-        let pool = Pool::new(n);
-        {
-            let sp = Arc::clone(&safepoints);
-            pool.set_idle_hook(move |_| sp.poll());
-        }
-        // Parking interplay: see `StwRuntime::with_params` — a requested collection
-        // wakes pool-parked workers so they reach the safepoint promptly.
-        {
-            let waker = pool.waker();
-            safepoints.set_wake_hook(move || waker.wake_all());
-        }
-        DlgRuntime {
-            inner: Arc::new(DlgInner {
-                store,
-                global,
-                locals,
-                roots: RootRegistry::new(),
-                safepoints,
-                pool,
-                counters: Counters::default(),
-                epoch: RunEpoch::new(),
-                promote_lock: Mutex::new(()),
-                gc_threshold_words,
-                chunk_words,
-                enable_gc,
-            }),
-        }
-    }
-}
-
-impl DlgInner {
-    fn total_allocated_words(&self) -> usize {
-        self.global.allocated_words()
-            + self
-                .locals
-                .iter()
-                .map(|h| h.allocated_words())
-                .sum::<usize>()
-    }
-
-    fn is_global(&self, obj: ObjPtr) -> bool {
-        self.store.chunk_owner(obj) == OWNER_GLOBAL
-    }
-
+impl Dlg {
     /// Transitively copies `root` into the global heap, installing forwarding pointers,
     /// and returns the address of the global copy. Serialized by `promote_lock`.
-    fn promote_to_global(&self, lane: usize, root: ObjPtr) -> ObjPtr {
+    ///
+    /// Each copy is filled before its forwarding pointer is installed, so the
+    /// pointer's `Release` store publishes a complete copy to any reader that
+    /// resolves through it. Still open (DESIGN.md, "Baselines: one context, three
+    /// policies"): a writer that resolved to the old object before the install can
+    /// store there after the fill, and that write is lost.
+    pub(crate) fn promote_to_global(
+        &self,
+        store: &ChunkStore,
+        counters: &Counters,
+        lane: usize,
+        root: ObjPtr,
+    ) -> ObjPtr {
         if root.is_null() {
             return ObjPtr::NULL;
         }
         let _guard = self.promote_lock.lock();
-        self.counters.promotions.fetch_add(1, Ordering::Relaxed);
-        let store = &self.store;
+        counters.promotions.fetch_add(1, Ordering::Relaxed);
         let mut pending: Vec<ObjPtr> = Vec::new();
-
-        let forward = |cur_in: ObjPtr, pending: &mut Vec<ObjPtr>, this: &DlgInner| -> ObjPtr {
-            if cur_in.is_null() {
-                return ObjPtr::NULL;
-            }
-            let mut cur = cur_in;
-            loop {
-                if this.is_global(cur) {
-                    return cur;
-                }
+        let forward = |mut cur: ObjPtr, pending: &mut Vec<ObjPtr>| -> ObjPtr {
+            while !cur.is_null() && !is_global(store, cur) {
                 let v = store.view(cur);
                 if v.has_fwd() {
                     cur = v.fwd();
                     continue;
                 }
                 let header = v.header();
-                let copy = this.global.alloc(lane, header);
+                let copy = self.global.alloc(lane, header);
                 let cv = store.view(copy);
-                v.set_fwd(copy);
                 for f in 0..header.n_fields() {
                     cv.set_field(f, v.field(f));
                 }
-                this.counters
-                    .promoted_objects
-                    .fetch_add(1, Ordering::Relaxed);
-                this.counters
+                v.set_fwd(copy);
+                counters.promoted_objects.fetch_add(1, Ordering::Relaxed);
+                counters
                     .promoted_words
                     .fetch_add(header.size_words() as u64, Ordering::Relaxed);
                 pending.push(copy);
                 return copy;
             }
+            cur
         };
-
-        let result = forward(root, &mut pending, self);
+        let result = forward(root, &mut pending);
         while let Some(copy) = pending.pop() {
             let v = store.view(copy);
             for f in 0..v.n_ptr() {
-                let old = v.field_ptr(f);
-                let new = forward(old, &mut pending, self);
-                v.set_field_ptr(f, new);
+                v.set_field_ptr(f, forward(v.field_ptr(f), &mut pending));
             }
         }
         result
     }
+}
 
-    fn safepoint_and_maybe_collect(&self) {
-        self.safepoints.poll();
-        if !self.enable_gc || self.total_allocated_words() < self.gc_threshold_words {
-            return;
-        }
-        let collected = self.safepoints.stop_the_world(|| {
-            if self.total_allocated_words() < self.gc_threshold_words {
-                return;
-            }
-            let start = Instant::now();
-            let mut zone = self.global.chunks();
-            for local in &self.locals {
-                zone.extend(local.chunks());
-            }
-            // GC v2: draft the safepoint-parked workers into the collection team
-            // (same parallel evacuation as the hierarchical and STW collectors).
-            let helpers = self.pool.n_workers().saturating_sub(1);
-            let outcome = par_semispace_collect(
-                &self.store,
-                OWNER_GLOBAL,
-                &zone,
-                &self.roots,
-                &mut [],
-                self.chunk_words,
-                Some((&self.safepoints, helpers)),
-            );
-            // Survivors all land in the global heap; local heaps restart empty.
-            self.global
-                .replace_chunks(outcome.new_chunks, outcome.occupied_words);
-            for local in &self.locals {
-                local.replace_chunks(Vec::new(), 0);
-            }
-            self.counters.gc_count.fetch_add(1, Ordering::Relaxed);
-            if helpers > 0 {
-                self.counters
-                    .gc_parallel_collections
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            self.counters
-                .gc_steal_blocks
-                .fetch_add(outcome.steal_blocks, Ordering::Relaxed);
-            self.counters
-                .gc_copied_words
-                .fetch_add(outcome.copied_words as u64, Ordering::Relaxed);
-            let pause = start.elapsed();
-            self.counters.add_gc_time(pause);
-            self.counters.record_gc_pause(pause);
-        });
-        if collected {
-            self.counters.world_stops.fetch_add(1, Ordering::Relaxed);
+impl Policy for Dlg {
+    type Exec = Pooled;
+    const NAME: &'static str = "dlg";
+    const OWNER: u32 = OWNER_GLOBAL;
+
+    fn new(store: &Arc<ChunkStore>, n_workers: usize) -> Dlg {
+        Dlg {
+            global: FlatHeap::new(Arc::clone(store), OWNER_GLOBAL, n_workers),
+            locals: (0..n_workers)
+                .map(|w| FlatHeap::new(Arc::clone(store), w as u32, 1))
+                .collect(),
+            promote_lock: Mutex::new(()),
         }
     }
-}
 
-/// Per-task context of the DLG baseline.
-pub struct DlgCtx {
-    inner: Arc<DlgInner>,
-    worker: Worker,
-    /// True if this task was obtained by a steal: its allocations go to the global heap
-    /// (modelling promotion of communicated data).
-    stolen: bool,
-    root_id: u64,
-    roots: Arc<Mutex<Vec<ObjPtr>>>,
-}
-
-impl DlgCtx {
-    fn new(inner: Arc<DlgInner>, worker: Worker, stolen: bool) -> DlgCtx {
-        let (root_id, roots) = inner.roots.register();
-        DlgCtx {
-            inner,
-            worker,
-            stolen,
-            root_id,
-            roots,
-        }
+    fn heap(&self) -> &FlatHeap {
+        &self.global
     }
-}
 
-impl Drop for DlgCtx {
-    fn drop(&mut self) {
-        self.inner.roots.unregister(self.root_id);
-    }
-}
-
-impl ParCtx for DlgCtx {
-    fn alloc(&self, n_ptr: usize, n_nonptr: usize, kind: ObjKind) -> ObjPtr {
-        self.inner.safepoint_and_maybe_collect();
-        let header = Header::new(n_ptr + n_nonptr, n_ptr, kind);
-        let words = header.size_words() as u64;
-        self.inner
-            .counters
-            .allocated_words
-            .fetch_add(words, Ordering::Relaxed);
-        let lane = self.worker.index();
-        if self.stolen {
+    #[inline]
+    fn alloc(&self, counters: &Counters, lane: usize, stolen: bool, header: Header) -> ObjPtr {
+        if stolen {
             // Communicated-task allocation: counts as promotion volume.
-            self.inner
-                .counters
+            counters
                 .promoted_words
-                .fetch_add(words, Ordering::Relaxed);
-            self.inner
-                .counters
-                .promoted_objects
-                .fetch_add(1, Ordering::Relaxed);
-            self.inner.global.alloc(lane, header)
+                .fetch_add(header.size_words() as u64, Ordering::Relaxed);
+            counters.promoted_objects.fetch_add(1, Ordering::Relaxed);
+            self.global.alloc(lane, header)
         } else {
-            self.inner.locals[lane].alloc(0, header)
+            self.locals[lane].alloc(0, header)
         }
     }
 
-    fn read_imm(&self, obj: ObjPtr, field: usize) -> u64 {
-        self.inner.store.view(obj).field(field)
-    }
-
-    fn read_mut(&self, obj: ObjPtr, field: usize) -> u64 {
-        self.inner.safepoints.poll();
-        let obj = resolve_tracked(&self.inner.store, &self.inner.counters, obj);
-        self.inner.store.view(obj).field(field)
-    }
-
-    fn write_nonptr(&self, obj: ObjPtr, field: usize, val: u64) {
-        self.inner.safepoints.poll();
-        let obj = resolve_tracked(&self.inner.store, &self.inner.counters, obj);
-        self.inner.store.view(obj).set_field(field, val);
-    }
-
-    fn write_ptr(&self, obj: ObjPtr, field: usize, ptr: ObjPtr) {
-        self.inner.safepoints.poll();
-        let obj = resolve_tracked(&self.inner.store, &self.inner.counters, obj);
-        let mut ptr = ptr;
-        if !ptr.is_null() {
-            ptr = resolve_tracked(&self.inner.store, &self.inner.counters, ptr);
-            // The DLG invariant: no pointers from the global heap into a local heap.
-            if self.inner.is_global(obj) && !self.inner.is_global(ptr) {
-                ptr = self.inner.promote_to_global(self.worker.index(), ptr);
-            }
-        }
-        self.inner.store.view(obj).set_field(field, ptr.to_bits());
-    }
-
-    fn cas_nonptr(&self, obj: ObjPtr, field: usize, expected: u64, new: u64) -> Result<u64, u64> {
-        self.inner.safepoints.poll();
-        let obj = resolve_tracked(&self.inner.store, &self.inner.counters, obj);
-        self.inner.store.view(obj).cas_field(field, expected, new)
-    }
-
-    fn obj_len(&self, obj: ObjPtr) -> usize {
-        self.inner.store.view(obj).n_fields()
-    }
-
-    // Bulk operations (ParCtx v2): shared bodies in `common` — one safepoint poll and
-    // one forwarding resolution per operand (scalar-equivalent under concurrent
-    // promotion; see `common`).
-
-    fn read_imm_bulk(&self, obj: ObjPtr, start: usize, out: &mut [u64]) {
-        crate::common::bulk_read_imm(&self.inner.store, &self.inner.counters, obj, start, out);
-    }
-
-    fn read_mut_bulk(&self, obj: ObjPtr, start: usize, out: &mut [u64]) {
-        crate::common::bulk_read_mut(
-            &self.inner.store,
-            &self.inner.counters,
-            Some(&self.inner.safepoints),
-            obj,
-            start,
-            out,
-        );
-    }
-
-    fn write_nonptr_bulk(&self, obj: ObjPtr, start: usize, vals: &[u64]) {
-        crate::common::bulk_write_nonptr(
-            &self.inner.store,
-            &self.inner.counters,
-            Some(&self.inner.safepoints),
-            obj,
-            start,
-            vals,
-        );
-    }
-
-    fn fill_nonptr(&self, obj: ObjPtr, start: usize, len: usize, val: u64) {
-        crate::common::bulk_fill_nonptr(
-            &self.inner.store,
-            &self.inner.counters,
-            Some(&self.inner.safepoints),
-            obj,
-            start,
-            len,
-            val,
-        );
-    }
-
-    fn copy_nonptr(
+    #[inline]
+    fn write_barrier(
         &self,
-        src: ObjPtr,
-        src_start: usize,
-        dst: ObjPtr,
-        dst_start: usize,
-        len: usize,
-    ) {
-        crate::common::bulk_copy_nonptr(
-            &self.inner.store,
-            &self.inner.counters,
-            Some(&self.inner.safepoints),
-            src,
-            src_start,
-            dst,
-            dst_start,
-            len,
-        );
-    }
-
-    fn join<RA, RB, FA, FB>(&self, fa: FA, fb: FB) -> (RA, RB)
-    where
-        FA: FnOnce(&Self) -> RA + Send,
-        FB: FnOnce(&Self) -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        self.inner.safepoints.poll();
-        let inner_a = Arc::clone(&self.inner);
-        let inner_b = Arc::clone(&self.inner);
-        self.worker.join_context(
-            move || {
-                let worker = Worker::current_in(&inner_a.pool)
-                    .expect("task branch must execute on a pool worker");
-                // The left branch always runs inline on the parent's worker.
-                let ctx = DlgCtx::new(inner_a, worker, false);
-                fa(&ctx)
-            },
-            // The scheduler's per-fork steal flag replaces the old worker-index
-            // comparison: a stolen right branch models a task communicated between
-            // processors, whose allocations Manticore promotes to the global heap.
-            move |stolen| {
-                let worker = Worker::current_in(&inner_b.pool)
-                    .expect("task branch must execute on a pool worker");
-                let ctx = DlgCtx::new(inner_b, worker, stolen);
-                fb(&ctx)
-            },
-        )
-    }
-
-    fn pin(&self, obj: ObjPtr) {
-        self.roots.lock().push(obj);
-    }
-
-    fn unpin(&self, obj: ObjPtr) {
-        let mut roots = self.roots.lock();
-        if let Some(pos) = roots.iter().rposition(|r| *r == obj) {
-            roots.swap_remove(pos);
-            return;
+        store: &ChunkStore,
+        counters: &Counters,
+        lane: usize,
+        obj: ObjPtr,
+        ptr: ObjPtr,
+    ) -> ObjPtr {
+        if ptr.is_null() {
+            return ptr;
         }
-        // A collection or promotion (DLG's promote-on-communication) between pin
-        // and unpin rewrote the pin slot in place, and path compression can
-        // shortcut either pointer past the other's hop. Forwarding is confluent,
-        // so compare resolved masters rather than raw pointers to keep pin/unpin
-        // balanced across collections.
-        if obj.is_null() {
-            return;
-        }
-        let master = crate::common::resolve(&self.inner.store, obj);
-        if let Some(pos) = roots
-            .iter()
-            .rposition(|r| !r.is_null() && crate::common::resolve(&self.inner.store, *r) == master)
-        {
-            roots.swap_remove(pos);
+        let ptr = resolve_tracked(store, counters, ptr);
+        // The DLG invariant: no pointers from the global heap into a local heap.
+        if is_global(store, obj) && !is_global(store, ptr) {
+            self.promote_to_global(store, counters, lane, ptr)
+        } else {
+            ptr
         }
     }
 
-    fn maybe_collect(&self) {
-        self.inner.safepoint_and_maybe_collect();
+    #[inline]
+    fn allocated_words(&self) -> usize {
+        let locals: usize = self.locals.iter().map(FlatHeap::allocated_words).sum();
+        self.global.allocated_words() + locals
     }
 
-    fn n_workers(&self) -> usize {
-        self.inner.pool.n_workers()
-    }
-}
-
-impl Runtime for DlgRuntime {
-    type Ctx = DlgCtx;
-
-    fn name(&self) -> &'static str {
-        "dlg"
+    fn zone(&self) -> Vec<ChunkId> {
+        let mut zone = self.global.chunks();
+        for local in &self.locals {
+            zone.extend(local.chunks());
+        }
+        zone
     }
 
-    fn n_workers(&self) -> usize {
-        self.inner.pool.n_workers()
+    fn install(&self, new_chunks: Vec<ChunkId>, occupied_words: usize) {
+        // Survivors all land in the global heap; local heaps restart empty.
+        self.global.replace_chunks(new_chunks, occupied_words);
+        for local in &self.locals {
+            local.replace_chunks(Vec::new(), 0);
+        }
     }
 
-    fn run<R, F>(&self, f: F) -> R
-    where
-        R: Send,
-        F: FnOnce(&Self::Ctx) -> R + Send,
-    {
-        // Completed runs' memory is disposed of and recycled here, at the reuse
-        // horizon (see `RunEpoch`); the guard ends the run even if `f` panics out
-        // through `Pool::run`.
-        let _epoch = self.inner.epoch.begin(|| {
-            self.inner.global.dispose();
-            for local in &self.inner.locals {
-                local.dispose();
-            }
-            self.inner.store.reclaim_retired();
-        });
-        let _store_epoch = crate::common::StoreEpochGuard::begin(&self.inner.store);
-        let inner = Arc::clone(&self.inner);
-        self.inner.pool.run(move |worker| {
-            let ctx = DlgCtx::new(inner, worker.clone(), false);
-            f(&ctx)
-        })
+    fn dispose(&self) {
+        self.global.dispose();
+        for local in &self.locals {
+            local.dispose();
+        }
     }
 
-    fn stats(&self) -> RunStats {
-        let mut stats = self.inner.counters.snapshot(
-            &self.inner.store.stats(),
-            1 + self.inner.locals.len() as u64,
-        );
-        let sched = self.inner.pool.sched_stats();
-        stats.sched_steals = sched.steals as u64;
-        stats.sched_parks = sched.parks as u64;
-        stats.sched_wakes = sched.wakes as u64;
-        stats
-    }
-
-    fn reset_stats(&self) {
-        self.inner.counters.reset();
+    fn heaps(&self) -> u64 {
+        1 + self.locals.len() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hh_api::{ParCtx, Runtime};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn local_allocation_and_global_write_barrier() {
@@ -562,7 +250,10 @@ mod tests {
 
     // Test helper: reach into the runtime to promote an object to the global heap.
     fn rt_inner_promote(rt: &DlgRuntime, obj: ObjPtr) -> ObjPtr {
-        rt.inner.promote_to_global(0, obj)
+        let inner = &rt.inner;
+        inner
+            .policy
+            .promote_to_global(&inner.store, &inner.counters, 0, obj)
     }
 
     #[test]
@@ -590,7 +281,7 @@ mod tests {
 
     #[test]
     fn stop_the_world_collection_preserves_pinned_data() {
-        let rt = DlgRuntime::with_params(2, 256, 20_000, true);
+        let rt = DlgRuntime::with_params(2, 256, 20_000);
         rt.run(|ctx| {
             let keep = ctx.alloc_ref_data(9);
             ctx.pin(keep);
@@ -600,5 +291,46 @@ mod tests {
             assert_eq!(ctx.read_mut(keep, 0), 9);
         });
         assert!(rt.stats().gc_count >= 1);
+    }
+
+    /// Regression: a promoted copy is filled before its forwarding pointer
+    /// publishes it. One branch promotes `N` local arrays (every field `k + 1`)
+    /// one at a time through a global cell while its sibling — stolen whenever a
+    /// second worker is free — reads the last field of the array being promoted.
+    /// With the old publish-then-fill order that read could resolve to the
+    /// zeroed copy. Wide objects make the window the whole fill, not one store.
+    #[test]
+    fn promoted_copies_are_filled_before_they_are_published() {
+        const N: usize = 20_000;
+        const W: usize = 32;
+        let rt = DlgRuntime::with_workers(hh_api::env_workers(4).max(2));
+        rt.run(|ctx| {
+            let objs: Vec<ObjPtr> = (1..=N as u64)
+                .map(|k| {
+                    let a = ctx.alloc_data_array(W);
+                    ctx.fill_nonptr(a, 0, W, k);
+                    a
+                })
+                .collect();
+            let cell = rt_inner_promote(&rt, ctx.alloc_ref_ptr(ObjPtr::NULL));
+            let next = AtomicUsize::new(0);
+            ctx.join(
+                |c| {
+                    for (k, &obj) in objs.iter().enumerate() {
+                        next.store(k, Ordering::Release);
+                        c.write_ptr(cell, 0, obj);
+                    }
+                    next.store(N, Ordering::Release);
+                },
+                |c| loop {
+                    let k = next.load(Ordering::Acquire);
+                    if k >= N {
+                        break;
+                    }
+                    let v = c.read_mut(objs[k], W - 1);
+                    assert_eq!(v, k as u64 + 1, "unfilled promoted copy of object {k}");
+                },
+            );
+        });
     }
 }

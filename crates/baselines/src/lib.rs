@@ -18,7 +18,12 @@
 //!   copies) data into the global heap when a pointer to it is stored in a global
 //!   object, and global-heap allocation for stolen tasks to model Manticore's
 //!   promotion-on-communication. Promotion volume is reported in its statistics
-//!   (experiment E6 in DESIGN.md).
+//!   (`promoted_objects` / `promoted_words`; `hhbench`'s `baselines.dlg_tp_ms` row
+//!   times it).
+//!
+//! All three are one [`FlatCtx`] / [`FlatRuntime`] over a policy that decides only
+//! where an allocation goes, what a pointer write checks, and what a collection
+//! covers (DESIGN.md, "Baselines: one context, three policies").
 //!
 //! The baselines deliberately reuse the same chunked object model (`hh-objmodel`) and
 //! the same scheduler (`hh-sched`) as the hierarchical runtime, so measured differences
@@ -27,14 +32,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod common;
-pub mod counters;
-pub mod dlg;
-pub mod seq;
-pub mod stw;
+mod common;
+mod counters;
+mod dlg;
+mod flat;
+mod seq;
+mod stw;
 
-pub use dlg::{DlgCtx, DlgRuntime};
-pub use seq::{SeqCtx, SeqRuntime};
-pub use stw::{StwCtx, StwRuntime};
+pub use dlg::{Dlg, DlgCtx, DlgRuntime};
+pub use flat::{FlatCtx, FlatRuntime};
+pub use seq::{Seq, SeqCtx, SeqRuntime};
+pub use stw::{Stw, StwCtx, StwRuntime};
 
 pub use hh_api::{ParCtx, Runtime};

@@ -5,299 +5,72 @@
 //! heap exceeds its threshold. Benchmark times measured on this runtime are the `T_s`
 //! baseline against which the parallel runtimes' overhead and speedup are computed.
 
-use crate::common::{resolve_tracked, semispace_collect, FlatHeap, RootRegistry, RunEpoch};
-use crate::counters::Counters;
-use hh_api::{ParCtx, RunStats, Runtime};
-use hh_objmodel::{ChunkStore, Header, ObjKind, ObjPtr};
-use parking_lot::Mutex;
-use std::sync::atomic::Ordering;
+use crate::common::FlatHeap;
+use crate::flat::{FlatCtx, FlatRuntime, Inline, Policy};
+use hh_objmodel::ChunkStore;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Raw heap-owner id used by the sequential baseline.
-const OWNER_SEQ: u32 = u32::MAX - 2;
-
-struct SeqInner {
-    store: Arc<ChunkStore>,
+/// The sequential policy: one heap, inline execution, solo collection.
+pub struct Seq {
     heap: FlatHeap,
-    roots: RootRegistry,
-    counters: Counters,
-    epoch: RunEpoch,
-    gc_threshold_words: usize,
-    chunk_words: usize,
-    enable_gc: bool,
+}
+
+impl Policy for Seq {
+    type Exec = Inline;
+    const NAME: &'static str = "seq";
+    const OWNER: u32 = u32::MAX - 2;
+
+    fn new(store: &Arc<ChunkStore>, _: usize) -> Seq {
+        Seq {
+            heap: FlatHeap::new(Arc::clone(store), Self::OWNER, 1),
+        }
+    }
+
+    #[inline(always)]
+    fn heap(&self) -> &FlatHeap {
+        &self.heap
+    }
 }
 
 /// The sequential baseline runtime.
-pub struct SeqRuntime {
-    inner: Arc<SeqInner>,
-}
+pub type SeqRuntime = FlatRuntime<Seq>;
 
-impl SeqRuntime {
+/// The per-task context of the sequential baseline (all tasks share the single heap).
+pub type SeqCtx = FlatCtx<Seq>;
+
+impl FlatRuntime<Seq> {
     /// Creates a sequential runtime with default memory parameters.
     pub fn new() -> SeqRuntime {
         Self::with_params(8 * 1024, 4 * 1024 * 1024, true)
     }
 
-    /// Creates a sequential runtime with explicit chunk size and GC threshold (words).
+    /// Creates a sequential runtime with explicit chunk size and GC threshold (words);
+    /// `enable_gc = false` means a threshold no heap reaches.
     pub fn with_params(
         chunk_words: usize,
         gc_threshold_words: usize,
         enable_gc: bool,
     ) -> SeqRuntime {
-        let store = Arc::new(ChunkStore::new(chunk_words));
-        let heap = FlatHeap::new(Arc::clone(&store), OWNER_SEQ, 1);
-        SeqRuntime {
-            inner: Arc::new(SeqInner {
-                store,
-                heap,
-                roots: RootRegistry::new(),
-                counters: Counters::default(),
-                epoch: RunEpoch::new(),
-                gc_threshold_words,
-                chunk_words,
-                enable_gc,
-            }),
-        }
+        let threshold = if enable_gc {
+            gc_threshold_words
+        } else {
+            usize::MAX
+        };
+        Self::build(1, chunk_words, threshold)
     }
 }
 
-impl Default for SeqRuntime {
+impl Default for FlatRuntime<Seq> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// The per-task context of the sequential baseline (all tasks share the single heap).
-pub struct SeqCtx {
-    inner: Arc<SeqInner>,
-    root_id: u64,
-    roots: Arc<Mutex<Vec<ObjPtr>>>,
-}
-
-impl Drop for SeqCtx {
-    fn drop(&mut self) {
-        self.inner.roots.unregister(self.root_id);
-    }
-}
-
-impl SeqInner {
-    fn collect(&self) {
-        let start = Instant::now();
-        let zone = self.heap.chunks();
-        let outcome = semispace_collect(
-            &self.store,
-            OWNER_SEQ,
-            &zone,
-            &self.roots,
-            &mut [],
-            self.chunk_words,
-        );
-        self.heap
-            .replace_chunks(outcome.new_chunks, outcome.occupied_words);
-        self.counters.gc_count.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .gc_copied_words
-            .fetch_add(outcome.copied_words as u64, Ordering::Relaxed);
-        let pause = start.elapsed();
-        self.counters.add_gc_time(pause);
-        self.counters.record_gc_pause(pause);
-    }
-}
-
-impl ParCtx for SeqCtx {
-    fn alloc(&self, n_ptr: usize, n_nonptr: usize, kind: ObjKind) -> ObjPtr {
-        let header = Header::new(n_ptr + n_nonptr, n_ptr, kind);
-        self.inner
-            .counters
-            .allocated_words
-            .fetch_add(header.size_words() as u64, Ordering::Relaxed);
-        self.inner.heap.alloc(0, header)
-    }
-
-    fn read_imm(&self, obj: ObjPtr, field: usize) -> u64 {
-        self.inner.store.view(obj).field(field)
-    }
-
-    fn read_mut(&self, obj: ObjPtr, field: usize) -> u64 {
-        let obj = resolve_tracked(&self.inner.store, &self.inner.counters, obj);
-        self.inner.store.view(obj).field(field)
-    }
-
-    fn write_nonptr(&self, obj: ObjPtr, field: usize, val: u64) {
-        let obj = resolve_tracked(&self.inner.store, &self.inner.counters, obj);
-        self.inner.store.view(obj).set_field(field, val);
-    }
-
-    fn write_ptr(&self, obj: ObjPtr, field: usize, ptr: ObjPtr) {
-        let obj = resolve_tracked(&self.inner.store, &self.inner.counters, obj);
-        self.inner.store.view(obj).set_field(field, ptr.to_bits());
-    }
-
-    fn cas_nonptr(&self, obj: ObjPtr, field: usize, expected: u64, new: u64) -> Result<u64, u64> {
-        let obj = resolve_tracked(&self.inner.store, &self.inner.counters, obj);
-        self.inner.store.view(obj).cas_field(field, expected, new)
-    }
-
-    fn obj_len(&self, obj: ObjPtr) -> usize {
-        self.inner.store.view(obj).n_fields()
-    }
-
-    // Bulk operations (ParCtx v2): shared bodies in `common` — one forwarding
-    // resolution per operand, no safepoints (single-threaded).
-
-    fn read_imm_bulk(&self, obj: ObjPtr, start: usize, out: &mut [u64]) {
-        crate::common::bulk_read_imm(&self.inner.store, &self.inner.counters, obj, start, out);
-    }
-
-    fn read_mut_bulk(&self, obj: ObjPtr, start: usize, out: &mut [u64]) {
-        crate::common::bulk_read_mut(
-            &self.inner.store,
-            &self.inner.counters,
-            None,
-            obj,
-            start,
-            out,
-        );
-    }
-
-    fn write_nonptr_bulk(&self, obj: ObjPtr, start: usize, vals: &[u64]) {
-        crate::common::bulk_write_nonptr(
-            &self.inner.store,
-            &self.inner.counters,
-            None,
-            obj,
-            start,
-            vals,
-        );
-    }
-
-    fn fill_nonptr(&self, obj: ObjPtr, start: usize, len: usize, val: u64) {
-        crate::common::bulk_fill_nonptr(
-            &self.inner.store,
-            &self.inner.counters,
-            None,
-            obj,
-            start,
-            len,
-            val,
-        );
-    }
-
-    fn copy_nonptr(
-        &self,
-        src: ObjPtr,
-        src_start: usize,
-        dst: ObjPtr,
-        dst_start: usize,
-        len: usize,
-    ) {
-        crate::common::bulk_copy_nonptr(
-            &self.inner.store,
-            &self.inner.counters,
-            None,
-            src,
-            src_start,
-            dst,
-            dst_start,
-            len,
-        );
-    }
-
-    fn join<RA, RB, FA, FB>(&self, fa: FA, fb: FB) -> (RA, RB)
-    where
-        FA: FnOnce(&Self) -> RA + Send,
-        FB: FnOnce(&Self) -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        // Sequential elision of parallelism: run left then right on the same context.
-        (fa(self), fb(self))
-    }
-
-    fn pin(&self, obj: ObjPtr) {
-        self.roots.lock().push(obj);
-    }
-
-    fn unpin(&self, obj: ObjPtr) {
-        let mut roots = self.roots.lock();
-        if let Some(pos) = roots.iter().rposition(|r| *r == obj) {
-            roots.swap_remove(pos);
-            return;
-        }
-        // A collection between pin and unpin rewrote the pin slot in place, and
-        // path compression can shortcut either pointer past the other's hop.
-        // Forwarding is confluent, so compare resolved masters rather than raw
-        // pointers to keep pin/unpin balanced across collections.
-        if obj.is_null() {
-            return;
-        }
-        let master = crate::common::resolve(&self.inner.store, obj);
-        if let Some(pos) = roots
-            .iter()
-            .rposition(|r| !r.is_null() && crate::common::resolve(&self.inner.store, *r) == master)
-        {
-            roots.swap_remove(pos);
-        }
-    }
-
-    fn maybe_collect(&self) {
-        if self.inner.enable_gc
-            && self.inner.heap.allocated_words() >= self.inner.gc_threshold_words
-        {
-            self.inner.collect();
-        }
-    }
-
-    fn n_workers(&self) -> usize {
-        1
-    }
-}
-
-impl Runtime for SeqRuntime {
-    type Ctx = SeqCtx;
-
-    fn name(&self) -> &'static str {
-        "seq"
-    }
-
-    fn n_workers(&self) -> usize {
-        1
-    }
-
-    fn run<R, F>(&self, f: F) -> R
-    where
-        R: Send,
-        F: FnOnce(&Self::Ctx) -> R + Send,
-    {
-        // Completed runs' memory is disposed of and recycled here, at the reuse
-        // horizon (see `RunEpoch`); the guard ends the run even if `f` panics.
-        let _epoch = self.inner.epoch.begin(|| {
-            self.inner.heap.dispose();
-            self.inner.store.reclaim_retired();
-        });
-        let _store_epoch = crate::common::StoreEpochGuard::begin(&self.inner.store);
-        let (root_id, roots) = self.inner.roots.register();
-        let ctx = SeqCtx {
-            inner: Arc::clone(&self.inner),
-            root_id,
-            roots,
-        };
-        f(&ctx)
-    }
-
-    fn stats(&self) -> RunStats {
-        self.inner.counters.snapshot(&self.inner.store.stats(), 1)
-    }
-
-    fn reset_stats(&self) {
-        self.inner.counters.reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hh_api::{ParCtx, Runtime};
+    use hh_objmodel::ObjPtr;
 
     #[test]
     fn basic_ops_and_join() {

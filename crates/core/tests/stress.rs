@@ -388,14 +388,14 @@ fn run_case_everywhere(case: &Case) {
         "seq diverged from the model on {replay}"
     );
 
-    let stw = StwRuntime::with_params(workers, chunk, threshold, true);
+    let stw = StwRuntime::with_params(workers, chunk, threshold);
     assert_eq!(
         stw.run(|c| exec(c, seed, depth)),
         expected,
         "stw diverged from the model on {replay}"
     );
 
-    let dlg = DlgRuntime::with_params(workers, chunk, threshold, true);
+    let dlg = DlgRuntime::with_params(workers, chunk, threshold);
     assert_eq!(
         dlg.run(|c| exec(c, seed, depth)),
         expected,

@@ -234,6 +234,36 @@ fn every_runtime_recycles_chunks_on_a_second_run() {
             );
         }
     }
+    // A run whose closure panics still ends its epoch: the two runs after it
+    // recycle its chunks and compute the right answer on every baseline.
+    fn after_panic<R: Runtime>(rt: &R, expected: u64) {
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.run::<(), _>(|ctx| {
+                ctx.alloc_data_array(64);
+                panic!("deliberate panic inside a {} run", rt.name());
+            })
+        }));
+        assert!(panicked.is_err());
+        rt.run(|ctx| run_timed(ctx, BenchId::Reduce, tiny()));
+        let last = rt.run(|ctx| run_timed(ctx, BenchId::Reduce, tiny()));
+        assert_eq!(
+            last.checksum,
+            expected,
+            "{} after a panicked run",
+            rt.name()
+        );
+        assert!(
+            rt.stats().chunks_recycled > 0,
+            "{}: no chunks recycled after a panicked run",
+            rt.name()
+        );
+    }
+    let expected = SeqRuntime::new()
+        .run(|ctx| run_timed(ctx, BenchId::Reduce, tiny()))
+        .checksum;
+    after_panic(&SeqRuntime::new(), expected);
+    after_panic(&StwRuntime::with_workers(2), expected);
+    after_panic(&DlgRuntime::with_workers(2), expected);
 }
 
 /// Garbage collection triggers under allocation pressure on every runtime that

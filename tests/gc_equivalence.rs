@@ -169,7 +169,7 @@ fn forced_team_collection_preserves_live_data_and_counts() {
 #[test]
 fn stw_collections_run_in_team_mode() {
     use hierheap::StwRuntime;
-    let rt = StwRuntime::with_params(4, 256, 20_000, true);
+    let rt = StwRuntime::with_params(4, 256, 20_000);
     let total = rt.run(|ctx| {
         fn churn<C: ParCtx>(c: &C, depth: usize, keep: ObjPtr) -> u64 {
             if depth == 0 {
