@@ -169,6 +169,14 @@ impl HhCtx {
         let _ = obj;
     }
 
+    /// This task's counter shard. A context runs on the worker it was created
+    /// on (a fork's continuation never migrates), so its handle's index picks the
+    /// shard without the thread-local lookup of [`Inner::shard`].
+    #[inline]
+    fn counters(&self) -> &crate::counters::CounterShard {
+        self.inner.counters.shard(Some(self.worker.index()))
+    }
+
     /// The heap this task allocates into.
     pub fn heap(&self) -> HeapId {
         self.heap
@@ -233,8 +241,7 @@ impl HhCtx {
     {
         let heap_f = self.inner.registry.new_child_heap(self.heap);
         let heap_g = self.inner.registry.new_child_heap(self.heap);
-        self.inner
-            .counters
+        self.counters()
             .heaps_created
             .fetch_add(2, Ordering::Relaxed);
 
@@ -304,8 +311,7 @@ impl ParCtx for HhCtx {
             std::panic::panic_any(hh_api::InjectedFault { site: "alloc" });
         }
         let header = Header::new(n_ptr + n_nonptr, n_ptr, kind);
-        self.inner
-            .counters
+        self.counters()
             .allocated_words
             .fetch_add(header.size_words() as u64, Ordering::Relaxed);
         self.inner.registry.alloc_obj(self.heap, header)
@@ -350,7 +356,7 @@ impl ParCtx for HhCtx {
             return;
         }
         self.check_cross_run(obj);
-        self.inner.counters.record_bulk(out.len() as u64);
+        self.counters().record_bulk(out.len() as u64);
         let v = self.inner.registry.store().view(obj);
         for (k, slot) in out.iter_mut().enumerate() {
             *slot = v.field(start + k);
@@ -437,7 +443,7 @@ impl ParCtx for HhCtx {
                         .read()
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
                     let heap = inner_b.registry.new_child_heap(parent_heap);
-                    let counters = &inner_b.counters;
+                    let counters = inner_b.counters.shard(Some(worker.index()));
                     counters.heaps_created.fetch_add(1, Ordering::Relaxed);
                     // The left sibling's heap is still elided.
                     counters.heaps_elided.fetch_add(1, Ordering::Relaxed);
@@ -446,6 +452,7 @@ impl ParCtx for HhCtx {
                 } else {
                     inner_b
                         .counters
+                        .shard(Some(worker.index()))
                         .heaps_elided
                         .fetch_add(2, Ordering::Relaxed);
                     // Unstolen: runs on the forking worker, in the parent's heap,

@@ -349,26 +349,25 @@ impl Inner {
         pause: std::time::Duration,
     ) {
         use std::sync::atomic::Ordering;
-        self.counters.gc_count.fetch_add(1, Ordering::Relaxed);
+        let shard = self.shard();
+        shard.gc_count.fetch_add(1, Ordering::Relaxed);
         if n_heaps > 1 {
-            self.counters
-                .subtree_collections
-                .fetch_add(1, Ordering::Relaxed);
+            shard.subtree_collections.fetch_add(1, Ordering::Relaxed);
         }
         if team > 1 {
-            self.counters
+            shard
                 .gc_parallel_collections
                 .fetch_add(1, Ordering::Relaxed);
         }
         if steal_blocks > 0 {
-            self.counters
+            shard
                 .gc_steal_blocks
                 .fetch_add(steal_blocks, Ordering::Relaxed);
         }
-        self.counters
+        shard
             .gc_copied_words
             .fetch_add(copied_words, Ordering::Relaxed);
-        self.counters.add_gc_time(pause);
+        shard.add_gc_time(pause);
         self.counters.record_gc_pause(pause);
     }
 }

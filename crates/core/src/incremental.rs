@@ -170,12 +170,12 @@ impl Inner {
         drop(guard);
         self.fire_hook(crate::hooks::GcScheduleEvent::WindowStart { epoch });
         if n_heaps > 1 {
-            self.counters
+            self.shard()
                 .subtree_collections
                 .fetch_add(1, Ordering::Relaxed);
         }
         let pause = start.elapsed();
-        self.counters.add_gc_time(pause);
+        self.shard().add_gc_time(pause);
         self.counters.record_gc_pause(pause);
         true
     }
@@ -205,7 +205,7 @@ impl Inner {
             GC_IDLE_INCREMENT_WORDS
         };
         let wavefront_empty = gc.engine.drain_increment(budget);
-        self.counters.gc_increments.fetch_add(1, Ordering::Relaxed);
+        self.shard().gc_increments.fetch_add(1, Ordering::Relaxed);
         let may_finalize = wavefront_empty
             && (!record_pause
                 || gc.empty_safepoint_ticks.fetch_add(1, Ordering::Relaxed)
@@ -215,7 +215,7 @@ impl Inner {
             return true;
         }
         let pause = start.elapsed();
-        self.counters.add_gc_time(pause);
+        self.shard().add_gc_time(pause);
         if record_pause {
             self.counters.record_gc_pause(pause);
         }
@@ -296,7 +296,7 @@ impl Inner {
                 }
                 self.inner.finalize_merge_and_uninstall(self.gc);
                 self.inner
-                    .counters
+                    .shard()
                     .gc_finalize_rescues
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -317,7 +317,7 @@ impl Inner {
         self.finalize_merge_and_uninstall(gc);
         guard.completed = true;
         let pause = started.elapsed();
-        self.counters.add_gc_time(pause);
+        self.shard().add_gc_time(pause);
         if record_pause {
             self.counters.record_gc_pause(pause);
         }
@@ -377,16 +377,17 @@ impl Inner {
             *slot = None;
             self.incremental_active.store(false, Ordering::Release);
         }
-        self.counters.gc_count.fetch_add(1, Ordering::Relaxed);
-        self.counters
+        let shard = self.shard();
+        shard.gc_count.fetch_add(1, Ordering::Relaxed);
+        shard
             .gc_incremental_collections
             .fetch_add(1, Ordering::Relaxed);
         if outcome.steal_blocks > 0 {
-            self.counters
+            shard
                 .gc_steal_blocks
                 .fetch_add(outcome.steal_blocks, Ordering::Relaxed);
         }
-        self.counters
+        shard
             .gc_copied_words
             .fetch_add(outcome.copied_words, Ordering::Relaxed);
         // The debug invariant walk (`verify_heaps`) is deliberately skipped here:

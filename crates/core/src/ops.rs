@@ -47,43 +47,14 @@ impl Inner {
     /// copy using double-checked locking, and returns with a READ lock held on the
     /// master's heap (released when the returned [`Master`] drops).
     ///
-    /// Promotion v2: chains of two or more hops are **path-compressed** after the
-    /// chase — every intermediate hop is CAS-shortcut to the chain's end (see
-    /// [`hh_objmodel::ChunkStore::compress_fwd_chain`]) — so an object promoted `k` times costs `O(k)`
-    /// once and `O(1)` on every later resolution. The fast path (no forwarding
-    /// pointer) performs no extra atomic traffic; hops and compressions are counted
-    /// only when a chain was actually walked.
-    ///
     /// Inlined into each operation so the guard stays in registers: returning its
     /// three words through memory cost every slow-path access ~9 ns on the
     /// reference host.
     #[inline(always)]
     pub(crate) fn find_master(&self, obj: ObjPtr) -> Master<'_> {
-        let store: &hh_objmodel::ChunkStore = self.registry.store();
         let mut start = obj;
         loop {
-            // Chase forwarding pointers without holding any lock.
-            let mut cur = start;
-            let mut hops = 0u64;
-            let v = loop {
-                let v = store.view(cur);
-                if !v.has_fwd() {
-                    break v;
-                }
-                cur = v.fwd();
-                hops += 1;
-            };
-            if hops > 0 {
-                self.counters.fwd_hops.fetch_add(hops, Ordering::Relaxed);
-                if hops >= 2 {
-                    let done = store.compress_fwd_chain(start, cur);
-                    if done > 0 {
-                        self.counters
-                            .fwd_compressions
-                            .fetch_add(done, Ordering::Relaxed);
-                    }
-                }
-            }
+            let (cur, v) = self.chase(start);
             // Candidate master found: lock its heap in shared mode and re-check. A
             // concurrent promotion may have installed a forwarding pointer in between;
             // if so, drop the lock and chase again from the candidate.
@@ -95,6 +66,42 @@ impl Inner {
             }
             start = cur;
         }
+    }
+
+    /// Chases `start`'s forwarding chain without any lock, to the first copy that has
+    /// no forwarding pointer: the *candidate* master, returned with its view. Only a
+    /// lock on its heap (or, for a promotion, the WRITE-locked path) makes it final.
+    ///
+    /// Promotion v2: chains of two or more hops are **path-compressed** after the
+    /// chase — every intermediate hop is CAS-shortcut to the chain's end (see
+    /// [`hh_objmodel::ChunkStore::compress_fwd_chain`]) — so an object promoted `k`
+    /// times costs `O(k)` once and `O(1)` on every later resolution. The fast path (no
+    /// forwarding pointer) performs no extra atomic traffic; hops and compressions are
+    /// counted only when a chain was actually walked.
+    #[inline(always)]
+    fn chase(&self, start: ObjPtr) -> (ObjPtr, ObjView<'_>) {
+        let store: &hh_objmodel::ChunkStore = self.registry.store();
+        let mut cur = start;
+        let mut hops = 0u64;
+        let v = loop {
+            let v = store.view(cur);
+            if !v.has_fwd() {
+                break v;
+            }
+            cur = v.fwd();
+            hops += 1;
+        };
+        if hops > 0 {
+            let shard = self.shard();
+            shard.fwd_hops.fetch_add(hops, Ordering::Relaxed);
+            if hops >= 2 {
+                let done = store.compress_fwd_chain(start, cur);
+                if done > 0 {
+                    shard.fwd_compressions.fetch_add(done, Ordering::Relaxed);
+                }
+            }
+        }
+        (cur, v)
     }
 
     /// `readMutable` (Figure 6, lines 11–17).
@@ -211,7 +218,7 @@ impl Inner {
                 return;
             }
         }
-        self.counters
+        self.shard()
             .bulk_master_lookups
             .fetch_add(1, Ordering::Relaxed);
         op(self.find_master(obj).view);
@@ -222,7 +229,7 @@ impl Inner {
         if out.is_empty() {
             return;
         }
-        self.counters.record_bulk(out.len() as u64);
+        self.shard().record_bulk(out.len() as u64);
         self.on_master(obj, false, |v| {
             for (k, slot) in out.iter_mut().enumerate() {
                 *slot = v.field(start + k);
@@ -236,7 +243,7 @@ impl Inner {
             return;
         }
         self.gc_barrier(obj);
-        self.counters.record_bulk(vals.len() as u64);
+        self.shard().record_bulk(vals.len() as u64);
         self.on_master(obj, true, |v| {
             for (k, &val) in vals.iter().enumerate() {
                 v.set_field(start + k, val);
@@ -250,7 +257,7 @@ impl Inner {
             return;
         }
         self.gc_barrier(obj);
-        self.counters.record_bulk(len as u64);
+        self.shard().record_bulk(len as u64);
         self.on_master(obj, true, |v| {
             for k in 0..len {
                 v.set_field(start + k, val);
@@ -294,7 +301,7 @@ impl Inner {
         // Only the destination is written; source reads resolve through
         // `find_master` and from-space stays readable until finalize retires it.
         self.gc_barrier(dst);
-        self.counters.record_bulk(len as u64);
+        self.shard().record_bulk(len as u64);
         COPY_BUF.with(|cell| {
             let mut buf = cell.borrow_mut();
             let cap_before = buf.capacity();
@@ -311,7 +318,7 @@ impl Inner {
                 }
             });
             if buf.capacity() != cap_before {
-                self.counters
+                self.shard()
                     .promo_buf_allocs
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -342,41 +349,40 @@ impl Inner {
         let v = store.view(obj);
         if !v.has_fwd() && self.registry.heap_of_chunk(v.chunk()).id() == current_heap {
             v.set_field(field, ptr.to_bits());
-            self.counters
-                .fast_ptr_writes
-                .fetch_add(1, Ordering::Relaxed);
             return;
         }
 
-        // Slow path: find the master copy (read lock held on its heap).
-        let master = self.find_master(obj);
-
-        // Writing NULL can never create entanglement; neither can a pointee at the
-        // master's level or above (lines 7–10).
-        let deeper_pointee = if ptr.is_null() {
-            None
-        } else {
-            let pointee = self.locate(store.view(ptr));
-            (pointee.heap.depth() > master.heap.depth()).then_some(pointee)
-        };
-        let Some(pointee) = deeper_pointee else {
-            master.view.set_field(field, ptr.to_bits());
-            drop(master);
-            self.counters
-                .slow_ptr_writes
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-
-        // Lines 11–12: writing would create a down-pointer; promote first. Both heaps
-        // are ancestors-or-self of the running task's heap, so neither can be merged
-        // away between this resolution and `write_promote`'s use of it.
-        let target = *master;
-        drop(master);
-        self.counters
-            .promoting_writes
-            .fetch_add(1, Ordering::Relaxed);
-        self.write_promote(target, field, ptr, pointee);
+        // Slow path. Writing NULL can never create entanglement; neither can a
+        // pointee at the master's level or above (lines 7–10). The pointee's heap is
+        // an ancestor-or-self of the running task's, so it cannot move meanwhile.
+        let pointee = (!ptr.is_null()).then(|| self.locate(store.view(ptr)));
+        let mut start = obj;
+        loop {
+            // Whether the write promotes depends only on the master's depth, so the
+            // candidate master is found without a lock.
+            let (cur, v) = self.chase(start);
+            let master = self.locate(v);
+            if let Some(pointee) = pointee.filter(|p| p.heap.depth() > master.heap.depth()) {
+                // Lines 11–12: writing would create a down-pointer; promote first.
+                // `write_promote` re-validates the master under the WRITE locks of
+                // its path, so no READ lock is taken here. Both heaps are
+                // ancestors-or-self of the running task's heap, so neither can be
+                // merged away before `write_promote` uses it.
+                self.write_promote(master, field, ptr, pointee);
+                return;
+            }
+            // A non-promoting write stores into the master under its READ lock. If a
+            // promotion forwarded the candidate before the lock was taken, the
+            // master moved up: chase on from the candidate and decide again (the new
+            // master is shallower, so the write may now have to promote).
+            master.heap.lock.lock_shared();
+            let master = Master(master);
+            if !v.has_fwd() {
+                master.view.set_field(field, ptr.to_bits());
+                return;
+            }
+            start = cur;
+        }
     }
 }
 

@@ -9,10 +9,9 @@
 //! batched:
 //!
 //! * **Batched transitive promotion** (`promote_value_batched`): the
-//!   pointee's reachable closure is evacuated in one Cheney-style pass holding a
+//!   pointee's reachable closure is evacuated in one Cheney-style pass through a
 //!   single allocation cursor ([`hh_heaps::BatchAlloc`]) on the target heap — one
-//!   allocation-mutex acquisition, one heap-statistics update, and one flush of the
-//!   global counters per *pass*.
+//!   heap-accounting update and one flush of the counters per *pass*.
 //! * **Forwarding-chain path compression**: whenever a chase walks a chain of two or
 //!   more hops, every intermediate hop is CAS-shortcut to the chain's end
 //!   ([`hh_objmodel::ObjView::compress_fwd`]), so the amortized `find_master` is
@@ -25,7 +24,7 @@
 //!
 //! * **One-object early-out** (`promote_leaf`): a pointee none of whose pointer
 //!   fields needs promoting — every promotion of the mutator-heavy workloads — is
-//!   copied with one plain allocation and none of the pass machinery.
+//!   copied with one allocation and none of the pass machinery.
 //!
 //! The v1 per-object path (ablation A3) was retired once the early-out covered the
 //! small closures it was competitive on; DESIGN.md §7 pins its last measurement.
@@ -56,7 +55,7 @@ thread_local! {
     static SCRATCH: RefCell<PromoScratch> = RefCell::new(PromoScratch::default());
 }
 
-/// Per-pass tallies, flushed to the global atomic counters once per promotion.
+/// Per-pass tallies, flushed to the worker's counter shard once per promotion.
 #[derive(Default)]
 struct PassStats {
     objects: u64,
@@ -174,7 +173,7 @@ impl Inner {
             // on the same forwarding pointers.
             let target = obj.heap;
             let target_depth = target.depth();
-            self.counters.promotions.fetch_add(1, Ordering::Relaxed);
+            self.shard().promotions.fetch_add(1, Ordering::Relaxed);
             let promoted = match self.promote_leaf(target, target_depth, pointee.view) {
                 Some(copy) => copy,
                 None => self.promote_value_batched(
@@ -200,7 +199,7 @@ impl Inner {
             let caps_after =
                 scratch.locked.capacity() + scratch.pending.capacity() + scratch.copies.capacity();
             if caps_after != caps_before {
-                self.counters
+                self.shard()
                     .promo_buf_allocs
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -210,9 +209,9 @@ impl Inner {
     /// Early-out of `promote` for a one-object closure: the root `v` (which lies below
     /// `target`) has no copy yet and every pointer field is NULL or already at or
     /// above `target_depth`, so the pass would copy exactly this object and scan
-    /// nothing. Copies it with one plain allocation — no cursor, worklist, chunk
-    /// classification cache or copy log — and flushes the counters once. Returns
-    /// `None`, having changed nothing that matters, when the general pass is needed.
+    /// nothing. Copies it with one allocation — no worklist, chunk classification
+    /// cache or copy log — and flushes the counters once. Returns `None`, having
+    /// changed nothing that matters, when the general pass is needed.
     fn promote_leaf(&self, target: &Heap, target_depth: u32, v: ObjView<'_>) -> Option<ObjPtr> {
         let store = self.registry.store();
         if v.has_fwd() {
@@ -225,20 +224,18 @@ impl Inner {
                 return None;
             }
         }
-        let copy = target.alloc_obj(store, header);
-        if !self.copy_and_forward(v, store.view(copy), copy, header) {
+        let (copy, chunk) = target.batch_alloc(store).alloc_for_copy(header);
+        if !self.copy_and_forward(v, ObjView::new(chunk, copy.offset()), copy, header) {
             // Lost the install to an incremental collection: the general pass
             // follows the winner's copy.
             return None;
         }
-        let words = header.size_words();
-        target.note_promoted_in(words);
-        self.counters
-            .promoted_objects
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
+        target.note_promoted_in(1);
+        let shard = self.shard();
+        shard.promoted_objects.fetch_add(1, Ordering::Relaxed);
+        shard
             .promoted_words
-            .fetch_add(words as u64, Ordering::Relaxed);
+            .fetch_add(header.size_words() as u64, Ordering::Relaxed);
         self.verify_promotion(target.id(), &[copy]);
         Some(copy)
     }
@@ -318,10 +315,8 @@ impl Inner {
         let words;
         let result;
         {
-            // One allocation-mutex acquisition for the whole pass. The heap WRITE
-            // lock held by `write_promote` already excludes readers; the cursor
-            // additionally excludes concurrent allocators (the target heap's own
-            // domain) for the duration of the pass.
+            // One cursor for the whole pass: its words reach the heap's accounting
+            // once, when it drops.
             let mut batch = heap.batch_alloc(store);
             result = self.forward_batched(
                 store,
@@ -369,20 +364,19 @@ impl Inner {
         }
 
         // One statistics flush per pass instead of several atomics per object.
-        heap.note_promoted_in_batch(stats.objects as usize, words);
-        self.counters
+        heap.note_promoted_in(stats.objects as usize);
+        let shard = self.shard();
+        shard
             .promoted_objects
             .fetch_add(stats.objects, Ordering::Relaxed);
-        self.counters
+        shard
             .promoted_words
             .fetch_add(words as u64, Ordering::Relaxed);
         if stats.hops > 0 {
-            self.counters
-                .fwd_hops
-                .fetch_add(stats.hops, Ordering::Relaxed);
+            shard.fwd_hops.fetch_add(stats.hops, Ordering::Relaxed);
         }
         if stats.compressions > 0 {
-            self.counters
+            shard
                 .fwd_compressions
                 .fetch_add(stats.compressions, Ordering::Relaxed);
         }
@@ -473,7 +467,7 @@ impl Inner {
 mod tests {
     use crate::hooks::{GcScheduleEvent, GcScheduleHooks};
     use crate::{HhConfig, HhRuntime};
-    use hh_objmodel::{Header, ObjKind};
+    use hh_objmodel::{Header, ObjKind, ObjPtr};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -495,6 +489,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A non-promoting pointer write decides against promotion on a candidate
+    /// master found without a lock, and only then takes that heap's READ lock. A
+    /// promotion that forwards the candidate in between must not swallow the write:
+    /// after the lock the writer sees the forwarding pointer, chases on, decides
+    /// again, and stores into the final master. Deterministic: the test holds the
+    /// candidate's heap WRITE-locked until the writer is parked on it, promotes the
+    /// candidate the way `write_promote` does, and only then releases.
+    #[test]
+    fn ancestor_write_racing_a_promotion_of_its_master_lands_on_the_final_master() {
+        let rt = HhRuntime::new(HhConfig::eager_heaps(1));
+        let inner = rt.inner();
+        let reg = &inner.registry;
+        let store = reg.store();
+        let root = reg.new_root_heap();
+        let mid = reg.new_child_heap(root);
+        let leaf = reg.new_child_heap(mid);
+        let holder = reg.alloc_obj(root, Header::new(1, 1, ObjKind::Ref));
+        let x = reg.alloc_obj(mid, Header::new(2, 1, ObjKind::Ref));
+        // At the root: never deeper than any master of `x`, so the write never promotes.
+        let target = reg.alloc_obj(root, Header::new(1, 0, ObjKind::Ref));
+        let (root_heap, mid_heap) = (reg.heap(root), reg.heap(mid));
+
+        mid_heap.lock.lock_exclusive();
+        std::thread::scope(|s| {
+            // A task below `mid` writes into `x`, which lives in its ancestor `mid`.
+            let writer = s.spawn(|| inner.write_ptr_impl(leaf, x, 0, target));
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !mid_heap.lock.has_parked() {
+                assert!(Instant::now() < deadline, "the writer never waited on mid");
+                std::thread::yield_now();
+            }
+            // The writer holds `x` as its candidate master. Promote `x` to the root
+            // under the path's WRITE locks, as a publish into `holder` would.
+            root_heap.lock.lock_exclusive();
+            let copy = inner
+                .promote_leaf(root_heap, 0, store.view(x))
+                .expect("x has no pointer field below the root");
+            store.view(holder).set_field_ptr(0, copy);
+            root_heap.lock.unlock_exclusive();
+            mid_heap.lock.unlock_exclusive();
+            writer.join().unwrap();
+        });
+
+        let master = store.view(x).fwd();
+        assert_eq!(reg.heap_of(master), root, "x's master is the root copy");
+        assert_eq!(store.view(master).field_ptr(0), target, "write lost");
+        assert_eq!(
+            store.view(x).field_ptr(0),
+            ObjPtr::NULL,
+            "written to a stale copy"
+        );
+        assert_eq!(reg.check_disentangled().len(), 0);
     }
 
     /// Under an open incremental window the promoter fills the copy *before* it

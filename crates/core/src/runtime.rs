@@ -1,7 +1,7 @@
 //! Runtime construction and the [`Runtime`] implementation.
 
 use crate::config::HhConfig;
-use crate::counters::Counters;
+use crate::counters::{CounterShard, Counters};
 use crate::ctx::HhCtx;
 use hh_api::{RunStats, Runtime};
 use hh_heaps::{HeapId, HeapRegistry};
@@ -16,8 +16,9 @@ pub(crate) struct Inner {
     pub(crate) registry: HeapRegistry,
     pub(crate) pool: Pool,
     pub(crate) config: HhConfig,
-    /// Shared with the scheduler's on-steal hook (which must not hold an `Arc<Inner>`,
-    /// or the pool would keep its owner alive in a cycle).
+    /// One shard per pool worker plus one for outside threads; operations count
+    /// into [`Inner::shard`]. Shared with the scheduler's on-steal hook (which must
+    /// not hold an `Arc<Inner>`, or the pool would keep its owner alive in a cycle).
     pub(crate) counters: Arc<Counters>,
     /// The steal gate of the lazy heap policy: every *stolen* branch holds a read
     /// lock for its whole execution, and a task that borrows its heap may collect it
@@ -48,6 +49,13 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
+    /// The calling thread's counter shard: its worker's own, or the shared one of
+    /// threads outside the pool. One thread-local load.
+    #[inline]
+    pub(crate) fn shard(&self) -> &CounterShard {
+        self.counters.shard(self.pool.current_worker_index())
+    }
+
     /// Fires a test-only schedule event (no-op unless hooks are installed; the
     /// handler may block — see [`crate::hooks`]). Only rare paths call this.
     #[inline]
@@ -108,7 +116,7 @@ impl Inner {
         // included) gets an index at or above it.
         let heaps_before = self.registry.n_heaps();
         let root = self.registry.new_root_heap_for_run(epoch);
-        self.counters.heaps_created.fetch_add(1, Ordering::Relaxed);
+        self.shard().heaps_created.fetch_add(1, Ordering::Relaxed);
         (root, heaps_before, epoch)
     }
 
@@ -155,7 +163,7 @@ impl Inner {
 /// the run closure's own panic. Re-raising there would be a double panic
 /// (process abort), so a teardown panic is propagated only when the thread is
 /// not already unwinding; otherwise it is contained and counted
-/// (`Counters::teardown_panics`) and the original panic continues.
+/// (`CounterShard::teardown_panics`) and the original panic continues.
 struct EndRunGuard<'a> {
     inner: &'a Inner,
     root: HeapId,
@@ -170,7 +178,7 @@ impl Drop for EndRunGuard<'_> {
             // The run is ending by unwind (panic, cooperative abort, or
             // injected fault) rather than by returning.
             self.inner
-                .counters
+                .shard()
                 .runs_aborted
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -182,7 +190,7 @@ impl Drop for EndRunGuard<'_> {
         if let Err(payload) = teardown {
             if unwinding {
                 self.inner
-                    .counters
+                    .shard()
                     .teardown_panics
                     .fetch_add(1, Ordering::Relaxed);
             } else {
@@ -258,14 +266,18 @@ impl HhRuntime {
         store.set_max_free_words(config.max_free_words);
         let registry = HeapRegistry::new(store);
         let pool = Pool::new(config.n_workers);
-        let counters = Arc::new(Counters::default());
-        // The scheduler's on-steal hook: count steals into the runtime's resettable
-        // statistics. (The per-fork steal observation that drives lazy heap creation
-        // flows through `Worker::join_context` in `HhCtx::join` instead.)
+        let counters = Arc::new(Counters::new(pool.n_workers()));
+        // The scheduler's on-steal hook: count steals into the thief's shard of the
+        // runtime's resettable statistics. (The per-fork steal observation that
+        // drives lazy heap creation flows through `Worker::join_context` in
+        // `HhCtx::join` instead.)
         {
             let counters = Arc::clone(&counters);
-            pool.set_steal_hook(move |_thief, _victim| {
-                counters.sched_steals.fetch_add(1, Ordering::Relaxed);
+            pool.set_steal_hook(move |thief, _victim| {
+                counters
+                    .shard(Some(thief))
+                    .sched_steals
+                    .fetch_add(1, Ordering::Relaxed);
             });
         }
         let rt = HhRuntime {
@@ -363,13 +375,13 @@ impl HhRuntime {
 
     /// Number of heaps created so far (for tests and diagnostics).
     pub fn heaps_created(&self) -> u64 {
-        self.inner.counters.heaps_created.load(Ordering::Relaxed)
+        self.inner.counters.total(|s| &s.heaps_created)
     }
 
     /// Number of heap creations elided by the lazy steal-time heap policy (for tests
     /// and diagnostics).
     pub fn heaps_elided(&self) -> u64 {
-        self.inner.counters.heaps_elided.load(Ordering::Relaxed)
+        self.inner.counters.total(|s| &s.heaps_elided)
     }
 
     /// Number of times the promotion machinery allocated (or grew) a per-worker
@@ -377,7 +389,7 @@ impl HhRuntime {
     /// one buffer set per worker thread instead of allocating fresh `Vec`s per
     /// promotion (see `tests/promo_alloc.rs` for the regression test).
     pub fn promo_buffer_allocs(&self) -> u64 {
-        self.inner.counters.promo_buf_allocs.load(Ordering::Relaxed)
+        self.inner.counters.total(|s| &s.promo_buf_allocs)
     }
 
     /// Oldest still-active run epoch (the reclamation watermark; epoch-mode
@@ -394,23 +406,20 @@ impl HhRuntime {
     /// Runs that ended by unwind (panic, cooperative abort, or injected fault)
     /// rather than by returning; the teardown guard completed their epoch end.
     pub fn aborted_runs(&self) -> u64 {
-        self.inner.counters.runs_aborted.load(Ordering::Relaxed)
+        self.inner.counters.total(|s| &s.runs_aborted)
     }
 
     /// Incremental finalizes completed by the unwind guard after a schedule
     /// hook panicked mid-finalize (injected-crash recovery; see
     /// `crate::incremental`).
     pub fn finalize_rescues(&self) -> u64 {
-        self.inner
-            .counters
-            .gc_finalize_rescues
-            .load(Ordering::Relaxed)
+        self.inner.counters.total(|s| &s.gc_finalize_rescues)
     }
 
     /// Teardown-prefix panics contained inside `end_run` while the thread was
-    /// already unwinding (see `Counters::teardown_panics`).
+    /// already unwinding (see `CounterShard::teardown_panics`).
     pub fn teardown_panics(&self) -> u64 {
-        self.inner.counters.teardown_panics.load(Ordering::Relaxed)
+        self.inner.counters.total(|s| &s.teardown_panics)
     }
 
     /// As [`Runtime::run`], with a cancellation token: the

@@ -537,3 +537,108 @@ fn double_promotion_chain_is_path_compressed_on_resolution() {
     );
     assert_eq!(rt.check_disentangled(), 0);
 }
+
+/// A heap's owner keeps bump-allocating into it while stolen tasks promote into
+/// it. Under the lazy policy the left branch of a fork runs in the parent's heap
+/// H; everything the stolen right branch publishes into H's holder array is
+/// copied into H's bump chunk by promotions holding H's WRITE lock. Chunks of 64
+/// words make the two sides' refills race. Every object must keep its own words
+/// (its payload survives intact), the counters must be exact, and the hierarchy
+/// disentangled. At least two workers, so the right branch is always stolen.
+#[test]
+fn owner_allocation_races_promotions_into_its_heap() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const OWNER_OBJECTS: u64 = 40_000;
+    const LEAVES: usize = 16;
+    const PER_LEAF: usize = 400;
+    const PUBLISHED: usize = LEAVES * PER_LEAF;
+    // A published object: three data fields.
+    const PUBLISHED_WORDS: u64 = 5;
+
+    /// Publishes `PER_LEAF` fresh objects per leaf of `lo..hi` into `holder`.
+    fn publish(c: &impl ParCtx, holder: ObjPtr, lo: usize, hi: usize) {
+        if hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            c.join(
+                |c| publish(c, holder, lo, mid),
+                |c| publish(c, holder, mid, hi),
+            );
+            return;
+        }
+        for k in lo * PER_LEAF..(lo + 1) * PER_LEAF {
+            let obj = c.alloc(0, 3, ObjKind::Tuple);
+            for f in 0..3 {
+                c.write_nonptr(obj, f, (k as u64) << 8 | f as u64);
+            }
+            c.write_ptr(holder, k, obj);
+        }
+    }
+
+    let workers = hh_api::env_workers(4).max(2);
+    let rt = HhRuntime::new(HhConfig {
+        n_workers: workers,
+        chunk_words: 64,
+        ..Default::default()
+    });
+    let owner_words = rt.run(|ctx| {
+        let holder = ctx.alloc_ptr_array(PUBLISHED);
+        let started = AtomicBool::new(false);
+        let (owned, ()) = ctx.join(
+            |c| {
+                // Wait for the thief, then allocate alongside its promotions.
+                let mut spins = 0u32;
+                while !started.load(Ordering::Acquire) {
+                    spins += 1;
+                    if spins.is_multiple_of(64) {
+                        std::thread::yield_now();
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                }
+                (0..OWNER_OBJECTS)
+                    .map(|k| {
+                        let len = 1 + (k % 6) as usize;
+                        let obj = c.alloc(0, len, ObjKind::ArrayData);
+                        for f in 0..len {
+                            c.write_nonptr(obj, f, !k);
+                        }
+                        (obj, k)
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |c| {
+                started.store(true, Ordering::Release);
+                publish(c, holder, 0, LEAVES);
+            },
+        );
+        for &(obj, k) in &owned {
+            for f in 0..ctx.obj_len(obj) {
+                assert_eq!(ctx.read_mut(obj, f), !k, "owner object {k} was overwritten");
+            }
+        }
+        for k in 0..PUBLISHED {
+            let obj = ctx.read_mut_ptr(holder, k);
+            for f in 0..3 {
+                let want = (k as u64) << 8 | f as u64;
+                assert_eq!(ctx.read_mut(obj, f), want, "published object {k}");
+            }
+        }
+        owned
+            .iter()
+            .map(|&(obj, _)| ctx.obj_len(obj) as u64 + 2)
+            .sum::<u64>()
+    });
+    assert_eq!(rt.check_disentangled(), 0);
+    let s = rt.stats();
+    let published = PUBLISHED as u64;
+    assert_eq!(
+        (s.promotions, s.promoted_objects, s.promoted_words),
+        (published, published, published * PUBLISHED_WORDS),
+        "every publish promotes its one object into H"
+    );
+    let holder_words = PUBLISHED as u64 + 2;
+    assert_eq!(
+        s.allocated_words,
+        holder_words + owner_words + published * PUBLISHED_WORDS
+    );
+}

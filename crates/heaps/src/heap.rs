@@ -7,26 +7,32 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Allocation state of a heap: the chunk currently being bumped into plus the list of
-/// all chunks belonging to the heap (its from-space).
-#[derive(Debug, Default)]
-struct AllocState {
-    /// Chunk currently used for small-object allocation (always also present in `chunks`).
-    current: Option<ChunkId>,
-    /// All chunks owned by this heap, in allocation order.
-    chunks: Vec<ChunkId>,
+/// Raw value of [`Heap`]'s current-chunk slot while the heap has no bump chunk.
+const NO_CHUNK: u32 = u32::MAX;
+
+/// 64 bytes between two field groups of a [`Heap`]: a byte before the pad and a
+/// byte after it are at least 64 bytes apart, so they can never share a cache
+/// line — wherever the allocator places the heap. Over-aligning the groups instead
+/// would take every heap creation through the allocator's aligned path, which
+/// costs far more than the pad's bytes.
+#[derive(Default)]
+struct LinePad {
+    _bytes: [u64; 8],
 }
 
 /// Point-in-time statistics for one heap.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct HeapStats {
-    /// Words of objects allocated in this heap since its creation or last collection.
+    /// Words of objects allocated in this heap since its creation or last collection,
+    /// by its owner and by promotions.
     pub allocated_words: usize,
     /// Number of chunks currently owned.
     pub n_chunks: usize,
-    /// Number of objects promoted *into* this heap.
+    /// Number of objects promoted *into* this heap since its creation or last
+    /// collection.
     pub promoted_in_objects: usize,
-    /// Words of objects promoted *into* this heap.
+    /// Words allocated by promotions into this heap since its creation or last
+    /// collection (part of `allocated_words`).
     pub promoted_in_words: usize,
     /// Number of collections performed on this heap.
     pub collections: usize,
@@ -38,7 +44,16 @@ pub struct HeapStats {
 /// depth, and a `merged_into` forwarding link installed when the heap is joined into its
 /// parent (after which it is no longer allocated into and all queries forward to the
 /// parent).
+///
+/// The fields fall into three groups by who writes them, each kept off the others'
+/// cache lines (DESIGN.md §6.8): the read-mostly **identity**; the **promotion side**
+/// — the lock word and the promoted-in accounting, written by WRITE-lock holders —
+/// and the **owner side**, the bump allocation state. Allocation takes no lock: it
+/// bumps the current chunk, and the chunk-list mutex is taken only to refill.
+#[repr(C)]
 pub struct Heap {
+    // -- Identity: fixed at creation, except `merged_into` (set once by the join,
+    // then only path-compressed). Read by every heap resolution.
     id: HeapId,
     parent: HeapId,
     /// Epoch of the run this heap belongs to (0 = untracked). Fixed at creation;
@@ -48,13 +63,41 @@ pub struct Heap {
     depth: AtomicU32,
     /// Raw id of the heap this one has been merged into, or `HeapId::NONE.raw()` while live.
     merged_into: AtomicU32,
+    _identity_end: LinePad,
+
+    // -- Promotion side: written by promoters holding the WRITE lock (and reset by
+    // the collector's flip).
     /// The paper's per-heap readers–writer lock.
     pub lock: HeapRwLock,
-    alloc: Mutex<AllocState>,
-    allocated_words: AtomicUsize,
-    promoted_in_objects: AtomicUsize,
-    promoted_in_words: AtomicUsize,
+    /// Words allocated by promotions ([`BatchAlloc`]) since creation or the last flip.
+    promoted_words: AtomicUsize,
+    /// Objects promoted in since creation or the last flip (statistics only).
+    promoted_objects: AtomicUsize,
+    _promotion_end: LinePad,
+
+    // -- Owner side: allocation.
+    /// Raw id of the chunk bumped into by small-object allocation (always also in
+    /// `chunks`), or [`NO_CHUNK`]. Changes only under the `chunks` mutex.
+    current: AtomicU32,
+    /// Words allocated by [`Heap::alloc_obj`] since creation or the last flip, plus
+    /// whatever joins and collections added.
+    owner_words: AtomicUsize,
+    /// All chunks owned by this heap, in allocation order; the mutex also serializes
+    /// refills of `current`.
+    chunks: Mutex<Vec<ChunkId>>,
     collections: AtomicUsize,
+    _owner_end: LinePad,
+}
+
+/// Places `header` in `chunk` with the initialization a caller asked for (see
+/// [`BatchAlloc::alloc_for_copy`]), or `None` when it does not fit.
+#[inline]
+fn place(store: &ChunkStore, chunk: &Chunk, header: Header, for_copy: bool) -> Option<ObjPtr> {
+    if for_copy {
+        store.alloc_in_chunk_for_copy(chunk, header)
+    } else {
+        store.alloc_in_chunk(chunk, header)
+    }
 }
 
 impl Heap {
@@ -70,12 +113,16 @@ impl Heap {
             run_tag,
             depth: AtomicU32::new(depth),
             merged_into: AtomicU32::new(HeapId::NONE.raw()),
+            _identity_end: LinePad::default(),
             lock: HeapRwLock::new(),
-            alloc: Mutex::new(AllocState::default()),
-            allocated_words: AtomicUsize::new(0),
-            promoted_in_objects: AtomicUsize::new(0),
-            promoted_in_words: AtomicUsize::new(0),
+            promoted_words: AtomicUsize::new(0),
+            promoted_objects: AtomicUsize::new(0),
+            _promotion_end: LinePad::default(),
+            current: AtomicU32::new(NO_CHUNK),
+            owner_words: AtomicUsize::new(0),
+            chunks: Mutex::new(Vec::new()),
             collections: AtomicUsize::new(0),
+            _owner_end: LinePad::default(),
         }
     }
 
@@ -130,117 +177,153 @@ impl Heap {
         );
     }
 
-    /// Allocates an object with the given header in this heap (`freshObj`).
+    /// Allocates an object with the given header in this heap (`freshObj`), on the
+    /// owner's account.
     ///
-    /// Thread-safe: the owning task allocates here, but promotions performed by other
-    /// tasks (holding this heap's WRITE lock) also allocate into ancestor heaps.
+    /// Thread-safe and lock-free apart from chunk refills: the owning task allocates
+    /// here while promotions by other tasks (holding this heap's WRITE lock) allocate
+    /// into the same bump chunk through [`Heap::batch_alloc`].
     ///
     /// Objects larger than the store's default chunk size get a dedicated chunk
     /// *without* displacing the current bump chunk, so a large-object detour does not
     /// abandon the partially filled chunk that subsequent small objects still fit in.
     pub fn alloc_obj(&self, store: &ChunkStore, header: Header) -> ObjPtr {
-        let size = header.size_words();
-        let mut st = self.alloc.lock();
-        if store.needs_dedicated_chunk(header) {
-            let (chunk, ptr) = store.alloc_dedicated_for_run(self.id.raw(), header, self.run_tag);
-            st.chunks.push(chunk.id());
-            self.allocated_words.fetch_add(size, Ordering::Relaxed);
-            return ptr;
-        }
-        if let Some(cur) = st.current {
-            let chunk = store.chunk(cur);
-            if let Some(ptr) = store.alloc_in_chunk(chunk, header) {
-                self.allocated_words.fetch_add(size, Ordering::Relaxed);
-                return ptr;
-            }
-        }
-        // Current chunk absent or full: get a new one big enough for this object.
-        let chunk = store.alloc_chunk_for_run(self.id.raw(), size, self.run_tag);
-        let ptr = store
-            .alloc_in_chunk(&chunk, header)
-            .expect("fresh chunk cannot be too small for the object it was sized for");
-        st.current = Some(chunk.id());
-        st.chunks.push(chunk.id());
-        self.allocated_words.fetch_add(size, Ordering::Relaxed);
+        let ptr = self.bump(store, header, false).0;
+        self.owner_words
+            .fetch_add(header.size_words(), Ordering::Relaxed);
         ptr
     }
 
-    /// Records an object of `words` words promoted into this heap (statistics only).
-    pub fn note_promoted_in(&self, words: usize) {
-        self.promoted_in_objects.fetch_add(1, Ordering::Relaxed);
-        self.promoted_in_words.fetch_add(words, Ordering::Relaxed);
+    /// The allocation path shared by the owner and promoters: load the current
+    /// chunk, bump it, and refill only when the object does not fit. Returns the
+    /// object and the chunk it landed in.
+    #[inline]
+    fn bump<'s>(
+        &self,
+        store: &'s ChunkStore,
+        header: Header,
+        for_copy: bool,
+    ) -> (ObjPtr, &'s Arc<Chunk>) {
+        if store.needs_dedicated_chunk(header) {
+            let (chunk, ptr) = store.alloc_dedicated_for_run(self.id.raw(), header, self.run_tag);
+            self.chunks.lock().push(chunk.id());
+            return (ptr, store.chunk(chunk.id()));
+        }
+        let mut seen = self.current.load(Ordering::Acquire);
+        loop {
+            if seen != NO_CHUNK {
+                let chunk = store.chunk(ChunkId(seen));
+                if let Some(ptr) = place(store, chunk, header, for_copy) {
+                    return (ptr, chunk);
+                }
+            }
+            match self.refill(store, header, for_copy, seen) {
+                Ok(placed) => return placed,
+                Err(now) => seen = now,
+            }
+        }
     }
 
-    /// Records `objects` objects totalling `words` words promoted into this heap in
-    /// one batched pass (statistics only; the bulk form of
-    /// [`Heap::note_promoted_in`]).
-    pub fn note_promoted_in_batch(&self, objects: usize, words: usize) {
-        self.promoted_in_objects
-            .fetch_add(objects, Ordering::Relaxed);
-        self.promoted_in_words.fetch_add(words, Ordering::Relaxed);
-    }
-
-    /// Opens a batched allocation session on this heap: the allocation mutex is
-    /// acquired **once** and held by the returned cursor until it is dropped, so a
-    /// pass that allocates many objects (batched promotion evacuating a closure)
-    /// pays one lock acquisition instead of one per object.
+    /// Replaces the current chunk `seen`, which `header` did not fit, with a fresh
+    /// one holding the object. Returns `Err` with the new current chunk if another
+    /// allocator refilled first; the caller retries there.
     ///
-    /// While the cursor is alive, every other allocator of this heap
-    /// ([`Heap::alloc_obj`], other cursors) blocks — callers must keep the session
-    /// bounded (promotion already excludes `findMaster` readers via the heap WRITE
-    /// lock; the allocation mutex is a leaf lock, so no ordering cycle is possible).
-    /// Allocated words are published to the heap's accounting when the cursor drops.
+    /// A failed bump left `seen`'s cursor past its capacity, so no allocator can
+    /// place anything in it again: the unused tail stays raw, and chunk walkers stop
+    /// at it. The fresh chunk is published only once the object is placed in it, so
+    /// a refill always makes progress however small the chunks are.
+    #[cold]
+    fn refill<'s>(
+        &self,
+        store: &'s ChunkStore,
+        header: Header,
+        for_copy: bool,
+        seen: u32,
+    ) -> Result<(ObjPtr, &'s Arc<Chunk>), u32> {
+        let mut chunks = self.chunks.lock();
+        // `current` changes only under this mutex, so the mutex orders this load
+        // after any refill that moved it.
+        let now = self.current.load(Ordering::Relaxed);
+        if now != seen {
+            return Err(now);
+        }
+        let chunk = store.alloc_chunk_for_run(self.id.raw(), header.size_words(), self.run_tag);
+        let ptr = place(store, &chunk, header, for_copy)
+            .expect("fresh chunk cannot be too small for the object it was sized for");
+        chunks.push(chunk.id());
+        // Release: an allocator that loads the new id also sees the chunk's
+        // activation (owner, run tag, reset cursor).
+        self.current.store(chunk.id().0, Ordering::Release);
+        Ok((ptr, store.chunk(chunk.id())))
+    }
+
+    /// Records `objects` objects promoted into this heap (statistics only; their
+    /// words were counted by the [`BatchAlloc`] that allocated them).
+    pub fn note_promoted_in(&self, objects: usize) {
+        self.promoted_objects.fetch_add(objects, Ordering::Relaxed);
+    }
+
+    /// Opens a promotion-side allocation session on this heap: objects are placed
+    /// exactly as by [`Heap::alloc_obj`] — in the same bump chunk, so promotions add
+    /// no partially filled chunk of their own — but their words are tallied in the
+    /// cursor and published to the heap's promotion-side accounting once, when it
+    /// drops. Promoters hold the heap's WRITE lock while the cursor lives.
     pub fn batch_alloc<'a>(&'a self, store: &'a ChunkStore) -> BatchAlloc<'a> {
-        let state = self.alloc.lock();
-        let current = state.current.map(|id| Arc::clone(store.chunk(id)));
         BatchAlloc {
             heap: self,
             store,
-            state,
-            current,
-            dedicated: None,
             words: 0,
         }
     }
 
-    /// Words allocated into this heap since creation or the last [`Heap::replace_chunks`].
+    /// Words allocated into this heap since creation or the last
+    /// [`Heap::replace_chunks`]: the owner's and the promoters'. Both count toward
+    /// the collection trigger.
     pub fn allocated_words(&self) -> usize {
-        self.allocated_words.load(Ordering::Relaxed)
+        self.owner_words.load(Ordering::Relaxed) + self.promoted_words.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the chunk ids currently owned by this heap.
     pub fn chunks(&self) -> Vec<ChunkId> {
-        self.alloc.lock().chunks.clone()
+        self.chunks.lock().clone()
     }
 
     /// Number of chunks currently owned by this heap.
     pub fn n_chunks(&self) -> usize {
-        self.alloc.lock().chunks.len()
+        self.chunks.lock().len()
     }
 
     /// Splices all of `child`'s chunks onto this heap's chunk list (`joinHeap`). The
     /// child's allocation state is emptied. Constant-time apart from the list splice.
     pub fn absorb_chunks_of(&self, child: &Heap) {
-        let mut child_alloc = child.alloc.lock();
-        let mut my_alloc = self.alloc.lock();
-        my_alloc.chunks.append(&mut child_alloc.chunks);
-        child_alloc.current = None;
-        let w = child.allocated_words.swap(0, Ordering::Relaxed);
-        self.allocated_words.fetch_add(w, Ordering::Relaxed);
+        let mut child_chunks = child.chunks.lock();
+        let mut my_chunks = self.chunks.lock();
+        my_chunks.append(&mut child_chunks);
+        child.current.store(NO_CHUNK, Ordering::Relaxed);
+        let w = child.owner_words.swap(0, Ordering::Relaxed)
+            + child.promoted_words.swap(0, Ordering::Relaxed);
+        self.owner_words.fetch_add(w, Ordering::Relaxed);
     }
 
     /// Replaces this heap's chunk list wholesale (used by the collector to install the
     /// to-space as the new from-space). Returns the old chunk list.
+    ///
+    /// Only at a point where nothing allocates into the heap (the collector's
+    /// quiescence): the bump path takes no lock, so the flip of the current chunk
+    /// would otherwise race it.
     pub fn replace_chunks(
         &self,
         new_chunks: Vec<ChunkId>,
         new_allocated_words: usize,
     ) -> Vec<ChunkId> {
-        let mut st = self.alloc.lock();
-        let old = std::mem::replace(&mut st.chunks, new_chunks);
-        st.current = st.chunks.last().copied();
-        self.allocated_words
+        let mut chunks = self.chunks.lock();
+        let old = std::mem::replace(&mut *chunks, new_chunks);
+        let current = chunks.last().map_or(NO_CHUNK, |c| c.0);
+        self.current.store(current, Ordering::Release);
+        self.owner_words
             .store(new_allocated_words, Ordering::Relaxed);
+        self.promoted_words.store(0, Ordering::Relaxed);
+        self.promoted_objects.store(0, Ordering::Relaxed);
         self.collections.fetch_add(1, Ordering::Relaxed);
         old
     }
@@ -250,12 +333,12 @@ impl Heap {
     /// mutator has been allocating fresh chunks into this heap since the roots-only
     /// pause, and its current bump chunk must stay current). Counts as a collection.
     pub fn adopt_collected_chunks(&self, mut collected: Vec<ChunkId>, collected_words: usize) {
-        let mut st = self.alloc.lock();
-        collected.append(&mut st.chunks);
-        st.chunks = collected;
-        // `current` still points at the mutator's bump chunk (or None if it has not
+        let mut chunks = self.chunks.lock();
+        collected.append(&mut chunks);
+        *chunks = collected;
+        // `current` still names the mutator's bump chunk (or none if it has not
         // allocated since the flip), which sits at the tail where the cursor expects it.
-        self.allocated_words
+        self.owner_words
             .fetch_add(collected_words, Ordering::Relaxed);
         self.collections.fetch_add(1, Ordering::Relaxed);
     }
@@ -264,10 +347,11 @@ impl Heap {
     /// [`Heap::replace_chunks`] this does not count as a collection; it is used by
     /// the runtimes to dispose of a completed run's heap tree before recycling.
     pub fn take_all_chunks(&self) -> Vec<ChunkId> {
-        let mut st = self.alloc.lock();
-        st.current = None;
-        self.allocated_words.store(0, Ordering::Relaxed);
-        std::mem::take(&mut st.chunks)
+        let mut chunks = self.chunks.lock();
+        self.current.store(NO_CHUNK, Ordering::Relaxed);
+        self.owner_words.store(0, Ordering::Relaxed);
+        self.promoted_words.store(0, Ordering::Relaxed);
+        std::mem::take(&mut *chunks)
     }
 
     /// Point-in-time statistics.
@@ -275,35 +359,29 @@ impl Heap {
         HeapStats {
             allocated_words: self.allocated_words(),
             n_chunks: self.n_chunks(),
-            promoted_in_objects: self.promoted_in_objects.load(Ordering::Relaxed),
-            promoted_in_words: self.promoted_in_words.load(Ordering::Relaxed),
+            promoted_in_objects: self.promoted_objects.load(Ordering::Relaxed),
+            promoted_in_words: self.promoted_words.load(Ordering::Relaxed),
             collections: self.collections.load(Ordering::Relaxed),
         }
     }
 }
 
-/// A batched allocation cursor on one heap (see [`Heap::batch_alloc`]): holds the
-/// heap's allocation mutex for its whole lifetime and bump-allocates with the same
-/// placement rules as [`Heap::alloc_obj`] (large objects get dedicated chunks without
-/// displacing the current bump chunk).
+/// A promotion-side allocation cursor on one heap (see [`Heap::batch_alloc`]): places
+/// objects with the same rules as [`Heap::alloc_obj`] (large objects get dedicated
+/// chunks without displacing the current bump chunk) and publishes their words to
+/// the heap's promotion-side accounting once, on drop.
 pub struct BatchAlloc<'a> {
     heap: &'a Heap,
     store: &'a ChunkStore,
-    state: parking_lot::MutexGuard<'a, AllocState>,
-    /// The current bump chunk, held by reference so the per-object path performs no
-    /// chunk-table lookup (mirrors `state.current`).
-    current: Option<Arc<Chunk>>,
-    /// The most recent dedicated large-object chunk (kept so `alloc_for_copy` can
-    /// hand back a reference to the chunk the object landed in).
-    dedicated: Option<Arc<Chunk>>,
     words: usize,
 }
 
-impl BatchAlloc<'_> {
+impl<'a> BatchAlloc<'a> {
     /// Allocates one object with `header` in the session's heap, fully initialized
     /// (pointer fields NULLed) as by [`Heap::alloc_obj`].
     pub fn alloc(&mut self, header: Header) -> ObjPtr {
-        self.alloc_with(header, false).0
+        self.words += header.size_words();
+        self.heap.bump(self.store, header, false).0
     }
 
     /// Allocates one object with `header`, initializing only the header and the
@@ -311,45 +389,9 @@ impl BatchAlloc<'_> {
     /// must store every field before the object becomes reachable. Returns the
     /// pointer plus the chunk it landed in, so evacuation loops can build views
     /// without a chunk-table lookup.
-    pub fn alloc_for_copy(&mut self, header: Header) -> (ObjPtr, &Arc<Chunk>) {
-        self.alloc_with(header, true)
-    }
-
-    fn alloc_with(&mut self, header: Header, for_copy: bool) -> (ObjPtr, &Arc<Chunk>) {
-        let size = header.size_words();
-        self.words += size;
-        if self.store.needs_dedicated_chunk(header) {
-            // Dedicated chunks never displace the bump chunk.
-            let (chunk, ptr) =
-                self.store
-                    .alloc_dedicated_for_run(self.heap.id.raw(), header, self.heap.run_tag);
-            self.state.chunks.push(chunk.id());
-            self.dedicated = Some(chunk);
-            return (ptr, self.dedicated.as_ref().expect("just set"));
-        }
-        if let Some(cur) = &self.current {
-            let res = if for_copy {
-                self.store.alloc_in_chunk_for_copy(cur, header)
-            } else {
-                self.store.alloc_in_chunk(cur, header)
-            };
-            if let Some(ptr) = res {
-                return (ptr, self.current.as_ref().expect("checked above"));
-            }
-        }
-        let chunk = self
-            .store
-            .alloc_chunk_for_run(self.heap.id.raw(), size, self.heap.run_tag);
-        let res = if for_copy {
-            self.store.alloc_in_chunk_for_copy(&chunk, header)
-        } else {
-            self.store.alloc_in_chunk(&chunk, header)
-        };
-        let ptr = res.expect("fresh chunk cannot be too small for the object it was sized for");
-        self.state.current = Some(chunk.id());
-        self.state.chunks.push(chunk.id());
-        self.current = Some(chunk);
-        (ptr, self.current.as_ref().expect("just set"))
+    pub fn alloc_for_copy(&mut self, header: Header) -> (ObjPtr, &'a Arc<Chunk>) {
+        self.words += header.size_words();
+        self.heap.bump(self.store, header, true)
     }
 
     /// Words allocated through this cursor so far.
@@ -361,7 +403,7 @@ impl BatchAlloc<'_> {
 impl Drop for BatchAlloc<'_> {
     fn drop(&mut self) {
         self.heap
-            .allocated_words
+            .promoted_words
             .fetch_add(self.words, Ordering::Relaxed);
     }
 }
@@ -525,13 +567,145 @@ mod tests {
         assert_eq!(store.view(next).n_fields(), 2);
     }
 
+    /// The three field groups are at least a cache line apart, and the owner group
+    /// is a line away from whatever the allocator places after the heap.
+    #[test]
+    fn field_groups_never_share_a_cache_line() {
+        use std::mem::{offset_of, size_of};
+        let identity_end = offset_of!(Heap, merged_into) + size_of::<AtomicU32>();
+        let promotion_start = offset_of!(Heap, lock);
+        let promotion_end = offset_of!(Heap, promoted_objects) + size_of::<AtomicUsize>();
+        let owner_start = offset_of!(Heap, current);
+        let owner_end = offset_of!(Heap, collections) + size_of::<AtomicUsize>();
+        assert!(promotion_start >= identity_end + 64);
+        assert!(owner_start >= promotion_end + 64);
+        assert!(size_of::<Heap>() >= owner_end + 64);
+    }
+
+    /// The owner bump-allocates into heap H while promoters, each holding H's WRITE
+    /// lock in turn, allocate into it through cursors — all in one shared bump chunk
+    /// of 64 words, so refills race constantly. Every object must get its own words,
+    /// stay readable in a chunk on H's list, and be counted exactly once.
+    #[test]
+    fn owner_and_promoters_allocate_into_one_heap_concurrently() {
+        use crate::HeapRegistry;
+        use std::collections::HashSet;
+        const PROMOTERS: u64 = 4;
+        const OWNER_OBJECTS: u64 = 20_000;
+        const PASSES: u64 = 1_500;
+        /// Fills every data field of `p` with `tag`; pointer field 0 links `prev`.
+        fn fill(store: &ChunkStore, p: ObjPtr, prev: ObjPtr, tag: u64) {
+            let v = store.view(p);
+            v.set_field_ptr(0, prev);
+            for f in 1..v.n_fields() {
+                v.set_field(f, tag);
+            }
+        }
+        // Sizes 4..=9 words: mostly not dividing the chunk, so failed bumps leave tails.
+        let header = |k: u64| Header::new(2 + (k % 6) as usize, 1, ObjKind::Tuple);
+        let reg = HeapRegistry::new(Arc::new(ChunkStore::new(64)));
+        let root = reg.new_root_heap();
+        let h = reg.new_child_heap(root);
+        let heap = reg.heap(h);
+        let store = reg.store();
+
+        let (owned, promoted) = std::thread::scope(|s| {
+            let owner = s.spawn(|| {
+                let mut prev = ObjPtr::NULL;
+                (0..OWNER_OBJECTS)
+                    .map(|k| {
+                        let p = reg.alloc_obj(h, header(k));
+                        fill(store, p, prev, k);
+                        prev = p;
+                        (p, k)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let promoters: Vec<_> = (1..=PROMOTERS)
+                .map(|t| {
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        for pass in 0..PASSES {
+                            heap.lock.lock_exclusive();
+                            let mut batch = heap.batch_alloc(store);
+                            let mut prev = ObjPtr::NULL;
+                            for j in 0..1 + pass % 3 {
+                                let tag = (t << 32) | (pass << 8) | j;
+                                let p = batch.alloc(header(tag));
+                                fill(store, p, prev, tag);
+                                prev = p;
+                                out.push((p, tag));
+                            }
+                            drop(batch);
+                            heap.note_promoted_in(1 + pass as usize % 3);
+                            heap.lock.unlock_exclusive();
+                        }
+                        out
+                    })
+                })
+                .collect();
+            let promoted: Vec<_> = promoters
+                .into_iter()
+                .flat_map(|p| p.join().unwrap())
+                .collect();
+            (owner.join().unwrap(), promoted)
+        });
+
+        let words = |objs: &[(ObjPtr, u64)]| -> usize {
+            objs.iter().map(|&(_, tag)| header(tag).size_words()).sum()
+        };
+        assert_eq!(
+            heap.allocated_words(),
+            words(&owned) + words(&promoted),
+            "owner plus promoted words, each counted once"
+        );
+        assert_eq!(heap.stats().promoted_in_words, words(&promoted));
+        let mut all: Vec<(ObjPtr, u64)> = owned.into_iter().chain(promoted).collect();
+        let on_list: HashSet<ChunkId> = heap.chunks().into_iter().collect();
+        for &(p, tag) in &all {
+            assert!(
+                on_list.contains(&p.chunk()),
+                "{p:?} is in a chunk off H's list"
+            );
+            let v = store.view(p);
+            assert_eq!(v.header(), header(tag), "{p:?}'s header was overwritten");
+            for f in 1..v.n_fields() {
+                assert_eq!(v.field(f), tag, "{p:?} field {f} was overwritten");
+            }
+        }
+        all.sort_by_key(|&(p, _)| (p.chunk(), p.offset()));
+        for pair in all.windows(2) {
+            let ((a, a_tag), (b, _)) = (pair[0], pair[1]);
+            if a.chunk() == b.chunk() {
+                assert!(
+                    a.offset() as usize + header(a_tag).size_words() <= b.offset() as usize,
+                    "{a:?} and {b:?} overlap"
+                );
+            }
+        }
+        assert!(reg.check_disentangled().is_empty());
+    }
+
     #[test]
     fn promotion_stats_accumulate() {
+        let store = store();
         let h = Heap::new(HeapId(0), HeapId::NONE, 0);
-        h.note_promoted_in(4);
-        h.note_promoted_in(6);
+        h.alloc_obj(&store, Header::new(1, 0, ObjKind::Ref)); // 3 owner words
+        {
+            let mut batch = h.batch_alloc(&store);
+            batch.alloc(Header::new(2, 0, ObjKind::Tuple)); // 4 words
+            batch.alloc(Header::new(4, 0, ObjKind::Tuple)); // 6 words
+        }
+        h.note_promoted_in(2);
         let s = h.stats();
         assert_eq!(s.promoted_in_objects, 2);
         assert_eq!(s.promoted_in_words, 10);
+        assert_eq!(
+            s.allocated_words, 13,
+            "promoted words count toward the trigger"
+        );
+        h.replace_chunks(Vec::new(), 0);
+        let s = h.stats();
+        assert_eq!((s.promoted_in_objects, s.promoted_in_words), (0, 0));
     }
 }

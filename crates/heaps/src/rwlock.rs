@@ -200,8 +200,9 @@ impl HeapRwLock {
         self.unparked.notify_all();
     }
 
-    #[cfg(test)]
-    fn has_parked(&self) -> bool {
+    /// True if some thread sleeps waiting for this lock. Lets a test hold the lock
+    /// and know, without sleeping, that a contender has reached it.
+    pub fn has_parked(&self) -> bool {
         self.state.load(Ordering::Relaxed) & PARKED != 0
     }
 }

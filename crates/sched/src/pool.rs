@@ -248,6 +248,14 @@ fn clear_current_worker() {
     CURRENT_WORKER.with(|c| c.set(None));
 }
 
+/// Index of the calling thread within `pool`, if it is one of `pool`'s workers.
+#[inline]
+fn current_index(pool: &Arc<PoolInner>) -> Option<usize> {
+    CURRENT_WORKER
+        .with(|c| c.get())
+        .and_then(|(pool_id, index)| (pool_id == Arc::as_ptr(pool) as usize).then_some(index))
+}
+
 /// A handle to the worker thread currently executing, used to fork new work.
 #[derive(Clone)]
 pub struct Worker {
@@ -307,11 +315,7 @@ impl Worker {
         // deque from the thief's thread — unsynchronized and unsound. With the TLS
         // index a captured handle simply forks on whichever of the pool's workers is
         // running it.
-        let index = CURRENT_WORKER
-            .with(|c| c.get())
-            .and_then(|(pool_id, index)| {
-                (pool_id == Arc::as_ptr(&self.pool) as usize).then_some(index)
-            })
+        let index = current_index(&self.pool)
             .expect("Worker::join must be called on a worker thread of the same pool");
         let job = StackJob::new(fb);
         // SAFETY: we do not return from this frame (even on panic of `fa`) until the
@@ -363,18 +367,10 @@ impl Worker {
 
     /// The worker the calling thread is running on, if it is a pool worker.
     pub fn current_in(pool: &Pool) -> Option<Worker> {
-        CURRENT_WORKER
-            .with(|c| c.get())
-            .and_then(|(pool_id, index)| {
-                if pool_id == Arc::as_ptr(&pool.inner) as usize {
-                    Some(Worker {
-                        pool: Arc::clone(&pool.inner),
-                        index,
-                    })
-                } else {
-                    None
-                }
-            })
+        current_index(&pool.inner).map(|index| Worker {
+            pool: Arc::clone(&pool.inner),
+            index,
+        })
     }
 }
 
@@ -452,6 +448,14 @@ impl Pool {
     /// Number of worker threads.
     pub fn n_workers(&self) -> usize {
         self.inner.queues.len()
+    }
+
+    /// Index (`0 .. n_workers`) of the calling thread if it is one of this pool's
+    /// workers, `None` on any other thread. One thread-local load: cheap enough for
+    /// per-operation use (the runtime picks its per-worker counter shard with it).
+    #[inline]
+    pub fn current_worker_index(&self) -> Option<usize> {
+        current_index(&self.inner)
     }
 
     /// Total number of successful steals so far (scheduler statistic).

@@ -137,12 +137,13 @@ impl Safepoints {
     }
 
     fn park(&self) {
-        // The parked count is decremented through an unwind guard: a pause-work
+        // On unwind the parked count is decremented by a guard: a pause-work
         // offer that panics (an injected fault inside a drafted helper stint)
         // unwinds through this frame with the state lock *released*, and a
         // leaked `parked` increment would let the next collector count a thread
         // as parked that is actually gone — stopping the world one thread
-        // short. Declared before `st` so it drops after the lock guard.
+        // short. Declared before `st` so it drops after the lock guard. The
+        // normal exit decrements under the lock instead (below).
         struct ParkedToken<'a>(&'a Safepoints);
         impl Drop for ParkedToken<'_> {
             fn drop(&mut self) {
@@ -177,7 +178,11 @@ impl Safepoints {
             }
             self.resume_cv.wait(&mut st);
         }
-        drop(st);
+        // Leave in the critical section that saw `requested` clear. Decrementing
+        // after releasing the lock (the token's path) let the next collector count
+        // this thread as parked while it was already back at mutator work.
+        st.parked -= 1;
+        std::mem::forget(_token);
     }
 
     /// Stops the world and runs `collect` while all other registered threads are parked.

@@ -753,6 +753,69 @@ fn promotion_counts_are_exact_on_union_find_and_entangle() {
     }
 }
 
+/// Per-worker counter shards lose and double-count nothing: what the three
+/// promotion-bound programs allocate and move in bulk is fixed by the program, so
+/// the shard sums at one worker and at eight (eager heaps, so eight workers really
+/// promote from many shards) must agree exactly, and `reset_stats` must clear every
+/// shard, not only the caller's.
+#[test]
+fn sharded_counters_are_exact_across_worker_counts() {
+    use hierheap::workloads::adversary::entangle;
+    use hierheap::workloads::mutator::{frontier_bfs, union_find};
+    const SEED: u64 = 0x5EED;
+    type Program = fn(&hierheap::HhCtx) -> u64;
+    let programs: [(&str, Program); 3] = [
+        ("union_find", |c| union_find(c, 20_000, 20_000, 256, SEED)),
+        ("frontier_bfs", |c| frontier_bfs(c, 20_000, 6, 16, SEED)),
+        ("entangle", |c| entangle(c, 16, 2_000, 500, SEED)),
+    ];
+    for (name, program) in programs {
+        let counts = |workers: usize| {
+            let rt = HhRuntime::new(HhConfig::eager_heaps(workers));
+            let checksum = rt.run(program);
+            assert_eq!(rt.check_disentangled(), 0, "{name}");
+            let s = rt.stats();
+            assert!(s.promotions > 0, "{name}: eager heaps promote");
+            rt.reset_stats();
+            let z = rt.stats();
+            assert_eq!(
+                [
+                    z.gc_count,
+                    z.allocated_words,
+                    z.promotions,
+                    z.promoted_objects,
+                    z.promoted_words,
+                    z.fwd_hops,
+                    z.fwd_compressions,
+                    z.heaps_created,
+                    z.heaps_elided,
+                    z.sched_steals,
+                    z.gc_copied_words,
+                    z.bulk_ops,
+                    z.bulk_words,
+                    z.bulk_master_lookups,
+                    z.subtree_collections,
+                    z.gc_parallel_collections,
+                    z.gc_steal_blocks,
+                    z.gc_max_pause_ns,
+                    z.gc_pause_count,
+                    z.gc_increments,
+                    z.gc_incremental_collections,
+                    rt.heaps_created(),
+                    rt.heaps_elided(),
+                    rt.promo_buffer_allocs(),
+                    rt.aborted_runs(),
+                ],
+                [0; 25],
+                "{name}: reset_stats after a {workers}-worker run"
+            );
+            assert!(z.gc_time.is_zero(), "{name}");
+            (checksum, s.allocated_words, s.bulk_ops, s.bulk_words)
+        };
+        assert_eq!(counts(1), counts(8), "{name}: 1 vs 8 workers");
+    }
+}
+
 /// The acceptance property of the bulk redesign: the hierarchical runtime resolves
 /// `findMaster` at most once per object operand of each bulk operation — i.e. at most
 /// `2 * bulk_ops` lookups in total — independent of slice length.
