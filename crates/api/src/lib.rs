@@ -39,13 +39,16 @@
 //!
 //! The [`Runtime`] trait is the harness-facing factory: it runs a root task on the
 //! runtime's scheduler and reports [`RunStats`] (GC time, promotions, bulk-operation
-//! volume, peak memory) used to regenerate the paper's tables.
+//! volume, peak memory) used to regenerate the paper's tables. Every runtime counts
+//! into the per-worker shards of one [`Counters`] type, and every `RunStats` field is
+//! declared once, with its merge rule, in [`stats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod abort;
 pub mod bits;
+pub mod counters;
 pub mod ctx;
 pub mod latency;
 pub mod rng;
@@ -53,10 +56,11 @@ pub mod stats;
 
 pub use abort::{silence_expected_aborts, AbortReason, InjectedFault, RunAbort, RunCtl, RunError};
 pub use bits::{f64_from_bits, f64_to_bits};
+pub use counters::Counters;
 pub use ctx::{ParCtx, Rooted, Runtime};
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use rng::{hash64, Rng};
-pub use stats::RunStats;
+pub use stats::{CounterShard, RunStats};
 
 pub use hh_objmodel::{ObjKind, ObjPtr};
 

@@ -1,123 +1,271 @@
-//! Run statistics reported by every runtime.
+//! Run statistics reported by every runtime, declared once.
+//!
+//! The one `run_stats!` declaration below lists every [`RunStats`] field with
+//! its merge rule. From it come the struct, [`RunStats::merge`], the per-worker
+//! [`CounterShard`] (one atomic per counted field) and the part of
+//! [`Counters::snapshot`] that sums the shards and reads the chunk store and the
+//! pause recorder. Adding a counter touches that declaration and the sites that
+//! increment it, for the hierarchical runtime and the baselines alike.
 
+use crate::counters::Counters;
+use crate::latency::LatencySummary;
+use hh_objmodel::StoreStats;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Counters accumulated by a runtime over one benchmark run.
+/// A [`RunStats`] value read as a count: a `u64` as is, a `Duration` in
+/// nanoseconds (the unit its shard counter accumulates).
+trait Count {
+    fn from_count(n: u64) -> Self;
+    #[cfg(test)]
+    fn as_count(&self) -> u64;
+}
+
+impl Count for u64 {
+    fn from_count(n: u64) -> u64 {
+        n
+    }
+    #[cfg(test)]
+    fn as_count(&self) -> u64 {
+        *self
+    }
+}
+
+impl Count for Duration {
+    fn from_count(n: u64) -> Duration {
+        Duration::from_nanos(n)
+    }
+    #[cfg(test)]
+    fn as_count(&self) -> u64 {
+        self.as_nanos() as u64
+    }
+}
+
+/// Generates [`RunStats`], its `merge`, [`CounterShard`] and the snapshot body
+/// from one field list.
 ///
-/// These are the quantities the paper's evaluation reports: GC time (the `GC_s` /
-/// `GC_72` columns of Figures 10–11), promotion volume (the §4.4 Manticore comparison),
-/// and peak heap occupancy (the memory consumption of Figure 13).
-#[derive(Clone, Debug, Default)]
-pub struct RunStats {
-    /// Wall-clock time spent inside garbage collections, summed over all workers.
-    pub gc_time: Duration,
-    /// Number of garbage collections performed.
-    pub gc_count: u64,
-    /// Number of stop-the-world pauses (baselines only; 0 for the hierarchical runtime).
-    pub world_stops: u64,
-    /// Total words allocated by mutators.
-    pub allocated_words: u64,
-    /// Number of batched promotion passes performed (one per pointer write that had
-    /// to evacuate a closure; the DLG baseline counts its transitive
-    /// promote-to-global passes here).
-    pub promotions: u64,
-    /// Number of objects copied by promotions.
-    pub promoted_objects: u64,
-    /// Total words copied by promotions.
-    pub promoted_words: u64,
-    /// Forwarding-pointer hops walked while resolving master copies (`findMaster` on
-    /// the hierarchical runtime, the forwarding barrier on the baselines). With path
-    /// compression enabled this stays close to the number of resolutions.
-    pub fwd_hops: u64,
-    /// Forwarding-chain hops short-cut by path compression: after a resolution walks
-    /// a chain of length ≥ 2, every intermediate hop is CAS-redirected to the master
-    /// so the amortized resolution cost is O(1).
-    pub fwd_compressions: u64,
-    /// Number of heaps created (hierarchical runtime) or local heaps (DLG baseline).
-    pub heaps_created: u64,
-    /// Heap creations skipped by the lazy steal-time heap policy: an unstolen branch
-    /// runs in its parent's heap, eliding the child heap and its join splice
-    /// (hierarchical runtime only; 0 elsewhere).
-    pub heaps_elided: u64,
-    /// Successful work steals observed by the scheduler. Resettable on the
-    /// hierarchical runtime (fed by the on-steal hook); pool-lifetime on the baselines.
-    pub sched_steals: u64,
-    /// Times a scheduler worker parked while idle (pool-lifetime counter).
-    pub sched_parks: u64,
-    /// Wakeups delivered to parked scheduler workers (pool-lifetime counter).
-    pub sched_wakes: u64,
-    /// Peak number of live words held in chunks at any point of the run.
-    pub peak_live_words: u64,
-    /// Words copied by garbage collections (survivors).
-    pub gc_copied_words: u64,
-    /// Number of bulk field operations (`read_imm_bulk`, `read_mut_bulk`,
-    /// `write_nonptr_bulk`, `fill_nonptr`, `copy_nonptr`) executed.
-    pub bulk_ops: u64,
-    /// Total words moved by bulk field operations.
-    pub bulk_words: u64,
-    /// Forwarding-chain / master-copy resolutions performed *inside* bulk operations.
-    /// A runtime that amortizes correctly performs at most one per object operand —
-    /// i.e. at most `2 * bulk_ops` in total (copies have two operands), independent of
-    /// slice length.
-    pub bulk_master_lookups: u64,
-    /// Collections whose zone spanned more than one heap — an internal node of the
-    /// hierarchy plus its completed descendants (hierarchical runtime only).
-    pub subtree_collections: u64,
-    /// Collections run in *team mode*: helpers were drafted (jobs injected /
-    /// pause-work offered) alongside the triggering thread (GC v2). Helpers are
-    /// best-effort, so a busy pool may leave the trigger collecting alone even
-    /// in team mode — [`RunStats::gc_steal_blocks`] measures the parallelism
-    /// actually realized.
-    pub gc_parallel_collections: u64,
-    /// Scan blocks stolen between GC team members during parallel collections
-    /// (the work-stealing traffic of the evacuation wavefront).
-    pub gc_steal_blocks: u64,
-    /// Longest single collection pause observed, in nanoseconds (a gauge of the
-    /// worst-case latency the collector imposes; merged by max).
-    pub gc_max_pause_ns: u64,
-    /// Mutator-observed GC pause samples behind the percentile gauges below: one
-    /// per STW collection, and one per incremental seed / safepoint drain /
-    /// finalize (idle-worker drains pause no mutator and are not sampled).
-    pub gc_pause_count: u64,
-    /// Median mutator-observed GC pause, in nanoseconds (gauge; merged by max —
-    /// snapshots cannot re-derive percentiles without the raw samples).
-    pub gc_pause_p50_ns: u64,
-    /// 99th-percentile mutator-observed GC pause, in nanoseconds (gauge; merged
-    /// by max).
-    pub gc_pause_p99_ns: u64,
-    /// 99.9th-percentile mutator-observed GC pause, in nanoseconds (gauge;
-    /// merged by max).
-    pub gc_pause_p999_ns: u64,
-    /// Bounded drain increments executed by incremental collections (safepoint
-    /// ticks plus idle-worker drains; 0 unless `incremental_gc` is on).
-    pub gc_increments: u64,
-    /// Collections completed mutator-concurrently, i.e. incremental windows
-    /// finalized (a subset of `gc_count`; 0 unless `incremental_gc` is on).
-    pub gc_incremental_collections: u64,
-    /// Number of chunks ever minted by the chunk store (monotone).
-    pub chunks_created: u64,
-    /// Times a retired chunk was reused for a new owner instead of minting a fresh
-    /// one (monotone).
-    pub chunks_recycled: u64,
-    /// Default-sized chunk requests served from a per-thread allocation cache.
-    pub alloc_cache_hits: u64,
-    /// Words currently held by active chunks (gauge, at snapshot time).
-    pub live_words: u64,
-    /// Words currently parked on the store's free lists and allocation caches
-    /// (gauge, at snapshot time).
-    pub free_words: u64,
-    /// Quarantined chunks moved out of quarantine (freed or released) by the
-    /// epoch watermark — i.e. reclaimed because every run whose epoch could hold
-    /// a stale pointer into them had ended, without waiting for global quiescence
-    /// (monotone).
-    pub epoch_reclaims: u64,
-    /// Highest number of simultaneously active epoch-tracked runs observed
-    /// (gauge of run overlap; merged by max).
-    pub active_runs_peak: u64,
-    /// Words currently held by quarantined chunks — retired but not yet past the
-    /// reuse watermark (gauge, at snapshot time; the "watermark lag" a server
-    /// pays for quiescence-free reclamation).
-    pub quarantine_lag_words: u64,
+/// * `counted` fields are per-worker shard counters: the snapshot sums the
+///   shards, and `merge` sums.
+/// * `sampled` fields are read at snapshot time — from the chunk store
+///   (`store.<field>`), from the pause recorder (`pauses.<field>`), or left at
+///   zero for the runtime's `overlay` of scheduler counters — and name their
+///   merge rule: `sum` for counts, `max` for gauges and peaks.
+macro_rules! run_stats {
+    (
+        counted {
+            $( $(#[$cdoc:meta])* $counted:ident: $cty:ty, )*
+        }
+        sampled {
+            $( $(#[$sdoc:meta])* $rule:ident $sampled:ident: $sty:ty = $src:ident $(. $from:ident)?, )*
+        }
+    ) => {
+        /// Counters accumulated by a runtime over one benchmark run.
+        ///
+        /// These are the quantities the paper's evaluation reports: GC time (the
+        /// `GC_s` / `GC_72` columns of Figures 10–11), promotion volume (the §4.4
+        /// Manticore comparison), and peak heap occupancy (the memory consumption
+        /// of Figure 13).
+        #[derive(Clone, Debug, Default)]
+        pub struct RunStats {
+            $( $(#[$cdoc])* pub $counted: $cty, )*
+            $( $(#[$sdoc])* pub $sampled: $sty, )*
+        }
+
+        /// One worker's counters: an atomic per counted [`RunStats`] field (see
+        /// [`Counters`]). 128-byte alignment keeps each shard off its neighbours'
+        /// cache lines, including the adjacent line that the hardware prefetcher
+        /// pulls in pairs.
+        #[derive(Default, Debug)]
+        #[repr(align(128))]
+        pub struct CounterShard {
+            $( $(#[$cdoc])* pub $counted: AtomicU64, )*
+        }
+
+        impl CounterShard {
+            pub(crate) fn reset(&self) {
+                $( self.$counted.store(0, Ordering::Relaxed); )*
+            }
+        }
+
+        impl RunStats {
+            /// Merges another snapshot into this one, each field by its declared
+            /// rule: counts sum, gauges and peaks keep the larger side.
+            pub fn merge(&mut self, other: &RunStats) {
+                $( self.$counted += other.$counted; )*
+                $( run_stats!(@merge $rule self.$sampled, other.$sampled); )*
+            }
+
+            /// The snapshot of `counters`, the chunk store's `store` accounting
+            /// and the GC `pauses` summary; overlaid fields read zero.
+            pub(crate) fn from_parts(
+                counters: &Counters,
+                store: &StoreStats,
+                pauses: &LatencySummary,
+            ) -> RunStats {
+                RunStats {
+                    $( $counted: Count::from_count(counters.total(|s| &s.$counted)), )*
+                    $( $sampled: run_stats!(@read store pauses $src $(. $from)?), )*
+                }
+            }
+        }
+
+        #[cfg(test)]
+        impl RunStats {
+            /// Every field in declaration order: name, merge rule, value as a count.
+            fn walk(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![
+                    $( (stringify!($counted), "sum", self.$counted.as_count()), )*
+                    $( (stringify!($sampled), stringify!($rule), self.$sampled.as_count()), )*
+                ]
+            }
+
+            /// A snapshot whose fields take successive values of `next`, in
+            /// declaration order.
+            fn numbered(mut next: impl FnMut() -> u64) -> RunStats {
+                RunStats {
+                    $( $counted: Count::from_count(next()), )*
+                    $( $sampled: Count::from_count(next()), )*
+                }
+            }
+        }
+    };
+    (@merge sum $a:expr, $b:expr) => { $a += $b };
+    (@merge max $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@read $store:ident $pauses:ident store . $f:ident) => { $store.$f as u64 };
+    (@read $store:ident $pauses:ident pauses . $f:ident) => { $pauses.$f };
+    (@read $store:ident $pauses:ident overlay) => { 0 };
+}
+
+run_stats! {
+    counted {
+        /// Wall-clock time spent inside garbage collections, summed over all workers.
+        gc_time: Duration,
+        /// Number of garbage collections performed.
+        gc_count: u64,
+        /// Number of stop-the-world pauses (baselines only; 0 for the hierarchical runtime).
+        world_stops: u64,
+        /// Total words allocated by mutators.
+        allocated_words: u64,
+        /// Number of batched promotion passes performed (one per pointer write that had
+        /// to evacuate a closure; the DLG baseline counts its transitive
+        /// promote-to-global passes here).
+        promotions: u64,
+        /// Number of objects copied by promotions.
+        promoted_objects: u64,
+        /// Total words copied by promotions.
+        promoted_words: u64,
+        /// Forwarding-pointer hops walked while resolving master copies (`findMaster` on
+        /// the hierarchical runtime, the forwarding barrier on the baselines). With path
+        /// compression enabled this stays close to the number of resolutions.
+        fwd_hops: u64,
+        /// Forwarding-chain hops short-cut by path compression: after a resolution walks
+        /// a chain of length ≥ 2, every intermediate hop is CAS-redirected to the master
+        /// so the amortized resolution cost is O(1).
+        fwd_compressions: u64,
+        /// Number of heaps created (hierarchical runtime) or local heaps (DLG baseline).
+        heaps_created: u64,
+        /// Heap creations skipped by the lazy steal-time heap policy: an unstolen branch
+        /// runs in its parent's heap, eliding the child heap and its join splice
+        /// (hierarchical runtime only; 0 elsewhere).
+        heaps_elided: u64,
+        /// Successful work steals observed by the scheduler. Resettable on the
+        /// hierarchical runtime (fed by the on-steal hook); pool-lifetime on the baselines.
+        sched_steals: u64,
+        /// Words copied by garbage collections (survivors).
+        gc_copied_words: u64,
+        /// Number of bulk field operations (`read_imm_bulk`, `read_mut_bulk`,
+        /// `write_nonptr_bulk`, `fill_nonptr`, `copy_nonptr`) executed.
+        bulk_ops: u64,
+        /// Total words moved by bulk field operations.
+        bulk_words: u64,
+        /// Forwarding-chain / master-copy resolutions performed *inside* bulk operations.
+        /// A runtime that amortizes correctly performs at most one per object operand —
+        /// i.e. at most `2 * bulk_ops` in total (copies have two operands), independent of
+        /// slice length.
+        bulk_master_lookups: u64,
+        /// Collections whose zone spanned more than one heap — an internal node of the
+        /// hierarchy plus its completed descendants (hierarchical runtime only).
+        subtree_collections: u64,
+        /// Collections run in *team mode*: helpers were drafted (jobs injected /
+        /// pause-work offered) alongside the triggering thread (GC v2). Helpers are
+        /// best-effort, so a busy pool may leave the trigger collecting alone even
+        /// in team mode — [`RunStats::gc_steal_blocks`] measures the parallelism
+        /// actually realized.
+        gc_parallel_collections: u64,
+        /// Scan blocks stolen between GC team members during parallel collections
+        /// (the work-stealing traffic of the evacuation wavefront).
+        gc_steal_blocks: u64,
+        /// Bounded drain increments executed by incremental collections (safepoint
+        /// ticks plus idle-worker drains; 0 unless `incremental_gc` is on).
+        gc_increments: u64,
+        /// Collections completed mutator-concurrently, i.e. incremental windows
+        /// finalized (a subset of `gc_count`; 0 unless `incremental_gc` is on).
+        gc_incremental_collections: u64,
+        /// Lock-path scratch buffers allocated (or grown) by the hierarchical
+        /// runtime's promotion machinery. Stays flat after warm-up: `write_promote`
+        /// reuses one buffer set per worker instead of allocating per promotion.
+        promo_buf_allocs: u64,
+        /// Runs that ended by unwind (panic, cooperative abort, or injected fault)
+        /// rather than by returning; the hierarchical runtime's teardown guard
+        /// completed their epoch end.
+        runs_aborted: u64,
+        /// Incremental finalizes completed by the unwind guard after a schedule
+        /// hook panicked mid-finalize (the injected-crash recovery path).
+        gc_finalize_rescues: u64,
+        /// Panics raised inside `end_run`'s hook-bearing teardown prefix while the
+        /// thread was already unwinding a prior panic: contained (counted, not
+        /// propagated, which would double-panic) after the unconditional teardown
+        /// tail still ran. Expected under fault injection; with hooks uninstalled,
+        /// a nonzero value indicates a teardown-path bug.
+        teardown_panics: u64,
+    }
+    sampled {
+        /// Times a scheduler worker parked while idle (pool-lifetime counter).
+        sum sched_parks: u64 = overlay,
+        /// Wakeups delivered to parked scheduler workers (pool-lifetime counter).
+        sum sched_wakes: u64 = overlay,
+        /// Peak number of live words held in chunks at any point of the run.
+        max peak_live_words: u64 = store.peak_words,
+        /// Longest single collection pause observed, in nanoseconds (a gauge of the
+        /// worst-case latency the collector imposes).
+        max gc_max_pause_ns: u64 = pauses.max_ns,
+        /// Mutator-observed GC pause samples behind the percentile gauges below: one
+        /// per STW collection, and one per incremental seed / safepoint drain /
+        /// finalize (idle-worker drains pause no mutator and are not sampled).
+        sum gc_pause_count: u64 = pauses.count,
+        /// Median mutator-observed GC pause, in nanoseconds. Percentiles of merged
+        /// sample sets cannot be rebuilt from two summaries, so merging keeps the
+        /// worse (larger) side.
+        max gc_pause_p50_ns: u64 = pauses.p50_ns,
+        /// 99th-percentile mutator-observed GC pause, in nanoseconds.
+        max gc_pause_p99_ns: u64 = pauses.p99_ns,
+        /// 99.9th-percentile mutator-observed GC pause, in nanoseconds.
+        max gc_pause_p999_ns: u64 = pauses.p999_ns,
+        /// Number of chunks ever minted by the chunk store (monotone).
+        sum chunks_created: u64 = store.chunks_created,
+        /// Times a retired chunk was reused for a new owner instead of minting a fresh
+        /// one (monotone).
+        sum chunks_recycled: u64 = store.chunks_recycled,
+        /// Default-sized chunk requests served from a per-thread allocation cache.
+        sum alloc_cache_hits: u64 = store.alloc_cache_hits,
+        /// Words currently held by active chunks (gauge, at snapshot time).
+        max live_words: u64 = store.live_words,
+        /// Words currently parked on the store's free lists and allocation caches
+        /// (gauge, at snapshot time).
+        max free_words: u64 = store.free_words,
+        /// Quarantined chunks moved out of quarantine (freed or released) by the
+        /// epoch watermark — i.e. reclaimed because every run whose epoch could hold
+        /// a stale pointer into them had ended, without waiting for global quiescence
+        /// (monotone).
+        sum epoch_reclaims: u64 = store.epoch_reclaims,
+        /// Highest number of simultaneously active epoch-tracked runs observed
+        /// (gauge of run overlap).
+        max active_runs_peak: u64 = store.active_runs_peak,
+        /// Words currently held by quarantined chunks — retired but not yet past the
+        /// reuse watermark (gauge, at snapshot time; the "watermark lag" a server
+        /// pays for quiescence-free reclamation).
+        max quarantine_lag_words: u64 = store.quarantined_words,
+    }
 }
 
 impl RunStats {
@@ -138,50 +286,6 @@ impl RunStats {
         } else {
             self.gc_time.as_secs_f64() / elapsed.as_secs_f64()
         }
-    }
-
-    /// Merges another stats snapshot into this one (summing counters, taking max of peaks).
-    pub fn merge(&mut self, other: &RunStats) {
-        self.gc_time += other.gc_time;
-        self.gc_count += other.gc_count;
-        self.world_stops += other.world_stops;
-        self.allocated_words += other.allocated_words;
-        self.promotions += other.promotions;
-        self.promoted_objects += other.promoted_objects;
-        self.promoted_words += other.promoted_words;
-        self.fwd_hops += other.fwd_hops;
-        self.fwd_compressions += other.fwd_compressions;
-        self.heaps_created += other.heaps_created;
-        self.heaps_elided += other.heaps_elided;
-        self.sched_steals += other.sched_steals;
-        self.sched_parks += other.sched_parks;
-        self.sched_wakes += other.sched_wakes;
-        self.peak_live_words = self.peak_live_words.max(other.peak_live_words);
-        self.gc_copied_words += other.gc_copied_words;
-        self.bulk_ops += other.bulk_ops;
-        self.bulk_words += other.bulk_words;
-        self.bulk_master_lookups += other.bulk_master_lookups;
-        self.subtree_collections += other.subtree_collections;
-        self.gc_parallel_collections += other.gc_parallel_collections;
-        self.gc_steal_blocks += other.gc_steal_blocks;
-        self.gc_max_pause_ns = self.gc_max_pause_ns.max(other.gc_max_pause_ns);
-        self.gc_pause_count += other.gc_pause_count;
-        // Percentiles of merged sample sets cannot be reconstructed from two
-        // summaries; keeping the worse (larger) side is the conservative bound.
-        self.gc_pause_p50_ns = self.gc_pause_p50_ns.max(other.gc_pause_p50_ns);
-        self.gc_pause_p99_ns = self.gc_pause_p99_ns.max(other.gc_pause_p99_ns);
-        self.gc_pause_p999_ns = self.gc_pause_p999_ns.max(other.gc_pause_p999_ns);
-        self.gc_increments += other.gc_increments;
-        self.gc_incremental_collections += other.gc_incremental_collections;
-        self.chunks_created += other.chunks_created;
-        self.chunks_recycled += other.chunks_recycled;
-        self.alloc_cache_hits += other.alloc_cache_hits;
-        self.epoch_reclaims += other.epoch_reclaims;
-        // Gauges: merged snapshots keep the larger instantaneous value, like peaks.
-        self.live_words = self.live_words.max(other.live_words);
-        self.free_words = self.free_words.max(other.free_words);
-        self.active_runs_peak = self.active_runs_peak.max(other.active_runs_peak);
-        self.quarantine_lag_words = self.quarantine_lag_words.max(other.quarantine_lag_words);
     }
 
     /// Fraction of chunk requests served by reuse rather than fresh minting
@@ -233,42 +337,56 @@ mod tests {
         assert!((f - 0.1).abs() < 1e-9);
     }
 
+    /// Walks the declaration: every field gets a distinct value on both sides,
+    /// the larger one on alternating sides, so a sum, a max, and a rule that
+    /// keeps either side all tell apart. The gauge list is written out here, not
+    /// read from the declaration, so flipping a declared rule fails the test.
     #[test]
     fn merge_sums_and_maxes() {
-        let mut a = RunStats {
-            gc_count: 1,
-            allocated_words: 100,
-            peak_live_words: 50,
-            bulk_ops: 2,
-            bulk_words: 128,
-            bulk_master_lookups: 2,
-            promotions: 1,
-            fwd_hops: 10,
-            fwd_compressions: 4,
-            ..Default::default()
-        };
-        let b = RunStats {
-            gc_count: 2,
-            allocated_words: 200,
-            peak_live_words: 30,
-            bulk_ops: 1,
-            bulk_words: 64,
-            bulk_master_lookups: 2,
-            promotions: 2,
-            fwd_hops: 5,
-            fwd_compressions: 1,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.gc_count, 3);
-        assert_eq!(a.allocated_words, 300);
-        assert_eq!(a.peak_live_words, 50);
-        assert_eq!(a.bulk_ops, 3);
-        assert_eq!(a.bulk_words, 192);
-        assert_eq!(a.bulk_master_lookups, 4);
-        assert_eq!(a.promotions, 3);
-        assert_eq!(a.fwd_hops, 15);
-        assert_eq!(a.fwd_compressions, 5);
+        const GAUGES: [&str; 9] = [
+            "peak_live_words",
+            "gc_max_pause_ns",
+            "gc_pause_p50_ns",
+            "gc_pause_p99_ns",
+            "gc_pause_p999_ns",
+            "live_words",
+            "free_words",
+            "active_runs_peak",
+            "quarantine_lag_words",
+        ];
+        let mut i = 0;
+        let a = RunStats::numbered(|| {
+            i += 1;
+            10 * i
+        });
+        let mut j = 0;
+        let b = RunStats::numbered(|| {
+            j += 1;
+            if j % 2 == 0 {
+                1000 * j
+            } else {
+                j
+            }
+        });
+        let mut merged = a.clone();
+        merged.merge(&b);
+        let (a, b, merged) = (a.walk(), b.walk(), merged.walk());
+        for ((&(name, rule, x), &(_, _, y)), &(_, _, m)) in a.iter().zip(&b).zip(&merged) {
+            let gauge = GAUGES.contains(&name);
+            assert_eq!(
+                rule,
+                if gauge { "max" } else { "sum" },
+                "{name}: declared rule"
+            );
+            assert_eq!(
+                m,
+                if gauge { x.max(y) } else { x + y },
+                "{name}: merged value"
+            );
+        }
+        for gauge in GAUGES {
+            assert!(a.iter().any(|f| f.0 == gauge), "{gauge} is not a field");
+        }
     }
 
     #[test]

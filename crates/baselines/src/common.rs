@@ -1,7 +1,7 @@
 //! Shared machinery for the baseline runtimes: flat heaps over the chunk store, the
 //! forwarding-resolution read barrier, root registries, and a plain semispace collector.
 
-use crate::counters::Counters;
+use hh_api::CounterShard;
 use hh_objmodel::{Chunk, ChunkId, ChunkStore, Header, ObjPtr};
 use hh_sched::{EvacEngine, EvacZone, Safepoints};
 use parking_lot::Mutex;
@@ -211,7 +211,7 @@ pub fn resolve(store: &ChunkStore, mut obj: ObjPtr) -> ObjPtr {
 /// counter parity with the hierarchical runtime; the lock-freedom argument lives on
 /// that method and `ObjView::compress_fwd`).
 #[inline]
-pub fn resolve_tracked(store: &ChunkStore, counters: &Counters, obj: ObjPtr) -> ObjPtr {
+pub fn resolve_tracked(store: &ChunkStore, counters: &CounterShard, obj: ObjPtr) -> ObjPtr {
     let mut cur = obj;
     let mut hops = 0u64;
     loop {
@@ -241,7 +241,7 @@ pub fn resolve_tracked(store: &ChunkStore, counters: &Counters, obj: ObjPtr) -> 
 /// `bulk_master_lookups` counter is a measurement: if an implementation regressed to
 /// per-element resolution, the counter would expose it.
 #[inline]
-pub fn resolve_counted(store: &ChunkStore, counters: &Counters, obj: ObjPtr) -> ObjPtr {
+pub fn resolve_counted(store: &ChunkStore, counters: &CounterShard, obj: ObjPtr) -> ObjPtr {
     counters.bulk_master_lookups.fetch_add(1, Ordering::Relaxed);
     resolve_tracked(store, counters, obj)
 }
@@ -441,7 +441,6 @@ mod tests {
 
     #[test]
     fn resolve_tracked_counts_hops_and_compresses_long_chains() {
-        use crate::counters::Counters;
         use std::sync::atomic::Ordering;
         let (store, heap) = setup();
         let h = Header::new(1, 0, ObjKind::Ref);
@@ -450,7 +449,7 @@ mod tests {
         let c = heap.alloc(0, h);
         store.view(a).set_fwd(b);
         store.view(b).set_fwd(c);
-        let counters = Counters::default();
+        let counters = CounterShard::default();
         assert_eq!(resolve_tracked(&store, &counters, a), c);
         assert_eq!(counters.fwd_hops.load(Ordering::Relaxed), 2);
         assert_eq!(counters.fwd_compressions.load(Ordering::Relaxed), 1);

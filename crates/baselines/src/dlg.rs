@@ -17,8 +17,8 @@
 //!   baseline exists for; the paper does not report Manticore GC percentages either).
 
 use crate::common::{resolve_tracked, FlatHeap, OWNER_GLOBAL};
-use crate::counters::Counters;
 use crate::flat::{FlatCtx, FlatRuntime, Policy, Pooled};
+use hh_api::CounterShard;
 use hh_objmodel::{ChunkId, ChunkStore, Header, ObjPtr};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
@@ -53,7 +53,7 @@ impl Dlg {
     pub(crate) fn promote_to_global(
         &self,
         store: &ChunkStore,
-        counters: &Counters,
+        counters: &CounterShard,
         lane: usize,
         root: ObjPtr,
     ) -> ObjPtr {
@@ -117,7 +117,7 @@ impl Policy for Dlg {
     }
 
     #[inline]
-    fn alloc(&self, counters: &Counters, lane: usize, stolen: bool, header: Header) -> ObjPtr {
+    fn alloc(&self, counters: &CounterShard, lane: usize, stolen: bool, header: Header) -> ObjPtr {
         if stolen {
             // Communicated-task allocation: counts as promotion volume.
             counters
@@ -134,7 +134,7 @@ impl Policy for Dlg {
     fn write_barrier(
         &self,
         store: &ChunkStore,
-        counters: &Counters,
+        counters: &CounterShard,
         lane: usize,
         obj: ObjPtr,
         ptr: ObjPtr,
@@ -253,7 +253,7 @@ mod tests {
         let inner = &rt.inner;
         inner
             .policy
-            .promote_to_global(&inner.store, &inner.counters, 0, obj)
+            .promote_to_global(&inner.store, inner.counters.shard(None), 0, obj)
     }
 
     #[test]

@@ -19,8 +19,7 @@
 
 use crate::common::{par_semispace_collect, resolve, resolve_tracked, RootRegistry, RunEpoch};
 use crate::common::{resolve_counted, FlatHeap, StoreEpochGuard};
-use crate::counters::Counters;
-use hh_api::{ParCtx, RunStats, Runtime};
+use hh_api::{CounterShard, Counters, ParCtx, RunStats, Runtime};
 use hh_objmodel::{ChunkId, ChunkStore, Header, ObjKind, ObjPtr};
 use hh_sched::{Pool, Safepoints, Worker};
 use parking_lot::Mutex;
@@ -209,7 +208,13 @@ pub trait Policy: Send + Sync + Sized + 'static {
     /// Allocation target: places an object for a task on `lane` that was (or was
     /// not) `stolen`.
     #[inline]
-    fn alloc(&self, _counters: &Counters, lane: usize, _stolen: bool, header: Header) -> ObjPtr {
+    fn alloc(
+        &self,
+        _counters: &CounterShard,
+        lane: usize,
+        _stolen: bool,
+        header: Header,
+    ) -> ObjPtr {
         self.heap().alloc(lane, header)
     }
 
@@ -219,7 +224,7 @@ pub trait Policy: Send + Sync + Sized + 'static {
     fn write_barrier(
         &self,
         _store: &ChunkStore,
-        _counters: &Counters,
+        _counters: &CounterShard,
         _lane: usize,
         _obj: ObjPtr,
         ptr: ObjPtr,
@@ -265,8 +270,9 @@ pub(crate) struct FlatInner<P: Policy> {
 }
 
 impl<P: Policy> FlatInner<P> {
-    /// Safe point plus, if the heap is over threshold, a stop-the-world collection.
-    fn maybe_collect(&self) {
+    /// Safe point plus, if the heap is over threshold, a stop-the-world collection
+    /// counted into the calling task's `counters`.
+    fn maybe_collect(&self, counters: &CounterShard) {
         self.exec.poll();
         if self.policy.allocated_words() < self.gc_threshold_words {
             return;
@@ -276,14 +282,14 @@ impl<P: Policy> FlatInner<P> {
             if P::Exec::PARALLEL && self.policy.allocated_words() < self.gc_threshold_words {
                 return;
             }
-            self.collect();
+            self.collect(counters);
         });
         if collected {
-            self.counters.world_stops.fetch_add(1, Ordering::Relaxed);
+            counters.world_stops.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn collect(&self) {
+    fn collect(&self, c: &CounterShard) {
         let start = Instant::now();
         let draft = self.exec.draft();
         let helpers = draft.map_or(0, |(_, helpers)| helpers);
@@ -296,7 +302,6 @@ impl<P: Policy> FlatInner<P> {
         );
         self.policy
             .install(outcome.new_chunks, outcome.occupied_words);
-        let c = &self.counters;
         c.gc_count.fetch_add(1, Ordering::Relaxed);
         if helpers > 0 {
             c.gc_parallel_collections.fetch_add(1, Ordering::Relaxed);
@@ -307,7 +312,7 @@ impl<P: Policy> FlatInner<P> {
             .fetch_add(outcome.copied_words as u64, Ordering::Relaxed);
         let pause = start.elapsed();
         c.add_gc_time(pause);
-        c.record_gc_pause(pause);
+        self.counters.record_gc_pause(pause);
     }
 }
 
@@ -326,7 +331,7 @@ impl<P: Policy> FlatRuntime<P> {
                 exec: P::Exec::new(n),
                 store,
                 roots: RootRegistry::default(),
-                counters: Counters::default(),
+                counters: Counters::new(n),
                 epoch: RunEpoch::default(),
                 gc_threshold_words,
             }),
@@ -369,17 +374,24 @@ impl<P: Policy> FlatCtx<P> {
         }
     }
 
+    /// This task's counter shard: its worker's lane (always 0 under `Inline`).
+    #[inline]
+    fn counters(&self) -> &CounterShard {
+        self.inner.counters.shard(Some(P::Exec::lane(&self.worker)))
+    }
+
     #[inline]
     fn resolve(&self, obj: ObjPtr) -> ObjPtr {
-        resolve_tracked(&self.inner.store, &self.inner.counters, obj)
+        resolve_tracked(&self.inner.store, self.counters(), obj)
     }
 
     /// One poll, bulk accounting, and one counted resolution of `obj`.
     #[inline]
     fn bulk_target(&self, obj: ObjPtr, words: usize) -> ObjPtr {
         self.inner.exec.poll();
-        self.inner.counters.record_bulk(words as u64);
-        resolve_counted(&self.inner.store, &self.inner.counters, obj)
+        let counters = self.counters();
+        counters.record_bulk(words as u64);
+        resolve_counted(&self.inner.store, counters, obj)
     }
 }
 
@@ -399,18 +411,16 @@ impl<P: Policy> ParCtx for FlatCtx<P> {
     fn alloc(&self, n_ptr: usize, n_nonptr: usize, kind: ObjKind) -> ObjPtr {
         // Parallel policies poll and may collect at every allocation; the
         // sequential one collects only at explicit `maybe_collect` safe points.
+        let counters = self.counters();
         if P::Exec::PARALLEL {
-            self.inner.maybe_collect();
+            self.inner.maybe_collect(counters);
         }
         let header = Header::new(n_ptr + n_nonptr, n_ptr, kind);
-        self.inner
-            .counters
+        counters
             .allocated_words
             .fetch_add(header.size_words() as u64, Ordering::Relaxed);
         let lane = P::Exec::lane(&self.worker);
-        self.inner
-            .policy
-            .alloc(&self.inner.counters, lane, self.stolen, header)
+        self.inner.policy.alloc(counters, lane, self.stolen, header)
     }
 
     #[inline(never)]
@@ -438,7 +448,7 @@ impl<P: Policy> ParCtx for FlatCtx<P> {
         let obj = self.resolve(obj);
         let ptr = self.inner.policy.write_barrier(
             &self.inner.store,
-            &self.inner.counters,
+            self.counters(),
             P::Exec::lane(&self.worker),
             obj,
             ptr,
@@ -472,7 +482,7 @@ impl<P: Policy> ParCtx for FlatCtx<P> {
             return;
         }
         // Immutable fields never need the forwarding chain.
-        self.inner.counters.record_bulk(out.len() as u64);
+        self.counters().record_bulk(out.len() as u64);
         let v = self.inner.store.view(obj);
         for (k, slot) in out.iter_mut().enumerate() {
             *slot = v.field(start + k);
@@ -525,7 +535,7 @@ impl<P: Policy> ParCtx for FlatCtx<P> {
             return;
         }
         let sv = self.inner.store.view(self.bulk_target(src, len));
-        let dst = resolve_counted(&self.inner.store, &self.inner.counters, dst);
+        let dst = resolve_counted(&self.inner.store, self.counters(), dst);
         let dv = self.inner.store.view(dst);
         for k in 0..len {
             dv.set_field(dst_start + k, sv.field(src_start + k));
@@ -586,7 +596,7 @@ impl<P: Policy> ParCtx for FlatCtx<P> {
 
     #[inline(never)]
     fn maybe_collect(&self) {
-        self.inner.maybe_collect();
+        self.inner.maybe_collect(self.counters());
     }
 
     #[inline(never)]
@@ -626,9 +636,8 @@ impl<P: Policy> Runtime for FlatRuntime<P> {
 
     fn stats(&self) -> RunStats {
         let inner = &self.inner;
-        let mut stats = inner
-            .counters
-            .snapshot(&inner.store.stats(), inner.policy.heaps());
+        let mut stats = inner.counters.snapshot(&inner.store.stats());
+        stats.heaps_created = inner.policy.heaps();
         inner.exec.overlay(&mut stats);
         stats
     }

@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod common;
-mod counters;
 mod dlg;
 mod flat;
 mod seq;

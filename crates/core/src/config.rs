@@ -37,13 +37,6 @@ pub struct HhConfig {
     /// offending objects. Defaults to on in debug builds (so every debug `cargo
     /// test` run is checked) and compiles to nothing in release builds.
     pub check_invariants: bool,
-    /// Server mode: promote the "no `ObjPtr` crosses runs" rule from documented
-    /// convention to a debug assertion. Every mutable-access entry point checks (in
-    /// debug builds) that the object's chunk belongs to the accessing run — a stale
-    /// pointer into a chunk that was quarantined or recycled to another run panics
-    /// instead of silently resolving through recycled memory. Off by default (the
-    /// check costs one atomic load per access).
-    pub server_mode: bool,
     /// Collect owned leaf heaps incrementally, concurrent with their mutator
     /// (GC v3 / ablation A6 when off).
     ///
@@ -92,7 +85,6 @@ impl Default for HhConfig {
             gc_workers: 0,
             max_free_words: 64 * 1024 * 1024, // 512 MiB of reusable chunk memory
             check_invariants: cfg!(debug_assertions),
-            server_mode: false,
             incremental_gc: false,
             lazy_child_heaps: true,
         }

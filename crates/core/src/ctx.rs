@@ -50,8 +50,8 @@ pub struct HhCtx {
     inner: Arc<Inner>,
     heap: HeapId,
     /// Epoch of the run this task belongs to (the heap's run tag; 0 when the run is
-    /// not epoch-tracked). Read by the server-mode cross-run assertion, which only
-    /// exists in debug builds — hence dead in release.
+    /// not epoch-tracked). Read by the cross-run assertion, which only exists in
+    /// debug builds — hence dead in release.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     run_tag: u64,
     worker: Worker,
@@ -142,8 +142,8 @@ impl HhCtx {
         }
     }
 
-    /// Server-mode cross-run assertion (debug builds only): the chunk an accessed
-    /// object lives in must belong to this task's run. A stale `ObjPtr` carried
+    /// Cross-run assertion (debug builds only): the chunk an accessed object
+    /// lives in must belong to this task's run. A stale `ObjPtr` carried
     /// across runs points into a chunk that is either still quarantined under its
     /// old run's tag or already recycled to a different run — both read as a foreign
     /// tag here and panic instead of silently resolving through recycled memory.
@@ -156,7 +156,7 @@ impl HhCtx {
     #[inline]
     fn check_cross_run(&self, obj: ObjPtr) {
         #[cfg(debug_assertions)]
-        if self.inner.config.server_mode && !obj.is_null() {
+        if !obj.is_null() {
             let tag = self.inner.registry.store().chunk(obj.chunk()).run_tag();
             assert!(
                 tag == self.run_tag,
@@ -173,7 +173,7 @@ impl HhCtx {
     /// on (a fork's continuation never migrates), so its handle's index picks the
     /// shard without the thread-local lookup of [`Inner::shard`].
     #[inline]
-    fn counters(&self) -> &crate::counters::CounterShard {
+    fn counters(&self) -> &hh_api::CounterShard {
         self.inner.counters.shard(Some(self.worker.index()))
     }
 

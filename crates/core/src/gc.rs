@@ -48,7 +48,7 @@ pub(crate) struct HierZone {
     /// Raw heap id per zone slot, for tagging freshly allocated to-space chunks.
     heap_raws: Vec<u32>,
     /// Run epoch per zone slot (the heap's run tag). To-space chunks inherit it
-    /// so that (a) the server-mode cross-run assertion accepts survivors and
+    /// so that (a) the debug cross-run assertion accepts survivors and
     /// (b) when the run later disposes, its to-space chunks carry the run's own
     /// epoch stamp into quarantine instead of a conservative latest-issued
     /// stamp — under overlapping runs the conservative stamp would park them

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod counters;
 pub mod ctx;
 pub mod gc;
 pub mod hooks;

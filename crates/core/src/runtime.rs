@@ -1,9 +1,8 @@
 //! Runtime construction and the [`Runtime`] implementation.
 
 use crate::config::HhConfig;
-use crate::counters::{CounterShard, Counters};
 use crate::ctx::HhCtx;
-use hh_api::{RunStats, Runtime};
+use hh_api::{CounterShard, Counters, RunStats, Runtime};
 use hh_heaps::{HeapId, HeapRegistry};
 use hh_objmodel::ChunkStore;
 use hh_sched::Pool;
@@ -108,8 +107,8 @@ impl Inner {
     ///
     /// An `ObjPtr` must not be carried from one `run` into a later one: its chunk
     /// may have been recycled for the new run (debug builds catch such stale
-    /// pointers via the zeroed headers and the chunk generation tag; in server mode
-    /// the access paths assert the chunk's run tag — see `HhConfig::server_mode`).
+    /// pointers: the access paths assert the chunk's run tag — see
+    /// `HhCtx::check_cross_run`).
     fn begin_run(&self) -> (HeapId, usize, u64) {
         let epoch = self.registry.store().run_epochs().begin();
         // Watermark before creating the root: every heap of this run (the root
@@ -163,7 +162,7 @@ impl Inner {
 /// the run closure's own panic. Re-raising there would be a double panic
 /// (process abort), so a teardown panic is propagated only when the thread is
 /// not already unwinding; otherwise it is contained and counted
-/// (`CounterShard::teardown_panics`) and the original panic continues.
+/// (`RunStats::teardown_panics`) and the original panic continues.
 struct EndRunGuard<'a> {
     inner: &'a Inner,
     root: HeapId,
@@ -373,25 +372,6 @@ impl HhRuntime {
         self.inner.registry.store().stats()
     }
 
-    /// Number of heaps created so far (for tests and diagnostics).
-    pub fn heaps_created(&self) -> u64 {
-        self.inner.counters.total(|s| &s.heaps_created)
-    }
-
-    /// Number of heap creations elided by the lazy steal-time heap policy (for tests
-    /// and diagnostics).
-    pub fn heaps_elided(&self) -> u64 {
-        self.inner.counters.total(|s| &s.heaps_elided)
-    }
-
-    /// Number of times the promotion machinery allocated (or grew) a per-worker
-    /// lock-path scratch buffer. Stays flat after warm-up — `write_promote` reuses
-    /// one buffer set per worker thread instead of allocating fresh `Vec`s per
-    /// promotion (see `tests/promo_alloc.rs` for the regression test).
-    pub fn promo_buffer_allocs(&self) -> u64 {
-        self.inner.counters.total(|s| &s.promo_buf_allocs)
-    }
-
     /// Oldest still-active run epoch (the reclamation watermark; epoch-mode
     /// diagnostics). A run that ends — even by panic — must stop pinning this.
     pub fn min_active_epoch(&self) -> u64 {
@@ -401,25 +381,6 @@ impl HhRuntime {
     /// Number of currently active run epochs (0 when the runtime is quiescent).
     pub fn active_runs(&self) -> usize {
         self.inner.registry.store().run_epochs().active_runs()
-    }
-
-    /// Runs that ended by unwind (panic, cooperative abort, or injected fault)
-    /// rather than by returning; the teardown guard completed their epoch end.
-    pub fn aborted_runs(&self) -> u64 {
-        self.inner.counters.total(|s| &s.runs_aborted)
-    }
-
-    /// Incremental finalizes completed by the unwind guard after a schedule
-    /// hook panicked mid-finalize (injected-crash recovery; see
-    /// `crate::incremental`).
-    pub fn finalize_rescues(&self) -> u64 {
-        self.inner.counters.total(|s| &s.gc_finalize_rescues)
-    }
-
-    /// Teardown-prefix panics contained inside `end_run` while the thread was
-    /// already unwinding (see `CounterShard::teardown_panics`).
-    pub fn teardown_panics(&self) -> u64 {
-        self.inner.counters.total(|s| &s.teardown_panics)
     }
 
     /// As [`Runtime::run`], with a cancellation token: the

@@ -10,7 +10,7 @@
 //! `min_active_epoch`, and every younger tenant's retired chunks quarantined
 //! forever (unbounded growth under perpetual overlap). The fix is the finalize
 //! unwind guard: an unwinding finalizer completes the merge/adopt/uninstall
-//! tail hook-free, counted in `finalize_rescues`. The test pins the schedule
+//! tail hook-free, counted in `gc_finalize_rescues`. The test pins the schedule
 //! with a certain fault at the `finalize-claimed` hook site on one worker, then
 //! proves the epoch was released by running a younger tenant and watching its
 //! chunks actually recycle.
@@ -95,7 +95,11 @@ fn cancellation_aborts_a_running_task_tree() {
         r
     });
     assert_eq!(r, Err(RunError::Cancelled));
-    assert_eq!(rt.aborted_runs(), 1, "teardown guard must count the abort");
+    assert_eq!(
+        rt.stats().runs_aborted,
+        1,
+        "teardown guard must count the abort"
+    );
     assert_conserved(&rt);
 }
 
@@ -125,7 +129,7 @@ fn certain_alloc_fault_kills_the_run_and_conserves() {
     let r = rt.try_run(&ctl, |ctx| churn(ctx, 100));
     assert_eq!(r, Err(RunError::InjectedFault("alloc")));
     assert!(plan.injected_at(FaultSite::Alloc) >= 1);
-    assert_eq!(rt.aborted_runs(), 1);
+    assert_eq!(rt.stats().runs_aborted, 1);
     assert_conserved(&rt);
     // Disarmed, the same runtime serves the next tenant untouched.
     plan.set_armed(false);
@@ -138,18 +142,17 @@ fn certain_alloc_fault_kills_the_run_and_conserves() {
 }
 
 /// The epoch-leak reproducer (module docs): one worker, incremental GC,
-/// server-mode checks on, low threshold so the churn opens a real window, and
+/// low threshold so the churn opens a real window, and
 /// a certain fault at the `finalize-claimed` hook. Pre-fix, the panic escaped
 /// with the window still installed and `finalizing` set — the teardown's
 /// forced finalize then waited forever on a claim nobody would release, the
 /// run epoch never ended, and the watermark stayed pinned. Post-fix the
-/// finalize unwind guard completes the window hook-free (`finalize_rescues`),
+/// finalize unwind guard completes the window hook-free (`gc_finalize_rescues`),
 /// teardown ends the epoch, and a younger tenant's chunks recycle.
 #[test]
 fn finalize_fault_does_not_leak_the_run_epoch() {
     silence_expected_aborts();
     let mut cfg = HhConfig::incremental(1);
-    cfg.server_mode = true;
     cfg.gc_threshold_words = 4_096;
     cfg.chunk_words = 256;
     let rt = HhRuntime::new(cfg);
@@ -162,7 +165,7 @@ fn finalize_fault_does_not_leak_the_run_epoch() {
     let r = rt.try_run(&ctl, |ctx| churn(ctx, 20_000));
     assert_eq!(r, Err(RunError::InjectedFault("finalize-claimed")));
     assert!(
-        rt.finalize_rescues() >= 1,
+        rt.stats().gc_finalize_rescues >= 1,
         "the unwinding finalizer must complete its window (rescue), not abandon it"
     );
     assert_eq!(rt.active_runs(), 0, "the dead run's epoch leaked");

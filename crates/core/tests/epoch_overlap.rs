@@ -1,4 +1,4 @@
-//! Epoch-based quiescence-free reclamation (DESIGN.md §5) and the server-mode
+//! Epoch-based quiescence-free reclamation (DESIGN.md §5) and the debug-build
 //! cross-run pointer check.
 //!
 //! The deterministic overlap test pins the exact property the watermark buys over
@@ -128,18 +128,14 @@ fn first_run_reclaims_while_later_runs_still_flying() {
     assert_eq!(s.chunks_quarantined, 0, "final watermark drains everything");
 }
 
-/// Server mode (debug builds): carrying an `ObjPtr` from one run into a later one
+/// Debug builds: carrying an `ObjPtr` from one run into a later one
 /// trips the chunk-tag assertion on its first access instead of silently reading
 /// recycled memory.
 #[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "cross-run ObjPtr")]
 fn stale_cross_run_pointer_is_caught_in_server_mode() {
-    let rt = HhRuntime::new(HhConfig {
-        n_workers: 1,
-        server_mode: true,
-        ..Default::default()
-    });
+    let rt = HhRuntime::new(HhConfig::with_workers(1));
     let stale = rt.run(|ctx| {
         let p = ctx.alloc_ref_data(42);
         assert_eq!(ctx.read_mut(p, 0), 42);
@@ -150,15 +146,11 @@ fn stale_cross_run_pointer_is_caught_in_server_mode() {
     rt.run(|ctx| ctx.read_mut(stale, 0));
 }
 
-/// Server mode must not reject legitimate same-run accesses, across forks and
-/// promotions included.
+/// The cross-run check must not reject legitimate same-run accesses, across
+/// forks and promotions included.
 #[test]
 fn server_mode_accepts_same_run_pointers() {
-    let rt = HhRuntime::new(HhConfig {
-        n_workers: 2,
-        server_mode: true,
-        ..Default::default()
-    });
+    let rt = HhRuntime::new(HhConfig::with_workers(2));
     for _ in 0..3 {
         let v = rt.run(|ctx| {
             // One pointer field (0) and one data field (1).

@@ -50,8 +50,7 @@ fn unstolen_fast_path_performs_zero_lock_path_allocations() {
         "unstolen same-heap writes must not promote"
     );
     assert_eq!(
-        rt.promo_buffer_allocs(),
-        0,
+        s.promo_buf_allocs, 0,
         "the fast path must never touch the promotion scratch buffers"
     );
 }
@@ -83,8 +82,7 @@ fn bulk_copy_path_reuses_the_thread_local_staging_buffer() {
     let s = rt.stats();
     assert!(s.bulk_ops >= 2_000, "copies must be counted as bulk ops");
     assert_eq!(
-        rt.promo_buffer_allocs(),
-        0,
+        s.promo_buf_allocs, 0,
         "steady-state bulk copies allocated staging buffers"
     );
 }
@@ -99,7 +97,7 @@ fn repeated_promotions_reuse_the_per_worker_buffers() {
             promote_once(ctx, 32);
         }
     });
-    let warmed = rt.promo_buffer_allocs();
+    let warmed = rt.stats().promo_buf_allocs;
     rt.reset_stats();
 
     // Steady state: hundreds of promotions of the same shape must perform zero
@@ -116,8 +114,7 @@ fn repeated_promotions_reuse_the_per_worker_buffers() {
         s.promotions
     );
     assert_eq!(
-        rt.promo_buffer_allocs(),
-        0,
+        s.promo_buf_allocs, 0,
         "steady-state promotions allocated lock-path buffers (warm-up did {warmed})"
     );
 }

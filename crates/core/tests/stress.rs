@@ -496,7 +496,7 @@ fn run_case_parallel_gc(case: &Case) {
     }
 }
 
-/// GC v3 lane: the hierarchical runtime in **server mode with mutator-concurrent
+/// GC v3 lane: the hierarchical runtime as a **server with mutator-concurrent
 /// incremental collection forced** — tiny chunks and threshold on every seed, the
 /// invariant checker on, and two *overlapping* runs per seed (epoch-tracked, like
 /// a multi-tenant server), so incremental windows open, drain, and finalize while
@@ -525,7 +525,6 @@ fn run_case_incremental_gc(case: &Case) -> u64 {
         chunk_words: 128,
         gc_threshold_words: 512,
         check_invariants: true,
-        server_mode: true,
         incremental_gc: true,
         ..Default::default()
     });
@@ -559,7 +558,7 @@ fn run_case_incremental_gc(case: &Case) -> u64 {
 /// chain publish is a cross-heap promoting write — no steal luck required — under
 /// tiny chunks and thresholds with the invariant checker on. Two shapes per seed:
 /// the monolithic A6 collector, then mutator-concurrent incremental collection in
-/// server mode with two overlapping runs (the GC v3 + promotion v2 combination
+/// two overlapping runs (the GC v3 + promotion v2 combination
 /// the adversarial front exists to exercise). Returns the promotions performed so
 /// the driver can assert the lane really is saturated.
 fn run_case_entangled(case: &Case) -> u64 {
@@ -592,7 +591,7 @@ fn run_case_entangled(case: &Case) -> u64 {
     );
     let mut promotions = a6.stats().promotions;
 
-    // Incremental + server mode with two overlapping eager runs.
+    // Incremental collection with two overlapping eager runs.
     let depth = depth + 1;
     let seed_b = seed ^ 0x5EED_B00F;
     let expected_a = model::ModelCtx::run(|c| exec(c, seed, depth));
@@ -603,7 +602,6 @@ fn run_case_entangled(case: &Case) -> u64 {
         gc_threshold_words: 512,
         check_invariants: true,
         lazy_child_heaps: false,
-        server_mode: true,
         incremental_gc: true,
         ..Default::default()
     });

@@ -97,7 +97,6 @@ fn epoch_inc_finalize_vs_end_run_pinned_schedule() {
         // No spontaneous windows: the hook's force_collect opens exactly one.
         gc_threshold_words: usize::MAX / 2,
         check_invariants: true,
-        server_mode: true,
         incremental_gc: true,
         ..Default::default()
     });
@@ -191,7 +190,7 @@ fn epoch_inc_finalize_vs_end_run_pinned_schedule() {
     });
 }
 
-/// Tenant B: a second overlapping server-mode run that allocates enough
+/// Tenant B: a second overlapping run that allocates enough
 /// chunk-filling arrays to drain the store's free lists (shard caches included),
 /// so any chunk tenant A's disposal reclaimed is recycled under a new owner.
 fn run_tenant_b(rt: &HhRuntime) {

@@ -33,7 +33,7 @@
 //! new requests while ≥ N runs are in flight, counted as `rejected`).
 
 use hh_baselines::{DlgRuntime, SeqRuntime, StwRuntime};
-use hh_runtime::{FaultPlan, GcScheduleHooks, HhConfig, HhRuntime};
+use hh_runtime::{FaultPlan, GcScheduleHooks, HhConfig, HhRuntime, Runtime};
 use hh_server::{serve, verify_quiescent, ServeConfig, ServeReport};
 use hh_workloads::ServeWorkloadId;
 use std::io::Write;
@@ -171,13 +171,14 @@ fn main() {
                 let report = serve(&rt, &cfg, label);
                 if let Some(p) = &plan {
                     p.set_armed(false);
+                    let stats = rt.stats();
                     println!(
                         "{:<17} faults {faults_ppm} ppm: injected {}  run-aborts {}  \
                          finalize-rescues {}",
                         "",
                         p.injected_total(),
-                        rt.aborted_runs(),
-                        rt.finalize_rescues(),
+                        stats.runs_aborted,
+                        stats.gc_finalize_rescues,
                     );
                 }
                 if let Err(e) = verify_quiescent(&rt) {

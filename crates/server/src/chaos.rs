@@ -177,12 +177,13 @@ pub fn chaos_one(cfg: &ChaosConfig, seed: u64) -> ChaosOutcome {
             continue;
         }
         let checksum_ok = audit_survivors(cfg, &report);
+        let stats = rt.stats();
         return ChaosOutcome {
             seed,
             rate_ppm: rate,
             injected: plan.injected_total(),
-            aborted_runs: rt.aborted_runs(),
-            finalize_rescues: rt.finalize_rescues(),
+            aborted_runs: stats.runs_aborted,
+            finalize_rescues: stats.gc_finalize_rescues,
             active_runs: rt.active_runs() as u64,
             violation: verify_quiescent(&rt).err(),
             checksum_ok,

@@ -12,7 +12,7 @@
 //! `$HH_VIOLATION_JSON` when set, before the assertion fails.
 //!
 //! The two overlap-abort tests are the deterministic core of the failure model:
-//! three overlapping server-mode runs, one killed mid-promotion (between two
+//! three overlapping server runs, one killed mid-promotion (between two
 //! publishing writes inside a fork) or mid-incremental-window (a certain fault
 //! at the window-start hook), after which the store must conserve, the
 //! reclamation watermark must advance past the dead run's epoch, and the two
@@ -102,7 +102,7 @@ fn survivor_work(ctx: &HhCtx) -> u64 {
 /// barrier inside the run bodies guarantees all three are simultaneously
 /// active), then asserts the post-abort invariants: the victim died of its
 /// injected fault, both survivors are checksum-correct, the teardown guard ran
-/// (`aborted_runs`), no run epoch leaked, the reclamation watermark advanced
+/// (`runs_aborted`), no run epoch leaked, the reclamation watermark advanced
 /// past the dead run's epoch, and the store conserves.
 fn overlap_abort_case<V>(rt: &HhRuntime, victim: V, expected_site: &'static str)
 where
@@ -134,7 +134,7 @@ where
     let expected = HhRuntime::new(HhConfig::with_workers(2)).run(survivor_work);
     assert_eq!(s1, Ok(expected), "survivor 1 corrupted by the abort");
     assert_eq!(s2, Ok(expected), "survivor 2 corrupted by the abort");
-    assert!(rt.aborted_runs() >= 1, "teardown guard never ran");
+    assert!(rt.stats().runs_aborted >= 1, "teardown guard never ran");
     assert_eq!(rt.active_runs(), 0, "the aborted run leaked its epoch");
     assert!(
         rt.min_active_epoch() > watermark_before,
@@ -150,7 +150,6 @@ fn abort_mid_promotion_amid_three_overlapping_runs() {
     // Eager child heaps: every fork allocates in its own heap, so publishing a
     // child object into the parent's array is guaranteed to promote.
     cfg.lazy_child_heaps = false;
-    cfg.server_mode = true;
     let rt = HhRuntime::new(cfg);
     overlap_abort_case(
         &rt,
@@ -185,7 +184,6 @@ fn abort_mid_promotion_amid_three_overlapping_runs() {
 fn abort_mid_incremental_window_amid_three_overlapping_runs() {
     silence_expected_aborts();
     let mut cfg = HhConfig::incremental(hh_api::env_workers(4).max(3));
-    cfg.server_mode = true;
     // Low threshold so the victim's allocations actually open a window.
     cfg.gc_threshold_words = 20_000;
     let rt = HhRuntime::new(cfg);

@@ -166,7 +166,6 @@ fn run_forced_schedule(seed: u64, ops: &[Op]) -> Result<u64, QuiescenceViolation
         chunk_words: 256,
         gc_threshold_words: 2048,
         check_invariants: true,
-        server_mode: true,
         incremental_gc: true,
         ..Default::default()
     });
@@ -235,7 +234,7 @@ fn shrinker_minimizes_to_the_failure_inducing_pair() {
     assert_eq!(shrink(&ops, |_| true).len(), 1);
 }
 
-/// The forced-overlap lane (ISSUE 9): two overlapping server-mode run loops on
+/// The forced-overlap lane: two overlapping server run loops on
 /// one epoch-inc runtime with schedule hooks forcing windows open, tiny chunks,
 /// and the invariant checker on — 64 seeds of the exact shape that produced the
 /// one-in-fifteen `INVARIANT VIOLATION (epoch-inc)` serve failure, now expected

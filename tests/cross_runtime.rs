@@ -753,43 +753,55 @@ fn promotion_counts_are_exact_on_union_find_and_entangle() {
     }
 }
 
-/// Per-worker counter shards lose and double-count nothing: what the three
-/// promotion-bound programs allocate and move in bulk is fixed by the program, so
-/// the shard sums at one worker and at eight (eager heaps, so eight workers really
+/// Per-worker counter shards lose and double-count nothing, on the hierarchical
+/// runtime and on the parallel baselines alike: what the three promotion-bound
+/// programs allocate and move in bulk is fixed by the program, so the shard sums at
+/// one worker and at eight (eager heaps on `HhRuntime`, so eight workers really
 /// promote from many shards) must agree exactly, and `reset_stats` must clear every
 /// shard, not only the caller's.
 #[test]
 fn sharded_counters_are_exact_across_worker_counts() {
     use hierheap::workloads::adversary::entangle;
     use hierheap::workloads::mutator::{frontier_bfs, union_find};
+    use hierheap::RunStats;
     const SEED: u64 = 0x5EED;
-    type Program = fn(&hierheap::HhCtx) -> u64;
-    let programs: [(&str, Program); 3] = [
-        ("union_find", |c| union_find(c, 20_000, 20_000, 256, SEED)),
-        ("frontier_bfs", |c| frontier_bfs(c, 20_000, 6, 16, SEED)),
-        ("entangle", |c| entangle(c, 16, 2_000, 500, SEED)),
-    ];
-    for (name, program) in programs {
+
+    fn program<C: ParCtx>(c: &C, name: &str) -> u64 {
+        match name {
+            "union_find" => union_find(c, 20_000, 20_000, 256, SEED),
+            "frontier_bfs" => frontier_bfs(c, 20_000, 6, 16, SEED),
+            "entangle" => entangle(c, 16, 2_000, 500, SEED),
+            _ => unreachable!("{name}"),
+        }
+    }
+
+    /// Runs `name` on `make(1)` and `make(8)`; `check` also sees each runtime's
+    /// stats before and after `reset_stats`.
+    fn across<R: Runtime>(
+        name: &str,
+        make: impl Fn(usize) -> R,
+        check: impl Fn(&R, &RunStats, &RunStats),
+    ) {
         let counts = |workers: usize| {
-            let rt = HhRuntime::new(HhConfig::eager_heaps(workers));
-            let checksum = rt.run(program);
-            assert_eq!(rt.check_disentangled(), 0, "{name}");
+            let rt = make(workers);
+            let what = format!("{} {name} at {workers} workers", rt.name());
+            let checksum = rt.run(|c| program(c, name));
             let s = rt.stats();
-            assert!(s.promotions > 0, "{name}: eager heaps promote");
             rt.reset_stats();
             let z = rt.stats();
+            // Every shard counter but `heaps_created` and `sched_steals`, which
+            // the baselines overlay from their heap count and their pool.
             assert_eq!(
                 [
                     z.gc_count,
+                    z.world_stops,
                     z.allocated_words,
                     z.promotions,
                     z.promoted_objects,
                     z.promoted_words,
                     z.fwd_hops,
                     z.fwd_compressions,
-                    z.heaps_created,
                     z.heaps_elided,
-                    z.sched_steals,
                     z.gc_copied_words,
                     z.bulk_ops,
                     z.bulk_words,
@@ -801,18 +813,33 @@ fn sharded_counters_are_exact_across_worker_counts() {
                     z.gc_pause_count,
                     z.gc_increments,
                     z.gc_incremental_collections,
-                    rt.heaps_created(),
-                    rt.heaps_elided(),
-                    rt.promo_buffer_allocs(),
-                    rt.aborted_runs(),
+                    z.promo_buf_allocs,
+                    z.runs_aborted,
+                    z.gc_finalize_rescues,
+                    z.teardown_panics,
                 ],
-                [0; 25],
-                "{name}: reset_stats after a {workers}-worker run"
+                [0; 24],
+                "{what}: reset_stats"
             );
-            assert!(z.gc_time.is_zero(), "{name}");
+            assert!(z.gc_time.is_zero(), "{what}");
+            check(&rt, &s, &z);
             (checksum, s.allocated_words, s.bulk_ops, s.bulk_words)
         };
         assert_eq!(counts(1), counts(8), "{name}: 1 vs 8 workers");
+    }
+
+    for name in ["union_find", "frontier_bfs", "entangle"] {
+        across(
+            name,
+            |workers| HhRuntime::new(HhConfig::eager_heaps(workers)),
+            |rt, s, z| {
+                assert_eq!(rt.check_disentangled(), 0, "{name}");
+                assert!(s.promotions > 0, "{name}: eager heaps promote");
+                assert_eq!((z.heaps_created, z.sched_steals), (0, 0), "{name}");
+            },
+        );
+        across(name, StwRuntime::with_workers, |_, _, _| ());
+        across(name, DlgRuntime::with_workers, |_, _, _| ());
     }
 }
 
