@@ -541,8 +541,8 @@ fn double_promotion_chain_is_path_compressed_on_resolution() {
 /// A heap's owner keeps bump-allocating into it while stolen tasks promote into
 /// it. Under the lazy policy the left branch of a fork runs in the parent's heap
 /// H; everything the stolen right branch publishes into H's holder array is
-/// copied into H's bump chunk by promotions holding H's WRITE lock. Chunks of 64
-/// words make the two sides' refills race. Every object must keep its own words
+/// copied into H's promotion chunk by promotions holding H's WRITE lock. Chunks of
+/// 64 words make the two cursors' refills race for H's chunk list. Every object must keep its own words
 /// (its payload survives intact), the counters must be exact, and the hierarchy
 /// disentangled. At least two workers, so the right branch is always stolen.
 #[test]

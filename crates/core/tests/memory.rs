@@ -122,6 +122,56 @@ fn free_pool_cap_releases_excess_buffers() {
     );
 }
 
+/// A small run holds small chunks: with a forced steal, the run has two heaps (the
+/// root and the thief's) and a promotion into the root, yet a few hundred words of
+/// objects must occupy well under one default chunk. Each heap cursor's first chunk
+/// is one page; when every refill took a full default chunk, the same run held at
+/// least two 8 Ki-word chunks.
+#[test]
+fn forced_steal_run_holds_well_under_one_default_chunk() {
+    let cfg = HhConfig::with_workers(2);
+    let chunk_words = cfg.chunk_words as u64;
+    let rt = HhRuntime::new(cfg);
+    let thief_done = &*Box::leak(Box::new(AtomicBool::new(false)));
+    let (live, sum) = rt.run(|ctx| {
+        let holder = ctx.alloc_ref_ptr(ObjPtr::NULL);
+        let keep = ctx.alloc_data_array(100);
+        let (stolen, _) = ctx.join(
+            move |_| {
+                // Spin until the other worker has stolen and run the right branch.
+                let mut spins = 0u64;
+                while !thief_done.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                    spins += 1;
+                    if spins > 50_000_000 {
+                        return false;
+                    }
+                }
+                true
+            },
+            move |c| {
+                let local = c.alloc_data_array(100);
+                let cell = c.alloc_ref_data(7);
+                c.write_nonptr(local, 0, 5);
+                c.write_ptr(holder, 0, cell); // promotes `cell` into the root heap
+                thief_done.store(true, Ordering::Release);
+            },
+        );
+        assert!(stolen, "the right branch was never stolen");
+        ctx.write_nonptr(keep, 0, 1);
+        let live = rt.stats().live_words;
+        let cell = ctx.read_mut_ptr(holder, 0);
+        (live, ctx.read_mut(cell, 0) + ctx.read_mut(keep, 0))
+    });
+    assert_eq!(sum, 8);
+    let s = rt.stats();
+    assert!(s.sched_steals >= 1 && s.promoted_objects >= 1, "{s:?}");
+    assert!(
+        live <= chunk_words / 4,
+        "{live} words held for a few hundred words of objects (default chunk {chunk_words})"
+    );
+}
+
 /// Subtree collection: a borrower task collects its heap together with a *completed
 /// descendant* heap (created by a steal whose join has not resolved yet), in one
 /// pass, without disturbing pinned data.

@@ -7,8 +7,13 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Raw value of [`Heap`]'s current-chunk slot while the heap has no bump chunk.
+/// Raw value of a [`Heap`] cursor's chunk slot while the cursor has no bump chunk.
 const NO_CHUNK: u32 = u32::MAX;
+
+/// Capacity in words of a cursor's first chunk: one 4 KiB page (clamped to the
+/// store's default chunk size). Later chunks grow with the cursor's demand up to the
+/// default (see [`Heap::alloc_obj`]).
+pub const FIRST_CHUNK_WORDS: usize = 512;
 
 /// 64 bytes between two field groups of a [`Heap`]: a byte before the pad and a
 /// byte after it are at least 64 bytes apart, so they can never share a cache
@@ -47,9 +52,10 @@ pub struct HeapStats {
 ///
 /// The fields fall into three groups by who writes them, each kept off the others'
 /// cache lines (DESIGN.md §6.8): the read-mostly **identity**; the **promotion side**
-/// — the lock word and the promoted-in accounting, written by WRITE-lock holders —
-/// and the **owner side**, the bump allocation state. Allocation takes no lock: it
-/// bumps the current chunk, and the chunk-list mutex is taken only to refill.
+/// — the lock word, the promoters' bump cursor and the promoted-in accounting,
+/// written by WRITE-lock holders — and the **owner side**, the owner's bump cursor
+/// and accounting. Allocation takes no lock: each side bumps its own chunk, and the
+/// chunk-list mutex is taken only to refill either cursor.
 #[repr(C)]
 pub struct Heap {
     // -- Identity: fixed at creation, except `merged_into` (set once by the join,
@@ -69,6 +75,9 @@ pub struct Heap {
     // the collector's flip).
     /// The paper's per-heap readers–writer lock.
     pub lock: HeapRwLock,
+    /// Raw id of the chunk promotions ([`BatchAlloc`]) bump into (always also in
+    /// `chunks`), or [`NO_CHUNK`]. Changes only under the `chunks` mutex.
+    promo_current: AtomicU32,
     /// Words allocated by promotions ([`BatchAlloc`]) since creation or the last flip.
     promoted_words: AtomicUsize,
     /// Objects promoted in since creation or the last flip (statistics only).
@@ -76,14 +85,16 @@ pub struct Heap {
     _promotion_end: LinePad,
 
     // -- Owner side: allocation.
-    /// Raw id of the chunk bumped into by small-object allocation (always also in
-    /// `chunks`), or [`NO_CHUNK`]. Changes only under the `chunks` mutex.
+    /// Raw id of the chunk the owner's [`Heap::alloc_obj`] bumps into (always also
+    /// in `chunks`), or [`NO_CHUNK`]. Changes only under the `chunks` mutex.
     current: AtomicU32,
-    /// Words allocated by [`Heap::alloc_obj`] since creation or the last flip, plus
-    /// whatever joins and collections added.
+    /// Words allocated by [`Heap::alloc_obj`] since creation or the last flip.
     owner_words: AtomicUsize,
+    /// Words neither cursor placed since the last flip: a flip's survivors, an
+    /// adopted collection's, and a joined child's.
+    absorbed_words: AtomicUsize,
     /// All chunks owned by this heap, in allocation order; the mutex also serializes
-    /// refills of `current`.
+    /// refills of both cursors.
     chunks: Mutex<Vec<ChunkId>>,
     collections: AtomicUsize,
     _owner_end: LinePad,
@@ -115,11 +126,13 @@ impl Heap {
             merged_into: AtomicU32::new(HeapId::NONE.raw()),
             _identity_end: LinePad::default(),
             lock: HeapRwLock::new(),
+            promo_current: AtomicU32::new(NO_CHUNK),
             promoted_words: AtomicUsize::new(0),
             promoted_objects: AtomicUsize::new(0),
             _promotion_end: LinePad::default(),
             current: AtomicU32::new(NO_CHUNK),
             owner_words: AtomicUsize::new(0),
+            absorbed_words: AtomicUsize::new(0),
             chunks: Mutex::new(Vec::new()),
             collections: AtomicUsize::new(0),
             _owner_end: LinePad::default(),
@@ -180,27 +193,40 @@ impl Heap {
     /// Allocates an object with the given header in this heap (`freshObj`), on the
     /// owner's account.
     ///
-    /// Thread-safe and lock-free apart from chunk refills: the owning task allocates
-    /// here while promotions by other tasks (holding this heap's WRITE lock) allocate
-    /// into the same bump chunk through [`Heap::batch_alloc`].
+    /// Thread-safe and lock-free apart from chunk refills: the owning task bumps the
+    /// owner cursor's chunk, while promotions by other tasks (holding this heap's
+    /// WRITE lock) bump the promotion cursor's chunk through [`Heap::batch_alloc`].
     ///
-    /// Objects larger than the store's default chunk size get a dedicated chunk
-    /// *without* displacing the current bump chunk, so a large-object detour does not
-    /// abandon the partially filled chunk that subsequent small objects still fit in.
+    /// Each refill sizes the cursor's next chunk to its demand: as many words as the
+    /// cursor has placed since heap creation or the last flip (never fewer than the
+    /// object), rounded up to a power of two and clamped to
+    /// [`FIRST_CHUNK_WORDS`]..=the store's default. So a fresh cursor starts with a
+    /// page, and each refill doubles the words it holds until its chunks reach the
+    /// default size.
+    ///
+    /// Objects larger than the default get a dedicated chunk *without* displacing the
+    /// cursor's chunk, so a large-object detour does not abandon the partially
+    /// filled chunk that subsequent small objects still fit in.
     pub fn alloc_obj(&self, store: &ChunkStore, header: Header) -> ObjPtr {
-        let ptr = self.bump(store, header, false).0;
+        let cursor = Cursor {
+            chunk: &self.current,
+            placed: &self.owner_words,
+            unpublished: 0,
+        };
+        let ptr = self.bump(store, cursor, header, false).0;
         self.owner_words
             .fetch_add(header.size_words(), Ordering::Relaxed);
         ptr
     }
 
-    /// The allocation path shared by the owner and promoters: load the current
-    /// chunk, bump it, and refill only when the object does not fit. Returns the
-    /// object and the chunk it landed in.
+    /// The allocation path shared by both cursors: load the cursor's chunk, bump
+    /// it, and refill only when the object does not fit. Returns the object and the
+    /// chunk it landed in.
     #[inline]
     fn bump<'s>(
         &self,
         store: &'s ChunkStore,
+        cursor: Cursor<'_>,
         header: Header,
         for_copy: bool,
     ) -> (ObjPtr, &'s Arc<Chunk>) {
@@ -209,7 +235,7 @@ impl Heap {
             self.chunks.lock().push(chunk.id());
             return (ptr, store.chunk(chunk.id()));
         }
-        let mut seen = self.current.load(Ordering::Acquire);
+        let mut seen = cursor.chunk.load(Ordering::Acquire);
         loop {
             if seen != NO_CHUNK {
                 let chunk = store.chunk(ChunkId(seen));
@@ -217,16 +243,17 @@ impl Heap {
                     return (ptr, chunk);
                 }
             }
-            match self.refill(store, header, for_copy, seen) {
+            match self.refill(store, cursor, header, for_copy, seen) {
                 Ok(placed) => return placed,
                 Err(now) => seen = now,
             }
         }
     }
 
-    /// Replaces the current chunk `seen`, which `header` did not fit, with a fresh
-    /// one holding the object. Returns `Err` with the new current chunk if another
-    /// allocator refilled first; the caller retries there.
+    /// Replaces the cursor's chunk `seen`, which `header` did not fit, with a fresh
+    /// one sized to the cursor's demand and holding the object. Returns `Err` with
+    /// the cursor's new chunk if another allocator refilled it first; the caller
+    /// retries there.
     ///
     /// A failed bump left `seen`'s cursor past its capacity, so no allocator can
     /// place anything in it again: the unused tail stays raw, and chunk walkers stop
@@ -236,24 +263,33 @@ impl Heap {
     fn refill<'s>(
         &self,
         store: &'s ChunkStore,
+        cursor: Cursor<'_>,
         header: Header,
         for_copy: bool,
         seen: u32,
     ) -> Result<(ObjPtr, &'s Arc<Chunk>), u32> {
         let mut chunks = self.chunks.lock();
-        // `current` changes only under this mutex, so the mutex orders this load
-        // after any refill that moved it.
-        let now = self.current.load(Ordering::Relaxed);
+        // A cursor's chunk changes only under this mutex, so the mutex orders this
+        // load after any refill that moved it.
+        let now = cursor.chunk.load(Ordering::Relaxed);
         if now != seen {
             return Err(now);
         }
-        let chunk = store.alloc_chunk_for_run(self.id.raw(), header.size_words(), self.run_tag);
+        // Size the chunk to the cursor's demand: as many words as it has placed,
+        // never fewer than the object, a power of two within [first, default].
+        let default = store.default_chunk_words();
+        let placed = cursor.placed.load(Ordering::Relaxed) + cursor.unpublished;
+        let words = placed
+            .max(header.size_words())
+            .next_power_of_two()
+            .clamp(FIRST_CHUNK_WORDS.min(default), default);
+        let chunk = store.alloc_sized_chunk_for_run(self.id.raw(), words, self.run_tag);
         let ptr = place(store, &chunk, header, for_copy)
             .expect("fresh chunk cannot be too small for the object it was sized for");
         chunks.push(chunk.id());
         // Release: an allocator that loads the new id also sees the chunk's
         // activation (owner, run tag, reset cursor).
-        self.current.store(chunk.id().0, Ordering::Release);
+        cursor.chunk.store(chunk.id().0, Ordering::Release);
         Ok((ptr, store.chunk(chunk.id())))
     }
 
@@ -264,10 +300,11 @@ impl Heap {
     }
 
     /// Opens a promotion-side allocation session on this heap: objects are placed
-    /// exactly as by [`Heap::alloc_obj`] — in the same bump chunk, so promotions add
-    /// no partially filled chunk of their own — but their words are tallied in the
-    /// cursor and published to the heap's promotion-side accounting once, when it
-    /// drops. Promoters hold the heap's WRITE lock while the cursor lives.
+    /// as by [`Heap::alloc_obj`], but through the promotion cursor — a bump chunk of
+    /// their own, so the owner's and the promoters' bumps never share a cache line —
+    /// and their words are tallied in the session and published to the heap's
+    /// promotion-side accounting once, when it drops. Promoters hold the heap's
+    /// WRITE lock while the session lives.
     pub fn batch_alloc<'a>(&'a self, store: &'a ChunkStore) -> BatchAlloc<'a> {
         BatchAlloc {
             heap: self,
@@ -276,11 +313,14 @@ impl Heap {
         }
     }
 
-    /// Words allocated into this heap since creation or the last
-    /// [`Heap::replace_chunks`]: the owner's and the promoters'. Both count toward
-    /// the collection trigger.
+    /// Words the owner and the promoters allocated into this heap since creation or
+    /// the last [`Heap::replace_chunks`], plus the words that flip installed and
+    /// later adoptions and joins added. All of them count toward the collection
+    /// trigger.
     pub fn allocated_words(&self) -> usize {
-        self.owner_words.load(Ordering::Relaxed) + self.promoted_words.load(Ordering::Relaxed)
+        self.owner_words.load(Ordering::Relaxed)
+            + self.promoted_words.load(Ordering::Relaxed)
+            + self.absorbed_words.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the chunk ids currently owned by this heap.
@@ -299,10 +339,18 @@ impl Heap {
         let mut child_chunks = child.chunks.lock();
         let mut my_chunks = self.chunks.lock();
         my_chunks.append(&mut child_chunks);
-        child.current.store(NO_CHUNK, Ordering::Relaxed);
+        child.reset_cursors(NO_CHUNK);
         let w = child.owner_words.swap(0, Ordering::Relaxed)
-            + child.promoted_words.swap(0, Ordering::Relaxed);
-        self.owner_words.fetch_add(w, Ordering::Relaxed);
+            + child.promoted_words.swap(0, Ordering::Relaxed)
+            + child.absorbed_words.swap(0, Ordering::Relaxed);
+        self.absorbed_words.fetch_add(w, Ordering::Relaxed);
+    }
+
+    /// Points the owner cursor at `owner_chunk` and empties the promotion cursor.
+    /// Caller holds the `chunks` mutex.
+    fn reset_cursors(&self, owner_chunk: u32) {
+        self.current.store(owner_chunk, Ordering::Release);
+        self.promo_current.store(NO_CHUNK, Ordering::Release);
     }
 
     /// Replaces this heap's chunk list wholesale (used by the collector to install the
@@ -318,27 +366,28 @@ impl Heap {
     ) -> Vec<ChunkId> {
         let mut chunks = self.chunks.lock();
         let old = std::mem::replace(&mut *chunks, new_chunks);
-        let current = chunks.last().map_or(NO_CHUNK, |c| c.0);
-        self.current.store(current, Ordering::Release);
-        self.owner_words
-            .store(new_allocated_words, Ordering::Relaxed);
+        self.reset_cursors(chunks.last().map_or(NO_CHUNK, |c| c.0));
+        self.owner_words.store(0, Ordering::Relaxed);
         self.promoted_words.store(0, Ordering::Relaxed);
+        self.absorbed_words
+            .store(new_allocated_words, Ordering::Relaxed);
         self.promoted_objects.store(0, Ordering::Relaxed);
         self.collections.fetch_add(1, Ordering::Relaxed);
         old
     }
 
     /// Prepends collected to-space chunks to this heap's chunk list without touching
-    /// the allocation cursor (used by the incremental collector's finalize: the
-    /// mutator has been allocating fresh chunks into this heap since the roots-only
-    /// pause, and its current bump chunk must stay current). Counts as a collection.
+    /// either allocation cursor (used by the incremental collector's finalize: the
+    /// mutator and promoters have been allocating fresh chunks into this heap since
+    /// the roots-only pause, and their bump chunks must stay current). Counts as a
+    /// collection.
     pub fn adopt_collected_chunks(&self, mut collected: Vec<ChunkId>, collected_words: usize) {
         let mut chunks = self.chunks.lock();
         collected.append(&mut chunks);
         *chunks = collected;
-        // `current` still names the mutator's bump chunk (or none if it has not
-        // allocated since the flip), which sits at the tail where the cursor expects it.
-        self.owner_words
+        // Both cursors still name their bump chunks (or none if nothing was
+        // allocated since the flip); those stay on the list after the adopted ones.
+        self.absorbed_words
             .fetch_add(collected_words, Ordering::Relaxed);
         self.collections.fetch_add(1, Ordering::Relaxed);
     }
@@ -348,9 +397,10 @@ impl Heap {
     /// the runtimes to dispose of a completed run's heap tree before recycling.
     pub fn take_all_chunks(&self) -> Vec<ChunkId> {
         let mut chunks = self.chunks.lock();
-        self.current.store(NO_CHUNK, Ordering::Relaxed);
+        self.reset_cursors(NO_CHUNK);
         self.owner_words.store(0, Ordering::Relaxed);
         self.promoted_words.store(0, Ordering::Relaxed);
+        self.absorbed_words.store(0, Ordering::Relaxed);
         std::mem::take(&mut *chunks)
     }
 
@@ -366,10 +416,24 @@ impl Heap {
     }
 }
 
-/// A promotion-side allocation cursor on one heap (see [`Heap::batch_alloc`]): places
-/// objects with the same rules as [`Heap::alloc_obj`] (large objects get dedicated
-/// chunks without displacing the current bump chunk) and publishes their words to
-/// the heap's promotion-side accounting once, on drop.
+/// One of a heap's two bump cursors, as [`Heap::bump`] and [`Heap::refill`] see it.
+#[derive(Copy, Clone)]
+struct Cursor<'h> {
+    /// The cursor's chunk slot: `current` or `promo_current`.
+    chunk: &'h AtomicU32,
+    /// The cursor's published word count since heap creation or the last flip…
+    placed: &'h AtomicUsize,
+    /// …plus the words it placed that are not published yet (a live
+    /// [`BatchAlloc`]'s tally). Their sum is the demand a refill sizes the next
+    /// chunk for.
+    unpublished: usize,
+}
+
+/// A promotion-side allocation session on one heap (see [`Heap::batch_alloc`]):
+/// places objects with the same rules as [`Heap::alloc_obj`] (large objects get
+/// dedicated chunks without displacing the cursor's chunk) through the heap's
+/// promotion cursor, and publishes their words to the heap's promotion-side
+/// accounting once, on drop.
 pub struct BatchAlloc<'a> {
     heap: &'a Heap,
     store: &'a ChunkStore,
@@ -380,8 +444,7 @@ impl<'a> BatchAlloc<'a> {
     /// Allocates one object with `header` in the session's heap, fully initialized
     /// (pointer fields NULLed) as by [`Heap::alloc_obj`].
     pub fn alloc(&mut self, header: Header) -> ObjPtr {
-        self.words += header.size_words();
-        self.heap.bump(self.store, header, false).0
+        self.bump(header, false).0
     }
 
     /// Allocates one object with `header`, initializing only the header and the
@@ -390,8 +453,18 @@ impl<'a> BatchAlloc<'a> {
     /// pointer plus the chunk it landed in, so evacuation loops can build views
     /// without a chunk-table lookup.
     pub fn alloc_for_copy(&mut self, header: Header) -> (ObjPtr, &'a Arc<Chunk>) {
+        self.bump(header, true)
+    }
+
+    fn bump(&mut self, header: Header, for_copy: bool) -> (ObjPtr, &'a Arc<Chunk>) {
+        let heap = self.heap;
+        let cursor = Cursor {
+            chunk: &heap.promo_current,
+            placed: &heap.promoted_words,
+            unpublished: self.words,
+        };
         self.words += header.size_words();
-        self.heap.bump(self.store, header, true)
+        heap.bump(self.store, cursor, header, for_copy)
     }
 
     /// Words allocated through this cursor so far.
@@ -562,30 +635,61 @@ mod tests {
         ptrs.sort();
         ptrs.dedup();
         assert_eq!(ptrs.len(), 12);
-        // Ordinary allocation continues from the batch's bump chunk.
+        // Ordinary allocation goes through the owner cursor: a chunk of its own.
         let next = h.alloc_obj(&store, small);
         assert_eq!(store.view(next).n_fields(), 2);
+        assert_ne!(
+            next.chunk(),
+            ptrs[0].chunk(),
+            "owner bumped the promotion chunk"
+        );
     }
 
     /// The three field groups are at least a cache line apart, and the owner group
-    /// is a line away from whatever the allocator places after the heap.
+    /// is a line away from whatever the allocator places after the heap. Each group
+    /// is checked as the byte range spanned by all of its fields, so both bump
+    /// cursors are covered: `promo_current` with the promotion side, `current` with
+    /// the owner side.
     #[test]
     fn field_groups_never_share_a_cache_line() {
         use std::mem::{offset_of, size_of};
-        let identity_end = offset_of!(Heap, merged_into) + size_of::<AtomicU32>();
-        let promotion_start = offset_of!(Heap, lock);
-        let promotion_end = offset_of!(Heap, promoted_objects) + size_of::<AtomicUsize>();
-        let owner_start = offset_of!(Heap, current);
-        let owner_end = offset_of!(Heap, collections) + size_of::<AtomicUsize>();
-        assert!(promotion_start >= identity_end + 64);
-        assert!(owner_start >= promotion_end + 64);
-        assert!(size_of::<Heap>() >= owner_end + 64);
+        /// `(first byte, one past the last byte)` of a group of `(offset, size)` fields.
+        fn range(fields: &[(usize, usize)]) -> (usize, usize) {
+            let start = fields.iter().map(|&(o, _)| o).min().unwrap();
+            let end = fields.iter().map(|&(o, n)| o + n).max().unwrap();
+            (start, end)
+        }
+        let identity = range(&[
+            (offset_of!(Heap, id), size_of::<HeapId>()),
+            (offset_of!(Heap, parent), size_of::<HeapId>()),
+            (offset_of!(Heap, run_tag), size_of::<u64>()),
+            (offset_of!(Heap, depth), size_of::<AtomicU32>()),
+            (offset_of!(Heap, merged_into), size_of::<AtomicU32>()),
+        ]);
+        let promotion = range(&[
+            (offset_of!(Heap, lock), size_of::<HeapRwLock>()),
+            (offset_of!(Heap, promo_current), size_of::<AtomicU32>()),
+            (offset_of!(Heap, promoted_words), size_of::<AtomicUsize>()),
+            (offset_of!(Heap, promoted_objects), size_of::<AtomicUsize>()),
+        ]);
+        let owner = range(&[
+            (offset_of!(Heap, current), size_of::<AtomicU32>()),
+            (offset_of!(Heap, owner_words), size_of::<AtomicUsize>()),
+            (offset_of!(Heap, absorbed_words), size_of::<AtomicUsize>()),
+            (offset_of!(Heap, chunks), size_of::<Mutex<Vec<ChunkId>>>()),
+            (offset_of!(Heap, collections), size_of::<AtomicUsize>()),
+        ]);
+        assert!(promotion.0 >= identity.1 + 64);
+        assert!(owner.0 >= promotion.1 + 64);
+        assert!(size_of::<Heap>() >= owner.1 + 64);
     }
 
     /// The owner bump-allocates into heap H while promoters, each holding H's WRITE
-    /// lock in turn, allocate into it through cursors — all in one shared bump chunk
-    /// of 64 words, so refills race constantly. Every object must get its own words,
-    /// stay readable in a chunk on H's list, and be counted exactly once.
+    /// lock in turn, allocate into it through sessions on the promotion cursor. With
+    /// 64-word chunks both cursors refill constantly, racing each other for H's chunk
+    /// list. Every object must get its own words, stay readable in a chunk on H's
+    /// list, and be counted exactly once — and no chunk may hold both an owner object
+    /// and a promoted copy, so the two sides never write one chunk's cursor.
     #[test]
     fn owner_and_promoters_allocate_into_one_heap_concurrently() {
         use crate::HeapRegistry;
@@ -660,9 +764,8 @@ mod tests {
             "owner plus promoted words, each counted once"
         );
         assert_eq!(heap.stats().promoted_in_words, words(&promoted));
-        let mut all: Vec<(ObjPtr, u64)> = owned.into_iter().chain(promoted).collect();
         let on_list: HashSet<ChunkId> = heap.chunks().into_iter().collect();
-        for &(p, tag) in &all {
+        for &(p, tag) in owned.iter().chain(&promoted) {
             assert!(
                 on_list.contains(&p.chunk()),
                 "{p:?} is in a chunk off H's list"
@@ -673,6 +776,14 @@ mod tests {
                 assert_eq!(v.field(f), tag, "{p:?} field {f} was overwritten");
             }
         }
+        let owner_chunks: HashSet<ChunkId> = owned.iter().map(|&(p, _)| p.chunk()).collect();
+        for &(p, _) in &promoted {
+            assert!(
+                !owner_chunks.contains(&p.chunk()),
+                "promoted copy {p:?} shares a chunk with owner objects"
+            );
+        }
+        let mut all: Vec<(ObjPtr, u64)> = owned.into_iter().chain(promoted).collect();
         all.sort_by_key(|&(p, _)| (p.chunk(), p.offset()));
         for pair in all.windows(2) {
             let ((a, a_tag), (b, _)) = (pair[0], pair[1]);
@@ -707,5 +818,58 @@ mod tests {
         h.replace_chunks(Vec::new(), 0);
         let s = h.stats();
         assert_eq!((s.promoted_in_objects, s.promoted_in_words), (0, 0));
+    }
+
+    /// Capacities of `chunks` in list order.
+    fn capacities(store: &ChunkStore, chunks: &[ChunkId]) -> Vec<usize> {
+        chunks.iter().map(|&c| store.chunk(c).capacity()).collect()
+    }
+
+    /// Each cursor's first chunk is one page; every refill takes a chunk holding as
+    /// many words as the cursor has placed, so the cursor's words double per refill
+    /// until its chunks reach the default size, where they stay. A flip starts the
+    /// schedule over, and an object larger than the next step is placed by one
+    /// refill sized for it.
+    #[test]
+    fn refills_double_from_one_page_to_the_default_chunk() {
+        let store = ChunkStore::new(8 * 1024);
+        let tile = Header::new(6, 0, ObjKind::Tuple); // 8 words: tiles every chunk
+        let schedule = [512, 512, 1024, 2048, 4096, 8192, 8192];
+        let words: usize = schedule.iter().sum();
+
+        // Owner cursor.
+        let h = Heap::new(HeapId(0), HeapId::NONE, 0);
+        for _ in 0..words / tile.size_words() {
+            h.alloc_obj(&store, tile);
+        }
+        assert_eq!(capacities(&store, &h.chunks()), schedule);
+
+        // Promotion cursor, across several sessions.
+        let p = Heap::new(HeapId(1), HeapId::NONE, 0);
+        for _ in 0..words / tile.size_words() / 64 {
+            let mut batch = p.batch_alloc(&store);
+            for _ in 0..64 {
+                batch.alloc(tile);
+            }
+        }
+        assert_eq!(capacities(&store, &p.chunks()), schedule);
+
+        // A flip restarts the owner's schedule at one page.
+        h.replace_chunks(Vec::new(), 0);
+        h.alloc_obj(&store, tile);
+        assert_eq!(capacities(&store, &h.chunks()), [512]);
+
+        // An object bigger than the next step (here one page) gets one chunk that
+        // fits it, and becomes the cursor's chunk.
+        let big = Header::new(2998, 0, ObjKind::ArrayData); // 3000 words
+        let p = h.alloc_obj(&store, big);
+        assert_eq!(capacities(&store, &h.chunks()), [512, 4096]);
+        assert_eq!(p.chunk(), h.chunks()[1]);
+        let after = h.alloc_obj(&store, tile);
+        assert_eq!(
+            after.chunk(),
+            p.chunk(),
+            "the refill for the big object is current"
+        );
     }
 }

@@ -42,7 +42,9 @@
 //! [`ChunkStore::alloc_chunk`] now serves default-sized requests from a small
 //! per-thread shard cache, refilled in batches from the free lists (or minted in a
 //! batch under one lock acquisition), so the hot allocation path touches only its own
-//! shard. Cache hits are counted in [`StoreStats::alloc_cache_hits`].
+//! shard. Cache hits are counted in [`StoreStats::alloc_cache_hits`]. Chunks smaller
+//! than the default ([`ChunkStore::alloc_sized_chunk_for_run`]) bypass the cache: they
+//! come from their own size class's free list, or are minted one at a time.
 
 use crate::appendvec::AppendVec;
 use crate::chunk::{Chunk, ChunkId};
@@ -56,15 +58,35 @@ use std::sync::Arc;
 /// Default chunk capacity in words (64 Ki words = 512 KiB).
 pub const DEFAULT_CHUNK_WORDS: usize = 64 * 1024;
 
+/// Capacity at the bottom of size class 0 (the smallest default chunk the store
+/// accepts). Class boundaries count from this fixed minimum, not from the default
+/// chunk size, so chunks smaller than the default have classes of their own.
+const MIN_CLASS_WORDS: usize = 16;
+
 /// Number of size classes: class `k` holds chunks whose capacity lies in
-/// `[default << k, default << (k+1))`; the top class is open-ended.
-const N_CLASSES: usize = 24;
+/// `[MIN_CLASS_WORDS << k, MIN_CLASS_WORDS << (k+1))`; the top class is open-ended.
+const N_CLASSES: usize = 32;
 
 /// Number of allocation-cache shards (threads hash onto these).
 const N_SHARDS: usize = 16;
 
 /// Chunks fetched per cache refill / minted per batch.
 const REFILL_BATCH: usize = 4;
+
+/// Size class of a chunk of `capacity` words (see [`N_CLASSES`]).
+fn class_of(capacity: usize) -> usize {
+    let above = (capacity / MIN_CLASS_WORDS).max(1);
+    (above.ilog2() as usize).min(N_CLASSES - 1)
+}
+
+/// Smallest class every chunk of which satisfies a request of `min_words`: the
+/// class whose boundary `MIN_CLASS_WORDS << k` is the first at or above it. Chunks
+/// minted for a request are rounded up to that boundary, so class membership and
+/// fit coincide everywhere but the open-ended top class.
+fn class_for_request(min_words: usize) -> usize {
+    let units = min_words.div_ceil(MIN_CLASS_WORDS).max(1);
+    (units.next_power_of_two().ilog2() as usize).min(N_CLASSES - 1)
+}
 
 /// Snapshot of the store's memory accounting and chunk lifecycle state.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -179,6 +201,10 @@ pub struct ChunkStore {
     /// allocation caches — so this lock is never contended in practice.
     alloc_lock: parking_lot::Mutex<()>,
     default_chunk_words: usize,
+    /// Size class of a default chunk. Every chunk in it has exactly the default
+    /// capacity: smaller chunks are minted at the boundary of a lower class, and
+    /// oversized ones at the boundary of a higher one.
+    default_class: usize,
     /// Size-classed free lists of reusable chunks.
     free: [FreeStack; N_CLASSES],
     /// Chunks retired by collections, awaiting their reuse horizon. Each record
@@ -218,13 +244,14 @@ impl ChunkStore {
     /// words (larger objects get a dedicated chunk of exactly the needed size).
     pub fn new(default_chunk_words: usize) -> Self {
         assert!(
-            default_chunk_words >= 16,
+            default_chunk_words >= MIN_CLASS_WORDS,
             "chunks must hold at least one small object"
         );
         ChunkStore {
             chunks: AppendVec::new(),
             alloc_lock: parking_lot::Mutex::new(()),
             default_chunk_words,
+            default_class: class_of(default_chunk_words),
             free: std::array::from_fn(|_| FreeStack::new()),
             quarantine: parking_lot::Mutex::new(Vec::new()),
             run_epochs: RunEpochs::new(),
@@ -270,26 +297,6 @@ impl ChunkStore {
     /// reuse. Defaults to unlimited.
     pub fn set_max_free_words(&self, words: usize) {
         self.max_free_words.store(words, Ordering::Relaxed);
-    }
-
-    /// Size class of a chunk of `capacity` words (see [`N_CLASSES`]).
-    fn class_of(&self, capacity: usize) -> usize {
-        let mut class = 0;
-        while class + 1 < N_CLASSES && capacity >= (self.default_chunk_words << (class + 1)) {
-            class += 1;
-        }
-        class
-    }
-
-    /// Smallest class every chunk of which satisfies a request of `min_words`
-    /// (oversized mints are rounded up to this class's boundary, so class
-    /// membership and fit coincide everywhere but the open-ended top class).
-    fn class_for_request(&self, min_words: usize) -> usize {
-        let mut class = 0;
-        while class + 1 < N_CLASSES && (self.default_chunk_words << class) < min_words {
-            class += 1;
-        }
-        class
     }
 
     /// The calling thread's cache shard.
@@ -377,11 +384,21 @@ impl ChunkStore {
                 self.alloc_cache_hits.fetch_add(1, Ordering::Relaxed);
                 return self.activate_free(id, owner, run_tag);
             }
-            // Refill: batch-pop recycled chunks, else batch-mint fresh ones.
+            // Refill: batch-pop recycled chunks, else batch-mint fresh ones. The
+            // default class holds only default chunks (see `default_class`); the
+            // capacity check keeps a smaller chunk from ever serving a default
+            // request should that invariant break.
+            let free = &self.free[self.default_class];
             let mut batch: Vec<ChunkId> = Vec::with_capacity(REFILL_BATCH);
             while batch.len() < REFILL_BATCH {
-                match self.free[0].pop(&self.chunks) {
-                    Some(id) => batch.push(id),
+                match free.pop(&self.chunks) {
+                    Some(id) if self.chunk(id).capacity() >= self.default_chunk_words => {
+                        batch.push(id)
+                    }
+                    Some(id) => {
+                        free.push(&self.chunks, id);
+                        break;
+                    }
                     None => break,
                 }
             }
@@ -417,12 +434,12 @@ impl ChunkStore {
 
         // Oversized request: search the free classes before minting a dedicated
         // chunk. Oversized mints are rounded **up to their class boundary**
-        // (`default << k`), so every chunk's capacity meets its class guarantee
-        // exactly: an identical request on a rerun (the common case) pops the very
-        // chunk it retired on the first attempt, and chunks in `(1x, 2x)` of the
-        // default size cannot pollute class 0. The capacity check only matters in
-        // the open-ended top class.
-        let class = self.class_for_request(min_words);
+        // (`MIN_CLASS_WORDS << k`), so every chunk's capacity meets its class
+        // guarantee exactly: an identical request on a rerun (the common case) pops
+        // the very chunk it retired on the first attempt, and chunks just above the
+        // default size cannot pollute the default class. The capacity check only
+        // matters in the open-ended top class.
+        let class = class_for_request(min_words);
         for k in class..(class + 2).min(N_CLASSES) {
             if let Some(id) = self.free[k].pop(&self.chunks) {
                 if self.chunk(id).capacity() >= min_words {
@@ -432,8 +449,28 @@ impl ChunkStore {
                 self.free[k].push(&self.chunks, id);
             }
         }
-        let rounded = (self.default_chunk_words << class).max(min_words);
+        let rounded = (MIN_CLASS_WORDS << class).max(min_words);
         self.mint_active(owner, rounded, run_tag)
+    }
+
+    /// Allocates a chunk of at least `words` words, attributed as by
+    /// [`ChunkStore::alloc_chunk_for_run`], for a cursor that needs less than a
+    /// default chunk. `words` rounds up to its size class's boundary; the chunk comes
+    /// from that class's free list and is minted only if the list is empty. The
+    /// per-thread caches hold default chunks only, so they are not consulted. A
+    /// request whose class is the default chunk's or above is an ordinary
+    /// [`ChunkStore::alloc_chunk_for_run`].
+    pub fn alloc_sized_chunk_for_run(&self, owner: u32, words: usize, run_tag: u64) -> Arc<Chunk> {
+        let class = class_for_request(words);
+        if class >= self.default_class {
+            return self.alloc_chunk_for_run(owner, words, run_tag);
+        }
+        // Below the default class every chunk was minted at its class boundary, so
+        // any chunk popped here fits.
+        if let Some(id) = self.free[class].pop(&self.chunks) {
+            return self.activate_free(id, owner, run_tag);
+        }
+        self.mint_active(owner, MIN_CLASS_WORDS << class, run_tag)
     }
 
     /// True if an object with `header` needs a dedicated chunk (it does not fit a
@@ -545,7 +582,7 @@ impl ChunkStore {
         if self.free_words.load(Ordering::Relaxed) + cap <= cap_limit {
             self.free_words.fetch_add(cap, Ordering::Relaxed);
             self.chunks_free.fetch_add(1, Ordering::Relaxed);
-            self.free[self.class_of(cap)].push(&self.chunks, id);
+            self.free[class_of(cap)].push(&self.chunks, id);
             true
         } else {
             // Over the cap: model returning the buffer to the OS. The chunk stays
@@ -618,7 +655,7 @@ impl ChunkStore {
             for id in shard.ids.lock().drain(..) {
                 let cap = self.chunk(id).capacity();
                 if self.free_words.load(Ordering::Relaxed) <= cap_limit {
-                    self.free[self.class_of(cap)].push(&self.chunks, id);
+                    self.free[class_of(cap)].push(&self.chunks, id);
                 } else {
                     self.free_words.fetch_sub(cap, Ordering::Relaxed);
                     self.chunks_free.fetch_sub(1, Ordering::Relaxed);
@@ -937,9 +974,44 @@ mod tests {
         assert_eq!(again.owner(), 3);
     }
 
+    /// A retired sub-default chunk goes back to its own size class: default
+    /// requests — through the cache refill and the free lists alike — never get it,
+    /// and the next request of its class reuses it.
+    #[test]
+    fn sub_default_chunks_never_serve_default_requests() {
+        let store = ChunkStore::new(1024);
+        let small = store.alloc_sized_chunk_for_run(1, 512, 0);
+        assert_eq!(small.capacity(), 512);
+        store.retire_chunk(small.id());
+        assert_eq!(store.reclaim_retired(), 1);
+        for _ in 0..2 * REFILL_BATCH {
+            let c = store.alloc_chunk(2, 0);
+            assert_ne!(c.id(), small.id());
+            assert!(
+                c.capacity() >= 1024,
+                "default request got {} words",
+                c.capacity()
+            );
+        }
+        let again = store.alloc_sized_chunk_for_run(3, 300, 0);
+        assert_eq!(
+            again.id(),
+            small.id(),
+            "a 512-class request reuses the chunk"
+        );
+        assert_eq!(again.owner(), 3);
+        // Sub-default requests round up to their class boundary; one in the
+        // default's own class gets a default chunk.
+        assert_eq!(store.alloc_sized_chunk_for_run(0, 20, 0).capacity(), 32);
+        assert_eq!(store.alloc_sized_chunk_for_run(0, 600, 0).capacity(), 1024);
+        let odd = ChunkStore::new(1000); // 512 shares a class with the default
+        assert_eq!(odd.alloc_sized_chunk_for_run(0, 512, 0).capacity(), 1000);
+    }
+
     /// chunks_created == active + quarantined + free + released at **every** point of
-    /// a randomized interleaving — including mid-overlap, while several run epochs
-    /// are active and the watermark reclaims some runs' chunks but not others'.
+    /// a randomized interleaving of sub-default, default and oversized traffic —
+    /// including mid-overlap, while several run epochs are active and the watermark
+    /// reclaims some runs' chunks but not others'.
     #[test]
     fn prop_lifecycle_conservation() {
         let mut state = 0xFEED_FACE_0123_4567u64;
@@ -959,23 +1031,26 @@ mod tests {
         for step in 0..600 {
             match next() % 8 {
                 0 | 1 => {
-                    let min = if next() % 4 == 0 {
-                        64 + (next() % 512) as usize
-                    } else {
-                        0
-                    };
                     // Allocate on behalf of a random active run (or untracked).
                     let tag = if runs.is_empty() || next() % 4 == 0 {
                         0
                     } else {
                         runs[(next() as usize) % runs.len()]
                     };
-                    owned.push((
-                        store
-                            .alloc_chunk_for_run((next() % 7) as u32, min, tag)
-                            .id(),
-                        tag,
-                    ));
+                    let owner = (next() % 7) as u32;
+                    let (min, chunk) = match next() % 4 {
+                        0 => {
+                            let min = 64 + (next() % 512) as usize;
+                            (min, store.alloc_chunk_for_run(owner, min, tag))
+                        }
+                        1 => {
+                            let min = 1 + (next() % 40) as usize;
+                            (min, store.alloc_sized_chunk_for_run(owner, min, tag))
+                        }
+                        _ => (64, store.alloc_chunk_for_run(owner, 0, tag)),
+                    };
+                    assert!(chunk.capacity() >= min, "{min}-word request at step {step}");
+                    owned.push((chunk.id(), tag));
                 }
                 2 | 3 => {
                     if !owned.is_empty() {
