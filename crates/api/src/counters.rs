@@ -130,7 +130,6 @@ mod tests {
             live_words: 40,
             free_words: 8,
             chunks_recycled: 3,
-            alloc_cache_hits: 5,
             ..Default::default()
         };
         let s = c.snapshot(&store);
@@ -141,7 +140,6 @@ mod tests {
         assert_eq!(s.live_words, 40);
         assert_eq!(s.free_words, 8);
         assert_eq!(s.chunks_recycled, 3);
-        assert_eq!(s.alloc_cache_hits, 5);
         assert_eq!(s.subtree_collections, 1);
         assert_eq!(s.gc_time, Duration::from_millis(3));
     }

@@ -48,8 +48,9 @@ impl Count for Duration {
 ///   shards, and `merge` sums.
 /// * `sampled` fields are read at snapshot time — from the chunk store
 ///   (`store.<field>`), from the pause recorder (`pauses.<field>`), or left at
-///   zero for the runtime's `overlay` of scheduler counters — and name their
-///   merge rule: `sum` for counts, `max` for gauges and peaks.
+///   zero (`overlay`: scheduler counters each runtime fills in, and a retired
+///   field kept for its readers) — and name their merge rule: `sum` for counts,
+///   `max` for gauges and peaks.
 macro_rules! run_stats {
     (
         counted {
@@ -246,12 +247,15 @@ run_stats! {
         /// Times a retired chunk was reused for a new owner instead of minting a fresh
         /// one (monotone).
         sum chunks_recycled: u64 = store.chunks_recycled,
-        /// Default-sized chunk requests served from a per-thread allocation cache.
-        sum alloc_cache_hits: u64 = store.alloc_cache_hits,
+        /// Always 0: the chunk store has no allocation cache since every chunk
+        /// request takes its one acquisition path. The field stays because
+        /// `hhbench` (`benchmark/`) still reads it; it goes with the next change to
+        /// the benchmark.
+        sum alloc_cache_hits: u64 = overlay,
         /// Words currently held by active chunks (gauge, at snapshot time).
         max live_words: u64 = store.live_words,
-        /// Words currently parked on the store's free lists and allocation caches
-        /// (gauge, at snapshot time).
+        /// Words currently parked on the store's free lists, never above the
+        /// free-pool cap (gauge, at snapshot time).
         max free_words: u64 = store.free_words,
         /// Quarantined chunks moved out of quarantine (freed or released) by the
         /// epoch watermark — i.e. reclaimed because every run whose epoch could hold

@@ -191,8 +191,8 @@ fn epoch_inc_finalize_vs_end_run_pinned_schedule() {
 }
 
 /// Tenant B: a second overlapping run that allocates enough
-/// chunk-filling arrays to drain the store's free lists (shard caches included),
-/// so any chunk tenant A's disposal reclaimed is recycled under a new owner.
+/// chunk-filling arrays to drain the store's free lists, so any chunk tenant A's
+/// disposal reclaimed is recycled under a new owner.
 fn run_tenant_b(rt: &HhRuntime) {
     rt.run(|ctx| {
         for i in 0..64 {

@@ -131,7 +131,12 @@ pub struct Chunk {
 impl Chunk {
     /// Creates a zero-filled chunk of `n_words` words owned by raw heap `owner`.
     pub fn new(id: ChunkId, owner: u32, n_words: usize) -> Chunk {
-        let words: Vec<AtomicU64> = (0..n_words).map(|_| AtomicU64::new(0)).collect();
+        Chunk::with_words(id, owner, (0..n_words).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// Creates a chunk over an already zero-filled `words` buffer, which the store
+    /// builds before it reserves the chunk's id.
+    pub(crate) fn with_words(id: ChunkId, owner: u32, words: Box<[AtomicU64]>) -> Chunk {
         Chunk {
             id,
             owner: AtomicU32::new(owner),
@@ -141,7 +146,7 @@ impl Chunk {
             free_next: AtomicU32::new(u32::MAX),
             gc_tag: AtomicU64::new(0),
             run_tag: AtomicU64::new(0),
-            words: words.into_boxed_slice(),
+            words,
         }
     }
 

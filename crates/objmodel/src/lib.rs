@@ -15,7 +15,7 @@
 //! * the [`ChunkStore`] is an append-only table mapping chunk ids to chunks (the stand-in
 //!   for address-mask metadata lookup) **plus the chunk memory lifecycle**: retired
 //!   chunks are quarantined, reclaimed into size-classed lock-free free lists at the
-//!   reuse horizon, and served back out through per-thread allocation caches (memory
+//!   reuse horizon, and served back out by one lock-free pop-or-mint path (memory
 //!   v2, DESIGN.md §5), and
 //! * an [`ObjView`] gives structured access to one object: its [`Header`], its dedicated
 //!   forwarding-pointer slot, and its pointer / non-pointer fields.

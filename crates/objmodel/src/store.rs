@@ -1,5 +1,5 @@
 //! The chunk store: the global table mapping chunk ids to chunks, plus the chunk
-//! memory lifecycle (free lists, recycling, allocation caches).
+//! memory lifecycle (free lists, recycling, release).
 //!
 //! This is the stand-in for MLton's address-masked chunk metadata: given an [`ObjPtr`],
 //! `heapOf` needs the chunk's metadata in O(1). The store also carries the global memory
@@ -36,15 +36,14 @@
 //! advances the chunk's *generation* so stale pointers from before the reuse are
 //! detectable (see [`Chunk::generation`]).
 //!
-//! ## Allocation caches
+//! ## One acquisition path
 //!
-//! Fetching a chunk used to serialize every caller on one mutex plus the table append.
-//! [`ChunkStore::alloc_chunk`] now serves default-sized requests from a small
-//! per-thread shard cache, refilled in batches from the free lists (or minted in a
-//! batch under one lock acquisition), so the hot allocation path touches only its own
-//! shard. Cache hits are counted in [`StoreStats::alloc_cache_hits`]. Chunks smaller
-//! than the default ([`ChunkStore::alloc_sized_chunk_for_run`]) bypass the cache: they
-//! come from their own size class's free list, or are minted one at a time.
+//! Every chunk request — default ([`ChunkStore::alloc_chunk`]), smaller than the
+//! default ([`ChunkStore::alloc_sized_chunk_for_run`]) or oversized — takes the same
+//! route: pop the request's size class's lock-free free list, check the chunk's
+//! capacity, and otherwise mint one chunk at the class boundary. Minting reserves the
+//! table slot with one fetch-and-add ([`AppendVec::push_with`]), so the store takes
+//! no lock to hand out a chunk; its one mutex guards the quarantine.
 
 use crate::appendvec::AppendVec;
 use crate::chunk::{Chunk, ChunkId};
@@ -66,12 +65,6 @@ const MIN_CLASS_WORDS: usize = 16;
 /// Number of size classes: class `k` holds chunks whose capacity lies in
 /// `[MIN_CLASS_WORDS << k, MIN_CLASS_WORDS << (k+1))`; the top class is open-ended.
 const N_CLASSES: usize = 32;
-
-/// Number of allocation-cache shards (threads hash onto these).
-const N_SHARDS: usize = 16;
-
-/// Chunks fetched per cache refill / minted per batch.
-const REFILL_BATCH: usize = 4;
 
 /// Size class of a chunk of `capacity` words (see [`N_CLASSES`]).
 fn class_of(capacity: usize) -> usize {
@@ -97,7 +90,8 @@ pub struct StoreStats {
     pub peak_words: usize,
     /// Total words ever allocated in chunks (monotone).
     pub total_allocated_words: usize,
-    /// Words currently parked on the free lists and allocation caches.
+    /// Words currently parked on the free lists (never above
+    /// [`ChunkStore::set_max_free_words`]).
     pub free_words: usize,
     /// Number of chunks ever created.
     pub chunks_created: usize,
@@ -113,10 +107,8 @@ pub struct StoreStats {
     pub chunks_active: usize,
     /// Chunks retired but not yet past the reuse horizon.
     pub chunks_quarantined: usize,
-    /// Chunks currently parked on free lists / allocation caches.
+    /// Chunks currently parked on the free lists.
     pub chunks_free: usize,
-    /// Default-sized chunk requests served directly from a per-thread cache.
-    pub alloc_cache_hits: usize,
     /// Chunks whose quarantine exit (to the free lists or release) was driven by the
     /// epoch watermark ([`ChunkStore::reclaim_watermark`]) rather than by global
     /// quiescence.
@@ -187,19 +179,9 @@ impl FreeStack {
     }
 }
 
-/// One allocation-cache shard: a small stash of ready-to-use default-class chunks.
-#[derive(Default)]
-struct CacheShard {
-    ids: parking_lot::Mutex<Vec<ChunkId>>,
-}
-
 /// The global chunk table plus memory accounting and the chunk lifecycle.
 pub struct ChunkStore {
     chunks: AppendVec<Arc<Chunk>>,
-    /// Serializes id assignment with table insertion so `chunk.id()` always equals the
-    /// chunk's index. Minting is rare — default-sized requests are batched through the
-    /// allocation caches — so this lock is never contended in practice.
-    alloc_lock: parking_lot::Mutex<()>,
     default_chunk_words: usize,
     /// Size class of a default chunk. Every chunk in it has exactly the default
     /// capacity: smaller chunks are minted at the boundary of a lower class, and
@@ -214,8 +196,6 @@ pub struct ChunkStore {
     quarantine: parking_lot::Mutex<Vec<(ChunkId, u64)>>,
     /// Run-epoch registry: the per-run reuse horizons (see [`RunEpochs`]).
     run_epochs: RunEpochs,
-    /// Per-thread stashes of default-class chunks (see module docs).
-    shards: Box<[CacheShard]>,
     /// Cap on `free_words`: reclaimed chunks beyond it are released instead of reused.
     max_free_words: AtomicUsize,
     /// Source of collection epochs (see [`Chunk::gc_state`]): each collection draws a
@@ -234,7 +214,6 @@ pub struct ChunkStore {
     chunks_active: AtomicUsize,
     chunks_quarantined: AtomicUsize,
     chunks_free: AtomicUsize,
-    alloc_cache_hits: AtomicUsize,
     epoch_reclaims: AtomicUsize,
     quarantined_words: AtomicUsize,
 }
@@ -249,13 +228,11 @@ impl ChunkStore {
         );
         ChunkStore {
             chunks: AppendVec::new(),
-            alloc_lock: parking_lot::Mutex::new(()),
             default_chunk_words,
             default_class: class_of(default_chunk_words),
             free: std::array::from_fn(|_| FreeStack::new()),
             quarantine: parking_lot::Mutex::new(Vec::new()),
             run_epochs: RunEpochs::new(),
-            shards: (0..N_SHARDS).map(|_| CacheShard::default()).collect(),
             max_free_words: AtomicUsize::new(usize::MAX),
             gc_epochs: AtomicU64::new(0),
             live_words: AtomicUsize::new(0),
@@ -268,7 +245,6 @@ impl ChunkStore {
             chunks_active: AtomicUsize::new(0),
             chunks_quarantined: AtomicUsize::new(0),
             chunks_free: AtomicUsize::new(0),
-            alloc_cache_hits: AtomicUsize::new(0),
             epoch_reclaims: AtomicUsize::new(0),
             quarantined_words: AtomicUsize::new(0),
         }
@@ -292,51 +268,28 @@ impl ChunkStore {
         self.default_chunk_words
     }
 
-    /// Sets the cap on the free pool: when [`ChunkStore::reclaim_retired`] would push
-    /// `free_words` beyond this, the excess chunks are released instead of kept for
-    /// reuse. Defaults to unlimited.
+    /// Sets the cap on the free pool: a reclaim ([`ChunkStore::reclaim_watermark`] or
+    /// [`ChunkStore::reclaim_retired`]) that would push `free_words` beyond this
+    /// releases the excess chunks instead of keeping them for reuse. Defaults to
+    /// unlimited.
     pub fn set_max_free_words(&self, words: usize) {
         self.max_free_words.store(words, Ordering::Relaxed);
-    }
-
-    /// The calling thread's cache shard.
-    fn shard(&self) -> &CacheShard {
-        use std::cell::Cell;
-        static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-        }
-        let slot = THREAD_SLOT.with(|s| {
-            let mut v = s.get();
-            if v == usize::MAX {
-                v = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-                s.set(v);
-            }
-            v
-        });
-        &self.shards[slot % N_SHARDS]
     }
 
     /// Mints a brand-new chunk (id == table index) in the **active** state,
     /// attributed to the run holding `run_tag` (0 = untracked).
     fn mint_active(&self, owner: u32, n_words: usize, run_tag: u64) -> Arc<Chunk> {
-        let chunk = {
-            let _guard = self.alloc_lock.lock();
-            self.mint_locked(owner, n_words)
-        };
+        // Zero the buffer before reserving the index: readers that race to the new
+        // id spin only while the `Arc` is built and stored.
+        let words = (0..n_words).map(|_| AtomicU64::new(0)).collect();
+        let idx = self
+            .chunks
+            .push_with(|idx| Arc::new(Chunk::with_words(ChunkId(idx as u32), owner, words)));
+        let chunk = Arc::clone(self.chunk(ChunkId(idx as u32)));
         chunk.set_run_tag(run_tag);
         self.total_words.fetch_add(n_words, Ordering::Relaxed);
         self.chunks_active.fetch_add(1, Ordering::Relaxed);
         self.note_live(n_words);
-        chunk
-    }
-
-    /// Table insertion under `alloc_lock` (shared by single and batched minting).
-    fn mint_locked(&self, owner: u32, n_words: usize) -> Arc<Chunk> {
-        let id = ChunkId(self.chunks.len() as u32);
-        let chunk = Arc::new(Chunk::new(id, owner, n_words));
-        let idx = self.chunks.push(Arc::clone(&chunk));
-        debug_assert_eq!(idx, id.0 as usize, "chunk id / index mismatch");
         chunk
     }
 
@@ -345,19 +298,15 @@ impl ChunkStore {
         self.peak_words.fetch_max(live, Ordering::Relaxed);
     }
 
-    /// Moves a free chunk into the active state for `owner`, recycling (resetting and
-    /// re-tagging) it if it has been used before.
+    /// Moves a free chunk into the active state for `owner`, resetting and re-tagging
+    /// it. Only retired chunks reach the free lists, so every activation is a reuse.
     fn activate_free(&self, id: ChunkId, owner: u32, run_tag: u64) -> Arc<Chunk> {
         let chunk = Arc::clone(self.chunk(id));
-        if chunk.is_retired() {
-            chunk.recycle(owner);
-            self.chunks_recycled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // Fresh chunk parked by a batched mint: never used, just take ownership.
-            chunk.set_owner(owner);
-        }
+        debug_assert!(chunk.is_retired(), "free list holds a never-used chunk");
+        chunk.recycle(owner);
         chunk.set_run_tag(run_tag);
         let cap = chunk.capacity();
+        self.chunks_recycled.fetch_add(1, Ordering::Relaxed);
         self.free_words.fetch_sub(cap, Ordering::Relaxed);
         self.chunks_free.fetch_sub(1, Ordering::Relaxed);
         self.chunks_active.fetch_add(1, Ordering::Relaxed);
@@ -365,10 +314,40 @@ impl ChunkStore {
         chunk
     }
 
+    /// The one acquisition path: a chunk of at least `min_words` words for `owner`,
+    /// reused from the request's size class when one is free, else minted.
+    ///
+    /// A request a default chunk fits gets exactly a default chunk: the default class
+    /// holds nothing else, since smaller chunks are minted at the boundary of a lower
+    /// class and oversized ones at the boundary of a higher one. Oversized chunks are
+    /// rounded **up to their class boundary** (`MIN_CLASS_WORDS << k`), so an
+    /// identical request on a rerun (the common case) pops the very chunk it retired,
+    /// and they search the next class too. The capacity check matters only in the
+    /// open-ended top class; a too-small chunk goes back.
+    fn acquire(&self, owner: u32, min_words: usize, run_tag: u64) -> Arc<Chunk> {
+        let class = class_for_request(min_words);
+        let (class, mint_words, searched) = if class < self.default_class {
+            (class, MIN_CLASS_WORDS << class, 1)
+        } else if min_words <= self.default_chunk_words {
+            (self.default_class, self.default_chunk_words, 1)
+        } else {
+            (class, (MIN_CLASS_WORDS << class).max(min_words), 2)
+        };
+        for free in self.free[class..].iter().take(searched) {
+            if let Some(id) = free.pop(&self.chunks) {
+                if self.chunk(id).capacity() >= min_words {
+                    return self.activate_free(id, owner, run_tag);
+                }
+                free.push(&self.chunks, id);
+            }
+        }
+        self.mint_active(owner, mint_words, run_tag)
+    }
+
     /// Allocates a chunk owned by raw heap `owner`, large enough for at least
-    /// `min_words` words: from the calling thread's cache, then the free lists, then
-    /// freshly minted. The chunk carries no run attribution (`run_tag` 0); heaps of
-    /// epoch-tracked runs use [`ChunkStore::alloc_chunk_for_run`] instead.
+    /// `min_words` words and never smaller than the default. The chunk carries no
+    /// run attribution (`run_tag` 0); heaps of epoch-tracked runs use
+    /// [`ChunkStore::alloc_chunk_for_run`] instead.
     pub fn alloc_chunk(&self, owner: u32, min_words: usize) -> Arc<Chunk> {
         self.alloc_chunk_for_run(owner, min_words, 0)
     }
@@ -377,100 +356,16 @@ impl ChunkStore {
     /// epoch `run_tag`: retirement stamps the quarantine record with that epoch, so
     /// the chunk is reclaimed as soon as that run (and every older one) disposes.
     pub fn alloc_chunk_for_run(&self, owner: u32, min_words: usize, run_tag: u64) -> Arc<Chunk> {
-        if min_words <= self.default_chunk_words {
-            // Common case: a default-class chunk via the per-thread cache.
-            let shard = self.shard();
-            if let Some(id) = shard.ids.lock().pop() {
-                self.alloc_cache_hits.fetch_add(1, Ordering::Relaxed);
-                return self.activate_free(id, owner, run_tag);
-            }
-            // Refill: batch-pop recycled chunks, else batch-mint fresh ones. The
-            // default class holds only default chunks (see `default_class`); the
-            // capacity check keeps a smaller chunk from ever serving a default
-            // request should that invariant break.
-            let free = &self.free[self.default_class];
-            let mut batch: Vec<ChunkId> = Vec::with_capacity(REFILL_BATCH);
-            while batch.len() < REFILL_BATCH {
-                match free.pop(&self.chunks) {
-                    Some(id) if self.chunk(id).capacity() >= self.default_chunk_words => {
-                        batch.push(id)
-                    }
-                    Some(id) => {
-                        free.push(&self.chunks, id);
-                        break;
-                    }
-                    None => break,
-                }
-            }
-            if batch.is_empty() {
-                let n = self.default_chunk_words;
-                // The cache never stashes more than the configured retention pool:
-                // `batch - 1` chunks stay behind as free words after one is handed
-                // out, so the batch shrinks when `max_free_words` is small (down to
-                // 1, i.e. no caching at all).
-                let limit = self.max_free_words.load(Ordering::Relaxed);
-                let batch_size = (limit / n).saturating_add(1).clamp(1, REFILL_BATCH);
-                let minted = {
-                    let _guard = self.alloc_lock.lock();
-                    (0..batch_size)
-                        .map(|_| self.mint_locked(crate::chunk::RAW_HEAP_NONE, n))
-                        .collect::<Vec<_>>()
-                };
-                self.total_words
-                    .fetch_add(n * minted.len(), Ordering::Relaxed);
-                // All minted chunks start in the free state; the one we hand out is
-                // activated below like any other free chunk.
-                self.free_words
-                    .fetch_add(n * minted.len(), Ordering::Relaxed);
-                self.chunks_free.fetch_add(minted.len(), Ordering::Relaxed);
-                batch.extend(minted.iter().map(|c| c.id()));
-            }
-            let take = batch.pop().expect("refill produced at least one chunk");
-            if !batch.is_empty() {
-                shard.ids.lock().append(&mut batch);
-            }
-            return self.activate_free(take, owner, run_tag);
-        }
-
-        // Oversized request: search the free classes before minting a dedicated
-        // chunk. Oversized mints are rounded **up to their class boundary**
-        // (`MIN_CLASS_WORDS << k`), so every chunk's capacity meets its class
-        // guarantee exactly: an identical request on a rerun (the common case) pops
-        // the very chunk it retired on the first attempt, and chunks just above the
-        // default size cannot pollute the default class. The capacity check only
-        // matters in the open-ended top class.
-        let class = class_for_request(min_words);
-        for k in class..(class + 2).min(N_CLASSES) {
-            if let Some(id) = self.free[k].pop(&self.chunks) {
-                if self.chunk(id).capacity() >= min_words {
-                    return self.activate_free(id, owner, run_tag);
-                }
-                // Top-class chunks are open-ended; a too-small one goes back.
-                self.free[k].push(&self.chunks, id);
-            }
-        }
-        let rounded = (MIN_CLASS_WORDS << class).max(min_words);
-        self.mint_active(owner, rounded, run_tag)
+        self.acquire(owner, min_words.max(self.default_chunk_words), run_tag)
     }
 
     /// Allocates a chunk of at least `words` words, attributed as by
-    /// [`ChunkStore::alloc_chunk_for_run`], for a cursor that needs less than a
-    /// default chunk. `words` rounds up to its size class's boundary; the chunk comes
-    /// from that class's free list and is minted only if the list is empty. The
-    /// per-thread caches hold default chunks only, so they are not consulted. A
-    /// request whose class is the default chunk's or above is an ordinary
+    /// [`ChunkStore::alloc_chunk_for_run`], for a cursor that may need less than a
+    /// default chunk. Below the default class, `words` rounds up to its size class's
+    /// boundary; a request in the default chunk's class or above is an ordinary
     /// [`ChunkStore::alloc_chunk_for_run`].
     pub fn alloc_sized_chunk_for_run(&self, owner: u32, words: usize, run_tag: u64) -> Arc<Chunk> {
-        let class = class_for_request(words);
-        if class >= self.default_class {
-            return self.alloc_chunk_for_run(owner, words, run_tag);
-        }
-        // Below the default class every chunk was minted at its class boundary, so
-        // any chunk popped here fits.
-        if let Some(id) = self.free[class].pop(&self.chunks) {
-            return self.activate_free(id, owner, run_tag);
-        }
-        self.mint_active(owner, MIN_CLASS_WORDS << class, run_tag)
+        self.acquire(owner, words, run_tag)
     }
 
     /// True if an object with `header` needs a dedicated chunk (it does not fit a
@@ -571,26 +466,51 @@ impl ChunkStore {
     }
 
     /// Moves one reclaimed chunk out of quarantine accounting and onto its free list,
-    /// or releases it when the free pool is over `cap_limit`. Returns `true` if the
-    /// chunk was parked for reuse.
+    /// or releases it when parking it would push the free pool over `cap_limit`.
+    /// The words are reserved with one atomic update, so concurrent reclaims cannot
+    /// both pass the check. Returns `true` if the chunk was parked for reuse.
     fn park_or_release(&self, id: ChunkId, cap_limit: usize) -> bool {
         let chunk = self.chunk(id);
         debug_assert!(chunk.is_retired(), "quarantine holds a non-retired chunk");
         let cap = chunk.capacity();
         self.chunks_quarantined.fetch_sub(1, Ordering::Relaxed);
         self.quarantined_words.fetch_sub(cap, Ordering::Relaxed);
-        if self.free_words.load(Ordering::Relaxed) + cap <= cap_limit {
-            self.free_words.fetch_add(cap, Ordering::Relaxed);
+        let reserved = self
+            .free_words
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
+                free.checked_add(cap).filter(|&w| w <= cap_limit)
+            })
+            .is_ok();
+        if reserved {
             self.chunks_free.fetch_add(1, Ordering::Relaxed);
             self.free[class_of(cap)].push(&self.chunks, id);
-            true
         } else {
             // Over the cap: model returning the buffer to the OS. The chunk stays
             // in the table (ObjPtr resolution needs id stability) but leaves all
             // accounting for good.
             self.chunks_released.fetch_add(1, Ordering::Relaxed);
-            false
         }
+        reserved
+    }
+
+    /// Takes every quarantined chunk stamped below `horizon` out of the quarantine
+    /// and parks or releases it, in quarantine order. Returns the number of chunks
+    /// taken and the number parked for reuse.
+    fn drain_quarantine(&self, horizon: u64) -> (usize, usize) {
+        let cap_limit = self.max_free_words.load(Ordering::Relaxed);
+        let mut taken = Vec::new();
+        self.quarantine.lock().retain(|&(id, retired_at)| {
+            let keep = retired_at >= horizon;
+            if !keep {
+                taken.push(id);
+            }
+            keep
+        });
+        let parked = taken
+            .iter()
+            .filter(|&&id| self.park_or_release(id, cap_limit))
+            .count();
+        (taken.len(), parked)
     }
 
     /// Moves every quarantined chunk whose reuse horizon has passed — its
@@ -604,38 +524,15 @@ impl ChunkStore {
     /// it (pointers must not cross runs — DESIGN.md §5), and `retired_at` is that
     /// run's epoch, so `retired_at < min_active` means every such task is gone.
     pub fn reclaim_watermark(&self) -> usize {
-        let min_active = self.run_epochs.min_active();
-        let cap_limit = self.max_free_words.load(Ordering::Relaxed);
-        let eligible: Vec<ChunkId> = {
-            let mut q = self.quarantine.lock();
-            let mut keep = Vec::with_capacity(q.len());
-            let mut take = Vec::new();
-            for (id, retired_at) in q.drain(..) {
-                if retired_at < min_active {
-                    take.push(id);
-                } else {
-                    keep.push((id, retired_at));
-                }
-            }
-            *q = keep;
-            take
-        };
-        let mut freed = 0;
-        for id in eligible {
-            if self.park_or_release(id, cap_limit) {
-                freed += 1;
-            }
-            self.epoch_reclaims.fetch_add(1, Ordering::Relaxed);
-        }
-        freed
+        let (taken, parked) = self.drain_quarantine(self.run_epochs.min_active());
+        self.epoch_reclaims.fetch_add(taken, Ordering::Relaxed);
+        parked
     }
 
     /// Moves every quarantined chunk to the free lists (or releases it once the free
     /// pool exceeds [`ChunkStore::set_max_free_words`]), making the memory retired by
     /// past collections available for reuse. This is the **global** horizon — the
-    /// degenerate single-run case of [`ChunkStore::reclaim_watermark`], used by the
-    /// baselines between runs; it additionally flushes the per-thread allocation
-    /// caches, which only a quiescent point may do.
+    /// watermark drain with an unbounded horizon, used by the baselines between runs.
     ///
     /// # Reuse horizon
     ///
@@ -646,33 +543,7 @@ impl ChunkStore {
     /// this between runs, when no task is live. Returns the number of chunks moved
     /// to the free lists.
     pub fn reclaim_retired(&self) -> usize {
-        let cap_limit = self.max_free_words.load(Ordering::Relaxed);
-        // First pass every per-thread stash through the cap: the horizon is a
-        // quiescent point, and flushing prevents chunks from being stranded in the
-        // cache of a thread that stops allocating. Stash chunks are already in the
-        // free state, so over-cap ones move free → released.
-        for shard in self.shards.iter() {
-            for id in shard.ids.lock().drain(..) {
-                let cap = self.chunk(id).capacity();
-                if self.free_words.load(Ordering::Relaxed) <= cap_limit {
-                    self.free[class_of(cap)].push(&self.chunks, id);
-                } else {
-                    self.free_words.fetch_sub(cap, Ordering::Relaxed);
-                    self.chunks_free.fetch_sub(1, Ordering::Relaxed);
-                    self.chunks_released.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        // The quarantine is drained *after* the stashes, so freshly retired chunks
-        // sit on top of the LIFO free stacks and are the first ones reused.
-        let drained: Vec<(ChunkId, u64)> = std::mem::take(&mut *self.quarantine.lock());
-        let mut freed = 0;
-        for (id, _retired_at) in drained {
-            if self.park_or_release(id, cap_limit) {
-                freed += 1;
-            }
-        }
-        freed
+        self.drain_quarantine(u64::MAX).1
     }
 
     /// Resolves an object pointer to a view of the object.
@@ -757,7 +628,6 @@ impl ChunkStore {
             chunks_active: self.chunks_active.load(Ordering::Relaxed),
             chunks_quarantined: self.chunks_quarantined.load(Ordering::Relaxed),
             chunks_free: self.chunks_free.load(Ordering::Relaxed),
-            alloc_cache_hits: self.alloc_cache_hits.load(Ordering::Relaxed),
             epoch_reclaims: self.epoch_reclaims.load(Ordering::Relaxed),
             active_runs: self.run_epochs.active_runs(),
             active_runs_peak: self.run_epochs.active_runs_peak(),
@@ -880,19 +750,12 @@ mod tests {
         assert_eq!(all.len(), 8 * 200, "chunk ids must be unique");
     }
 
-    // -- lifecycle: recycling, caches, release, conservation -------------------
-
-    /// Keeps allocating until the calling thread's cache (pre-filled by batched
-    /// minting) is empty, so the next allocation must consult the free lists.
-    fn drain_cache(store: &ChunkStore) -> Vec<StdArc<Chunk>> {
-        (0..REFILL_BATCH).map(|_| store.alloc_chunk(0, 0)).collect()
-    }
+    // -- lifecycle: recycling, release, conservation --------------------------
 
     #[test]
     fn retire_reclaim_recycle_roundtrip() {
         let store = ChunkStore::new(128);
-        let held = drain_cache(&store);
-        let a = StdArc::clone(&held[0]);
+        let a = store.alloc_chunk(0, 0);
         let p = store
             .alloc_in_chunk(&a, Header::new(2, 0, ObjKind::Tuple))
             .unwrap();
@@ -910,8 +773,7 @@ mod tests {
         assert_eq!(s.chunks_free, 1);
         assert_eq!(s.free_words, 128);
 
-        // The next default-sized request (cache is empty) reuses the same buffer for
-        // the new owner.
+        // The next default-sized request reuses the same buffer for the new owner.
         let b = store.alloc_chunk(9, 0);
         assert_eq!(b.id(), a.id(), "free chunk must be reused");
         assert_eq!(b.owner(), 9);
@@ -921,14 +783,15 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.chunks_recycled, 1);
         assert_eq!(s.free_words, 0);
-        assert_eq!(s.live_words, 128 * REFILL_BATCH);
+        assert_eq!(s.live_words, 128);
     }
 
     #[test]
     fn reclaim_releases_beyond_the_free_cap() {
         let store = ChunkStore::new(100);
         store.set_max_free_words(150); // room for one 100-word chunk, not two
-        let held = drain_cache(&store); // cache empty, free_words == 0
+        let held = [store.alloc_chunk(0, 0), store.alloc_chunk(0, 0)];
+        assert_eq!(store.stats().free_words, 0);
         store.retire_chunk(held[0].id());
         store.retire_chunk(held[1].id());
         assert_eq!(store.reclaim_retired(), 1);
@@ -938,22 +801,32 @@ mod tests {
         assert_eq!(s.free_words, 100);
     }
 
+    /// The free pool never holds more than its cap: minting parks nothing, and a
+    /// reclaim reserves a chunk's words against the cap before parking it.
     #[test]
-    fn default_requests_hit_the_allocation_cache() {
+    fn free_pool_never_exceeds_its_cap() {
         let store = ChunkStore::new(64);
-        // The first allocation mints a batch; later ones on this thread hit the cache.
-        let _ = store.alloc_chunk(0, 0);
-        let before = store.stats().alloc_cache_hits;
-        for _ in 0..REFILL_BATCH - 1 {
-            let _ = store.alloc_chunk(0, 0);
+        store.set_max_free_words(256);
+        let big = [store.alloc_chunk(0, 128), store.alloc_chunk(0, 128)];
+        assert!(big.iter().all(|c| c.capacity() == 128));
+        for c in &big {
+            store.retire_chunk(c.id());
         }
+        assert_eq!(store.reclaim_retired(), 2);
+        assert_eq!(store.stats().free_words, 256, "the pool is exactly full");
+        // A default request finds no default chunk free: it mints one, and parks
+        // nothing beside it.
+        let c = store.alloc_chunk(1, 0);
+        assert_eq!(c.capacity(), 64);
         let s = store.stats();
-        assert!(
-            s.alloc_cache_hits >= before + REFILL_BATCH - 1,
-            "cache hits: {} -> {}",
-            before,
-            s.alloc_cache_hits
-        );
+        assert!(s.free_words <= 256, "free pool over its cap: {s:?}");
+        assert_eq!(s.free_words, 256);
+        assert_eq!(s.chunks_free, 2);
+        // A further retiree does not fit the full pool and is released.
+        store.retire_chunk(c.id());
+        assert_eq!(store.reclaim_retired(), 0);
+        let s = store.stats();
+        assert_eq!((s.free_words, s.chunks_released), (256, 1));
     }
 
     #[test]
@@ -975,8 +848,7 @@ mod tests {
     }
 
     /// A retired sub-default chunk goes back to its own size class: default
-    /// requests — through the cache refill and the free lists alike — never get it,
-    /// and the next request of its class reuses it.
+    /// requests never get it, and the next request of its class reuses it.
     #[test]
     fn sub_default_chunks_never_serve_default_requests() {
         let store = ChunkStore::new(1024);
@@ -984,7 +856,7 @@ mod tests {
         assert_eq!(small.capacity(), 512);
         store.retire_chunk(small.id());
         assert_eq!(store.reclaim_retired(), 1);
-        for _ in 0..2 * REFILL_BATCH {
+        for _ in 0..8 {
             let c = store.alloc_chunk(2, 0);
             assert_ne!(c.id(), small.id());
             assert!(
@@ -1008,10 +880,11 @@ mod tests {
         assert_eq!(odd.alloc_sized_chunk_for_run(0, 512, 0).capacity(), 1000);
     }
 
-    /// chunks_created == active + quarantined + free + released at **every** point of
-    /// a randomized interleaving of sub-default, default and oversized traffic —
-    /// including mid-overlap, while several run epochs are active and the watermark
-    /// reclaims some runs' chunks but not others'.
+    /// chunks_created == active + quarantined + free + released, and free_words stays
+    /// within its cap, at **every** point of a randomized interleaving of
+    /// sub-default, default and oversized traffic — including mid-overlap, while
+    /// several run epochs are active and the watermark reclaims some runs' chunks
+    /// but not others'.
     #[test]
     fn prop_lifecycle_conservation() {
         let mut state = 0xFEED_FACE_0123_4567u64;
@@ -1102,6 +975,10 @@ mod tests {
                 "conservation violated at step {step}: {s:?}"
             );
             assert_eq!(s.chunks_active, owned.len(), "active count at step {step}");
+            assert!(
+                s.free_words <= 64 * 8,
+                "free pool over its cap at step {step}: {s:?}"
+            );
         }
         assert!(store.stats().chunks_recycled > 0, "recycling must occur");
         assert!(
@@ -1120,12 +997,6 @@ mod tests {
     #[test]
     fn watermark_reclaims_per_run_without_quiescence() {
         let store = ChunkStore::new(128);
-        let held = drain_cache(&store); // empty the cache so nothing hides there
-        for c in held {
-            store.retire_chunk(c.id());
-        }
-        store.reclaim_retired();
-
         let a = store.run_epochs().begin();
         let b = store.run_epochs().begin();
         let ca = store.alloc_chunk_for_run(1, 0, a);
@@ -1159,8 +1030,7 @@ mod tests {
     #[test]
     fn untagged_retiree_waits_for_runs_alive_at_retirement() {
         let store = ChunkStore::new(128);
-        let held = drain_cache(&store);
-        let witness = held[0].id();
+        let witness = store.alloc_chunk(0, 0).id();
         let old = store.run_epochs().begin();
         store.retire_chunk(witness); // run_tag 0 → stamped with `old`'s epoch
         assert_eq!(store.reclaim_watermark(), 0, "old run still active");
@@ -1169,6 +1039,80 @@ mod tests {
         store.run_epochs().end(old);
         assert_eq!(store.reclaim_watermark(), 1);
         store.run_epochs().end(young);
+    }
+
+    /// Eight threads recycle sub-default, default and oversized chunks through the
+    /// shared free lists, each round inside its own run epoch: every handout goes
+    /// to exactly one holder (a claim in a shared table must succeed), fits its
+    /// request and starts empty, and the lifecycle counts balance at the end.
+    #[test]
+    fn concurrent_recycling_hands_each_chunk_to_one_holder() {
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 1000;
+        const REQUESTS: [usize; 3] = [20, 64, 200]; // sub-default, default, oversized
+        const CAP: usize = THREADS * (32 + 64 + 256);
+        let store = StdArc::new(ChunkStore::new(64));
+        store.set_max_free_words(CAP);
+        // Each handout mints at most one chunk, which bounds the id space.
+        let claims: StdArc<Vec<std::sync::atomic::AtomicBool>> = StdArc::new(
+            (0..THREADS * ROUNDS * REQUESTS.len())
+                .map(|_| Default::default())
+                .collect(),
+        );
+        // A barrier makes all eight hold their chunks at once in every round.
+        // Threads record violations instead of panicking, so a failed check cannot
+        // leave the others waiting at the barrier forever.
+        let barrier = StdArc::new(std::sync::Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS as u32)
+            .map(|t| {
+                let (store, claims) = (StdArc::clone(&store), StdArc::clone(&claims));
+                let barrier = StdArc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut violations = Vec::new();
+                    for _ in 0..ROUNDS {
+                        let epoch = store.run_epochs().begin();
+                        let mut held = Vec::new();
+                        for words in REQUESTS {
+                            let c = store.alloc_sized_chunk_for_run(t, words, epoch);
+                            if c.capacity() < words || (c.owner(), c.used()) != (t, 0) {
+                                let got = (c.id(), c.capacity(), c.owner(), c.used());
+                                violations.push(format!("{words}-word request got {got:?}"));
+                            }
+                            match claims.get(c.id().0 as usize) {
+                                Some(claim) if !claim.swap(true, Ordering::AcqRel) => held.push(c),
+                                _ => violations.push(format!("{:?} has two holders", c.id())),
+                            }
+                        }
+                        barrier.wait();
+                        for c in &held {
+                            claims[c.id().0 as usize].store(false, Ordering::Release);
+                            store.retire_chunk(c.id());
+                        }
+                        store.run_epochs().end(epoch);
+                        store.reclaim_watermark();
+                        if store.stats().free_words > CAP {
+                            violations.push(format!("free pool over its cap: {:?}", store.stats()));
+                        }
+                    }
+                    violations
+                })
+            })
+            .collect();
+        let violations: Vec<String> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        assert!(violations.is_empty(), "{violations:?}");
+        store.reclaim_watermark();
+        let s = store.stats();
+        assert_eq!(
+            s.chunks_created,
+            s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+            "conservation violated: {s:?}"
+        );
+        assert_eq!((s.chunks_active, s.chunks_quarantined), (0, 0), "{s:?}");
+        assert!(s.free_words <= CAP, "{s:?}");
+        assert!(s.chunks_recycled > 0, "nothing was recycled: {s:?}");
     }
 
     /// Recycling never resurrects stale `ObjPtr`s: after a chunk is reused, pointers
@@ -1185,7 +1129,7 @@ mod tests {
         };
         for _case in 0..32 {
             let store = ChunkStore::new(64);
-            let chunk = StdArc::clone(&drain_cache(&store)[0]);
+            let chunk = store.alloc_chunk(0, 0);
             chunk.set_owner(1);
             let gen0 = chunk.generation();
             // Populate with objects carrying recognizable payloads.

@@ -27,7 +27,8 @@
 //!
 //! Memory management uses the v2 chunk lifecycle (crates `hh-objmodel` /
 //! `hh-runtime`): chunks retired by collections flow back to the allocator through
-//! size-classed lock-free free lists and per-thread allocation caches, collections
+//! size-classed lock-free free lists, every chunk request taking the same pop-or-mint
+//! path, collections
 //! can evacuate a whole heap-hierarchy *subtree* (an internal node plus its
 //! completed descendants) in one promotion-aware pass, and steady-state churn runs
 //! with a bounded footprint (see the `chunks_recycled` / `subtree_collections`
