@@ -29,11 +29,6 @@ impl LatencyRecorder {
         self.samples.push(latency.as_nanos() as u64);
     }
 
-    /// Records one event's latency, already expressed in nanoseconds.
-    pub fn record_ns(&mut self, ns: u64) {
-        self.samples.push(ns);
-    }
-
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
         self.samples.len()

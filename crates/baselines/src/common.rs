@@ -187,26 +187,15 @@ impl Drop for StoreEpochGuard<'_> {
     }
 }
 
-/// Follows an object's forwarding chain to its newest copy.
+/// Follows an object's forwarding chain to its newest copy, counting the hops.
 ///
 /// The baselines install forwarding pointers in two situations — semispace collection
 /// and (for the DLG design) promotion to the global heap — and every mutable access
 /// resolves through this barrier so that stale pointers held in Rust locals stay
 /// correct. This is the moral equivalent of the read barrier the MultiMLton work
 /// worries about (§6 of the paper); its cost is one predictable branch per access.
-#[inline]
-pub fn resolve(store: &ChunkStore, mut obj: ObjPtr) -> ObjPtr {
-    loop {
-        let v = store.view(obj);
-        if !v.has_fwd() {
-            return obj;
-        }
-        obj = v.fwd();
-    }
-}
-
-/// As [`resolve`], but counts forwarding hops and **path-compresses** chains of two
-/// or more hops via [`ChunkStore::compress_fwd_chain`], so the amortized barrier
+/// Unlike the plain walk [`ChunkStore::resolve_fwd`], it **path-compresses** chains
+/// of two or more hops via [`ChunkStore::compress_fwd_chain`], so the amortized barrier
 /// cost stays O(1) for objects that have been copied many times (promotion v2
 /// counter parity with the hierarchical runtime; the lock-freedom argument lives on
 /// that method and `ObjView::compress_fwd`).
@@ -427,19 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn resolve_follows_forwarding_chain() {
-        let (store, heap) = setup();
-        let h = Header::new(1, 0, ObjKind::Ref);
-        let a = heap.alloc(0, h);
-        let b = heap.alloc(0, h);
-        let c = heap.alloc(0, h);
-        store.view(a).set_fwd(b);
-        store.view(b).set_fwd(c);
-        assert_eq!(resolve(&store, a), c);
-        assert_eq!(resolve(&store, c), c);
-    }
-
-    #[test]
     fn resolve_tracked_counts_hops_and_compresses_long_chains() {
         use std::sync::atomic::Ordering;
         let (store, heap) = setup();
@@ -516,7 +492,7 @@ mod tests {
         }
         assert_eq!(tags, vec![4, 3, 2, 1, 0]);
         // The stale pointer also resolves to the same data through forwarding.
-        let resolved = resolve(&store, list);
+        let resolved = store.resolve_fwd(list);
         assert_eq!(store.view(resolved).field(2), 4);
     }
 

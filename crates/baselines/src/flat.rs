@@ -17,7 +17,7 @@
 //! monomorphisation, so `SeqRuntime` — the `T_s` every overhead and speedup
 //! ratio divides by — carries no pool, no poll and no `dyn`.
 
-use crate::common::{par_semispace_collect, resolve, resolve_tracked, RootRegistry, RunEpoch};
+use crate::common::{par_semispace_collect, resolve_tracked, RootRegistry, RunEpoch};
 use crate::common::{resolve_counted, FlatHeap, StoreEpochGuard};
 use hh_api::{CounterShard, Counters, ParCtx, RunStats, Runtime};
 use hh_objmodel::{ChunkId, ChunkStore, Header, ObjKind, ObjPtr};
@@ -585,10 +585,10 @@ impl<P: Policy> ParCtx for FlatCtx<P> {
             return;
         }
         let store = &self.inner.store;
-        let master = resolve(store, obj);
+        let master = store.resolve_fwd(obj);
         if let Some(pos) = roots
             .iter()
-            .rposition(|r| !r.is_null() && resolve(store, *r) == master)
+            .rposition(|r| !r.is_null() && store.resolve_fwd(*r) == master)
         {
             roots.swap_remove(pos);
         }

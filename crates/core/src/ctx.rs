@@ -76,19 +76,6 @@ pub struct HhCtx {
     _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
 }
 
-/// Follows a (possibly stale) pointer's forwarding chain to its final master copy.
-/// Used by [`HhCtx::unpin`]'s stale-pointer fallback; readability of every hop is
-/// guaranteed by the store's reuse horizon (no recycling while a run is active).
-fn resolve_fwd(store: &hh_objmodel::ChunkStore, mut p: ObjPtr) -> ObjPtr {
-    loop {
-        let v = store.view(p);
-        if !v.has_fwd() {
-            return p;
-        }
-        p = v.fwd();
-    }
-}
-
 impl HhCtx {
     pub(crate) fn new(
         inner: Arc<Inner>,
@@ -496,10 +483,10 @@ impl ParCtx for HhCtx {
             return;
         }
         let store = self.inner.registry.store();
-        let master = resolve_fwd(store, obj);
+        let master = store.resolve_fwd(obj);
         if let Some(pos) = roots
             .iter()
-            .rposition(|r| !r.is_null() && resolve_fwd(store, *r) == master)
+            .rposition(|r| !r.is_null() && store.resolve_fwd(*r) == master)
         {
             roots.swap_remove(pos);
         }

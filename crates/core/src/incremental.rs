@@ -451,7 +451,7 @@ impl Inner {
         let gc = {
             match &*self.active_gc.lock() {
                 Some(g) => Arc::clone(g),
-                None => return resolve_fwd_chain(store, p),
+                None => return store.resolve_fwd(p),
             }
         };
         if gc.engine.epoch() != epoch
@@ -460,26 +460,13 @@ impl Inner {
                 ChunkGcState::FromSpace(_)
             )
         {
-            return resolve_fwd_chain(store, p);
+            return store.resolve_fwd(p);
         }
         match gc.engine.barrier_forward(p) {
             Some(fwd) => fwd,
             // Retired between the flag load and the call: the evacuation is
             // complete, so ordinary forwarding resolution takes over.
-            None => resolve_fwd_chain(store, p),
+            None => store.resolve_fwd(p),
         }
-    }
-}
-
-/// Chases a forwarding chain to its end (no compression — this is a rare
-/// post-retirement bounce; readability of every hop holds until the reuse
-/// horizon).
-fn resolve_fwd_chain(store: &hh_objmodel::ChunkStore, mut p: ObjPtr) -> ObjPtr {
-    loop {
-        let v = store.view(p);
-        if !v.has_fwd() {
-            return p;
-        }
-        p = v.fwd();
     }
 }

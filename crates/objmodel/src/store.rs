@@ -419,14 +419,6 @@ impl ChunkStore {
         self.gc_epochs.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Snapshot of the chunks currently quarantined (retired but not yet past their
-    /// reuse horizon). For inspection and tests; collections must use
-    /// [`ChunkStore::with_quarantine`] instead, which holds the quarantine closed
-    /// while they stamp membership.
-    pub fn quarantined_chunks(&self) -> Vec<ChunkId> {
-        self.quarantine.lock().iter().map(|&(id, _)| id).collect()
-    }
-
     /// Runs `f` over the current quarantine records `(chunk, retired_at)` **with the
     /// quarantine locked**: no chunk can be reclaimed (and recycled to a new owner)
     /// between being observed by `f` and `f` acting on it. Collections use this at
@@ -589,6 +581,22 @@ impl ChunkStore {
         self.chunk(ptr.chunk()).owner()
     }
 
+    /// Follows `ptr`'s forwarding chain to its end — the newest copy — without
+    /// counting hops or compressing. For cold paths (stale-pointer fallbacks, a
+    /// post-retirement barrier bounce); the hop-counting hot paths compress long
+    /// chains through [`ChunkStore::compress_fwd_chain`]. Every hop stays readable
+    /// until the store's reuse horizon passes its chunk.
+    #[inline]
+    pub fn resolve_fwd(&self, mut ptr: ObjPtr) -> ObjPtr {
+        loop {
+            let v = self.view(ptr);
+            if !v.has_fwd() {
+                return ptr;
+            }
+            ptr = v.fwd();
+        }
+    }
+
     /// Shortcuts every hop of the forwarding chain `from → … → end` directly to
     /// `end`, returning the number of hops rewritten.
     ///
@@ -676,6 +684,18 @@ mod tests {
         assert_eq!(v.n_ptr(), 1);
         v.set_field(2, 99);
         assert_eq!(store.view(p).field(2), 99);
+    }
+
+    #[test]
+    fn resolve_follows_forwarding_chain() {
+        let store = ChunkStore::new(1024);
+        let c = store.alloc_chunk(0, 0);
+        let h = Header::new(1, 0, ObjKind::Ref);
+        let [a, b, d] = [(); 3].map(|_| store.alloc_in_chunk(&c, h).unwrap());
+        store.view(a).set_fwd(b);
+        store.view(b).set_fwd(d);
+        assert_eq!(store.resolve_fwd(a), d);
+        assert_eq!(store.resolve_fwd(d), d);
     }
 
     #[test]

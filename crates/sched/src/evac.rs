@@ -16,8 +16,10 @@
 //!   `ToSpace` for this collection's epoch, so membership tests stay one atomic
 //!   chunk-metadata load;
 //! * **scan blocks** — contiguous spans of fully written copies, published on a
-//!   per-member Chase–Lev [`SpanDeque`] once [`SCAN_BLOCK_WORDS`] accumulate;
-//!   idle members steal blocks from busy ones, wavefront-style;
+//!   per-member [`SpanDeque`] (the scheduler's Chase–Lev [`crate::queue::Deque`]
+//!   over two-word elements) once [`SCAN_BLOCK_WORDS`] accumulate; idle members
+//!   steal blocks from busy ones through the scheduler's own victim scan,
+//!   wavefront-style;
 //! * **the CAS forwarding race** — concurrent members (or mutators, below)
 //!   racing to evacuate one object resolve through
 //!   [`hh_objmodel::ObjView::try_set_fwd`]; the loser retags its copy as an
@@ -59,7 +61,7 @@
 //! DESIGN.md §9 (team protocol) and §11 (incremental protocol) give the full
 //! correctness arguments.
 
-use crate::queue::{Span, SpanDeque};
+use crate::queue::{steal_other, Span, SpanDeque};
 use crate::team::TeamSync;
 use hh_objmodel::{Chunk, ChunkGcState, ChunkId, ChunkStore, Header, ObjPtr, ObjView, OFF_FIELDS};
 use parking_lot::Mutex;
@@ -590,29 +592,23 @@ impl<Z: EvacZone> EvacEngine<Z> {
         }
     }
 
-    /// Steals a scan block from another slot's deque, scanning victims from a
-    /// random starting point.
-    fn steal_span(&self, my_slot: usize, w: &mut EvacWorker) -> Option<Span> {
-        let n = self.deques.len();
-        if n <= 1 {
+    /// The one drain step of every loop below: the newest block on this slot's own
+    /// deque, else an unscanned tail of `w`'s own chunks, else (if `steal`) a block
+    /// stolen from another slot through the shared victim scan, counted in
+    /// `steal_blocks`.
+    fn next_span(&self, w: &mut EvacWorker, slot: usize, steal: bool) -> Option<Span> {
+        if let Some(span) = self.deques[slot].pop() {
+            return Some(span);
+        }
+        if let Some(span) = Self::take_tail(w) {
+            return Some(span);
+        }
+        if !steal {
             return None;
         }
-        let mut x = w.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        w.rng = x;
-        let start = (x % n as u64) as usize;
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if victim == my_slot {
-                continue;
-            }
-            if let Some(span) = self.deques[victim].steal() {
-                return Some(span);
-            }
-        }
-        None
+        let (_, span) = steal_other(&self.deques, slot, &mut w.rng)?;
+        w.steal_blocks += 1;
+        Some(span)
     }
 
     // --- Synchronous team mode. ----------------------------------------------
@@ -622,16 +618,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
     /// is idle with empty deques.
     fn member_loop(&self, w: &mut EvacWorker, slot: usize) {
         loop {
-            if let Some(span) = self.deques[slot].pop() {
-                self.scan_span(w, slot, span);
-                continue;
-            }
-            if let Some(span) = Self::take_tail(w) {
-                self.scan_span(w, slot, span);
-                continue;
-            }
-            if let Some(span) = self.steal_span(slot, w) {
-                w.steal_blocks += 1;
+            if let Some(span) = self.next_span(w, slot, true) {
                 self.scan_span(w, slot, span);
                 continue;
             }
@@ -766,20 +753,10 @@ impl<Z: EvacZone> EvacEngine<Z> {
             if budget == 0 {
                 break false;
             }
-            if let Some(span) = self.deques[slot].pop() {
-                self.scan_span_bounded(&mut w, slot, span, &mut budget);
-                continue;
-            }
-            if let Some(span) = Self::take_tail(&mut w) {
-                self.scan_span_bounded(&mut w, slot, span, &mut budget);
-                continue;
-            }
-            if let Some(span) = self.steal_span(slot, &mut w) {
-                w.steal_blocks += 1;
-                self.scan_span_bounded(&mut w, slot, span, &mut budget);
-                continue;
-            }
-            break true;
+            let Some(span) = self.next_span(&mut w, slot, true) else {
+                break true;
+            };
+            self.scan_span_bounded(&mut w, slot, span, &mut budget);
         };
         // The slot may be claimed by a different thread next: leave no work
         // hidden in tails.
@@ -829,16 +806,8 @@ impl<Z: EvacZone> EvacEngine<Z> {
     /// Drains this slot's own deque (and any tails its scans spill) to empty.
     fn drain_own(&self, slot: usize) {
         let mut w = self.slots[slot].lock();
-        loop {
-            if let Some(span) = self.deques[slot].pop() {
-                self.scan_span(&mut w, slot, span);
-                continue;
-            }
-            if let Some(span) = Self::take_tail(&mut w) {
-                self.scan_span(&mut w, slot, span);
-                continue;
-            }
-            break;
+        while let Some(span) = self.next_span(&mut w, slot, false) {
+            self.scan_span(&mut w, slot, span);
         }
     }
 
@@ -848,21 +817,8 @@ impl<Z: EvacZone> EvacEngine<Z> {
         if w.tos.len() != self.zone.n_slots() {
             self.init_worker(&mut w, 0);
         }
-        loop {
-            if let Some(span) = self.deques[0].pop() {
-                self.scan_span(&mut w, 0, span);
-                continue;
-            }
-            if let Some(span) = Self::take_tail(&mut w) {
-                self.scan_span(&mut w, 0, span);
-                continue;
-            }
-            if let Some(span) = self.steal_span(0, &mut w) {
-                w.steal_blocks += 1;
-                self.scan_span(&mut w, 0, span);
-                continue;
-            }
-            break;
+        while let Some(span) = self.next_span(&mut w, 0, true) {
+            self.scan_span(&mut w, 0, span);
         }
         self.flush_tails(&mut w, 0);
     }

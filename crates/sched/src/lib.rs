@@ -8,8 +8,9 @@
 //! This crate reproduces that structure for the Rust runtimes in this repository:
 //!
 //! * a [`Pool`] of worker OS threads, each with its own lock-free Chase–Lev
-//!   [`JobQueue`] (owner-LIFO, thief-FIFO), plus a mutex-protected injector for
-//!   external (root) work;
+//!   [`JobQueue`] (owner-LIFO, thief-FIFO — the same [`queue::Deque`] the parallel
+//!   collector's [`SpanDeque`]s are), plus a mutex-protected injector for external
+//!   (root) work;
 //! * [`Worker::join`] / [`Worker::join_context`], the work-first fork/join primitive:
 //!   the left closure runs inline, the right lives in a **stack-resident job** (no
 //!   heap allocation on the unstolen fast path) pushed onto the current worker's
@@ -27,11 +28,25 @@
 //! DESIGN.md (repository root) describes the deque memory orderings, the wake-token
 //! protocol, and the steal-time heap-creation interplay in detail.
 //!
-//! The `unsafe` code in this crate is confined to the job layer ([`job`]): stack jobs
-//! are lifetime-erased exactly the way rayon's are, and soundness is argued where the
-//! erasure happens (the forking frame never returns before the branch has finished
-//! executing); the Chase–Lev deque's orderings follow Lê et al. (PPoPP 2013) and are
-//! exercised by a growth-and-theft stress test in `queue::tests`.
+//! `unsafe` code lives in three files, each for one reason:
+//!
+//! * [`job`] — the job layer. Stack jobs are lifetime-erased exactly the way rayon's
+//!   are, behind a type-erased execute function; soundness is argued where the erasure
+//!   happens (the forking frame never returns before the branch has finished
+//!   executing). The job types' `Send`/`Sync` impls rest on their closures being
+//!   `Send`.
+//! * [`queue`] — the deque's raw buffer pointer: thieves dereference the current
+//!   buffer, which growth replaces but retires (never frees) until the deque drops;
+//!   and the job slot rebuilds a [`JobRef`] from the pointer it stored. The orderings
+//!   follow Lê et al. (PPoPP 2013) and are exercised by growth-and-theft stress tests
+//!   for both slot types in `queue::tests`.
+//! * [`pool`] — the callers of the job layer's unsafe API: `join_context` publishes
+//!   and reclaims its stack job's handle, every scheduling loop executes a popped or
+//!   stolen `JobRef` exactly once, `Pool::run` boxes a root job that borrows its
+//!   caller's frame and blocks until it has run, and the shutdown drain executes
+//!   leftover helper jobs.
+//!
+//! [`evac`], [`safepoint`] and [`team`] contain no `unsafe`.
 
 #![warn(missing_docs)]
 
@@ -44,7 +59,7 @@ pub mod team;
 
 pub use evac::{EvacEngine, EvacOutcome, EvacZone, SCAN_BLOCK_WORDS};
 pub use job::JobRef;
-pub use pool::{Pool, PoolConfig, PoolWaker, SchedStats, Worker};
+pub use pool::{Pool, PoolWaker, SchedStats, Worker};
 pub use queue::{Injector, JobQueue, Span, SpanDeque};
 pub use safepoint::Safepoints;
 pub use team::TeamSync;

@@ -10,30 +10,13 @@
 //! [`PoolWaker::wake_all`] (used by the stop-the-world baseline's safepoint protocol).
 
 use crate::job::{HeapJob, JobRef, OwnedJob, StackJob};
-use crate::queue::{Injector, JobQueue};
+use crate::queue::{steal_other, Injector, JobQueue};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Configuration for a [`Pool`].
-#[derive(Clone, Debug)]
-pub struct PoolConfig {
-    /// Number of worker threads. Must be at least 1.
-    pub n_workers: usize,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            n_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-}
 
 type IdleHook = Arc<dyn Fn(usize) + Send + Sync>;
 type StealHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
@@ -84,7 +67,8 @@ struct PoolInner {
     /// lock-and-clone per idle iteration).
     idle_hook_epoch: AtomicUsize,
     steal_hook: OnceLock<StealHook>,
-    /// Per-worker xorshift state for randomized victim selection.
+    /// Per-worker xorshift state for randomized victim selection. Atomic only to be
+    /// shareable; each worker touches its own.
     rng: Vec<AtomicU64>,
     live_workers: AtomicUsize,
     steals: AtomicUsize,
@@ -124,43 +108,21 @@ impl PoolInner {
         self.sleep_cv.notify_all();
     }
 
-    /// One xorshift64 step of worker `me`'s private generator. The slot is atomic only
-    /// to be shareable; each worker touches its own.
-    fn next_rand(&self, me: usize) -> u64 {
-        let mut x = self.rng[me].load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng[me].store(x, Ordering::Relaxed);
-        x
-    }
-
-    /// Steals a job from the injector or from a worker deque other than `me`,
-    /// scanning victims from a random starting point so contending thieves spread out
-    /// instead of converging on the same victims.
+    /// Steals a job from the injector or, through the shared randomized victim scan
+    /// ([`steal_other`]), from a worker deque other than `me`.
     fn steal_any(&self, me: usize) -> Option<JobRef> {
         if let Some(j) = self.injector.steal() {
             return Some(j);
         }
-        let n = self.queues.len();
-        if n <= 1 {
-            return None;
+        let mut rng = self.rng[me].load(Ordering::Relaxed);
+        let stolen = steal_other(&self.queues, me, &mut rng);
+        self.rng[me].store(rng, Ordering::Relaxed);
+        let (victim, j) = stolen?;
+        self.steals.fetch_add(1, Ordering::Relaxed);
+        if let Some(hook) = self.steal_hook.get() {
+            hook(me, victim);
         }
-        let start = (self.next_rand(me) % n as u64) as usize;
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if victim == me {
-                continue;
-            }
-            if let Some(j) = self.queues[victim].steal() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                if let Some(hook) = self.steal_hook.get() {
-                    hook(me, victim);
-                }
-                return Some(j);
-            }
-        }
-        None
+        Some(j)
     }
 
     /// True if any queue (injector included) has visible work. Used only in the
@@ -267,11 +229,6 @@ impl Worker {
     /// Index of this worker within its pool (`0 .. n_workers`).
     pub fn index(&self) -> usize {
         self.index
-    }
-
-    /// Number of workers in the pool this worker belongs to.
-    pub fn pool_size(&self) -> usize {
-        self.pool.queues.len()
     }
 
     /// The work-first fork/join primitive.
@@ -404,14 +361,9 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawns a pool with `n_workers` worker threads.
+    /// Spawns a pool with `n_workers` worker threads (at least one).
     pub fn new(n_workers: usize) -> Pool {
-        Self::with_config(PoolConfig { n_workers })
-    }
-
-    /// Spawns a pool from a [`PoolConfig`].
-    pub fn with_config(config: PoolConfig) -> Pool {
-        let n = config.n_workers.max(1);
+        let n = n_workers.max(1);
         let inner = Arc::new(PoolInner {
             queues: (0..n).map(|_| JobQueue::new()).collect(),
             injector: Injector::new(),

@@ -1,16 +1,17 @@
 //! Work-stealing deques.
 //!
-//! Each worker owns a [`JobQueue`] — a lock-free Chase–Lev deque (Chase & Lev, SPAA
-//! 2005, with the C11 orderings of Lê et al., PPoPP 2013). The owner pushes and pops at
-//! the bottom (LIFO, which preserves the depth-first execution order that makes
-//! hierarchical heaps cheap), while thieves steal from the top (FIFO, stealing the
-//! shallowest — largest — task first, the standard work-stealing heuristic the paper's
-//! scheduler also uses). Owner operations are a handful of atomic instructions with no
-//! locks; thieves synchronize through a single CAS on `top`.
+//! The runtime steals work in two places — fork/join jobs ([`JobQueue`], one per pool
+//! worker) and GC scan blocks ([`SpanDeque`], one per evacuation slot) — and both are
+//! the same lock-free [`Deque`]: Chase & Lev (SPAA 2005) with the C11 orderings of Lê
+//! et al. (PPoPP 2013), generic over the [`Slot`] that stores one element. The owner
+//! pushes and pops at the bottom (LIFO, which preserves the depth-first execution order
+//! that makes hierarchical heaps cheap), while thieves steal from the top (FIFO,
+//! stealing the shallowest — largest — task first, the standard work-stealing heuristic
+//! the paper's scheduler also uses). Owner operations are a handful of atomic
+//! instructions with no locks; thieves synchronize through a single CAS on `top`.
+//! `steal_other` is the one randomized victim scan both thief loops use.
 //!
-//! The element type is [`JobRef`], a single word, so buffer slots are plain
-//! `AtomicPtr`s and the classic algorithm applies without torn-read caveats. The
-//! buffer grows geometrically when full; retired buffers are kept alive until the
+//! The buffer grows geometrically when full; retired buffers are kept alive until the
 //! deque is dropped (racing thieves may still read them), which bounds the waste to
 //! less than the final buffer's size.
 //!
@@ -27,80 +28,136 @@ use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicU64, Ordering};
 /// but growth is supported and tested.
 const INITIAL_CAPACITY: usize = 64;
 
-/// A fixed-capacity ring buffer of job slots. Never shrinks; replaced wholesale on
-/// growth.
-struct Buffer {
-    slots: Box<[AtomicPtr<JobHeader>]>,
+/// One ring-buffer cell of a [`Deque`]: stores one element with Relaxed atomics.
+/// Publication is the deque's job — the Release fence before `push`'s `bottom` store,
+/// or the Release swap of the buffer pointer after growth.
+pub trait Slot {
+    /// The element the deque moves.
+    type Elem: Copy;
+
+    /// A fresh cell (never read before its first `put`).
+    fn empty() -> Self;
+
+    /// Stores `v` (Relaxed).
+    fn put(&self, v: Self::Elem);
+
+    /// Loads the element (Relaxed).
+    ///
+    /// A thief calls this *before* its CAS on `top`, and only a successful CAS licenses
+    /// the value. For a multi-word slot, a slow thief racing a wrapped-around owner
+    /// `put` can read a *torn* element, but the tear needs the owner to overwrite a
+    /// ring index that `top` has already moved past — so that thief's CAS fails and
+    /// the value is discarded. Each word is individually atomic, so the torn read
+    /// itself is well-defined.
+    fn get(&self) -> Self::Elem;
+}
+
+impl Slot for AtomicPtr<JobHeader> {
+    type Elem = JobRef;
+
+    fn empty() -> Self {
+        AtomicPtr::new(std::ptr::null_mut())
+    }
+
+    #[inline]
+    fn put(&self, job: JobRef) {
+        self.store(job.raw() as *mut JobHeader, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn get(&self) -> JobRef {
+        // SAFETY: a `JobRef` is only a pointer until executed, and executing one is
+        // `unsafe` itself; a deque only hands out what `put` stored from live jobs.
+        unsafe { JobRef::from_raw(self.load(Ordering::Relaxed)) }
+    }
+}
+
+/// A two-word payload moved by a [`SpanDeque`] — in practice a GC *scan block*:
+/// a span of a to-space chunk whose freshly copied objects still need their pointer
+/// fields scanned. The deque treats it as an opaque pair of words.
+pub type Span = (u64, u64);
+
+impl Slot for [AtomicU64; 2] {
+    type Elem = Span;
+
+    fn empty() -> Self {
+        [AtomicU64::new(0), AtomicU64::new(0)]
+    }
+
+    #[inline]
+    fn put(&self, span: Span) {
+        self[0].store(span.0, Ordering::Relaxed);
+        self[1].store(span.1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn get(&self) -> Span {
+        (
+            self[0].load(Ordering::Relaxed),
+            self[1].load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// A fixed-capacity ring buffer of slots. Never shrinks; replaced wholesale on growth.
+struct Buffer<S> {
+    slots: Box<[S]>,
     mask: usize,
 }
 
-impl Buffer {
-    fn new(capacity: usize) -> Box<Buffer> {
+impl<S: Slot> Buffer<S> {
+    fn new(capacity: usize) -> Box<Buffer<S>> {
         debug_assert!(capacity.is_power_of_two());
-        let slots: Vec<AtomicPtr<JobHeader>> = (0..capacity)
-            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-            .collect();
         Box::new(Buffer {
-            slots: slots.into_boxed_slice(),
+            slots: (0..capacity).map(|_| S::empty()).collect(),
             mask: capacity - 1,
         })
     }
 
     #[inline]
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    fn put(&self, index: isize, job: JobRef) {
-        // Relaxed: publication happens through the Release store of `bottom` (push) or
-        // the CAS on `top` (after growth).
-        self.slots[index as usize & self.mask].store(job.as_ptr(), Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn get(&self, index: isize) -> JobRef {
-        JobRef::from_ptr(self.slots[index as usize & self.mask].load(Ordering::Relaxed))
+    fn at(&self, index: isize) -> &S {
+        &self.slots[index as usize & self.mask]
     }
 }
 
-/// A lock-free Chase–Lev work-stealing deque of [`JobRef`]s.
+/// A lock-free Chase–Lev work-stealing deque of `S::Elem`s.
 ///
-/// Contract: [`JobQueue::push`] and [`JobQueue::pop`] may only be called by the owning
-/// worker thread; [`JobQueue::steal`] may be called by any thread. Each pushed job is
-/// removed exactly once (by pop or by steal), never duplicated, never lost.
-pub struct JobQueue {
+/// Contract: [`Deque::push`] and [`Deque::pop`] may only be called by the owner (one
+/// thread at a time, with a happens-before edge between successive owners);
+/// [`Deque::steal`] may be called by any thread. Each pushed element is removed
+/// exactly once (by pop or by steal), never duplicated, never lost.
+pub struct Deque<S: Slot> {
     /// Next slot the owner will push into. Only the owner writes it.
     bottom: AtomicIsize,
     /// Next slot thieves will steal from. Advanced by CAS.
     top: AtomicIsize,
     /// Current ring buffer. Only the owner replaces it (on growth).
-    buffer: AtomicPtr<Buffer>,
+    buffer: AtomicPtr<Buffer<S>>,
     /// Retired buffers, kept alive until drop because in-flight thieves may still read
     /// them. Geometric growth keeps the total below one final-buffer's worth.
     /// The `Box` is load-bearing despite clippy's advice: thieves hold `&Buffer`
     /// obtained from the raw `buffer` pointer, so the `Buffer` struct itself must not
     /// move when the retirement vector grows.
     #[allow(clippy::vec_box)]
-    retired: Mutex<Vec<Box<Buffer>>>,
+    retired: Mutex<Vec<Box<Buffer<S>>>>,
 }
 
-// SAFETY: all shared state is atomic; the owner-only contract on push/pop is
-// documented above and upheld by the pool (each worker touches only its own queue's
-// owner operations).
-unsafe impl Send for JobQueue {}
-unsafe impl Sync for JobQueue {}
+/// A worker's fork/join deque of one-word [`JobRef`]s.
+pub type JobQueue = Deque<AtomicPtr<JobHeader>>;
 
-impl Default for JobQueue {
+/// An evacuation slot's deque of two-word [`Span`]s (GC scan blocks).
+pub type SpanDeque = Deque<[AtomicU64; 2]>;
+
+impl<S: Slot> Default for Deque<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl JobQueue {
+impl<S: Slot> Deque<S> {
     /// Creates an empty deque.
     pub fn new() -> Self {
-        JobQueue {
+        Deque {
             bottom: AtomicIsize::new(0),
             top: AtomicIsize::new(0),
             buffer: AtomicPtr::new(Box::into_raw(Buffer::new(INITIAL_CAPACITY))),
@@ -109,22 +166,20 @@ impl JobQueue {
     }
 
     #[inline]
-    fn buffer(&self, order: Ordering) -> &Buffer {
+    fn buffer(&self, order: Ordering) -> &Buffer<S> {
         // SAFETY: the buffer pointer is always valid: it is only replaced by the owner,
         // and old buffers are retired (kept alive), not freed, until `drop`.
         unsafe { &*self.buffer.load(order) }
     }
 
-    /// Owner operation: pushes a job at the bottom.
-    pub fn push(&self, job: JobRef) {
+    /// Owner operation: pushes an element at the bottom.
+    pub fn push(&self, v: S::Elem) {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
-        let buf = self.buffer(Ordering::Relaxed);
-        if b - t >= buf.capacity() as isize {
+        if b - t >= self.buffer(Ordering::Relaxed).slots.len() as isize {
             self.grow(b, t);
         }
-        let buf = self.buffer(Ordering::Relaxed);
-        buf.put(b, job);
+        self.buffer(Ordering::Relaxed).at(b).put(v);
         // Publish the slot write before making it visible to thieves.
         fence(Ordering::Release);
         self.bottom.store(b + 1, Ordering::Relaxed);
@@ -134,19 +189,18 @@ impl JobQueue {
     #[cold]
     fn grow(&self, b: isize, t: isize) {
         let old = self.buffer(Ordering::Relaxed);
-        let new = Buffer::new(old.capacity() * 2);
+        let new = Buffer::<S>::new(old.slots.len() * 2);
         for i in t..b {
-            new.put(i, old.get(i));
+            new.at(i).put(old.at(i).get());
         }
-        let new_ptr = Box::into_raw(new);
-        let old_ptr = self.buffer.swap(new_ptr, Ordering::Release);
+        let old_ptr = self.buffer.swap(Box::into_raw(new), Ordering::Release);
         // SAFETY: old_ptr came from Box::into_raw in `new`/`grow` and is retired, not
         // freed, because thieves may still hold a reference to it.
         self.retired.lock().push(unsafe { Box::from_raw(old_ptr) });
     }
 
-    /// Owner operation: pops the most recently pushed job.
-    pub fn pop(&self) -> Option<JobRef> {
+    /// Owner operation: pops the most recently pushed element.
+    pub fn pop(&self) -> Option<S::Elem> {
         let b = self.bottom.load(Ordering::Relaxed) - 1;
         let buf = self.buffer(Ordering::Relaxed);
         self.bottom.store(b, Ordering::Relaxed);
@@ -154,29 +208,27 @@ impl JobQueue {
         // the flag-and-read handshake with concurrent thieves.
         fence(Ordering::SeqCst);
         let t = self.top.load(Ordering::Relaxed);
-        if t <= b {
-            let job = buf.get(b);
-            if t == b {
-                // Last element: race the thieves for it with a CAS on top.
-                let won = self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                won.then_some(job)
-            } else {
-                Some(job)
-            }
-        } else {
+        if t > b {
             // Empty: restore bottom.
             self.bottom.store(b + 1, Ordering::Relaxed);
-            None
+            return None;
         }
+        let v = buf.at(b).get();
+        if t < b {
+            return Some(v);
+        }
+        // Last element: race the thieves for it with a CAS on top.
+        let won = self
+            .top
+            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
+            .is_ok();
+        self.bottom.store(b + 1, Ordering::Relaxed);
+        won.then_some(v)
     }
 
-    /// Thief operation: steals the oldest job. Retries internally on CAS contention
-    /// and returns `None` only when the deque is (momentarily) empty.
-    pub fn steal(&self) -> Option<JobRef> {
+    /// Thief operation: steals the oldest element. Retries internally on CAS
+    /// contention and returns `None` only when the deque is (momentarily) empty.
+    pub fn steal(&self) -> Option<S::Elem> {
         loop {
             let t = self.top.load(Ordering::Acquire);
             // Order the `top` load before the `bottom` load (pairs with the fence in
@@ -186,228 +238,69 @@ impl JobQueue {
             if t >= b {
                 return None;
             }
-            // Read the slot *before* the CAS: a successful CAS licenses the value read.
-            let buf = self.buffer(Ordering::Acquire);
-            let job = buf.get(t);
+            // Read the slot *before* the CAS: a successful CAS licenses the value read
+            // (see `Slot::get`).
+            let v = self.buffer(Ordering::Acquire).at(t).get();
             if self
                 .top
                 .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                return Some(job);
+                return Some(v);
             }
             // Lost the race to another thief (or to the owner's pop); try again.
             std::hint::spin_loop();
         }
     }
 
-    /// Number of queued jobs (racy, for heuristics and tests only).
+    /// Number of queued elements (racy, for heuristics and tests). SeqCst loads: the
+    /// collector's termination check reads every deque after all members announced
+    /// themselves idle, when no new element can appear.
     pub fn len(&self) -> usize {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
+        let b = self.bottom.load(Ordering::SeqCst);
+        let t = self.top.load(Ordering::SeqCst);
         (b - t).max(0) as usize
     }
 
-    /// True if no jobs are queued (racy, for heuristics and tests only).
+    /// True if no elements are queued (racy; see [`Deque::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-impl Drop for JobQueue {
+impl<S: Slot> Drop for Deque<S> {
     fn drop(&mut self) {
         // SAFETY: exclusive access in drop; the pointer came from Box::into_raw.
         drop(unsafe { Box::from_raw(*self.buffer.get_mut()) });
-        // Retired buffers drop with the Vec. Any un-executed JobRefs are plain
-        // pointers owned elsewhere (stack frames / Pool::run boxes); nothing to free.
+        // Retired buffers drop with the Vec. Elements are plain values or pointers
+        // owned elsewhere (stack frames / `Pool::run` boxes); nothing to free.
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scan-span deques (GC v2).
-// ---------------------------------------------------------------------------
-
-/// A two-word payload moved by a [`SpanDeque`] — in practice a GC *scan block*:
-/// a span of a to-space chunk whose freshly copied objects still need their pointer
-/// fields scanned. The deque treats it as an opaque pair of words.
-pub type Span = (u64, u64);
-
-/// A fixed-capacity ring of two-word span slots (the [`Buffer`] of [`SpanDeque`]).
-struct SpanBuffer {
-    slots: Box<[(AtomicU64, AtomicU64)]>,
-    mask: usize,
-}
-
-impl SpanBuffer {
-    fn new(capacity: usize) -> Box<SpanBuffer> {
-        debug_assert!(capacity.is_power_of_two());
-        let slots: Vec<(AtomicU64, AtomicU64)> = (0..capacity)
-            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-            .collect();
-        Box::new(SpanBuffer {
-            slots: slots.into_boxed_slice(),
-            mask: capacity - 1,
-        })
+/// The randomized victim scan of both thief loops (pool workers and GC members):
+/// one xorshift64 step of the caller's private `rng`, then one steal attempt on every
+/// deque but `me`'s, starting from a random victim so contending thieves spread out
+/// instead of converging on the same victims. Returns the victim's index and the
+/// stolen element, or `None` if every other deque was (momentarily) empty.
+pub(crate) fn steal_other<S: Slot>(
+    deques: &[Deque<S>],
+    me: usize,
+    rng: &mut u64,
+) -> Option<(usize, S::Elem)> {
+    let n = deques.len();
+    if n <= 1 {
+        return None;
     }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    fn put(&self, index: isize, span: Span) {
-        let slot = &self.slots[index as usize & self.mask];
-        slot.0.store(span.0, Ordering::Relaxed);
-        slot.1.store(span.1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn get(&self, index: isize) -> Span {
-        let slot = &self.slots[index as usize & self.mask];
-        (
-            slot.0.load(Ordering::Relaxed),
-            slot.1.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// The [`JobQueue`] Chase–Lev algorithm over two-word [`Span`] elements — the
-/// work-stealing substrate of the parallel collector (GC v2): each collector worker
-/// owns one, pushing and popping scan blocks at the bottom while idle collectors
-/// steal blocks from the top.
-///
-/// Same orderings and contract as [`JobQueue`] (owner-only `push`/`pop`, any-thread
-/// `steal`, exactly-once removal). The one twist of a two-word element: a slow thief
-/// racing a wrapped-around owner `put` can observe a *torn* pair, but the value is
-/// only used after the CAS on `top` succeeds, and that CAS fails whenever the tear
-/// was possible (the owner can only overwrite a ring slot whose index has been
-/// consumed, i.e. `top` moved past it). Each word is individually atomic, so the
-/// torn read is well-defined and simply discarded.
-pub struct SpanDeque {
-    bottom: AtomicIsize,
-    top: AtomicIsize,
-    buffer: AtomicPtr<SpanBuffer>,
-    /// Retired buffers (see [`JobQueue::retired`]); the `Box` keeps grown-over
-    /// buffers pinned while in-flight thieves may still read them.
-    #[allow(clippy::vec_box)]
-    retired: Mutex<Vec<Box<SpanBuffer>>>,
-}
-
-impl Default for SpanDeque {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SpanDeque {
-    /// Creates an empty deque.
-    pub fn new() -> Self {
-        SpanDeque {
-            bottom: AtomicIsize::new(0),
-            top: AtomicIsize::new(0),
-            buffer: AtomicPtr::new(Box::into_raw(SpanBuffer::new(INITIAL_CAPACITY))),
-            retired: Mutex::new(Vec::new()),
-        }
-    }
-
-    #[inline]
-    fn buffer(&self, order: Ordering) -> &SpanBuffer {
-        // SAFETY: as in `JobQueue::buffer` — replaced only by the owner, old buffers
-        // retired (kept alive) until drop.
-        unsafe { &*self.buffer.load(order) }
-    }
-
-    /// Owner operation: pushes a span at the bottom.
-    pub fn push(&self, span: Span) {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        if b - t >= self.buffer(Ordering::Relaxed).capacity() as isize {
-            self.grow(b, t);
-        }
-        self.buffer(Ordering::Relaxed).put(b, span);
-        fence(Ordering::Release);
-        self.bottom.store(b + 1, Ordering::Relaxed);
-    }
-
-    #[cold]
-    fn grow(&self, b: isize, t: isize) {
-        let old = self.buffer(Ordering::Relaxed);
-        let new = SpanBuffer::new(old.capacity() * 2);
-        for i in t..b {
-            new.put(i, old.get(i));
-        }
-        let new_ptr = Box::into_raw(new);
-        let old_ptr = self.buffer.swap(new_ptr, Ordering::Release);
-        // SAFETY: `old_ptr` came from `Box::into_raw`; retired, not freed, because
-        // in-flight thieves may still read it.
-        self.retired.lock().push(unsafe { Box::from_raw(old_ptr) });
-    }
-
-    /// Owner operation: pops the most recently pushed span.
-    pub fn pop(&self) -> Option<Span> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        let buf = self.buffer(Ordering::Relaxed);
-        self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t <= b {
-            let span = buf.get(b);
-            if t == b {
-                let won = self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                won.then_some(span)
-            } else {
-                Some(span)
-            }
-        } else {
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            None
-        }
-    }
-
-    /// Thief operation: steals the oldest span. Returns `None` only when the deque
-    /// is (momentarily) empty.
-    pub fn steal(&self) -> Option<Span> {
-        loop {
-            let t = self.top.load(Ordering::Acquire);
-            fence(Ordering::SeqCst);
-            let b = self.bottom.load(Ordering::Acquire);
-            if t >= b {
-                return None;
-            }
-            // Read before the CAS; a successful CAS licenses the (possibly torn —
-            // then the CAS fails) value just read.
-            let span = self.buffer(Ordering::Acquire).get(t);
-            if self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(span);
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// True if no spans are queued (racy; used by the collector's termination
-    /// protocol *after* all workers have announced themselves idle, when no new
-    /// spans can appear).
-    pub fn is_empty(&self) -> bool {
-        let b = self.bottom.load(Ordering::SeqCst);
-        let t = self.top.load(Ordering::SeqCst);
-        b - t <= 0
-    }
-}
-
-impl Drop for SpanDeque {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access in drop; the pointer came from Box::into_raw.
-        drop(unsafe { Box::from_raw(*self.buffer.get_mut()) });
-    }
+    let mut x = *rng;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *rng = x;
+    let start = (x % n as u64) as usize;
+    (0..n)
+        .map(|k| (start + k) % n)
+        .filter(|&victim| victim != me)
+        .find_map(|victim| Some((victim, deques[victim].steal()?)))
 }
 
 /// The mutex-protected FIFO through which external threads inject root jobs.
@@ -435,20 +328,6 @@ impl Injector {
     /// True if no root jobs are waiting (racy, for sleep rechecks only).
     pub fn is_empty(&self) -> bool {
         self.inner.lock().is_empty()
-    }
-}
-
-// Conversion helpers between JobRef and raw slot pointers, private to this crate.
-impl JobRef {
-    #[inline]
-    fn as_ptr(self) -> *mut JobHeader {
-        self.raw() as *mut JobHeader
-    }
-
-    #[inline]
-    fn from_ptr(p: *mut JobHeader) -> JobRef {
-        // SAFETY: `p` was produced by `as_ptr` on a JobRef stored in this deque.
-        unsafe { JobRef::from_raw(p) }
     }
 }
 
@@ -658,6 +537,41 @@ mod tests {
         mine.sort_unstable();
         let expect: Vec<u64> = (0..N).collect();
         assert_eq!(mine, expect, "every span exactly once");
+    }
+
+    /// The shared victim scan: with one element in one other deque it finds that
+    /// element from every rng state (the scan starts at every index over the seeds
+    /// tried), and it never takes the caller's own element.
+    #[test]
+    fn steal_other_finds_a_lone_victim_and_skips_the_caller() {
+        for n in 1..=5usize {
+            let deques: Vec<SpanDeque> = (0..n).map(|_| SpanDeque::new()).collect();
+            for me in 0..n {
+                let mut starts = vec![false; n];
+                for seed in 0..64u64 {
+                    deques[me].push((me as u64, seed));
+                    let mut rng = seed;
+                    assert_eq!(
+                        steal_other(&deques, me, &mut rng),
+                        None,
+                        "stole own element"
+                    );
+                    assert_eq!(deques[me].pop(), Some((me as u64, seed)));
+                    for victim in (0..n).filter(|&v| v != me) {
+                        deques[victim].push((victim as u64, seed));
+                        let mut rng = seed;
+                        let got = steal_other(&deques, me, &mut rng);
+                        assert_eq!(got, Some((victim, (victim as u64, seed))), "n={n} me={me}");
+                        starts[(rng % n as u64) as usize] = true;
+                    }
+                    assert!(deques.iter().all(|d| d.is_empty()));
+                }
+                assert!(
+                    n == 1 || starts.iter().all(|&s| s),
+                    "n={n}: a start index was never tried"
+                );
+            }
+        }
     }
 
     #[test]

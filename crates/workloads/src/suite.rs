@@ -3,6 +3,7 @@
 //! from its timings).
 
 use crate::adversary::entangle;
+use crate::fib;
 use crate::graph::{bfs, generate as gen_graph, multi_usp_tree, BfsState, BfsVariant};
 use crate::matrix::{dmm, smvm, vector_checksum, Csr, Dense};
 use crate::mutator::{frontier_bfs, lru_churn, union_find};
@@ -12,7 +13,6 @@ use crate::sort::{dedup, msort, msort_pure};
 use crate::strassen;
 use crate::tourney::tourney;
 use crate::wavefront::wavefront;
-use crate::{fib, fib_seq};
 use hh_api::ParCtx;
 use std::time::{Duration, Instant};
 
@@ -409,11 +409,6 @@ fn timed<R: Into<u64>>(f: impl FnOnce() -> R) -> BenchOutcome {
         elapsed: start.elapsed(),
         checksum,
     }
-}
-
-/// Sequential reference value for `fib` inputs used by tests.
-pub fn fib_reference(n: u64) -> u64 {
-    fib_seq(n)
 }
 
 /// A convenient total ordering on benchmark outcomes for assertions in tests: two
