@@ -58,8 +58,8 @@ pub trait ParCtx: Sized {
     // The scalar operations above pay one virtual call plus one forwarding-chain check
     // per 64-bit word. The bulk operations below express a whole contiguous field range
     // in one call so a runtime can amortize that bookkeeping per slice: the
-    // hierarchical runtime resolves `findMaster` once and holds the heap read lock
-    // across the slice, and the baselines resolve their forwarding barrier once.
+    // hierarchical runtime resolves the master copy once per slice, and the
+    // baselines resolve their forwarding barrier once.
     //
     // The default implementations are plain scalar loops, so every `ParCtx` impl is
     // automatically correct; runtimes override them for speed. Bulk operations are

@@ -19,9 +19,8 @@
 //!   [`ParCtx::copy_nonptr`] (object→object range copy) express a whole contiguous
 //!   field range in one call. The default implementations are scalar loops (so every
 //!   `ParCtx` impl is automatically correct); the runtimes override them to resolve
-//!   `findMaster` (or the baselines' forwarding barrier) **once per slice** and hold
-//!   the master heap's read lock across it. Bulk traffic is reported through the
-//!   `bulk_*` counters of [`RunStats`].
+//!   the master copy (or the baselines' forwarding barrier) **once per slice**. Bulk
+//!   traffic is reported through the `bulk_*` counters of [`RunStats`].
 //! * **N-ary fork-join** — [`ParCtx::join_many`] runs any number of tasks with one
 //!   call (divide-and-conquer over binary [`ParCtx::join`], so the heap hierarchy
 //!   stays balanced), and [`ParCtx::par_for`] is the grain-controlled parallel loop

@@ -155,8 +155,9 @@ run_stats! {
         promoted_objects: u64,
         /// Total words copied by promotions.
         promoted_words: u64,
-        /// Forwarding-pointer hops walked while resolving master copies (`findMaster` on
-        /// the hierarchical runtime, the forwarding barrier on the baselines). With path
+        /// Forwarding-pointer hops walked while resolving master copies (the chase to
+        /// the master on the hierarchical runtime, the forwarding barrier on the
+        /// baselines). With path
         /// compression enabled this stays close to the number of resolutions.
         fwd_hops: u64,
         /// Forwarding-chain hops short-cut by path compression: after a resolution walks

@@ -54,6 +54,17 @@ pub(crate) struct HierZone {
     /// stamp — under overlapping runs the conservative stamp would park them
     /// behind every younger run and visibly degrade recycling.
     heap_tags: Vec<u64>,
+    /// Per zone slot: the heap is a root, so its to-space chunks are marked
+    /// root-owned as its allocation cursors' chunks are.
+    heap_roots: Vec<bool>,
+}
+
+impl HierZone {
+    fn activated(&self, slot: u16, chunk: &Chunk) {
+        if self.heap_roots[slot as usize] {
+            chunk.set_root_owned();
+        }
+    }
 }
 
 impl EvacZone for HierZone {
@@ -62,19 +73,23 @@ impl EvacZone for HierZone {
     }
 
     fn alloc_dedicated(&self, slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
-        self.store.alloc_dedicated_for_run(
+        let (chunk, ptr) = self.store.alloc_dedicated_for_run(
             self.heap_raws[slot as usize],
             header,
             self.heap_tags[slot as usize],
-        )
+        );
+        self.activated(slot, &chunk);
+        (chunk, ptr)
     }
 
     fn alloc_chunk(&self, slot: u16, min_words: usize) -> Arc<Chunk> {
-        self.store.alloc_chunk_for_run(
+        let chunk = self.store.alloc_chunk_for_run(
             self.heap_raws[slot as usize],
             min_words,
             self.heap_tags[slot as usize],
-        )
+        );
+        self.activated(slot, &chunk);
+        chunk
     }
 }
 
@@ -203,6 +218,10 @@ impl Inner {
             heap_tags: zone
                 .iter()
                 .map(|&h| self.registry.heap(h).run_tag())
+                .collect(),
+            heap_roots: zone
+                .iter()
+                .map(|&h| self.registry.heap(h).parent().is_none())
                 .collect(),
         }
     }

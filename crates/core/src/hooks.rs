@@ -62,10 +62,10 @@ pub enum GcScheduleEvent {
     },
     /// A promotion running under an open window has filled a copy and is about
     /// to CAS-install the original's forwarding pointer. The promoter holds the
-    /// WRITE locks of its whole path here, so a handler that blocks stalls only
-    /// lock-taking accesses — lock-free optimistic writes to the original still
-    /// land, which is the interleaving the post-install re-copy exists for
-    /// (DESIGN.md §6.7).
+    /// WRITE lock of the original's heap here, so a handler that blocks stalls
+    /// only accesses that wait on that lock (a `cas_nonptr` on the original) —
+    /// lock-free optimistic writes to the original still land, which is the
+    /// interleaving the post-install re-copy exists for (DESIGN.md §6.7).
     PromoteCopyFilled,
 }
 

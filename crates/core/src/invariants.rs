@@ -12,8 +12,8 @@
 //!   only ancestor-or-self pointers, and no survivor may carry a forwarding cycle.
 //!
 //! Both checks run only over memory the calling task has exclusive access to at that
-//! point (the promotion holds WRITE locks on the whole path and inspects only the
-//! copies it just made; a collection's zone is quiescent by the GC gating argument of
+//! point (the promotion holds the WRITE lock of every original's heap and inspects
+//! only the copies it just made, before publishing the hops to them; a collection's zone is quiescent by the GC gating argument of
 //! DESIGN.md §4.2/§5), so they are race-free even under heavy stealing. Violations
 //! panic with the offending objects, which is exactly what the stress harness
 //! (`crates/core/tests/stress.rs`) wants: a seed that corrupts the hierarchy fails
@@ -35,16 +35,21 @@ impl Inner {
     }
 
     /// Post-promotion check over the pass's fresh copies (see module docs). The
-    /// caller still holds the WRITE locks of the promotion path, so the copies are
-    /// unreachable by any concurrent `findMaster`; the check must therefore not take
-    /// any heap lock itself (it only reads registry metadata and chunk words).
-    pub(crate) fn verify_promotion(&self, target: HeapId, copies: &[ObjPtr]) {
+    /// caller still holds the WRITE lock of every original's heap and has not
+    /// published the hops to the copies yet, so no concurrent access has reached
+    /// them; the check must not take any heap lock itself (it only reads registry
+    /// metadata and chunk words).
+    pub(crate) fn verify_promotion(
+        &self,
+        target: HeapId,
+        copies: impl IntoIterator<Item = ObjPtr>,
+    ) {
         if !self.invariants_enabled() {
             return;
         }
         let store: &ChunkStore = self.registry.store();
         let target = self.registry.resolve(target);
-        for &copy in copies {
+        for copy in copies {
             let v = store.view(copy);
             assert_fwd_acyclic(store, copy);
             for f in 0..v.n_ptr() {

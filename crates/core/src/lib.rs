@@ -18,8 +18,8 @@
 //! | module       | paper                                                            |
 //! |--------------|------------------------------------------------------------------|
 //! | [`ctx`]      | Figure 3 high-level operations, Figure 5 `forkjoin`                |
-//! | [`ops`]      | Figure 6 `findMaster`, `readMutable`, `writeNonptr`; Figure 7 `writePtr` / `writePromote` |
-//! | [`promote`]  | Figure 7 `promote` (batched Cheney pass + path compression, v2)    |
+//! | [`ops`]      | Figure 6 `findMaster` (as a lock-free chase), `readMutable`, `writeNonptr`; Figure 7 `writePtr` |
+//! | [`promote`]  | Figure 7 `writePromote`, `promote` (batched Cheney pass + path compression, v2) |
 //! | [`gc`]       | Figure 14 / Appendix A promotion-aware copy collection             |
 //! | [`invariants`] | debug-build disentanglement / forwarding-acyclicity checker      |
 //! | [`runtime`]  | runtime construction, scheduler integration, statistics            |

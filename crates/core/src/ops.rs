@@ -1,5 +1,6 @@
-//! Mutable-access operations: `findMaster`, `readMutable`, `writeNonptr`, `writePtr`
-//! (the paper's Figure 6 and the dispatch part of Figure 7).
+//! Mutable-access operations: `readMutable`, `writeNonptr`, `writePtr` (the paper's
+//! Figure 6 and the dispatch part of Figure 7), and the chase to the master copy
+//! that replaces Figure 6's locked `findMaster` (DESIGN.md §6.7).
 
 use crate::runtime::Inner;
 use hh_heaps::{Heap, HeapId};
@@ -14,22 +15,23 @@ pub(crate) struct Located<'a> {
     pub(crate) heap: &'a Heap,
 }
 
-/// What `findMaster` returns: the master copy of an object, with a READ lock held on
-/// its heap for as long as this guard lives (so no promotion can install a newer
-/// copy meanwhile). Dropping the guard releases the lock — also on unwind.
-pub(crate) struct Master<'a>(Located<'a>);
+/// A READ lock on a heap, held for as long as this guard lives (so no promotion out
+/// of the heap can start meanwhile). Dropping the guard releases the lock — also on
+/// unwind.
+pub(crate) struct ReadLocked<'a>(&'a Heap);
 
-impl<'a> std::ops::Deref for Master<'a> {
-    type Target = Located<'a>;
-    fn deref(&self) -> &Located<'a> {
-        &self.0
+impl<'a> ReadLocked<'a> {
+    #[inline]
+    pub(crate) fn new(heap: &'a Heap) -> Self {
+        heap.lock.lock_shared();
+        ReadLocked(heap)
     }
 }
 
-impl Drop for Master<'_> {
+impl Drop for ReadLocked<'_> {
     #[inline]
     fn drop(&mut self) {
-        self.0.heap.lock.unlock_shared();
+        self.0.lock.unlock_shared();
     }
 }
 
@@ -43,41 +45,19 @@ impl Inner {
         }
     }
 
-    /// `findMaster` (Figure 6, lines 5–10): walks the forwarding chain to the master
-    /// copy using double-checked locking, and returns with a READ lock held on the
-    /// master's heap (released when the returned [`Master`] drops).
-    ///
-    /// Inlined into each operation so the guard stays in registers: returning its
-    /// three words through memory cost every slow-path access ~9 ns on the
-    /// reference host.
-    #[inline(always)]
-    pub(crate) fn find_master(&self, obj: ObjPtr) -> Master<'_> {
-        let mut start = obj;
-        loop {
-            let (cur, v) = self.chase(start);
-            // Candidate master found: lock its heap in shared mode and re-check. A
-            // concurrent promotion may have installed a forwarding pointer in between;
-            // if so, drop the lock and chase again from the candidate.
-            let master = self.locate(v);
-            master.heap.lock.lock_shared();
-            let master = Master(master);
-            if !v.has_fwd() {
-                return master;
-            }
-            start = cur;
-        }
-    }
-
     /// Chases `start`'s forwarding chain without any lock, to the first copy that has
-    /// no forwarding pointer: the *candidate* master, returned with its view. Only a
-    /// lock on its heap (or, for a promotion, the WRITE-locked path) makes it final.
+    /// no forwarding pointer: the *candidate* master, returned with its view. Every
+    /// hop it follows is ready, so the candidate's contents are final
+    /// ([`hh_objmodel::ObjView::fwd_ready`]); a pending hop is waited out on its
+    /// carrier's heap ([`Inner::await_copy`]). Only a re-check of the candidate's
+    /// forwarding slot after operating on it (or a lock on its heap) makes it the
+    /// master.
     ///
-    /// Promotion v2: chains of two or more hops are **path-compressed** after the
-    /// chase — every intermediate hop is CAS-shortcut to the chain's end (see
+    /// Chains of two or more hops are **path-compressed** after the chase — every
+    /// intermediate hop is CAS-shortcut to the chain's end (see
     /// [`hh_objmodel::ChunkStore::compress_fwd_chain`]) — so an object promoted `k`
-    /// times costs `O(k)` once and `O(1)` on every later resolution. The fast path (no
-    /// forwarding pointer) performs no extra atomic traffic; hops and compressions are
-    /// counted only when a chain was actually walked.
+    /// times costs `O(k)` once and `O(1)` on every later resolution. Hops and
+    /// compressions are counted only when a chain was actually walked.
     #[inline(always)]
     fn chase(&self, start: ObjPtr) -> (ObjPtr, ObjView<'_>) {
         let store: &hh_objmodel::ChunkStore = self.registry.store();
@@ -85,11 +65,14 @@ impl Inner {
         let mut hops = 0u64;
         let v = loop {
             let v = store.view(cur);
-            if !v.has_fwd() {
-                break v;
+            match v.fwd_ready() {
+                Some(next) if next.is_null() => break v,
+                Some(next) => {
+                    cur = next;
+                    hops += 1;
+                }
+                None => self.await_copy(v),
             }
-            cur = v.fwd();
-            hops += 1;
         };
         if hops > 0 {
             let shard = self.shard();
@@ -102,6 +85,51 @@ impl Inner {
             }
         }
         (cur, v)
+    }
+
+    /// Waits until `v`'s pending hop is published. The promoter installed it while
+    /// holding the WRITE lock of `v`'s heap and publishes it before releasing that
+    /// lock, so one READ acquisition of the heap waits it out (the caller re-reads
+    /// the slot). The caller holds no heap lock, so the wait cannot close a cycle.
+    #[cold]
+    #[inline(never)]
+    fn await_copy(&self, v: ObjView<'_>) {
+        drop(ReadLocked::new(self.registry.heap_of_chunk(v.chunk())));
+    }
+
+    /// [`Inner::chase`], out of line, for [`Inner::at_master`].
+    #[cold]
+    #[inline(never)]
+    fn chase_cold(&self, start: ObjPtr) -> (ObjPtr, ObjView<'_>) {
+        self.chase(start)
+    }
+
+    /// Applies `op` to the master copy of `obj` without a lock: chases to the
+    /// candidate master, runs `op` on it, and re-checks its forwarding slot — the
+    /// first copy's fast path (Figure 6), run on whichever copy is the candidate. If
+    /// a promotion forwarded the candidate meanwhile, `op` is applied again from
+    /// there (the promotion copied either the old or the new value; the re-run makes
+    /// it the new one). `fenced` puts a `SeqCst` fence between `op` and the re-check
+    /// for the bulk writes (DESIGN.md §6.7).
+    ///
+    /// Only the chase is a call. `op` stays in the caller's frame: a bulk operation
+    /// that handed its closure to an out-of-line slow half would pin the closure's
+    /// captures in memory, and its slice loop would reload them after every atomic
+    /// store (`core.bulk_write_ns_per_word` ≈ 1.0 → 1.5 on the reference host).
+    #[inline(always)]
+    fn at_master<R>(&self, obj: ObjPtr, fenced: bool, mut op: impl FnMut(ObjView<'_>) -> R) -> R {
+        let mut start = obj;
+        loop {
+            let (cur, v) = self.chase_cold(start);
+            let res = op(v);
+            if fenced {
+                fence(Ordering::SeqCst);
+            }
+            if !v.has_fwd() {
+                return res;
+            }
+            start = cur;
+        }
     }
 
     /// `readMutable` (Figure 6, lines 11–17).
@@ -118,9 +146,9 @@ impl Inner {
     /// `writeNonptr` (Figure 6, lines 18–23).
     pub(crate) fn write_nonptr_impl(&self, obj: ObjPtr, field: usize, val: u64) {
         // Incremental-GC write barrier: ensure a from-space `obj` is forwarded
-        // *before* the store below, so the optimistic-write recheck (and
-        // `find_master`) necessarily lands in to-space and the update cannot be
-        // lost to a concurrent evacuation snapshot.
+        // *before* the store below, so the optimistic-write recheck (and the
+        // chase to the master) necessarily lands in to-space and the update cannot
+        // be lost to a concurrent evacuation snapshot.
         self.gc_barrier(obj);
         // Fast path: write optimistically, then check whether `obj` was the master.
         let v = self.registry.store().view(obj);
@@ -134,9 +162,13 @@ impl Inner {
     /// Atomic compare-and-swap on a mutable non-pointer field.
     ///
     /// Not part of the paper's Figure 6, but required by the BFS benchmarks (§4.2),
-    /// which mark vertices visited with a compare-and-swap. The structure mirrors
-    /// `writeNonptr`: apply to the object, then re-apply to the master copy if the
-    /// object turns out to have been promoted.
+    /// which mark vertices visited with a compare-and-swap. Unlike a store, a CAS
+    /// cannot simply be re-applied to the master when a promotion overtakes it: if
+    /// the copy already carries the new value, the re-run fails and reports a CAS
+    /// that took effect as lost. So a CAS runs optimistically only on an object of
+    /// a root heap, which no promotion ever copies (no heap is shallower), as its
+    /// chunk records ([`hh_objmodel::Chunk::is_root_owned`]); anywhere else it
+    /// first keeps the promoter out ([`Inner::cas_master`]).
     pub(crate) fn cas_nonptr_impl(
         &self,
         obj: ObjPtr,
@@ -147,46 +179,118 @@ impl Inner {
         self.gc_barrier(obj);
         let v = self.registry.store().view(obj);
         if !v.has_fwd() {
-            let res = v.cas_field(field, expected, new);
-            if !v.has_fwd() {
+            if v.chunk().is_root_owned() {
+                let res = v.cas_field(field, expected, new);
+                // Only an evacuation could forward a root-heap object, and the
+                // barrier above already forwarded it if it is in a window's
+                // from-space.
+                if !v.has_fwd() {
+                    return res;
+                }
+            } else if let Some(res) = self.announced_cas(obj, v, field, expected, new) {
                 return res;
             }
-            // A promotion raced with us; fall through and apply on the master copy
-            // (the promotion copied either the pre- or post-CAS value, and the CAS
-            // below re-establishes the intended outcome on the authoritative copy).
         }
         self.cas_master(obj, field, expected, new)
     }
 
-    // The scalar operations' locked halves live out of line so that the optimistic
+    /// The CAS on `v` (the object at `at`, outside a root heap) by a pool worker,
+    /// announced to promoters (see [`Inner::cas_master`]). `None` if the caller is
+    /// not a pool worker or `v` has a forwarding pointer: nothing was changed.
+    #[inline]
+    fn announced_cas(
+        &self,
+        at: ObjPtr,
+        v: ObjView<'_>,
+        field: usize,
+        expected: u64,
+        new: u64,
+    ) -> Option<Result<u64, u64>> {
+        let slot = &self.cas_slots[self.pool.current_worker_index()?].0;
+        slot.store(at.to_bits(), Ordering::SeqCst);
+        let res = (!v.has_fwd_seqcst()).then(|| v.cas_field(field, expected, new));
+        slot.store(ObjPtr::NULL.to_bits(), Ordering::Release);
+        res
+    }
+
+    // The scalar operations' slow halves live out of line so that the optimistic
     // halves — Figure 8's few-instruction fast paths — stay small enough to inline
     // into `HhCtx` with their chunk lookup.
 
     #[cold]
     #[inline(never)]
     fn read_master(&self, obj: ObjPtr, field: usize) -> u64 {
-        self.find_master(obj).view.field(field)
+        self.at_master(obj, false, |v| v.field(field))
     }
 
     #[cold]
     #[inline(never)]
     fn write_master(&self, obj: ObjPtr, field: usize, val: u64) {
-        self.find_master(obj).view.set_field(field, val);
+        self.at_master(obj, false, |v| v.set_field(field, val));
     }
 
+    /// The CAS of [`Inner::cas_nonptr_impl`] on the master, exact: no promotion
+    /// of the master can copy the field between the check that the master has no
+    /// forwarding pointer and the CAS.
+    ///
+    /// A pool worker announces the candidate in its [`crate::runtime::CasSlot`]
+    /// (a `SeqCst` store) and only then checks the candidate's forwarding slot (a
+    /// `SeqCst` load), while a promoter installs the hop, fences, and waits until
+    /// no slot announces the object before it copies the fields
+    /// ([`Inner::await_cas`]). This is Dekker's handshake: either the CAS sees the
+    /// hop and moves on to the copy, or the promoter sees the announcement and
+    /// copies only after the CAS, whose value the copy then carries. A thread
+    /// outside the pool has no slot and holds the master heap's READ lock across
+    /// the check and the CAS instead; the promoter holds that heap's WRITE lock. A
+    /// root-heap master needs neither.
     #[cold]
     #[inline(never)]
     fn cas_master(&self, obj: ObjPtr, field: usize, expected: u64, new: u64) -> Result<u64, u64> {
-        self.find_master(obj).view.cas_field(field, expected, new)
+        let mut start = obj;
+        loop {
+            let (cur, v) = self.chase(start);
+            if v.chunk().is_root_owned() {
+                let res = v.cas_field(field, expected, new);
+                if !v.has_fwd() {
+                    return res;
+                }
+            } else if self.pool.current_worker_index().is_some() {
+                if let Some(res) = self.announced_cas(cur, v, field, expected, new) {
+                    return res;
+                }
+            } else {
+                let _locked = ReadLocked::new(self.registry.heap_of_chunk(v.chunk()));
+                if !v.has_fwd() {
+                    return v.cas_field(field, expected, new);
+                }
+            }
+            start = cur;
+        }
+    }
+
+    /// The promoter's half of [`Inner::cas_master`]'s handshake, called after it
+    /// installed `obj`'s hop and fenced (`SeqCst`), before it copies the fields:
+    /// waits until no pool worker announces a CAS on `obj`.
+    pub(crate) fn await_cas(&self, obj: ObjPtr) {
+        for slot in self.cas_slots.iter() {
+            let mut spins = 0u32;
+            while slot.0.load(Ordering::Acquire) == obj.to_bits() {
+                spins += 1;
+                if spins < 64 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------
     // Bulk field operations (ParCtx v2).
     //
-    // The scalar operations above pay one forwarding check per word, and one
-    // `findMaster` (forwarding-chain walk plus a heap lock round-trip) per word once
-    // the object has been promoted. The bulk operations pay each once per object
-    // operand, through `on_master` below.
+    // The scalar operations above pay one forwarding check per word, and one chase
+    // to the master per word once the object has been promoted. The bulk
+    // operations pay each once per object operand, through `on_master` below.
     // ------------------------------------------------------------------
 
     /// Applies `op` — a straight field loop over one slice, storing iff `stores` — to
@@ -196,10 +300,11 @@ impl Inner {
     /// and a promotion that forwards it later copies (or, under an incremental
     /// window, re-copies) its fields only after installing the pointer — so
     /// everything `op` stored is carried over. Otherwise `op` is (re-)applied to the
-    /// master under its heap's READ lock, which keeps a concurrent promotion — it
-    /// takes the WRITE lock — from installing a newer copy mid-slice. Slow-path
-    /// resolutions are counted in `bulk_master_lookups`: at most one per operand,
-    /// never one per element.
+    /// master the same way, lock-free ([`Inner::at_master`]): the chase waits out a
+    /// promotion in progress, and a promotion that overtakes the slice on the
+    /// candidate makes the re-check fail and the slice run again on the newer copy.
+    /// Slow-path resolutions are counted in `bulk_master_lookups`: at most one per
+    /// operand call, never one per element.
     ///
     /// The fence between a storing `op` and the re-check pairs with the one the
     /// promoter issues between installing the pointer and copying
@@ -221,7 +326,7 @@ impl Inner {
         self.shard()
             .bulk_master_lookups
             .fetch_add(1, Ordering::Relaxed);
-        op(self.find_master(obj).view);
+        self.at_master(obj, stores, op);
     }
 
     /// Bulk `readMutable`.
@@ -268,9 +373,8 @@ impl Inner {
     /// Object→object range copy: one master resolution per operand (two in total).
     ///
     /// The source slice is staged through a buffer between the two resolutions, so
-    /// at most one heap read lock is held at a time — taking both at once could
-    /// deadlock against a writer waiting between the two acquisitions under the
-    /// writer-preferring heap lock. The buffer is a **per-worker thread-local**,
+    /// each operand is resolved (and re-checked) on its own. The buffer is a
+    /// **per-worker thread-local**,
     /// reused across calls (GC v2 satellite): the old `vec![0u64; len]` paid one
     /// heap allocation per copy on a hot bulk path. Growth is accounted to the
     /// `promo_buf_allocs` scratch-buffer counter, so `tests/promo_alloc.rs` can
@@ -298,8 +402,8 @@ impl Inner {
         if len == 0 {
             return;
         }
-        // Only the destination is written; source reads resolve through
-        // `find_master` and from-space stays readable until finalize retires it.
+        // Only the destination is written; source reads chase to the master and
+        // from-space stays readable until finalize retires it.
         self.gc_barrier(dst);
         self.shard().record_bulk(len as u64);
         COPY_BUF.with(|cell| {
@@ -375,10 +479,9 @@ impl Inner {
             // promotion forwarded the candidate before the lock was taken, the
             // master moved up: chase on from the candidate and decide again (the new
             // master is shallower, so the write may now have to promote).
-            master.heap.lock.lock_shared();
-            let master = Master(master);
+            let _locked = ReadLocked::new(master.heap);
             if !v.has_fwd() {
-                master.view.set_field(field, ptr.to_bits());
+                v.set_field(field, ptr.to_bits());
                 return;
             }
             start = cur;
@@ -391,9 +494,114 @@ mod tests {
     use crate::{HhConfig, HhRuntime};
     use hh_api::{ParCtx, Runtime};
     use hh_heaps::HeapId;
-    use hh_objmodel::{Header, ObjKind};
+    use hh_objmodel::{Header, ObjKind, ObjPtr};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
+
+    /// A CAS that took effect must be reported as such when a promotion overtakes
+    /// it. Two threads race per round: one CAS-adds into `x`, retrying on failure
+    /// as `adversary::cas_add` does, while the other publishes `x` into the root.
+    /// A CAS that succeeds on the original and then sees the new forwarding
+    /// pointer must not re-run on a copy that already carries its value: the
+    /// re-run fails, the caller retries, and the sum comes out one too high. The
+    /// adder runs on a thread outside the pool (the READ-locked CAS) and on a pool
+    /// worker (the announced CAS).
+    #[test]
+    fn a_cas_that_took_effect_is_not_retried_under_a_concurrent_promotion() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const ROUNDS: usize = 2_000;
+        const ADDS: u64 = 64;
+        fn cas_add(c: &impl ParCtx, x: ObjPtr) {
+            let mut cur = c.read_mut(x, 0);
+            while let Err(seen) = c.cas_nonptr(x, 0, cur, cur + 1) {
+                cur = seen;
+            }
+        }
+
+        // Outside the pool, on heaps built by hand.
+        let rt = HhRuntime::new(HhConfig::eager_heaps(1));
+        let inner = rt.inner();
+        let reg = &inner.registry;
+        let root = reg.new_root_heap();
+        let mid = reg.new_child_heap(root);
+        let leaf = reg.new_child_heap(mid);
+        let mut wrong = 0;
+        for _ in 0..ROUNDS {
+            let holder = reg.alloc_obj(root, Header::new(1, 1, ObjKind::Ref));
+            let x = reg.alloc_obj(mid, Header::new(1, 0, ObjKind::Ref));
+            inner.write_nonptr_impl(x, 0, 0);
+            let go = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !go.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    inner.write_ptr_impl(leaf, holder, 0, x);
+                });
+                go.store(true, Ordering::Release);
+                for _ in 0..ADDS {
+                    let mut cur = inner.read_mut_impl(x, 0);
+                    while let Err(seen) = inner.cas_nonptr_impl(x, 0, cur, cur + 1) {
+                        cur = seen;
+                    }
+                }
+            });
+            wrong += usize::from(inner.read_mut_impl(x, 0) != ADDS);
+        }
+        assert_eq!(
+            wrong, 0,
+            "outside the pool: {wrong} of {ROUNDS} rounds added twice"
+        );
+
+        // On two pool workers: `x` lives in the left branch's heap, and the
+        // stolen right branch publishes it into the root while the left adds.
+        let rt = HhRuntime::new(HhConfig::eager_heaps(2));
+        let (wrong, raced) = rt.run(|ctx| {
+            let cell = ctx.alloc_ref_ptr(ObjPtr::NULL);
+            let (mut wrong, mut raced) = (0, 0);
+            for _ in 0..ROUNDS {
+                let (w, r) = ctx
+                    .join(
+                        |m| {
+                            let x = m.alloc_ref_data(0);
+                            let started = AtomicBool::new(false);
+                            let (raced, ()) = m.join(
+                                |a| {
+                                    // Bounded: if the right branch is not stolen it
+                                    // runs after this one, and the round is serial.
+                                    let raced = (0..1_000_000).any(|_| {
+                                        std::hint::spin_loop();
+                                        started.load(Ordering::Acquire)
+                                    });
+                                    for _ in 0..ADDS {
+                                        cas_add(a, x);
+                                    }
+                                    raced
+                                },
+                                |b| {
+                                    started.store(true, Ordering::Release);
+                                    b.write_ptr(cell, 0, x);
+                                },
+                            );
+                            (usize::from(m.read_mut(x, 0) != ADDS), usize::from(raced))
+                        },
+                        |_| (),
+                    )
+                    .0;
+                wrong += w;
+                raced += r;
+            }
+            (wrong, raced)
+        });
+        assert_eq!(
+            wrong, 0,
+            "on pool workers: {wrong} of {ROUNDS} rounds added twice"
+        );
+        assert!(
+            raced > 0,
+            "no round ran the adder against a stolen promoter"
+        );
+    }
 
     /// A bulk operation that panics while it holds the master's READ lock (here: a
     /// slice running past the object's last field, caught by the debug bounds

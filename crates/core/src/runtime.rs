@@ -45,7 +45,16 @@ pub(crate) struct Inner {
     /// Test-only schedule hooks (see [`crate::hooks`]): per-runtime, so
     /// parallel tests never observe each other's schedules.
     hooks: parking_lot::Mutex<Option<Arc<dyn crate::hooks::GcScheduleHooks>>>,
+    /// One per pool worker: the object its `cas_nonptr` is about to change, or
+    /// NULL (see `Inner::cas_master`).
+    pub(crate) cas_slots: Box<[CasSlot]>,
 }
+
+/// A pool worker's announcement of the object its CAS is about to change
+/// (`ObjPtr::NULL` bits between CASes), on cache lines of its own: the worker
+/// writes it on every CAS outside a root heap, and only promoters read it.
+#[repr(align(128))]
+pub(crate) struct CasSlot(pub(crate) std::sync::atomic::AtomicU64);
 
 impl Inner {
     /// The calling thread's counter shard: its worker's own, or the shared one of
@@ -266,6 +275,9 @@ impl HhRuntime {
         let registry = HeapRegistry::new(store);
         let pool = Pool::new(config.n_workers);
         let counters = Arc::new(Counters::new(pool.n_workers()));
+        let cas_slots = (0..pool.n_workers())
+            .map(|_| CasSlot(hh_objmodel::ObjPtr::NULL.to_bits().into()))
+            .collect();
         // The scheduler's on-steal hook: count steals into the thief's shard of the
         // runtime's resettable statistics. (The per-fork steal observation that
         // drives lazy heap creation flows through `Worker::join_context` in
@@ -291,6 +303,7 @@ impl HhRuntime {
                 active_gc_epoch: std::sync::atomic::AtomicU64::new(0),
                 hooks_installed: std::sync::atomic::AtomicBool::new(false),
                 hooks: parking_lot::Mutex::new(None),
+                cas_slots,
             }),
         };
         if rt.inner.config.incremental_gc {

@@ -53,7 +53,7 @@ pub struct HeapStats {
 /// The fields fall into three groups by who writes them, each kept off the others'
 /// cache lines (DESIGN.md §6.8): the read-mostly **identity**; the **promotion side**
 /// — the lock word, the promoters' bump cursor and the promoted-in accounting,
-/// written by WRITE-lock holders — and the **owner side**, the owner's bump cursor
+/// written by promoters into this heap — and the **owner side**, the owner's bump cursor
 /// and accounting. Allocation takes no lock: each side bumps its own chunk, and the
 /// chunk-list mutex is taken only to refill either cursor.
 #[repr(C)]
@@ -71,8 +71,9 @@ pub struct Heap {
     merged_into: AtomicU32,
     _identity_end: LinePad,
 
-    // -- Promotion side: written by promoters holding the WRITE lock (and reset by
-    // the collector's flip).
+    // -- Promotion side: written by promoters into this heap, under its WRITE lock
+    // or, for one-object promotions, its READ lock (and reset by the collector's
+    // flip).
     /// The paper's per-heap readers–writer lock.
     pub lock: HeapRwLock,
     /// Raw id of the chunk promotions ([`BatchAlloc`]) bump into (always also in
@@ -195,7 +196,7 @@ impl Heap {
     ///
     /// Thread-safe and lock-free apart from chunk refills: the owning task bumps the
     /// owner cursor's chunk, while promotions by other tasks (holding this heap's
-    /// WRITE lock) bump the promotion cursor's chunk through [`Heap::batch_alloc`].
+    /// lock) bump the promotion cursor's chunk through [`Heap::batch_alloc`].
     ///
     /// Each refill sizes the cursor's next chunk to its demand: as many words as the
     /// cursor has placed since heap creation or the last flip (never fewer than the
@@ -232,6 +233,7 @@ impl Heap {
     ) -> (ObjPtr, &'s Arc<Chunk>) {
         if store.needs_dedicated_chunk(header) {
             let (chunk, ptr) = store.alloc_dedicated_for_run(self.id.raw(), header, self.run_tag);
+            self.mark_root_owned(&chunk);
             self.chunks.lock().push(chunk.id());
             return (ptr, store.chunk(chunk.id()));
         }
@@ -284,6 +286,7 @@ impl Heap {
             .next_power_of_two()
             .clamp(FIRST_CHUNK_WORDS.min(default), default);
         let chunk = store.alloc_sized_chunk_for_run(self.id.raw(), words, self.run_tag);
+        self.mark_root_owned(&chunk);
         let ptr = place(store, &chunk, header, for_copy)
             .expect("fresh chunk cannot be too small for the object it was sized for");
         chunks.push(chunk.id());
@@ -291,6 +294,15 @@ impl Heap {
         // activation (owner, run tag, reset cursor).
         cursor.chunk.store(chunk.id().0, Ordering::Release);
         Ok((ptr, store.chunk(chunk.id())))
+    }
+
+    /// Marks a chunk just activated for this heap as root-owned if this heap is a
+    /// root ([`Chunk::is_root_owned`]).
+    #[inline]
+    pub fn mark_root_owned(&self, chunk: &Chunk) {
+        if self.parent.is_none() {
+            chunk.set_root_owned();
+        }
     }
 
     /// Records `objects` objects promoted into this heap (statistics only; their
@@ -304,7 +316,10 @@ impl Heap {
     /// their own, so the owner's and the promoters' bumps never share a cache line —
     /// and their words are tallied in the session and published to the heap's
     /// promotion-side accounting once, when it drops. Promoters hold the heap's
-    /// WRITE lock while the session lives.
+    /// WRITE lock while the session lives, or its READ lock for a one-object
+    /// promotion: sessions may then run concurrently and share the cursor, and a
+    /// refill sizes its chunk from an approximate tally (another session's words
+    /// may not be published yet).
     pub fn batch_alloc<'a>(&'a self, store: &'a ChunkStore) -> BatchAlloc<'a> {
         BatchAlloc {
             heap: self,
@@ -587,6 +602,28 @@ mod tests {
         let p = h.alloc_obj(&store, header);
         assert_eq!(store.view(p).n_fields(), 2);
         assert_eq!(h.n_chunks(), 1);
+    }
+
+    /// A root heap marks every chunk it activates, cursor and dedicated alike, so
+    /// a CAS can tell from the chunk that no promotion copies its objects; a child
+    /// heap marks none.
+    #[test]
+    fn root_heaps_mark_their_chunks_root_owned() {
+        let store = store(); // 64-word chunks
+        let root = Heap::new(HeapId(0), HeapId::NONE, 0);
+        let child = Heap::new(HeapId(1), HeapId(0), 1);
+        let small = Header::new(2, 0, ObjKind::Tuple);
+        let big = Header::new(500, 0, ObjKind::ArrayData);
+        for p in [
+            root.alloc_obj(&store, small),
+            root.alloc_obj(&store, big),
+            root.batch_alloc(&store).alloc(small),
+        ] {
+            assert!(store.chunk(p.chunk()).is_root_owned());
+        }
+        for p in [child.alloc_obj(&store, small), child.alloc_obj(&store, big)] {
+            assert!(!store.chunk(p.chunk()).is_root_owned());
+        }
     }
 
     #[test]

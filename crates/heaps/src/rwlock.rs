@@ -4,8 +4,9 @@
 //! (`writePromote` locks a whole path of heaps bottom-up and unlocks it top-down), so
 //! [`HeapRwLock`] offers explicit `lock_shared` / `unlock_shared` / `lock_exclusive` /
 //! `unlock_exclusive` operations — the direct analogue of the paper's
-//! `lock(h, {READ, WRITE})` / `unlock(h)`. (`findMaster`'s "return with the READ lock
-//! held" is wrapped in an RAII guard one layer up, in `hh-core`.)
+//! `lock(h, {READ, WRITE})` / `unlock(h)`. (The READ holds of `hh-core` — a
+//! non-promoting pointer write, a one-object promotion's target — are wrapped in an
+//! RAII guard one layer up.)
 //!
 //! The whole lock state is **one atomic word**, so an uncontended acquire/release
 //! pair is two read-modify-writes and no syscall:
@@ -18,7 +19,7 @@
 //! ```
 //!
 //! Writers are given preference: once a writer is waiting, new readers block, so a
-//! promotion (a writer) is not starved by a stream of `findMaster` readers.
+//! promotion (a writer) is not starved by a stream of readers.
 //!
 //! A contended acquire spins briefly, then yields, then parks on a mutex + condvar.
 //! Only the park path and a release that observed `PARKED` touch the mutex. Acquiring

@@ -102,6 +102,8 @@ pub struct Chunk {
     id: ChunkId,
     /// Raw id of the heap this chunk was allocated into (interpreted by `hh-heaps`).
     owner: AtomicU32,
+    /// Set when the chunk is activated for a root heap (see [`Chunk::is_root_owned`]).
+    root_owned: std::sync::atomic::AtomicBool,
     /// Next free word index.
     top: AtomicUsize,
     /// True once the chunk's contents have been retired by a collection; retained only
@@ -137,9 +139,15 @@ impl Chunk {
     /// Creates a chunk over an already zero-filled `words` buffer, which the store
     /// builds before it reserves the chunk's id.
     pub(crate) fn with_words(id: ChunkId, owner: u32, words: Box<[AtomicU64]>) -> Chunk {
+        assert!(
+            words.len() <= crate::MAX_CHUNK_WORDS,
+            "a chunk of {} words would set the forwarding slot's pending bit in its offsets",
+            words.len()
+        );
         Chunk {
             id,
             owner: AtomicU32::new(owner),
+            root_owned: std::sync::atomic::AtomicBool::new(false),
             top: AtomicUsize::new(0),
             retired: std::sync::atomic::AtomicBool::new(false),
             generation: AtomicU32::new(0),
@@ -178,6 +186,23 @@ impl Chunk {
     #[inline]
     pub fn owner(&self) -> u32 {
         self.owner.load(Ordering::Acquire)
+    }
+
+    /// True if the heap this chunk was activated for is a root of its hierarchy.
+    /// No promotion ever copies an object of a root heap (no heap is shallower),
+    /// so its objects are never forwarded by one. `false` says nothing: a chunk
+    /// that joined a root heap later, or whose owner did not say, stays `false`.
+    #[inline]
+    pub fn is_root_owned(&self) -> bool {
+        self.root_owned.load(Ordering::Relaxed)
+    }
+
+    /// Records that the chunk's owner is a root heap. Called by the owner right
+    /// after activation, before any object in the chunk is reachable; a recycle
+    /// clears it.
+    #[inline]
+    pub fn set_root_owned(&self) {
+        self.root_owned.store(true, Ordering::Relaxed);
     }
 
     /// Re-points the chunk at a (possibly merged) heap. Used for path compression by the
@@ -353,6 +378,7 @@ impl Chunk {
         // tag is cleared too — the store re-stamps it for the new owner's run.
         self.gc_tag.store(0, Ordering::Relaxed);
         self.run_tag.store(0, Ordering::Relaxed);
+        self.root_owned.store(false, Ordering::Relaxed);
         self.generation.fetch_add(1, Ordering::AcqRel);
         self.owner.store(new_owner, Ordering::Release);
         self.retired.store(false, Ordering::Release);
@@ -500,12 +526,17 @@ mod tests {
         let c = Chunk::new(ChunkId(0), 3, 64);
         let off = c.try_bump(8).unwrap() as usize;
         c.word(off).store(0xDEAD_BEEF, Ordering::Relaxed);
+        c.set_root_owned();
         c.retire();
         assert_eq!(c.generation(), 0);
         c.recycle(9);
         assert_eq!(c.generation(), 1);
         assert_eq!(c.owner(), 9);
         assert!(!c.is_retired());
+        assert!(
+            !c.is_root_owned(),
+            "the new owner says whether it is a root"
+        );
         assert_eq!(c.used(), 0);
         assert_eq!(
             c.word(off).load(Ordering::Relaxed),

@@ -43,6 +43,6 @@ pub use appendvec::AppendVec;
 pub use chunk::{Chunk, ChunkForensics, ChunkGcState, ChunkId, GC_MAX_ZONE_SLOTS, RAW_HEAP_NONE};
 pub use epoch::RunEpochs;
 pub use header::{Header, ObjKind};
-pub use objptr::ObjPtr;
+pub use objptr::{ObjPtr, MAX_CHUNK_WORDS};
 pub use store::{ChunkStore, StoreStats};
 pub use view::{ObjView, OFF_FIELDS, OFF_FWD, OFF_HEADER};

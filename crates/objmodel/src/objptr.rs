@@ -12,8 +12,20 @@ use std::fmt;
 ///
 /// The all-ones bit pattern is reserved for [`ObjPtr::NULL`], which is used both for
 /// "no forwarding pointer" and for nil pointer fields (e.g. the tail of a list).
+///
+/// Bit 31 — the top bit of the offset — is never set in a pointer: offsets are below
+/// the capacity of their chunk, which is at most [`MAX_CHUNK_WORDS`]. A forwarding
+/// slot uses that bit to tag a hop whose copy is not ready yet
+/// ([`crate::ObjView::fwd_ready`]).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjPtr(u64);
+
+/// Largest chunk capacity in words (2³¹, 16 GiB): every header offset is below it,
+/// which keeps bit 31 — the forwarding slot's pending tag — free in every [`ObjPtr`].
+pub const MAX_CHUNK_WORDS: usize = 1 << 31;
+
+/// The bit of a forwarding slot that marks its hop as pending (bit 31 of the offset).
+pub(crate) const PENDING_BIT: u64 = 1 << 31;
 
 impl ObjPtr {
     /// The null object pointer. Dereferencing it is a logic error caught by debug asserts.
@@ -24,6 +36,11 @@ impl ObjPtr {
     pub fn new(chunk: ChunkId, offset: u32) -> Self {
         let bits = ((chunk.0 as u64) << 32) | offset as u64;
         debug_assert_ne!(bits, u64::MAX, "ObjPtr::new collided with NULL");
+        debug_assert_eq!(
+            bits & PENDING_BIT,
+            0,
+            "offset {offset} sets the pending bit"
+        );
         ObjPtr(bits)
     }
 
@@ -98,7 +115,7 @@ mod tests {
 
     #[test]
     fn extreme_values_do_not_collide_with_null() {
-        let p = ObjPtr::new(ChunkId(u32::MAX - 1), u32::MAX);
+        let p = ObjPtr::new(ChunkId(u32::MAX - 1), (MAX_CHUNK_WORDS - 1) as u32);
         assert!(!p.is_null());
         let q = ObjPtr::new(ChunkId(0), 0);
         assert!(!q.is_null());

@@ -605,7 +605,25 @@ impl ChunkStore {
     /// argument of [`ObjView::compress_fwd`]; a failed CAS (a concurrent
     /// compression or chain extension won) is simply skipped — the chain is intact
     /// either way, so this never retries and never loops.
+    ///
+    /// Never shortcuts across a **pending** hop ([`ObjView::fwd_ready`]): the copy
+    /// behind it may not be final, and a shortcut would let a reader reach it without
+    /// waiting. The chain is compressed only up to the first object whose hop is
+    /// pending. A ready hop never becomes pending again, so the check holds for the
+    /// rewrite that follows it.
     pub fn compress_fwd_chain(&self, from: ObjPtr, end: ObjPtr) -> u64 {
+        let mut end = end;
+        let mut walk = from;
+        while walk != end {
+            match self.view(walk).fwd_ready() {
+                Some(next) if !next.is_null() => walk = next,
+                Some(_) => break,
+                None => {
+                    end = walk;
+                    break;
+                }
+            }
+        }
         let mut walk = from;
         let mut done = 0u64;
         while walk != end {
@@ -696,6 +714,24 @@ mod tests {
         store.view(b).set_fwd(d);
         assert_eq!(store.resolve_fwd(a), d);
         assert_eq!(store.resolve_fwd(d), d);
+    }
+
+    #[test]
+    fn compression_stops_at_a_pending_hop() {
+        let store = ChunkStore::new(1024);
+        let c = store.alloc_chunk(0, 0);
+        let h = Header::new(1, 0, ObjKind::Ref);
+        let [a, b, d, e] = [(); 4].map(|_| store.alloc_in_chunk(&c, h).unwrap());
+        store.view(a).set_fwd(b);
+        store.view(b).set_fwd(d);
+        store.view(d).set_fwd_pending(e);
+        // `a` is shortcut to `d`, the carrier of the pending hop, never to `e`.
+        assert_eq!(store.compress_fwd_chain(a, e), 1);
+        assert_eq!(store.view(a).fwd_ready(), Some(d));
+        assert_eq!(store.view(d).fwd_ready(), None);
+        store.view(d).publish_fwd(e);
+        assert_eq!(store.compress_fwd_chain(a, e), 1);
+        assert_eq!(store.view(a).fwd_ready(), Some(e));
     }
 
     #[test]

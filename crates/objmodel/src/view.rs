@@ -9,12 +9,17 @@
 //!
 //! * The **forwarding-pointer slot** is *installed* (NULL → copy) at most once per
 //!   object, always by a thread holding the owning heap's WRITE lock (promotion) or
-//!   during a collection of a quiescent subtree. It is published with `Release` and
-//!   read with `Acquire`, so a reader that observes the forwarding pointer also
-//!   observes the fully initialized copy it points to. Once installed, the slot is
-//!   **monotone**: [`ObjView::compress_fwd`] may CAS it from one chain member to a
-//!   *later* member of the same chain (path compression), so every value the slot
-//!   ever holds leads to the same master copy.
+//!   by a collection (of a quiescent subtree, or racing other evacuators with a CAS).
+//!   A promotion installs its hop **pending** ([`ObjView::set_fwd_pending`]): the
+//!   copy may still be filling, or (in a batched pass) still point deeper. It
+//!   replaces the hop with the ready one ([`ObjView::publish_fwd`], `Release`) once
+//!   the copy is final, before it releases the WRITE lock. So a reader that loads a
+//!   *ready* hop (`Acquire`) also observes the final copy it points to; a reader that
+//!   must use the copy's contents and finds the hop pending waits for the carrier's
+//!   heap lock ([`ObjView::fwd_ready`]). Collections install ready hops to filled
+//!   copies. Once ready, the slot is **monotone**: [`ObjView::compress_fwd`] may CAS
+//!   it from one chain member to a *later* member of the same chain (path
+//!   compression), so every value the slot ever holds leads to the same master copy.
 //! * **Fields** are accessed with `Acquire` loads and `Release` stores. This is slightly
 //!   stronger than necessary for non-pointer data but keeps the model simple and is free
 //!   on x86; pointer fields genuinely need release/acquire so that a task reading a
@@ -22,7 +27,7 @@
 
 use crate::chunk::Chunk;
 use crate::header::{Header, ObjKind};
-use crate::objptr::ObjPtr;
+use crate::objptr::{ObjPtr, PENDING_BIT};
 use std::sync::atomic::Ordering;
 
 /// Word offset of the header within an object.
@@ -61,6 +66,12 @@ impl<'a> ObjView<'a> {
         self.base
     }
 
+    /// The pointer to this object.
+    #[inline]
+    pub fn ptr(&self) -> ObjPtr {
+        ObjPtr::new(self.chunk.id(), self.base as u32)
+    }
+
     /// Writes the header word and clears the forwarding slot and all pointer fields.
     /// Called exactly once, by the allocating thread.
     ///
@@ -87,9 +98,11 @@ impl<'a> ObjView<'a> {
     /// chunk, which is *not* [`ObjPtr::NULL`]).
     ///
     /// For evacuation-style copies only ([`crate::ChunkStore::alloc_in_chunk_for_copy`]):
-    /// the caller must store every field before any other thread can reach the
-    /// object. Promotion satisfies this by holding the target heap's WRITE lock
-    /// until the copy is fully filled in; collections run on quiescent zones.
+    /// the caller must store every field before any other thread can use the
+    /// object's contents. Promotion satisfies this by keeping the original's hop to
+    /// the copy pending until the copy is final ([`ObjView::set_fwd_pending`]) and
+    /// storing the copy into a field only after that; collections fill a copy before
+    /// they install the hop to it.
     #[inline]
     pub fn init_for_copy(&self, header: Header) {
         self.chunk
@@ -134,21 +147,56 @@ impl<'a> ObjView<'a> {
         self.header().size_words()
     }
 
-    /// `hasFwdPtr`: true if a forwarding pointer has been installed.
+    /// `hasFwdPtr`: true if a forwarding pointer has been installed, pending or not.
+    /// One compare of the raw slot against the NULL bits: every fast path runs it.
     #[inline]
     pub fn has_fwd(&self) -> bool {
-        !self.fwd().is_null()
+        self.fwd_bits() != ObjPtr::NULL.to_bits()
+    }
+
+    /// As [`ObjView::has_fwd`], with a `SeqCst` load: the second half of a
+    /// store–load handshake whose first half is a `SeqCst` store to another word.
+    #[inline]
+    pub fn has_fwd_seqcst(&self) -> bool {
+        self.chunk.word(self.base + OFF_FWD).load(Ordering::SeqCst) != ObjPtr::NULL.to_bits()
     }
 
     /// `*fwdPtr(obj)`: the forwarding pointer, or NULL if none has been installed.
+    /// A pending hop reads as the copy it leads to: for callers that only need where
+    /// the chain goes (collections, a promotion under its WRITE locks, checkers), not
+    /// the copy's contents — those use [`ObjView::fwd_ready`].
     #[inline]
     pub fn fwd(&self) -> ObjPtr {
-        ObjPtr::from_bits(self.chunk.word(self.base + OFF_FWD).load(Ordering::Acquire))
+        let bits = self.fwd_bits();
+        if bits == ObjPtr::NULL.to_bits() {
+            ObjPtr::NULL
+        } else {
+            ObjPtr::from_bits(bits & !PENDING_BIT)
+        }
     }
 
-    /// Installs the forwarding pointer. The caller must hold whatever exclusion the
-    /// higher layer requires (the heap WRITE lock during promotion, or subtree
-    /// quiescence during collection).
+    /// The forwarding pointer if its copy is ready to use (NULL if none has been
+    /// installed), or `None` while the hop is pending. A promoter keeps a hop
+    /// pending only while it holds the WRITE lock of this object's heap, so a
+    /// caller that gets `None` waits on that heap's lock and asks again.
+    #[inline]
+    pub fn fwd_ready(&self) -> Option<ObjPtr> {
+        let bits = self.fwd_bits();
+        if bits != ObjPtr::NULL.to_bits() && bits & PENDING_BIT != 0 {
+            None
+        } else {
+            Some(ObjPtr::from_bits(bits))
+        }
+    }
+
+    #[inline]
+    fn fwd_bits(&self) -> u64 {
+        self.chunk.word(self.base + OFF_FWD).load(Ordering::Acquire)
+    }
+
+    /// Installs a ready forwarding pointer to a filled copy. The caller must hold
+    /// whatever exclusion the higher layer requires (subtree quiescence during a
+    /// collection, a baseline's promotion lock).
     #[inline]
     pub fn set_fwd(&self, target: ObjPtr) {
         debug_assert!(!target.is_null(), "installing a NULL forwarding pointer");
@@ -157,18 +205,53 @@ impl<'a> ObjView<'a> {
             .store(target.to_bits(), Ordering::Release);
     }
 
-    /// Atomically installs the forwarding pointer only if none is present yet.
+    /// Installs a **pending** hop to `target`, a copy that is not final yet. The
+    /// caller holds this object's heap WRITE lock until it has made the copy final
+    /// and called [`ObjView::publish_fwd`].
+    #[inline]
+    pub fn set_fwd_pending(&self, target: ObjPtr) {
+        debug_assert!(!target.is_null(), "installing a NULL forwarding pointer");
+        self.chunk
+            .word(self.base + OFF_FWD)
+            .store(target.to_bits() | PENDING_BIT, Ordering::Release);
+    }
+
+    /// Makes the pending hop to `target` ready: the copy is final, and a reader
+    /// that loads the hop (`Acquire`) sees everything stored into it before.
+    #[inline]
+    pub fn publish_fwd(&self, target: ObjPtr) {
+        debug_assert_eq!(
+            self.fwd_bits(),
+            target.to_bits() | PENDING_BIT,
+            "publishing a hop that is not pending"
+        );
+        self.chunk
+            .word(self.base + OFF_FWD)
+            .store(target.to_bits(), Ordering::Release);
+    }
+
+    /// Atomically installs a ready forwarding pointer only if none is present yet.
     /// Returns `Ok(())` on success and the existing pointer on failure.
     pub fn try_set_fwd(&self, target: ObjPtr) -> Result<(), ObjPtr> {
+        self.try_install_fwd(target, 0)
+    }
+
+    /// As [`ObjView::try_set_fwd`], but the hop is installed pending (see
+    /// [`ObjView::set_fwd_pending`]).
+    pub fn try_set_fwd_pending(&self, target: ObjPtr) -> Result<(), ObjPtr> {
+        self.try_install_fwd(target, PENDING_BIT)
+    }
+
+    fn try_install_fwd(&self, target: ObjPtr, tag: u64) -> Result<(), ObjPtr> {
         debug_assert!(!target.is_null());
         match self.chunk.word(self.base + OFF_FWD).compare_exchange(
             ObjPtr::NULL.to_bits(),
-            target.to_bits(),
+            target.to_bits() | tag,
             Ordering::AcqRel,
             Ordering::Acquire,
         ) {
             Ok(_) => Ok(()),
-            Err(existing) => Err(ObjPtr::from_bits(existing)),
+            Err(_) => Err(self.fwd()),
         }
     }
 
@@ -198,7 +281,9 @@ impl<'a> ObjView<'a> {
     /// end and are never unlinked before the reuse horizon), so concurrent readers
     /// observe either the old hop or the shortcut — both lead to the same master.
     /// A failed CAS means another thread compressed (or extended) concurrently; the
-    /// chain is still intact either way, so failure needs no retry.
+    /// chain is still intact either way, so failure needs no retry. `old` is a ready
+    /// hop, so a pending slot never matches; callers must not pass a `new` that lies
+    /// past a pending hop ([`crate::ChunkStore::compress_fwd_chain`] stops there).
     #[inline]
     pub fn compress_fwd(&self, old: ObjPtr, new: ObjPtr) -> bool {
         debug_assert!(!old.is_null() && !new.is_null());
@@ -371,6 +456,25 @@ mod tests {
         assert_eq!(v.fwd(), a);
         assert_eq!(v.try_set_fwd(b), Err(a));
         assert_eq!(v.fwd(), a);
+    }
+
+    #[test]
+    fn pending_hop_reads_as_its_copy_until_published() {
+        let (chunk, off) = chunk_with_obj(1, 0, ObjKind::Ref);
+        let v = ObjView::new(&chunk, off);
+        assert_eq!(v.fwd_ready(), Some(ObjPtr::NULL));
+        let copy = ObjPtr::new(ChunkId(1), 8);
+        assert_eq!(v.try_set_fwd_pending(copy), Ok(()));
+        assert!(v.has_fwd());
+        assert_eq!(v.fwd(), copy);
+        assert_eq!(v.fwd_ready(), None);
+        // Another installer loses against the pending hop and is told its copy.
+        assert_eq!(v.try_set_fwd(ObjPtr::new(ChunkId(2), 0)), Err(copy));
+        // Compression never replaces a pending hop.
+        assert!(!v.compress_fwd(copy, ObjPtr::new(ChunkId(3), 0)));
+        v.publish_fwd(copy);
+        assert_eq!(v.fwd_ready(), Some(copy));
+        assert_eq!(v.fwd(), copy);
     }
 
     #[test]

@@ -581,9 +581,16 @@ fn bulk_writes_survive_concurrent_promotion() {
 /// concurrently promotes those same arrays by publishing them into every cell of
 /// `cells` in turn — one promotion per cell, each one level further up (the array
 /// pointer crosses between the tasks through a Rust-side atomic, so the promotions
-/// really do run while bulk writes are in flight). Returns the number of torn
-/// slices the writer read back through its stale pointer.
-fn race_bulk_writer_against_promoter<C: ParCtx>(ctx: &C, cells: &[ObjPtr], trial: u64) -> u64 {
+/// really do run while bulk writes are in flight). With `pre`, the writer first
+/// publishes each array into `pre` itself, so the arrays are already promoted
+/// when the writes begin and the sibling promotes their copies again. Returns the
+/// number of torn slices the writer read back through its stale pointer.
+fn race_bulk_writer_against_promoter<C: ParCtx>(
+    ctx: &C,
+    pre: Option<ObjPtr>,
+    cells: &[ObjPtr],
+    trial: u64,
+) -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     const LEN: usize = 512;
     const ROUNDS: u64 = 30;
@@ -604,6 +611,9 @@ fn race_bulk_writer_against_promoter<C: ParCtx>(ctx: &C, cells: &[ObjPtr], trial
             for round in 0..ROUNDS {
                 let arr = c.alloc_data_array(LEN);
                 c.fill_nonptr(arr, 0, LEN, u64::MAX);
+                if let Some(pre) = pre {
+                    c.write_ptr(pre, 0, arr);
+                }
                 mailbox.store(arr.to_bits(), Ordering::Release);
                 for pat in 0..PATTERNS {
                     let val = trial << 32 | round << 16 | pat;
@@ -643,34 +653,52 @@ fn race_bulk_writer_against_promoter<C: ParCtx>(ctx: &C, cells: &[ObjPtr], trial
     .0
 }
 
-/// The writer's bulk slices take the optimistic path while its array is unforwarded
-/// and the locked path afterwards. A slice that a promotion overtakes is re-applied
-/// to the master under its heap's READ lock (`write_promote` holds the WRITE locks
-/// of the whole pointee→master path while it copies), so every observer ordered
+/// The writer's bulk slices run lock-free on whichever copy of its array is the
+/// master: on the array itself while it is unforwarded, and through its stale
+/// pointer's forwarding chain afterwards. A promotion keeps the hop to a copy
+/// pending until the copy is filled, and a chase waits a pending hop out, so no
+/// slice lands on a copy before its fill. A slice that a promotion overtakes fails
+/// its re-check and is applied again to the newer copy. So every observer ordered
 /// after the slice — the writer reading back through its stale pointer, and the
 /// parent reading the master copy — must see a *uniform* array, never a torn
-/// half-pattern, whether the array was promoted once or twice under the writer's
-/// feet. A regression that skipped the re-check (or released the lock before the
-/// loop) shows up here as a torn read.
+/// half-pattern: whether the array is promoted once or twice under the writer's
+/// feet, or is already promoted when the writes begin and is promoted again. A
+/// regression that skipped the re-check, or let a chase past a pending hop, shows
+/// up here as a torn read.
 #[test]
 fn bulk_writes_race_concurrent_promotion_without_tearing() {
-    for (trial, hops) in [(0u64, 1), (1, 2), (2, 1), (3, 2)] {
+    // How many promotions the sibling makes, and whether the writer promotes each
+    // array once itself before the race.
+    for (trial, hops, again) in [
+        (0u64, 1, false),
+        (1, 2, false),
+        (2, 1, true),
+        (3, 1, false),
+        (4, 2, false),
+        (5, 1, true),
+    ] {
         // Eager per-fork heaps, for the same reason as above: the writer is the left
         // branch and must allocate in its own heap for the promoter to have anything
         // to promote.
         let rt = HhRuntime::new(HhConfig::eager_heaps(4));
         let torn = rt.run(|ctx| {
             let cell = ctx.alloc_ref_ptr(ObjPtr::NULL);
-            let mut torn = if hops == 1 {
-                race_bulk_writer_against_promoter(ctx, &[cell], trial)
+            let mut torn = if hops == 1 && !again {
+                race_bulk_writer_against_promoter(ctx, None, &[cell], trial)
             } else {
-                // One fork further down, publishing into the middle heap first:
-                // every array is promoted twice and the writer's pointer ends up
-                // two forwarding hops from the master.
+                // One fork further down. Either the sibling publishes into the
+                // middle heap first, so every array is promoted twice and the
+                // writer's pointer ends up two forwarding hops from the master;
+                // or the writer itself publishes into the middle heap, and the
+                // sibling promotes that copy again while the writes run on it.
                 ctx.join(
                     |c| {
                         let mid = c.alloc_ref_ptr(ObjPtr::NULL);
-                        race_bulk_writer_against_promoter(c, &[mid, cell], trial)
+                        if again {
+                            race_bulk_writer_against_promoter(c, Some(mid), &[cell], trial)
+                        } else {
+                            race_bulk_writer_against_promoter(c, None, &[mid, cell], trial)
+                        }
                     },
                     |_| (),
                 )
@@ -689,7 +717,7 @@ fn bulk_writes_race_concurrent_promotion_without_tearing() {
         });
         assert_eq!(
             torn, 0,
-            "torn bulk slice under concurrent promotion (trial {trial}, {hops} hops)"
+            "torn bulk slice under concurrent promotion (trial {trial}, {hops} hops, again: {again})"
         );
         assert_eq!(rt.check_disentangled(), 0);
         assert!(
@@ -844,7 +872,7 @@ fn sharded_counters_are_exact_across_worker_counts() {
 }
 
 /// The acceptance property of the bulk redesign: the hierarchical runtime resolves
-/// `findMaster` at most once per object operand of each bulk operation — i.e. at most
+/// the master at most once per object operand of each bulk operation — i.e. at most
 /// `2 * bulk_ops` lookups in total — independent of slice length.
 #[test]
 fn bulk_master_lookups_are_amortized_per_slice() {
