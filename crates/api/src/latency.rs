@@ -1,16 +1,15 @@
-//! Latency accounting shared by the serve loop and the collectors: per-thread
-//! sample buffers merged into one percentile summary at the end (no locking on
-//! the hot path).
+//! Latency accounting for the collectors' pause CDF: sample buffers summarized
+//! into nearest-rank percentiles.
 //!
-//! Originally private to `hh-server` (enqueue-to-completion run latencies); the
-//! bounded-pause collector reuses the same recorder for per-pause GC samples, so
-//! it lives here, next to [`RunStats`](crate::RunStats), where every runtime and
-//! harness can reach it.
+//! Originally private to `hh-server` (enqueue-to-completion run latencies, which
+//! `hhbench serve` now measures); the bounded-pause collector reuses the same
+//! recorder for per-pause GC samples, so it lives here, next to
+//! [`RunStats`](crate::RunStats), where every runtime can reach it.
 
 use std::time::Duration;
 
-/// Latency samples recorded by one thread, in nanoseconds per event (a completed
-/// run for the serve loop, a single collector pause for the GC pause CDF).
+/// Latency samples, in nanoseconds per event (a single collector pause for the
+/// GC pause CDF).
 #[derive(Default, Debug)]
 pub struct LatencyRecorder {
     samples: Vec<u64>,

@@ -30,6 +30,19 @@ impl HeapId {
     pub fn from_raw(raw: u32) -> Self {
         HeapId(raw)
     }
+
+    /// The id of registry table slot `idx`.
+    ///
+    /// # Panics
+    /// Panics when `idx` does not fit below [`HeapId::NONE`]: a wrapping cast
+    /// would hand out `NONE` itself and then alias earlier ids.
+    #[inline]
+    pub(crate) fn from_index(idx: usize) -> Self {
+        match u32::try_from(idx) {
+            Ok(raw) if raw != HeapId::NONE.0 => HeapId(raw),
+            _ => panic!("heap table overflow: slot {idx} has no HeapId (ids stop below u32::MAX)"),
+        }
+    }
 }
 
 impl fmt::Debug for HeapId {
@@ -51,6 +64,20 @@ mod tests {
         assert!(HeapId::NONE.is_none());
         assert!(!HeapId(0).is_none());
         assert_eq!(HeapId::from_raw(HeapId::NONE.raw()), HeapId::NONE);
+    }
+
+    #[test]
+    fn from_index_accepts_the_last_id_below_none() {
+        let last = HeapId::from_index(u32::MAX as usize - 1);
+        assert_eq!(last.raw(), u32::MAX - 1);
+        assert!(!last.is_none());
+        assert_eq!(HeapId::from_index(0), HeapId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "heap table overflow")]
+    fn from_index_panics_at_none() {
+        HeapId::from_index(u32::MAX as usize);
     }
 
     #[test]

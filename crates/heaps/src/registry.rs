@@ -90,9 +90,10 @@ impl HeapRegistry {
         // the heap is constructed *with* that index, so id == table slot holds by
         // construction, without a creation lock.
         let idx = self.heaps.push_with(|idx| {
-            Arc::new(Heap::new_tagged(HeapId(idx as u32), parent, depth, run_tag))
+            let id = HeapId::from_index(idx);
+            Arc::new(Heap::new_tagged(id, parent, depth, run_tag))
         });
-        HeapId(idx as u32)
+        HeapId::from_index(idx)
     }
 
     /// Creates a root heap (depth 0, no parent), not attributed to any run epoch.
@@ -241,7 +242,7 @@ impl HeapRegistry {
         let root = self.resolve(root);
         let mut out = Vec::new();
         for idx in 0..self.heaps.len() {
-            let id = HeapId(idx as u32);
+            let id = HeapId::from_index(idx);
             if self.heap(id).is_live() && self.is_ancestor_or_self(root, id) {
                 out.push(id);
             }
@@ -277,7 +278,7 @@ impl HeapRegistry {
         };
         dispose_one(root);
         for idx in ids {
-            let id = HeapId(idx as u32);
+            let id = HeapId::from_index(idx);
             if id != root && self.heap(id).is_live() && self.is_ancestor_or_self(root, id) {
                 dispose_one(id);
             }
@@ -295,7 +296,7 @@ impl HeapRegistry {
     pub fn check_disentangled(&self) -> Vec<EntanglementViolation> {
         let mut violations = Vec::new();
         for idx in 0..self.heaps.len() {
-            let heap = self.heap(HeapId(idx as u32));
+            let heap = self.heap(HeapId::from_index(idx));
             if !heap.is_live() {
                 continue;
             }

@@ -22,7 +22,6 @@
 
 use crate::serve::{serve, verify_quiescent, QuiescenceViolation, ServeConfig, ServeReport};
 use hh_runtime::{FaultPlan, HhConfig, HhRuntime, Runtime};
-use hh_workloads::ServeWorkloadId;
 use std::sync::Arc;
 
 /// Configuration of one chaos sweep (`tests/chaos.rs` picks the sweep width).
@@ -105,34 +104,54 @@ impl ChaosOutcome {
 
     /// One JSON line of replay forensics for a dirty seed (hand-rolled — no
     /// serde here): the sweep index (`HH_CHAOS_SEED=<sweep_index>` replays it),
-    /// seed, fault rate, the first violated invariant and the serve report.
+    /// seed, fault rate, the abort and completion counts, and the first violated
+    /// invariant — a quiescence violation as its `Display` (window state and
+    /// both chunks' forensics per violation), escaped onto the one line.
     pub fn violation_json(&self, sweep_index: u64) -> String {
         let reason = match &self.violation {
-            Some(v) => v.reason.clone(),
+            Some(v) => v.to_string(),
             None if !self.checksum_ok => "survivor checksum mismatch".to_string(),
             None => format!("{} leaked run epoch(s)", self.active_runs),
         };
         format!(
             "{{\"kind\":\"chaos-violation\",\"sweep_index\":{sweep_index},\"seed\":{},\
-             \"rate_ppm\":{},\"reason\":{reason:?},\"active_runs\":{},\"checksum_ok\":{},\
-             \"report\":{}}}",
+             \"rate_ppm\":{},\"aborted\":{},\"completed\":{},\"active_runs\":{},\
+             \"checksum_ok\":{},\"reason\":{reason:?}}}",
             self.seed,
             self.rate_ppm,
+            self.report.aborted,
+            self.report.runs,
             self.active_runs,
             self.checksum_ok,
-            self.report.to_json(),
         )
     }
 }
 
-/// Recomputes the survivors' checksum on a fresh fault-free runtime. Every
-/// request result is a pure function of `(workload, seed, scale)`, so a
-/// mismatch means an abort corrupted a *surviving* run's heap.
-fn audit_survivors(cfg: &ChaosConfig, report: &ServeReport) -> bool {
-    let rt = HhRuntime::new(HhConfig::with_workers(cfg.workers));
+/// Appends one forensics line to `$HH_VIOLATION_JSON` when it is set, so a CI
+/// lane can archive a failure's replay context after the runner is gone. Use an
+/// absolute path: cargo runs tests from the crate directory.
+pub fn append_violation_json(line: &str) {
+    use std::io::Write;
+    let Some(path) = std::env::var_os("HH_VIOLATION_JSON").filter(|p| !p.is_empty()) else {
+        return;
+    };
+    let mut out = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .unwrap_or_else(|e| panic!("cannot open {path:?}: {e}"));
+    writeln!(out, "{line}").expect("writing violation forensics");
+}
+
+/// Recomputes the survivors' checksum on a fresh fault-free runtime of
+/// `workers` pool workers. Every request result is a pure function of
+/// `(workload, seed, scale)`, so a mismatch means an abort corrupted a
+/// *surviving* run's heap.
+pub(crate) fn audit_survivors(cfg: &ServeConfig, workers: usize, report: &ServeReport) -> bool {
+    let rt = HhRuntime::new(HhConfig::with_workers(workers));
     let mut sum = 0u64;
     for &seed in &report.completed_seeds {
-        let w = ServeWorkloadId::from_mix_seed(seed);
+        let w = cfg.workload_for(seed);
         sum = sum.wrapping_add(rt.run(|ctx| w.run(ctx, seed, cfg.scale)));
     }
     sum == report.checksum
@@ -163,20 +182,19 @@ pub fn chaos_one(cfg: &ChaosConfig, seed: u64) -> ChaosOutcome {
             queue_cap: 8,
             seed: seed ^ 0x5EED_C4A0_57AB_1E00,
             scale: cfg.scale,
-            sample_every: 4,
             workload: None,
             deadline_ms: cfg.deadline_ms,
             max_attempts: cfg.max_attempts,
             backoff_us: 50,
             shed_inflight: None,
         };
-        let report = serve(&rt, &serve_cfg, "chaos");
+        let report = serve(&rt, &serve_cfg);
         plan.set_armed(false);
         if report.aborted == 0 {
             rate = rate.saturating_mul(8).min(1_000_000);
             continue;
         }
-        let checksum_ok = audit_survivors(cfg, &report);
+        let checksum_ok = audit_survivors(&serve_cfg, cfg.workers, &report);
         let stats = rt.stats();
         return ChaosOutcome {
             seed,
@@ -218,11 +236,25 @@ mod tests {
             "\"kind\":\"chaos-violation\"",
             "\"sweep_index\":3",
             &format!("\"seed\":{}", out.seed),
+            "\"aborted\":",
             "\"reason\":",
-            "\"report\":{",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        // A violation's multi-line `Display` is escaped onto the one line.
+        let dirty = ChaosOutcome {
+            violation: Some(QuiescenceViolation {
+                reason: "2 \"violations\"\n  field 5".into(),
+                disentanglement: None,
+            }),
+            ..out
+        };
+        let json = dirty.violation_json(3);
+        assert_eq!(json.lines().count(), 1, "{json}");
+        assert!(
+            json.ends_with(r#""reason":"2 \"violations\"\n  field 5"}"#),
+            "{json}"
+        );
     }
 }

@@ -9,16 +9,18 @@
 //! With per-run epochs each completed run's chunks recycle as soon as every run
 //! alive at their retirement has ended — the quarantine stays bounded by the
 //! in-flight working set and `chunks_recycled` approaches 100% of handouts.
+//!
+//! The loop measures nothing: `hhbench serve` is the serve measurement. It
+//! accounts for every request and leaves the runtime for [`verify_quiescent`].
 
 use crate::queue::BoundedQueue;
-use hh_api::{LatencyRecorder, LatencySummary};
 use hh_api::{RunCtl, RunError, RunStats, Runtime};
 use hh_workloads::ServeWorkloadId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Configuration of one serve experiment.
+/// Configuration of one serve session.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Total number of independent runs to execute.
@@ -34,10 +36,8 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Workload size multiplier (1 = smoke-test sized requests).
     pub scale: usize,
-    /// Executors sample the store footprint every this many completed runs.
-    pub sample_every: usize,
-    /// Pin every request to one registry workload (`serve --workload`); `None`
-    /// dispatches the default mutator mix off each request's seed.
+    /// Pin every request to one registry workload; `None` dispatches the default
+    /// mutator mix off each request's seed.
     pub workload: Option<ServeWorkloadId>,
     /// Per-run wall-clock budget. Executors attach a deadline token to every
     /// attempt; the runtime polls it cooperatively at safe points and the run
@@ -66,7 +66,6 @@ impl Default for ServeConfig {
             queue_cap: 64,
             seed: 0x5eed_0001,
             scale: 1,
-            sample_every: 16,
             workload: None,
             deadline_ms: None,
             max_attempts: 1,
@@ -76,30 +75,27 @@ impl Default for ServeConfig {
     }
 }
 
-/// One queued run request.
-struct Job {
-    seed: u64,
-    enqueued: Instant,
+impl ServeConfig {
+    /// The workload request `seed` runs: the pinned one, otherwise the default
+    /// mutator mix selected off the seed's high bits (the low bits of simple
+    /// generators are the weak ones). Each result is a pure function of
+    /// `(workload, seed, scale)`.
+    pub(crate) fn workload_for(&self, seed: u64) -> ServeWorkloadId {
+        self.workload
+            .unwrap_or_else(|| ServeWorkloadId::from_mix_seed(seed))
+    }
 }
 
-/// Outcome of one serve experiment.
+/// Outcome of one serve session.
 #[derive(Clone, Debug)]
 pub struct ServeReport {
-    /// Runtime name (`"parmem"`, `"seq"`, ...).
-    pub runtime: &'static str,
-    /// Reclamation mode label (`"epoch"` or `"global"`).
-    pub mode: &'static str,
-    /// Workload label: a registry suite id when the config pinned one, `"mix"`
-    /// for the default mutator mix (keeps artifact lines from different
-    /// workloads distinct in the bench gate).
-    pub workload: &'static str,
     /// Runs completed. Equals the configured total on a clean pass; under fault
     /// injection, deadlines, or load shedding it is the *partial* result count
     /// (see the abort counters below — the report always accounts for every
     /// configured request: `runs + rejected + deadline_hits + failed ==
     /// requested`).
     pub runs: u64,
-    /// Requests the experiment was configured to serve.
+    /// Requests the session was configured to serve.
     pub requested: u64,
     /// Attempts that ended in any abort (injected fault, deadline, panic) —
     /// retried attempts included, so this can exceed the per-request failure
@@ -119,85 +115,11 @@ pub struct ServeReport {
     /// result is a pure function of (workload, seed, scale), so a chaos harness
     /// can recompute every survivor's contribution and audit `checksum`.
     pub completed_seeds: Vec<u64>,
-    /// Workload size multiplier the experiment ran at (carried into the JSON
-    /// report so artifact lines from different tenant mixes stay distinct).
-    pub scale: usize,
-    /// Wall-clock duration of the whole experiment.
-    pub elapsed_s: f64,
-    /// Completed runs per second.
-    pub throughput_rps: f64,
-    /// Enqueue-to-completion latency percentiles.
-    pub latency: LatencySummary,
     /// Commutative checksum over all run results (deterministic for a given
     /// config/seed regardless of interleaving — a correctness canary).
     pub checksum: u64,
-    /// Largest store footprint observed at any sample point: live + free +
-    /// quarantined words. Boundedness of this under perpetual overlap is the
-    /// tentpole claim.
-    pub peak_footprint_words: u64,
-    /// Store footprint after the last run completed.
-    pub final_footprint_words: u64,
-    /// Runtime statistics accumulated over the experiment.
+    /// Runtime statistics accumulated over the session.
     pub stats: RunStats,
-}
-
-impl ServeReport {
-    /// Fraction of chunk handouts served by recycling.
-    pub fn recycle_rate(&self) -> f64 {
-        self.stats.recycle_rate()
-    }
-
-    /// Renders the report as one JSON object (hand-rolled — the environment has no
-    /// serde; all fields are numbers or plain ASCII strings, so no escaping is
-    /// needed).
-    pub fn to_json(&self) -> String {
-        let l = &self.latency;
-        let s = &self.stats;
-        format!(
-            concat!(
-                "{{\"experiment\":\"serve\",\"runtime\":\"{}\",\"mode\":\"{}\",\"workload\":\"{}\",",
-                "\"runs\":{},\"requested\":{},\"aborted\":{},\"retried\":{},\"rejected\":{},",
-                "\"deadline_hits\":{},\"failed\":{},",
-                "\"scale\":{},\"elapsed_s\":{:.6},\"throughput_rps\":{:.2},",
-                "\"p50_us\":{:.1},\"p99_us\":{:.1},\"p999_us\":{:.1},\"max_us\":{:.1},\"mean_us\":{:.1},",
-                "\"checksum\":{},\"recycle_rate\":{:.6},\"chunks_created\":{},\"chunks_recycled\":{},",
-                "\"epoch_reclaims\":{},\"active_runs_peak\":{},\"quarantine_lag_words\":{},",
-                "\"peak_footprint_words\":{},\"final_footprint_words\":{},\"peak_live_words\":{},",
-                "\"gc_count\":{},\"gc_max_pause_ns\":{},\"gc_pause_p999_ns\":{}}}"
-            ),
-            self.runtime,
-            self.mode,
-            self.workload,
-            self.runs,
-            self.requested,
-            self.aborted,
-            self.retried,
-            self.rejected,
-            self.deadline_hits,
-            self.failed,
-            self.scale,
-            self.elapsed_s,
-            self.throughput_rps,
-            l.p50_ns as f64 / 1e3,
-            l.p99_ns as f64 / 1e3,
-            l.p999_ns as f64 / 1e3,
-            l.max_ns as f64 / 1e3,
-            l.mean_ns as f64 / 1e3,
-            self.checksum,
-            self.recycle_rate(),
-            s.chunks_created,
-            s.chunks_recycled,
-            s.epoch_reclaims,
-            s.active_runs_peak,
-            s.quarantine_lag_words,
-            self.peak_footprint_words,
-            self.final_footprint_words,
-            s.peak_live_words,
-            s.gc_count,
-            s.gc_max_pause_ns,
-            s.gc_pause_p999_ns,
-        )
-    }
 }
 
 /// SplitMix64 — derives per-request seeds from the base seed.
@@ -209,29 +131,9 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Executes one request attempt through the workload registry: a pinned
-/// workload when the config names one, otherwise the default mutator mix
-/// selected off the seed's high bits (the low bits of simple generators are the
-/// weak ones). Every registry workload allocates, forks, promotes, and retires
-/// enough chunks per run to exercise the whole reclamation path. The attempt
-/// runs under `ctl` (cancellation + deadline) and any abort — cooperative,
-/// injected, or a genuine panic — comes back as a typed [`RunError`] instead of
-/// unwinding into the executor thread.
-fn try_run_one<R: Runtime>(
-    rt: &R,
-    workload: Option<ServeWorkloadId>,
-    ctl: &Arc<RunCtl>,
-    seed: u64,
-    scale: usize,
-) -> Result<u64, RunError> {
-    let w = workload.unwrap_or_else(|| ServeWorkloadId::from_mix_seed(seed));
-    rt.try_run(ctl, |ctx| w.run(ctx, seed, scale))
-}
-
 /// Per-executor outcome tally, merged into the report after the scope joins.
 #[derive(Default)]
 struct ExecTally {
-    rec: LatencyRecorder,
     completed_seeds: Vec<u64>,
     aborted: u64,
     retried: u64,
@@ -239,22 +141,19 @@ struct ExecTally {
     failed: u64,
 }
 
-/// Runs the serve experiment on `rt`: `cfg.clients` producers feed `cfg.runs`
-/// requests through a bounded queue to `cfg.executors` consumers, each driving
-/// overlapping `Runtime::run` calls on the shared runtime. `mode` is a label
-/// carried into the report (the runtime's reclamation mode is fixed at its
-/// construction).
-pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> ServeReport {
+/// Runs the serve session on `rt`: `cfg.clients` producers feed `cfg.runs`
+/// request seeds through a bounded queue to `cfg.executors` consumers, each
+/// driving overlapping `Runtime::try_run` calls on the shared runtime. Any abort
+/// — cooperative, injected, or a genuine panic — comes back as a typed
+/// [`RunError`] instead of unwinding into the executor thread.
+pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig) -> ServeReport {
     assert!(cfg.runs > 0 && cfg.clients > 0 && cfg.executors > 0);
     rt.reset_stats();
-    let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(cfg.queue_cap));
+    let queue: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::new(cfg.queue_cap));
     let checksum = AtomicU64::new(0);
-    let peak_footprint = AtomicU64::new(0);
     // Active-run gauge for admission control: requests currently executing.
     let inflight = AtomicU64::new(0);
-    let sample_every = cfg.sample_every.max(1);
     let max_attempts = cfg.max_attempts.max(1);
-    let start = Instant::now();
 
     let mut tallies: Vec<ExecTally> = Vec::new();
     let mut rejected = 0u64;
@@ -271,10 +170,6 @@ pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> Serve
                 let mut shed = 0u64;
                 for _ in 0..mine {
                     let seed = splitmix(&mut rng);
-                    let job = Job {
-                        seed,
-                        enqueued: Instant::now(),
-                    };
                     // Admission control: past the in-flight watermark the
                     // server stops applying back-pressure and sheds — a full
                     // queue is a typed rejection, not a blocked client. A
@@ -284,9 +179,9 @@ pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> Serve
                         .shed_inflight
                         .is_some_and(|w| inflight.load(Ordering::Relaxed) >= w as u64);
                     let refused = if over {
-                        queue.try_push(job).is_err()
+                        queue.try_push(seed).is_err()
                     } else {
-                        queue.push(job).is_err()
+                        queue.push(seed).is_err()
                     };
                     if refused {
                         shed += 1;
@@ -300,7 +195,6 @@ pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> Serve
             .map(|e| {
                 let queue = Arc::clone(&queue);
                 let checksum = &checksum;
-                let peak_footprint = &peak_footprint;
                 let inflight = &inflight;
                 let mut backoff_rng = cfg.seed
                     ^ 0xD6E8_FEB8_6659_FD93
@@ -310,12 +204,9 @@ pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> Serve
                     // queue on the way out: blocked producers get a rejection
                     // back instead of deadlocking on a condvar nobody signals.
                     let close_guard = queue.close_on_drop();
-                    let mut t = ExecTally {
-                        rec: LatencyRecorder::with_capacity(cfg.runs / cfg.executors + 1),
-                        ..ExecTally::default()
-                    };
-                    let mut done = 0usize;
-                    while let Some(job) = queue.pop() {
+                    let mut t = ExecTally::default();
+                    while let Some(seed) = queue.pop() {
+                        let w = cfg.workload_for(seed);
                         let mut attempt = 0u32;
                         loop {
                             attempt += 1;
@@ -326,20 +217,12 @@ pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> Serve
                                 None => RunCtl::new(),
                             };
                             inflight.fetch_add(1, Ordering::Relaxed);
-                            let r = try_run_one(rt, cfg.workload, &ctl, job.seed, cfg.scale);
+                            let r = rt.try_run(&ctl, |ctx| w.run(ctx, seed, cfg.scale));
                             inflight.fetch_sub(1, Ordering::Relaxed);
                             match r {
                                 Ok(v) => {
-                                    t.rec.record(job.enqueued.elapsed());
                                     checksum.fetch_add(v, Ordering::Relaxed);
-                                    t.completed_seeds.push(job.seed);
-                                    done += 1;
-                                    if done.is_multiple_of(sample_every) {
-                                        let s = rt.stats();
-                                        let footprint =
-                                            s.live_words + s.free_words + s.quarantine_lag_words;
-                                        peak_footprint.fetch_max(footprint, Ordering::Relaxed);
-                                    }
+                                    t.completed_seeds.push(seed);
                                     break;
                                 }
                                 Err(err) => {
@@ -391,19 +274,16 @@ pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> Serve
         }
     });
 
-    let elapsed = start.elapsed();
-    let mut all = LatencyRecorder::default();
     let mut completed_seeds = Vec::new();
     let (mut aborted, mut retried, mut deadline_hits, mut failed) = (0u64, 0u64, 0u64, 0u64);
     for t in tallies {
-        all.merge(t.rec);
         completed_seeds.extend(t.completed_seeds);
         aborted += t.aborted;
         retried += t.retried;
         deadline_hits += t.deadline_hits;
         failed += t.failed;
     }
-    let completed = all.len() as u64;
+    let completed = completed_seeds.len() as u64;
     // Every configured request ends in exactly one bucket. On a clean pass
     // (no faults armed, no deadline, no shedding) this degenerates to the old
     // "every request must complete" assertion.
@@ -413,12 +293,7 @@ pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> Serve
         "every request must be accounted for (completed {completed}, rejected {rejected}, \
          deadline {deadline_hits}, failed {failed})"
     );
-    let stats = rt.stats();
-    let final_footprint = stats.live_words + stats.free_words + stats.quarantine_lag_words;
     ServeReport {
-        runtime: rt.name(),
-        mode,
-        workload: cfg.workload.map_or("mix", ServeWorkloadId::name),
         runs: completed,
         requested: cfg.runs as u64,
         aborted,
@@ -427,20 +302,16 @@ pub fn serve<R: Runtime>(rt: &R, cfg: &ServeConfig, mode: &'static str) -> Serve
         deadline_hits,
         failed,
         completed_seeds,
-        scale: cfg.scale,
-        elapsed_s: elapsed.as_secs_f64(),
-        throughput_rps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-        latency: all.summarize(),
         checksum: checksum.load(Ordering::Relaxed),
-        peak_footprint_words: peak_footprint.load(Ordering::Relaxed).max(final_footprint),
-        final_footprint_words: final_footprint,
-        stats,
+        stats: rt.stats(),
     }
 }
 
 /// A failed post-serve quiescence check: the one-line `reason` plus, for
 /// disentanglement failures, the full per-violation forensics report
 /// (offending slots, chunk `run_tag`/`gc_state`, heap depths, window state).
+/// `Display` prints both; it is the one rendering of a violation, for panic
+/// messages and `$HH_VIOLATION_JSON` lines alike.
 #[derive(Clone, Debug)]
 pub struct QuiescenceViolation {
     /// One-line description of the first violated invariant.
@@ -456,86 +327,6 @@ impl std::fmt::Display for QuiescenceViolation {
             write!(f, "\n{report}")?;
         }
         Ok(())
-    }
-}
-
-/// How many individual violations a JSON line carries before truncating (a mass
-/// violation lists hundreds of identical-shaped entries; the first few plus the
-/// count carry all the signal).
-const VIOLATION_JSON_CAP: usize = 32;
-
-impl QuiescenceViolation {
-    /// Renders the violation as one machine-readable JSON line carrying enough
-    /// context to replay (seed/mode/workload/scale) and diagnose (window state,
-    /// per-violation chunk forensics). Hand-rolled like [`ServeReport::to_json`];
-    /// the only free-form text is `reason`, which is escaped.
-    pub fn to_json(&self, cfg: &ServeConfig, mode: &str) -> String {
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut out = format!(
-            concat!(
-                "{{\"experiment\":\"serve-violation\",\"mode\":\"{}\",\"workload\":\"{}\",",
-                "\"seed\":{},\"scale\":{},\"runs\":{},\"reason\":\"{}\""
-            ),
-            escape(mode),
-            cfg.workload.map_or("mix", ServeWorkloadId::name),
-            cfg.seed,
-            cfg.scale,
-            cfg.runs,
-            escape(&self.reason),
-        );
-        if let Some(report) = &self.disentanglement {
-            out.push_str(&format!(
-                ",\"window_open\":{},\"window_finalizing\":{},\"window_epoch\":{},\
-                 \"violation_count\":{},\"violations\":[",
-                report.window_open,
-                report.window_finalizing,
-                report.window_epoch,
-                report.violations.len(),
-            ));
-            for (i, v) in report
-                .violations
-                .iter()
-                .take(VIOLATION_JSON_CAP)
-                .enumerate()
-            {
-                if i > 0 {
-                    out.push(',');
-                }
-                let chunk_json = |c: &hh_objmodel::ChunkForensics| {
-                    format!(
-                        "{{\"chunk\":{},\"owner\":{},\"run_tag\":{},\"generation\":{},\
-                         \"retired\":{},\"gc_epoch\":{},\"gc_slot\":{},\"gc_from\":{},\
-                         \"gc_to\":{}}}",
-                        c.chunk.0,
-                        c.owner,
-                        c.run_tag,
-                        c.generation,
-                        c.retired,
-                        c.gc_epoch,
-                        c.gc_slot,
-                        c.gc_from,
-                        c.gc_to,
-                    )
-                };
-                out.push_str(&format!(
-                    "{{\"holder\":\"{:?}\",\"field\":{},\"holder_heap\":{},\
-                     \"holder_depth\":{},\"holder_chunk\":{},\"target\":\"{:?}\",\
-                     \"target_heap\":{},\"target_depth\":{},\"target_chunk\":{}}}",
-                    v.holder,
-                    v.field,
-                    v.holder_heap.raw(),
-                    v.holder_depth,
-                    chunk_json(&v.holder_chunk),
-                    v.target,
-                    v.target_heap.raw(),
-                    v.target_depth,
-                    chunk_json(&v.target_chunk),
-                ));
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -575,7 +366,8 @@ pub fn verify_quiescent(rt: &hh_runtime::HhRuntime) -> Result<(), QuiescenceViol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hh_runtime::{HhConfig, HhRuntime};
+    use crate::chaos::{append_violation_json, audit_survivors};
+    use hh_runtime::{FaultPlan, GcScheduleHooks, HhConfig, HhRuntime};
 
     fn small_cfg(runs: usize) -> ServeConfig {
         ServeConfig {
@@ -584,9 +376,6 @@ mod tests {
             executors: 3,
             queue_cap: 8,
             seed: 7,
-            scale: 1,
-            sample_every: 4,
-            workload: None,
             ..ServeConfig::default()
         }
     }
@@ -594,11 +383,9 @@ mod tests {
     #[test]
     fn serve_completes_all_runs_and_conserves_chunks() {
         let rt = HhRuntime::new(HhConfig::with_workers(2));
-        let report = serve(&rt, &small_cfg(48), "epoch");
+        let report = serve(&rt, &small_cfg(48));
         assert_eq!(report.runs, 48);
-        assert_eq!(report.latency.count, 48);
-        assert!(report.throughput_rps > 0.0);
-        assert!(report.peak_footprint_words >= report.final_footprint_words);
+        assert_eq!(report.completed_seeds.len(), 48);
         assert!(
             report.stats.active_runs_peak >= 2,
             "executors must actually overlap runs (peak {})",
@@ -614,72 +401,159 @@ mod tests {
 
     #[test]
     fn serve_checksum_is_deterministic_across_interleavings() {
-        let a = serve(
-            &HhRuntime::new(HhConfig::with_workers(2)),
-            &small_cfg(32),
-            "epoch",
-        );
-        let b = serve(
-            &HhRuntime::new(HhConfig::with_workers(2)),
-            &small_cfg(32),
-            "epoch",
-        );
+        let a = serve(&HhRuntime::new(HhConfig::with_workers(2)), &small_cfg(32));
+        let b = serve(&HhRuntime::new(HhConfig::with_workers(2)), &small_cfg(32));
         assert_eq!(
             a.checksum, b.checksum,
             "run results must not depend on scheduling"
         );
     }
 
-    /// Pinned registry workloads (the `--workload` path) complete, stay
-    /// deterministic across interleavings, and leave the runtime quiescent —
-    /// including the two adversarial suite ids.
+    /// A runtime shape: its label and its config for a pool size.
+    type Shape = (&'static str, fn(usize) -> HhConfig);
+
+    /// The two collector shapes every session runs under: epoch reclamation
+    /// with stop-the-world zone collection, and the same with incremental
+    /// collection.
+    const SHAPES: [Shape; 2] = [
+        ("epoch", HhConfig::with_workers),
+        ("epoch-inc", HhConfig::incremental),
+    ];
+
+    /// The CI session shape: 2 clients, 3 executors, queue cap 16, default seed.
+    fn session_cfg(runs: usize) -> ServeConfig {
+        ServeConfig {
+            runs,
+            clients: 2,
+            executors: 3,
+            queue_cap: 16,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// Serves `cfg` on a fresh `shape` runtime of `workers` pool workers, with a
+    /// seeded uniform fault plan when `faults_ppm > 0`, then checks quiescence.
+    /// A violation appends one forensics line (its `Display`, escaped) to
+    /// `$HH_VIOLATION_JSON` before the panic.
+    fn session(
+        name: &str,
+        (label, shape): Shape,
+        workers: usize,
+        cfg: &ServeConfig,
+        faults_ppm: u32,
+    ) -> ServeReport {
+        let rt = HhRuntime::new(shape(workers));
+        let plan = (faults_ppm > 0).then(|| {
+            hh_api::silence_expected_aborts();
+            let p = Arc::new(FaultPlan::uniform(cfg.seed ^ 0xFA17_5EED, faults_ppm));
+            rt.install_gc_hooks(Arc::clone(&p) as Arc<dyn GcScheduleHooks>);
+            p
+        });
+        let report = serve(&rt, cfg);
+        if let Some(p) = plan {
+            p.set_armed(false);
+        }
+        if let Err(v) = verify_quiescent(&rt) {
+            append_violation_json(&format!(
+                "{{\"kind\":\"serve-violation\",\"session\":{name:?},\"shape\":{label:?},\
+                 \"workers\":{workers},\"seed\":{},\"violation\":{:?}}}",
+                cfg.seed,
+                v.to_string(),
+            ));
+            panic!(
+                "{name} ({label}, {workers} workers, seed {}): {v}",
+                cfg.seed
+            );
+        }
+        report
+    }
+
+    /// CI serve session: 200 overlapping runs of the default mix on 2 workers
+    /// under both collector shapes; each ends quiescent, and the two shapes
+    /// agree on the checksum.
+    #[test]
+    fn session_mix_agrees_across_collector_shapes() {
+        let cfg = session_cfg(200);
+        let [a, b] = SHAPES.map(|shape| session("mix", shape, 2, &cfg, 0));
+        for r in [&a, &b] {
+            assert_eq!(r.runs, 200);
+            assert!(r.stats.epoch_reclaims > 0, "no watermark reclamation");
+        }
+        assert_eq!(a.checksum, b.checksum, "collector shapes disagree");
+    }
+
+    /// Pinned registry workloads, including the two adversarial suite ids: 60
+    /// runs each on 2 workers complete under both collector shapes, end
+    /// quiescent, and agree on the checksum across shapes (and so across
+    /// interleavings).
     #[test]
     fn pinned_workloads_serve_deterministically() {
         for w in [ServeWorkloadId::Wavefront, ServeWorkloadId::Entangle] {
             let cfg = ServeConfig {
                 workload: Some(w),
-                ..small_cfg(24)
+                ..session_cfg(60)
             };
-            let rt_a = HhRuntime::new(HhConfig::with_workers(2));
-            let a = serve(&rt_a, &cfg, "epoch");
-            assert_eq!(a.runs, 24, "{}", w.name());
-            assert_eq!(a.workload, w.name());
-            assert!(a
-                .to_json()
-                .contains(&format!("\"workload\":\"{}\"", w.name())));
-            verify_quiescent(&rt_a).unwrap();
-            let b = serve(&HhRuntime::new(HhConfig::with_workers(2)), &cfg, "epoch");
+            let [a, b] = SHAPES.map(|shape| session(w.name(), shape, 2, &cfg, 0));
+            assert_eq!(a.runs, 60, "{}", w.name());
+            assert_eq!(b.runs, 60, "{}", w.name());
             assert_eq!(a.checksum, b.checksum, "{} nondeterministic", w.name());
         }
     }
 
+    /// CI faulted session: 120 runs under a 4000 ppm fault plan with retries,
+    /// a deadline and shedding, at `HH_WORKERS` (default 2) under both collector
+    /// shapes. `serve` asserts every request is accounted for; each shape must
+    /// abort something, end quiescent, and keep every survivor's result exact.
     #[test]
-    fn violation_json_is_well_formed_and_carries_forensics() {
+    fn session_under_faults_accounts_and_audits_survivors() {
+        let cfg = ServeConfig {
+            max_attempts: 3,
+            deadline_ms: Some(5000),
+            shed_inflight: Some(8),
+            ..session_cfg(120)
+        };
+        let workers = hh_api::env_workers(2);
+        for shape in SHAPES {
+            let r = session("faults", shape, workers, &cfg, 4000);
+            assert!(r.aborted > 0, "{}: no attempt was aborted", shape.0);
+            assert!(
+                audit_survivors(&cfg, workers, &r),
+                "{}: a survivor's result differs from a fault-free run",
+                shape.0
+            );
+        }
+    }
+
+    /// The `Display` of a violation — the one rendering panics and forensics
+    /// lines carry — names the window state, both ends' heap and depth, and
+    /// both chunks' run tag, generation, retirement and GC tag.
+    #[test]
+    fn violation_display_carries_window_state_and_chunk_forensics() {
         use hh_objmodel::{ChunkForensics, ChunkId, ObjPtr};
         use hh_runtime::{DisentanglementReport, EntanglementViolation, HeapId};
         let chunk = |id: u32, owner: u32| ChunkForensics {
             chunk: ChunkId(id),
             owner,
-            run_tag: 7,
-            generation: 1,
+            run_tag: 7 + u64::from(owner),
+            generation: 1 + owner,
             retired: owner == 1,
             gc_epoch: 3,
-            gc_slot: 0,
-            gc_from: false,
+            gc_slot: 2 * owner as u16,
+            gc_from: owner == 1,
             gc_to: owner == 0,
         };
         let v = QuiescenceViolation {
-            reason: "1 disentanglement \"violations\"".into(),
+            reason: "1 disentanglement violations".into(),
             disentanglement: Some(DisentanglementReport {
                 violations: vec![EntanglementViolation {
                     holder: ObjPtr::new(ChunkId(2), 0),
                     field: 5,
                     holder_heap: HeapId(0),
-                    holder_depth: 0,
+                    holder_depth: 1,
                     holder_chunk: chunk(2, 0),
                     target: ObjPtr::new(ChunkId(4), 242),
                     target_heap: HeapId(1),
-                    target_depth: 0,
+                    target_depth: 2,
                     target_chunk: chunk(4, 1),
                 }],
                 window_open: true,
@@ -687,63 +561,16 @@ mod tests {
                 window_epoch: 3,
             }),
         };
-        let json = v.to_json(&small_cfg(8), "epoch-inc");
+        let text = v.to_string();
         for key in [
-            "\"experiment\":\"serve-violation\"",
-            "\"mode\":\"epoch-inc\"",
-            "\"workload\":\"mix\"",
-            "\"seed\":7",
-            "\"reason\":\"1 disentanglement \\\"violations\\\"\"",
-            "\"window_open\":true",
-            "\"window_epoch\":3",
-            "\"violation_count\":1",
-            "\"field\":5",
-            "\"run_tag\":7",
-            "\"retired\":true",
-            "\"gc_to\":true",
+            "1 disentanglement violations",
+            "window open: true, finalizing: false, epoch 3",
+            "field 5 in heap HeapId(0) (depth 1)",
+            "non-ancestor heap HeapId(1) (depth 2)",
+            "chunk 2 (owner 0, run_tag 7, gen 1, active, gc epoch 3 slot 0 TO)",
+            "chunk 4 (owner 1, run_tag 8, gen 2, retired, gc epoch 3 slot 2 FROM)",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(text.contains(key), "missing {key:?} in {text}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // The Display form shows the reason plus one line per violation.
-        let text = format!("{v}");
-        assert!(text.contains("field 5"));
-        assert!(text.contains("run_tag 7"));
-    }
-
-    #[test]
-    fn json_report_is_well_formed() {
-        let rt = HhRuntime::new(HhConfig::with_workers(1));
-        let report = serve(
-            &rt,
-            &ServeConfig {
-                runs: 6,
-                clients: 1,
-                executors: 2,
-                ..small_cfg(6)
-            },
-            "epoch",
-        );
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "\"experiment\":\"serve\"",
-            "\"runtime\":\"parmem\"",
-            "\"mode\":\"epoch\"",
-            "\"workload\":\"mix\"",
-            "\"runs\":6",
-            "\"scale\":1",
-            "\"p999_us\":",
-            "\"gc_max_pause_ns\":",
-            "\"recycle_rate\":",
-            "\"epoch_reclaims\":",
-            "\"active_runs_peak\":",
-            "\"peak_footprint_words\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // Balanced quotes and braces — cheap structural sanity without a parser.
-        assert_eq!(json.matches('"').count() % 2, 0);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -8,8 +8,8 @@
 //! `HH_CHAOS_SEED=<i>` reruns just sweep index `i`; `HH_CHAOS_SEEDS=<n>` widens
 //! or narrows the sweep (default 64); `HH_WORKERS` sizes the pools (the CI
 //! chaos job runs the sweep at 1 and 8). A dirty seed appends one JSON
-//! forensics line (sweep index, seed, rate, reason, serve report) to
-//! `$HH_VIOLATION_JSON` when set, before the assertion fails.
+//! forensics line (sweep index, seed, rate, abort counts, and the violation's
+//! `Display`) to `$HH_VIOLATION_JSON` when set, before the assertion fails.
 //!
 //! The two overlap-abort tests are the deterministic core of the failure model:
 //! three overlapping server runs, one killed mid-promotion (between two
@@ -20,7 +20,7 @@
 
 use hh_api::{silence_expected_aborts, InjectedFault, ParCtx, RunCtl, RunError, Runtime};
 use hh_runtime::{FaultPlan, FaultSite, GcScheduleHooks, HhConfig, HhCtx, HhRuntime};
-use hh_server::{chaos_one, verify_quiescent, ChaosConfig};
+use hh_server::{append_violation_json, chaos_one, verify_quiescent, ChaosConfig};
 use std::sync::{Arc, Barrier};
 
 /// Sweep indices: `HH_CHAOS_SEED` pins one for replay, otherwise
@@ -58,30 +58,10 @@ fn chaos_sweep_every_seed_aborts_and_holds_invariants() {
         );
         assert!(
             out.clean(),
-            "HH_CHAOS_SEED={i} replays this failure — seed {seed:#x} at {} ppm: \
-             violation={:?}, active_runs={}, checksum_ok={}, report={}",
-            out.rate_ppm,
-            out.violation.as_ref().map(|v| v.reason.clone()),
-            out.active_runs,
-            out.checksum_ok,
-            out.report.to_json(),
+            "HH_CHAOS_SEED={i} replays this failure: {}",
+            out.violation_json(i),
         );
     }
-}
-
-/// Appends a dirty seed's forensics line to `$HH_VIOLATION_JSON` when set, so
-/// the CI chaos lane can archive the replay seed after the runner is gone.
-fn append_violation_json(line: &str) {
-    use std::io::Write;
-    let Some(path) = std::env::var_os("HH_VIOLATION_JSON").filter(|p| !p.is_empty()) else {
-        return;
-    };
-    let mut out = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .unwrap_or_else(|e| panic!("cannot open {path:?}: {e}"));
-    writeln!(out, "{line}").expect("writing chaos forensics");
 }
 
 /// Fixed survivor workload: its result is a pure function of nothing but the

@@ -1,13 +1,13 @@
-//! Name-keyed registry of the workloads the `serve` multi-tenant driver can
+//! Name-keyed registry of the workloads the `hh-server` serve loop can
 //! dispatch.
 //!
 //! The serve loop used to hard-dispatch `(seed >> 33) % 3` onto the three
 //! mutator workloads by index; adding a workload meant editing the server. The
-//! registry inverts that: `hh-server` looks suite ids up here, `--workload`
-//! pins a run to one entry by name, and a new workload is a one-line addition
-//! to [`ServeWorkloadId::ALL`]. The default *mix* is kept at exactly the three
-//! PR-4 mutator workloads (same `% 3` selection off the seed's high bits) so
-//! serve throughput artifacts remain comparable across PR snapshots.
+//! registry inverts that: the serve loop and `hhbench serve` run entries by
+//! id, `ServeConfig::workload` pins a session to one entry, and a new workload
+//! is a one-line addition to [`ServeWorkloadId::ALL`]. The default *mix* is
+//! kept at exactly the three PR-4 mutator workloads (same `% 3` selection off
+//! the seed's high bits) so serve checksums stay comparable across snapshots.
 
 use crate::adversary::entangle;
 use crate::mutator::{frontier_bfs, lru_churn, union_find};
@@ -26,7 +26,7 @@ pub enum ServeWorkloadId {
 }
 
 impl ServeWorkloadId {
-    /// Every workload `serve --workload` accepts.
+    /// Every workload a serve session can pin.
     pub const ALL: [ServeWorkloadId; 5] = [
         ServeWorkloadId::UnionFind,
         ServeWorkloadId::FrontierBfs,
@@ -44,7 +44,7 @@ impl ServeWorkloadId {
         ServeWorkloadId::LruChurn,
     ];
 
-    /// The suite id used by `--workload` and carried into JSON artifacts.
+    /// The workload's suite id.
     pub fn name(self) -> &'static str {
         match self {
             ServeWorkloadId::UnionFind => "union-find",
