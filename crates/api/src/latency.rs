@@ -16,21 +16,9 @@ pub struct LatencyRecorder {
 }
 
 impl LatencyRecorder {
-    /// Creates a recorder expecting roughly `hint` samples.
-    pub fn with_capacity(hint: usize) -> LatencyRecorder {
-        LatencyRecorder {
-            samples: Vec::with_capacity(hint),
-        }
-    }
-
     /// Records one event's latency.
     pub fn record(&mut self, latency: Duration) {
         self.samples.push(latency.as_nanos() as u64);
-    }
-
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples.len()
     }
 
     /// True when nothing has been recorded.
@@ -41,11 +29,6 @@ impl LatencyRecorder {
     /// Discards every recorded sample (used by resettable counter blocks).
     pub fn clear(&mut self) {
         self.samples.clear();
-    }
-
-    /// Merges `other`'s samples into this recorder.
-    pub fn merge(&mut self, other: LatencyRecorder) {
-        self.samples.extend(other.samples);
     }
 
     /// Summarizes the samples without consuming the recorder (sorts a copy).
@@ -70,12 +53,6 @@ impl LatencyRecorder {
             max_ns: sorted[n - 1],
             mean_ns: sorted.iter().sum::<u64>() / n as u64,
         }
-    }
-
-    /// Sorts the samples and summarizes them. Returns the all-zero summary when no
-    /// sample was recorded.
-    pub fn summarize(self) -> LatencySummary {
-        self.summary()
     }
 }
 
@@ -111,7 +88,7 @@ mod tests {
     #[test]
     fn empty_summary_is_zero() {
         assert_eq!(
-            LatencyRecorder::default().summarize(),
+            LatencyRecorder::default().summary(),
             LatencySummary::default()
         );
     }
@@ -119,7 +96,7 @@ mod tests {
     #[test]
     fn percentiles_use_nearest_rank() {
         // 1..=1000 ns: p50 = 500, p99 = 990, p999 = 999, max = 1000.
-        let s = recorder_of(1..=1000).summarize();
+        let s = recorder_of(1..=1000).summary();
         assert_eq!(s.count, 1000);
         assert_eq!(s.p50_ns, 500);
         assert_eq!(s.p99_ns, 990);
@@ -128,19 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_unsorted_buffers() {
-        let mut a = recorder_of([900, 100, 500]);
-        let b = recorder_of([300, 700]);
-        a.merge(b);
-        let s = a.summarize();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.p50_ns, 500);
-        assert_eq!(s.max_ns, 900);
-    }
-
-    #[test]
     fn single_sample_is_every_percentile() {
-        let s = recorder_of([42]).summarize();
+        let s = recorder_of([42]).summary();
         assert_eq!(s.p50_ns, 42);
         assert_eq!(s.p99_ns, 42);
         assert_eq!(s.p999_ns, 42);

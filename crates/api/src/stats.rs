@@ -185,8 +185,9 @@ run_stats! {
         /// i.e. at most `2 * bulk_ops` in total (copies have two operands), independent of
         /// slice length.
         bulk_master_lookups: u64,
-        /// Collections whose zone spanned more than one heap — an internal node of the
-        /// hierarchy plus its completed descendants (hierarchical runtime only).
+        /// Collections whose zone spanned more than one heap. Always 0: a child heap
+        /// joins its parent when its task ends, so every zone is one heap. Kept
+        /// because `hhbench` reads it.
         subtree_collections: u64,
         /// Collections run in *team mode*: helpers were drafted (jobs injected /
         /// pause-work offered) alongside the triggering thread (GC v2). Helpers are

@@ -58,9 +58,10 @@ pub struct HhConfig {
     /// stolen executes sequentially on the forking worker, so this is observably the
     /// sequential execution — and a fresh child heap is created only when a thief
     /// actually takes the right branch. Skipped creations are counted in the
-    /// `heaps_elided` statistic. When disabled, every fork eagerly creates two child
-    /// heaps and splices them back at the join, as in the v1 runtime; the flag exists
-    /// so that ablation and the promotion-machinery tests can pin the eager shape.
+    /// `heaps_elided` statistic. When disabled, every branch of every fork runs in a
+    /// child heap of its own, as in the v1 runtime; the flag exists so that ablation
+    /// and the promotion-machinery tests can pin the eager shape. Either way, a child
+    /// heap joins its parent when its branch ends.
     pub lazy_child_heaps: bool,
 }
 

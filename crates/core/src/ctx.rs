@@ -7,7 +7,7 @@ use hh_objmodel::{Header, ObjKind, ObjPtr};
 use hh_sched::Worker;
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, TryLockError};
 
 /// The shared shadow stack of one heap's **ownership domain**: the heap's owner plus
 /// every task borrowing the heap under the lazy steal-time policy. All of those tasks
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// the heap, no matter which domain member triggers it or which sibling frames a
 /// help-loop interleaving has suspended. The mutex is uncontended (single-thread
 /// access); it exists to keep the frame `Send + Sync` across the fork closures.
-struct RootFrame {
+pub(crate) struct RootFrame {
     pins: Mutex<Vec<ObjPtr>>,
 }
 
@@ -40,12 +40,13 @@ impl RootFrame {
 ///
 /// Under the lazy steal-time heap policy (`lazy_child_heaps`, the default), a context
 /// either **owns** its heap (the root task, a stolen branch, or any branch in eager
-/// mode — the heap was created for this task) or **borrows** the parent's heap (an
-/// unstolen branch, which runs sequentially on the forking worker). Owners collect on
-/// threshold between their joins; borrowers collect the shared heap only while no
-/// stolen task is in flight (the steal gate), using the heap domain's shared shadow
-/// stack as the root set. See the `RootFrame` and `maybe_collect_borrowed`
-/// internals and DESIGN.md §4.2 / §5.
+/// mode — the heap was created for this task and joins its parent when the task
+/// ends) or **borrows** the parent's heap (an unstolen branch, which runs
+/// sequentially on the forking worker). Owners collect on threshold between their
+/// joins; borrowers collect the shared heap only while no stolen task is in flight
+/// (the steal gate), using the heap domain's shared shadow stack as the root set.
+/// See the `RootFrame` and `HhCtx::with_quiescent_heap` internals and DESIGN.md
+/// §4.2 / §5.
 pub struct HhCtx {
     inner: Arc<Inner>,
     heap: HeapId,
@@ -77,11 +78,15 @@ pub struct HhCtx {
 }
 
 impl HhCtx {
+    /// A context for a task running in `heap`: an owner with a fresh shadow stack
+    /// when `domain_frame` is `None`, otherwise a borrower of the forking context's
+    /// heap, sharing its domain's shadow stack (so the fork fast path stays
+    /// allocation-free).
     pub(crate) fn new(
         inner: Arc<Inner>,
         heap: HeapId,
         worker: Worker,
-        owns_heap: bool,
+        domain_frame: Option<Arc<RootFrame>>,
         run_ctl: Option<Arc<hh_api::RunCtl>>,
     ) -> HhCtx {
         let run_tag = inner.registry.heap(heap).run_tag();
@@ -90,30 +95,8 @@ impl HhCtx {
             heap,
             run_tag,
             worker,
-            owns_heap,
-            frame: RootFrame::new(),
-            run_ctl,
-            _not_sync: std::marker::PhantomData,
-        }
-    }
-
-    /// A context that borrows the forking context's heap (lazy policy, unstolen
-    /// branch): same heap, same shared shadow stack, same cancellation token.
-    fn new_borrowed(
-        domain_frame: Arc<RootFrame>,
-        inner: Arc<Inner>,
-        heap: HeapId,
-        worker: Worker,
-        run_ctl: Option<Arc<hh_api::RunCtl>>,
-    ) -> HhCtx {
-        let run_tag = inner.registry.heap(heap).run_tag();
-        HhCtx {
-            inner,
-            heap,
-            run_tag,
-            worker,
-            owns_heap: false,
-            frame: domain_frame,
+            owns_heap: domain_frame.is_none(),
+            frame: domain_frame.unwrap_or_else(RootFrame::new),
             run_ctl,
             _not_sync: std::marker::PhantomData,
         }
@@ -194,20 +177,7 @@ impl HhCtx {
     /// heap lock-free as one of its ancestors, so the call is skipped — never run
     /// unsoundly — unless the steal gate is free. Returns `true` if a collection ran.
     pub fn force_collect(&self) -> bool {
-        if !self.owns_heap {
-            // Same gating as `maybe_collect_borrowed`; `try_write` (not a blocking
-            // `write`) also avoids self-deadlock when the caller is itself a
-            // descendant of a stolen task that holds the gate's read lock.
-            let Ok(_gate) = self.inner.steal_gate.try_write() else {
-                return false;
-            };
-            let mut roots = self.frame.pins.lock();
-            self.inner.collect_subtree(self.heap, &mut roots);
-            return true;
-        }
-        let mut roots = self.frame.pins.lock();
-        self.inner.collect_heap(self.heap, &mut roots);
-        true
+        self.with_quiescent_heap(|heap, roots| self.inner.collect_heap(heap, roots))
     }
 
     /// Number of currently pinned roots in this task's heap domain (diagnostics).
@@ -215,77 +185,91 @@ impl HhCtx {
         self.frame.pins.lock().len()
     }
 
-    /// The v1 eager fork shape (`lazy_child_heaps == false`): one fresh heap per
-    /// child, run both branches, then join both child heaps back into the parent heap
-    /// (a constant-time list splice). Kept for ablation A2 and for tests that need
-    /// every branch to own a heap.
-    fn join_eager<RA, RB, FA, FB>(&self, fa: FA, fb: FB) -> (RA, RB)
-    where
-        FA: FnOnce(&Self) -> RA + Send,
-        FB: FnOnce(&Self) -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        let heap_f = self.inner.registry.new_child_heap(self.heap);
-        let heap_g = self.inner.registry.new_child_heap(self.heap);
-        self.counters()
-            .heaps_created
-            .fetch_add(2, Ordering::Relaxed);
-
-        let inner_a = Arc::clone(&self.inner);
-        let inner_b = Arc::clone(&self.inner);
-        let ctl_a = self.run_ctl.clone();
-        let ctl_b = self.run_ctl.clone();
-        let (ra, rb) = self.worker.join(
-            move || {
-                let worker = Worker::current_in(&inner_a.pool)
-                    .expect("task branch must execute on a pool worker");
-                let ctx = HhCtx::new(inner_a, heap_f, worker, true, ctl_a);
-                fa(&ctx)
-            },
-            move || {
-                let worker = Worker::current_in(&inner_b.pool)
-                    .expect("task branch must execute on a pool worker");
-                let ctx = HhCtx::new(inner_b, heap_g, worker, true, ctl_b);
-                fb(&ctx)
-            },
-        );
-
-        self.inner.registry.join_heap(self.heap, heap_f);
-        self.inner.registry.join_heap(self.heap, heap_g);
-        (ra, rb)
-    }
-
-    /// Threshold collection for a context that borrows its heap: a *subtree*
-    /// collection of the borrowed heap plus its completed descendants.
+    /// Runs `collect` on this task's (resolved) heap with the domain frame's pins as
+    /// the root set, when nothing outside the heap's ownership domain can observe
+    /// the heap; returns `false`, having run nothing, otherwise. Every collection
+    /// zone is this one heap: a child heap joins its parent when its task ends, so a
+    /// heap whose collector may run has no live descendant (DESIGN.md §4.2, §5.3).
     ///
-    /// Sound because nothing outside this heap's ownership domain can observe the
-    /// subtree mid-collection once `steal_gate.try_write()` succeeds: no stolen task
-    /// is in flight anywhere (each holds a read lock for its whole run and could be
-    /// reading this heap as an ancestor), and none can start until the write guard
-    /// drops. Any live *descendant* heap was created by a steal, so — with the gate
-    /// held — its owner has already finished and the heap only awaits its join
-    /// splice; no task runs in it and its pins were dropped when its task completed.
-    /// Everything *inside* the domain runs on this worker's thread, suspended
-    /// beneath this frame, and its pins all live in the shared domain frame — the
-    /// complete root set, rewritten in place by the collector. Ancestors above the
-    /// owner cannot hold pointers into a heap created after their frames suspended,
-    /// and no heap outside the subtree can point into it (that would be
-    /// entanglement). A completed descendant's unpinned data (e.g. a branch's return
-    /// value, held only in a suspended Rust frame) is not retained; like all unpinned
-    /// from-space data it stays readable through the retired chunks until the
-    /// store's reuse horizon, and is rescued by the next collection that can reach
-    /// it. See DESIGN.md §5.
-    fn maybe_collect_borrowed(&self) {
-        let Ok(_gate) = self.inner.steal_gate.try_write() else {
-            return;
+    /// An owner sits between its joins: every child has joined, and no concurrent
+    /// task has this heap on its ancestor path. A borrower needs the steal gate
+    /// exclusively (`try_write`, never a blocking `write`, which would deadlock a
+    /// caller beneath a stolen task holding the read side): no stolen task is in
+    /// flight anywhere — each holds the gate's read side for its whole run, joins
+    /// its heap before releasing it, and could be reading this heap as an ancestor
+    /// — and none starts until the gate drops. Everything else of the domain runs
+    /// on this worker's thread, suspended beneath this frame, and its pins all live
+    /// in the shared frame. Ancestors above the owner cannot hold pointers into a
+    /// heap created after their frames suspended, and no heap outside the domain can
+    /// point into it (that would be entanglement).
+    fn with_quiescent_heap(&self, collect: impl FnOnce(HeapId, &mut [ObjPtr])) -> bool {
+        let _gate = if self.owns_heap {
+            None
+        } else {
+            match self.inner.steal_gate.try_write() {
+                Ok(gate) => Some(gate),
+                Err(TryLockError::Poisoned(gate)) => Some(gate.into_inner()),
+                Err(TryLockError::WouldBlock) => return false,
+            }
         };
-        // The domain frame holds every pin that can point into this heap — the
-        // owner's and every borrower's, including frames suspended by help-loop
-        // interleaving — so it is the complete root set (see `RootFrame`).
-        let mut roots = self.frame.pins.lock();
-        self.inner.collect_subtree(self.heap, &mut roots);
+        let heap = self.inner.registry.resolve(self.heap);
+        collect(heap, &mut self.frame.pins.lock());
+        true
     }
+}
+
+/// One branch of a fork, run on the worker executing it. In eager mode, or when
+/// the branch was `stolen`, it runs in a fresh child heap of `parent` that joins
+/// the parent when the branch ends — on return and on unwind alike, and, for a
+/// stolen branch, before the branch releases the steal gate. Otherwise it borrows
+/// `parent`, on the domain's shadow stack `frame`. `elided` counts the fork's
+/// child heaps that were never created.
+fn run_branch<R>(
+    inner: Arc<Inner>,
+    parent: HeapId,
+    frame: Arc<RootFrame>,
+    run_ctl: Option<Arc<hh_api::RunCtl>>,
+    stolen: bool,
+    elided: u64,
+    f: impl FnOnce(&HhCtx) -> R,
+) -> R {
+    let worker =
+        Worker::current_in(&inner.pool).expect("task branch must execute on a pool worker");
+    let counters = inner.counters.shard(Some(worker.index()));
+    if elided > 0 {
+        counters.heaps_elided.fetch_add(elided, Ordering::Relaxed);
+    }
+    if inner.config.lazy_child_heaps && !stolen {
+        return f(&HhCtx::new(inner, parent, worker, Some(frame), run_ctl));
+    }
+    // A stolen branch holds the steal gate (shared) for its whole run: it reads
+    // its ancestor heaps lock-free, so borrowers must not collect them while it
+    // is in flight (see `HhCtx::with_quiescent_heap`).
+    let _gate = stolen.then(|| {
+        inner
+            .steal_gate
+            .read()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    });
+    counters.heaps_created.fetch_add(1, Ordering::Relaxed);
+    /// `joinHeap` at the end of the branch's task (Figure 5).
+    struct JoinOnDrop<'a> {
+        registry: &'a hh_heaps::HeapRegistry,
+        parent: HeapId,
+        heap: HeapId,
+    }
+    impl Drop for JoinOnDrop<'_> {
+        fn drop(&mut self) {
+            self.registry.join_heap(self.parent, self.heap);
+        }
+    }
+    let heap = inner.registry.new_child_heap(parent);
+    let _join = JoinOnDrop {
+        registry: &inner.registry,
+        parent,
+        heap,
+    };
+    f(&HhCtx::new(Arc::clone(&inner), heap, worker, None, run_ctl))
 }
 
 impl ParCtx for HhCtx {
@@ -389,71 +373,27 @@ impl ParCtx for HhCtx {
         // Fork entry is the second cancellation point (with `maybe_collect`):
         // it bounds abort latency for fork-heavy phases that allocate little.
         self.poll_abort();
-        if !self.inner.config.lazy_child_heaps {
-            return self.join_eager(fa, fb);
-        }
-        // forkjoin, steal-time heap placement: no heap is created up front. The left
-        // branch always runs inline on this worker, sequentially — it continues in
-        // the parent's heap. The right branch learns from the scheduler whether it
-        // was actually stolen (the on-steal hook): if so, the *thief* creates one
-        // fresh child heap for it (paying the heap cost only where parallelism
-        // actually happened); if not, it runs sequentially after the left branch,
-        // also in the parent's heap, and the fork was heap-free.
-        let parent_heap = self.heap;
-        let frame_a = Arc::clone(&self.frame);
-        let frame_b = Arc::clone(&self.frame);
-        let inner_a = Arc::clone(&self.inner);
-        let inner_b = Arc::clone(&self.inner);
-        let ctl_a = self.run_ctl.clone();
-        let ctl_b = self.run_ctl.clone();
-        let (ra, (rb, stolen_heap)) = self.worker.join_context(
-            move || {
-                let worker = Worker::current_in(&inner_a.pool)
-                    .expect("task branch must execute on a pool worker");
-                // The left branch always executes inline on the forking worker: it
-                // continues in the parent's heap, with its shadow stack chained to
-                // the suspended forking frame.
-                let ctx = HhCtx::new_borrowed(frame_a, inner_a, parent_heap, worker, ctl_a);
-                fa(&ctx)
-            },
+        // forkjoin. Eager mode gives every branch a fresh child heap. The lazy
+        // steal-time policy creates none up front: the left branch always runs
+        // inline on this worker and continues in the parent's heap; the right
+        // branch learns from the scheduler whether it was stolen (the on-steal
+        // hook) — if so, the *thief* creates its child heap, paying the heap cost
+        // only where parallelism actually happened; if not, it runs after the left
+        // branch, also in the parent's heap, and the fork was heap-free.
+        let eager = !self.inner.config.lazy_child_heaps;
+        let parent = self.heap;
+        let (frame_a, frame_b) = (Arc::clone(&self.frame), Arc::clone(&self.frame));
+        let (inner_a, inner_b) = (Arc::clone(&self.inner), Arc::clone(&self.inner));
+        let (ctl_a, ctl_b) = (self.run_ctl.clone(), self.run_ctl.clone());
+        self.worker.join_context(
+            move || run_branch(inner_a, parent, frame_a, ctl_a, false, 0, fa),
             move |stolen| {
-                let worker = Worker::current_in(&inner_b.pool)
-                    .expect("task branch must execute on a pool worker");
-                if stolen {
-                    // Hold the steal gate (shared) for the whole stolen run: this
-                    // task reads its ancestor heaps lock-free, so borrowers must not
-                    // collect them while it is in flight (see
-                    // `maybe_collect_borrowed`).
-                    let gate_owner = Arc::clone(&inner_b);
-                    let _gate = gate_owner
-                        .steal_gate
-                        .read()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    let heap = inner_b.registry.new_child_heap(parent_heap);
-                    let counters = inner_b.counters.shard(Some(worker.index()));
-                    counters.heaps_created.fetch_add(1, Ordering::Relaxed);
-                    // The left sibling's heap is still elided.
-                    counters.heaps_elided.fetch_add(1, Ordering::Relaxed);
-                    let ctx = HhCtx::new(inner_b, heap, worker, true, ctl_b);
-                    (fb(&ctx), Some(heap))
-                } else {
-                    inner_b
-                        .counters
-                        .shard(Some(worker.index()))
-                        .heaps_elided
-                        .fetch_add(2, Ordering::Relaxed);
-                    // Unstolen: runs on the forking worker, in the parent's heap,
-                    // chained to the suspended forking frame.
-                    let ctx = HhCtx::new_borrowed(frame_b, inner_b, parent_heap, worker, ctl_b);
-                    (fb(&ctx), None)
-                }
+                // This branch accounts for the fork's elided heaps: the lazy left
+                // branch's, and its own when unstolen.
+                let elided = if eager { 0 } else { 1 + u64::from(!stolen) };
+                run_branch(inner_b, parent, frame_b, ctl_b, stolen, elided, fb)
             },
-        );
-        // Only a stolen branch created a heap, so only that one needs the join splice.
-        if let Some(heap) = stolen_heap {
-            self.inner.registry.join_heap(parent_heap, heap);
-        }
-        (ra, rb)
+        )
     }
 
     fn pin(&self, obj: ObjPtr) {
@@ -511,42 +451,13 @@ impl ParCtx for HhCtx {
             if !self.inner.should_collect(self.heap) && !self.inner.hook_force_collect() {
                 return;
             }
-            if self.owns_heap {
-                // The owner starts between its own joins: no live descendants,
-                // so the domain frame's pins are the complete root set (any
-                // completed child was already joined, its chunks absorbed into
-                // this heap's — now flipped — list).
-                let top = self.inner.registry.resolve(self.heap);
-                let mut roots = self.frame.pins.lock();
-                let _ = self.inner.start_incremental(vec![top], &mut roots);
-            } else {
-                // A borrower needs the sync path's quiescence argument at seed
-                // time — an in-flight stolen task may hold pins into this heap
-                // taken before the window — but only for the seed pause: the
-                // gate drops as soon as the mutator resumes, and everything
-                // forked afterwards is covered by the barriers.
-                let Ok(_gate) = self.inner.steal_gate.try_write() else {
-                    return;
-                };
-                let zone = self.inner.registry.live_subtree(self.heap);
-                let mut roots = self.frame.pins.lock();
-                let _ = self.inner.start_incremental(zone, &mut roots);
-            }
+            self.with_quiescent_heap(|heap, roots| {
+                let _ = self.inner.start_incremental(heap, roots);
+            });
             return;
         }
-        if !self.inner.should_collect(self.heap) {
-            return;
-        }
-        if self.owns_heap {
-            // The owner collects between its own joins: it has no live descendants
-            // then, and no concurrent task has this heap on its ancestor path.
-            let mut roots = self.frame.pins.lock();
-            self.inner.collect_heap(self.heap, &mut roots);
-        } else {
-            // A borrower may collect the shared heap only when provably nothing else
-            // can observe it (no stolen task in flight, chain covers all of the
-            // heap's live contexts) — the common case in sequential stretches.
-            self.maybe_collect_borrowed();
+        if self.inner.should_collect(self.heap) {
+            self.with_quiescent_heap(|heap, roots| self.inner.collect_heap(heap, roots));
         }
     }
 

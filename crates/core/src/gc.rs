@@ -1,4 +1,4 @@
-//! Promotion-aware semispace collection of a heap-hierarchy subtree — **GC v2:
+//! Promotion-aware semispace collection of one heap of the hierarchy — **GC v2:
 //! parallel, hash-free evacuation**, on the shared evacuation engine
 //! ([`hh_sched::EvacEngine`], GC v3).
 //!
@@ -25,71 +25,68 @@
 //! Since GC v3, the member body, span pack/steal loop, CAS forwarding race, and
 //! idle-termination protocol live in **one** shared module — `hh_sched::evac` —
 //! consumed by this collector and the flat baseline collector alike. This module
-//! contributes only what is hierarchical about the collection: the slot-to-heap
-//! mapping (`HierZone`, one to-space per zone heap so survivors keep their
-//! placement in the hierarchy), zone assembly (chunk stamping plus the quarantine
-//! rescue walk), and the post-collection installation of per-heap chunk lists.
-//! DESIGN.md §9 gives the full correctness argument for the team protocol, §11
-//! for the incremental mode built on the same engine.
+//! contributes only what is hierarchical about the collection: the zone is one
+//! heap (`HierZone`: to-space chunks owned and run-tagged by the collected heap,
+//! so survivors keep their placement in the hierarchy), zone assembly (chunk
+//! stamping plus the quarantine rescue walk), and the post-collection installation
+//! of the heap's chunk list. A zone never spans more than one heap: a child heap
+//! joins its parent when its task ends, so the heap a collector may run on has no
+//! live descendant (DESIGN.md §5.3). §9 gives the full correctness argument for the
+//! team protocol, §11 for the incremental mode built on the same engine.
 
 use crate::runtime::Inner;
 use hh_heaps::HeapId;
-use hh_objmodel::{Chunk, ChunkId, ChunkStore, Header, ObjPtr, GC_MAX_ZONE_SLOTS};
+use hh_objmodel::{Chunk, ChunkGcState, ChunkId, ChunkStore, Header, ObjPtr};
 use hh_sched::{EvacEngine, EvacZone};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The hierarchical slot-to-heap mapping: zone slot `i` allocates to-space
-/// chunks owned (and run-tagged) by the zone's `i`-th heap, so a subtree
-/// collection preserves each survivor's placement in the hierarchy.
+/// The engine's zone mapping for one collected heap: its single slot allocates
+/// to-space chunks owned (and run-tagged) by the heap, so a collection preserves
+/// each survivor's placement in the hierarchy.
 pub(crate) struct HierZone {
     store: Arc<ChunkStore>,
-    /// Raw heap id per zone slot, for tagging freshly allocated to-space chunks.
-    heap_raws: Vec<u32>,
-    /// Run epoch per zone slot (the heap's run tag). To-space chunks inherit it
-    /// so that (a) the debug cross-run assertion accepts survivors and
-    /// (b) when the run later disposes, its to-space chunks carry the run's own
-    /// epoch stamp into quarantine instead of a conservative latest-issued
-    /// stamp — under overlapping runs the conservative stamp would park them
-    /// behind every younger run and visibly degrade recycling.
-    heap_tags: Vec<u64>,
-    /// Per zone slot: the heap is a root, so its to-space chunks are marked
-    /// root-owned as its allocation cursors' chunks are.
-    heap_roots: Vec<bool>,
+    /// Raw id of the collected heap, for tagging freshly allocated to-space chunks.
+    heap_raw: u32,
+    /// Run epoch of the heap (its run tag). To-space chunks inherit it so that
+    /// (a) the debug cross-run assertion accepts survivors and (b) when the run
+    /// later disposes, its to-space chunks carry the run's own epoch stamp into
+    /// quarantine instead of a conservative latest-issued stamp — under
+    /// overlapping runs the conservative stamp would park them behind every
+    /// younger run and visibly degrade recycling.
+    run_tag: u64,
+    /// The heap is a root, so its to-space chunks are marked root-owned as its
+    /// allocation cursors' chunks are.
+    root: bool,
 }
 
 impl HierZone {
-    fn activated(&self, slot: u16, chunk: &Chunk) {
-        if self.heap_roots[slot as usize] {
+    fn activated(&self, chunk: Arc<Chunk>) -> Arc<Chunk> {
+        if self.root {
             chunk.set_root_owned();
         }
+        chunk
     }
 }
 
 impl EvacZone for HierZone {
     fn n_slots(&self) -> usize {
-        self.heap_raws.len()
+        1
     }
 
-    fn alloc_dedicated(&self, slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
-        let (chunk, ptr) = self.store.alloc_dedicated_for_run(
-            self.heap_raws[slot as usize],
-            header,
-            self.heap_tags[slot as usize],
-        );
-        self.activated(slot, &chunk);
-        (chunk, ptr)
+    fn alloc_dedicated(&self, _slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
+        let (chunk, ptr) = self
+            .store
+            .alloc_dedicated_for_run(self.heap_raw, header, self.run_tag);
+        (self.activated(chunk), ptr)
     }
 
-    fn alloc_chunk(&self, slot: u16, min_words: usize) -> Arc<Chunk> {
-        let chunk = self.store.alloc_chunk_for_run(
-            self.heap_raws[slot as usize],
-            min_words,
-            self.heap_tags[slot as usize],
-        );
-        self.activated(slot, &chunk);
-        chunk
+    fn alloc_chunk(&self, _slot: u16, min_words: usize) -> Arc<Chunk> {
+        self.activated(
+            self.store
+                .alloc_chunk_for_run(self.heap_raw, min_words, self.run_tag),
+        )
     }
 }
 
@@ -109,45 +106,17 @@ impl Inner {
         self.registry.heap(heap).allocated_words() >= self.config.gc_threshold_words
     }
 
-    /// Collects the (leaf) heap `heap_id`, treating `roots` as the root set and
-    /// rewriting each root to its new location.
+    /// Stamps the from-space chunks `old` of the (resolved) heap `heap` for `epoch`.
+    /// Shared between the synchronous and incremental collection paths; the
+    /// incremental start flips the heap's list *out* first
+    /// (`replace_chunks(Vec::new(), 0)`, so the resuming mutator allocates into
+    /// fresh zone-outside chunks) and stamps the flipped-out list.
     ///
-    /// Thanks to disentanglement no other task can hold pointers into a leaf heap, so
-    /// the owning task collects it without synchronizing with any *mutator* — exactly
-    /// the independence property the paper's design is built around. (The drafted GC
-    /// team members touch only the quiescent zone and its to-space.) This is the
-    /// degenerate (single-heap) case of [`Inner::collect_subtree`].
-    pub(crate) fn collect_heap(&self, heap_id: HeapId, roots: &mut [ObjPtr]) {
-        let top = self.registry.resolve(heap_id);
-        self.collect_zone(vec![top], roots);
-    }
-
-    /// Collects the whole live subtree rooted at `heap_id`: the (resolved) heap
-    /// itself plus every live descendant, in one promotion-aware evacuation.
-    ///
-    /// The live descendants are heaps created by steals whose fork has not joined
-    /// yet. The caller must hold the steal gate exclusively (see
-    /// `HhCtx::maybe_collect_borrowed`): that guarantees no stolen task is executing
-    /// anywhere, so every such descendant's owner has already finished — the heap is
-    /// merely waiting for its join splice — and the only running tasks of the subtree
-    /// are the caller's own domain, whose pins form `roots`. Memory merged upward at
-    /// earlier joins (now part of the internal node's chunk list) is evacuated along
-    /// with everything else, so it stops being immortal.
-    pub(crate) fn collect_subtree(&self, heap_id: HeapId, roots: &mut [ObjPtr]) {
-        let top = self.registry.resolve(heap_id);
-        let zone = self.registry.live_subtree(top);
-        self.collect_zone(zone, roots);
-    }
-
-    /// Stamps the zone's chunks from-space for `epoch` and returns the per-heap
-    /// old chunk lists. Shared between the synchronous and incremental
-    /// collection paths.
-    ///
-    /// Besides the heaps' own chunk lists, this runs the **rescue pass**:
+    /// Besides the heap's own chunk list, this runs the **rescue pass**:
     /// chunks retired by earlier collections stay readable until the reuse
     /// horizon, and a root may still point into one (an unpinned local
     /// re-pinned after the collection that retired the chunk). Their owner
-    /// resolves into the zone, so stamp them from-space too — the tag-based
+    /// resolves to the heap, so stamp them from-space too — the tag-based
     /// membership test then rescues reachable objects stranded there, exactly
     /// as v1's `heap_of` resolution did. Assembly-time cost, off the per-object
     /// hot loop. The walk runs *under the quarantine lock* (`with_quarantine`):
@@ -155,111 +124,66 @@ impl Inner {
     /// mid-flight, so a snapshot taken outside the lock could stamp a chunk
     /// that a concurrent `reclaim_watermark` has just recycled to another run.
     /// Holding the lock pins quarantine membership for the duration of the
-    /// stamping; chunks of *this* zone's run cannot become reclaimable
+    /// stamping; chunks of *this* heap's run cannot become reclaimable
     /// concurrently anyway (the run is still active, so the watermark is at or
     /// below its epoch).
-    pub(crate) fn stamp_zone(
-        &self,
-        store: &Arc<ChunkStore>,
-        zone: &[HeapId],
-        epoch: u64,
-    ) -> Vec<(HeapId, Vec<ChunkId>)> {
-        let old_chunks: Vec<(HeapId, Vec<ChunkId>)> = zone
-            .iter()
-            .map(|&h| (h, self.registry.heap(h).chunks()))
-            .collect();
-        self.stamp_chunks(store, zone, epoch, &old_chunks);
-        old_chunks
-    }
-
-    /// The stamping body of [`Inner::stamp_zone`], taking the per-heap chunk
-    /// lists explicitly: the incremental start path flips each zone heap's list
-    /// *out* first (`replace_chunks(Vec::new(), 0)`, so the resuming mutator
-    /// allocates into fresh zone-outside chunks) and stamps the flipped-out
-    /// lists, which `heap.chunks()` no longer returns.
-    pub(crate) fn stamp_chunks(
-        &self,
-        store: &Arc<ChunkStore>,
-        zone: &[HeapId],
-        epoch: u64,
-        old_chunks: &[(HeapId, Vec<ChunkId>)],
-    ) {
-        for (slot, (_, chunks)) in old_chunks.iter().enumerate() {
-            for &c in chunks {
-                store.chunk(c).set_gc_from_space(epoch, slot as u16);
-            }
+    pub(crate) fn stamp_chunks(&self, heap: HeapId, epoch: u64, old: &[ChunkId]) {
+        let store = self.registry.store();
+        for &c in old {
+            store.chunk(c).set_gc_from_space(epoch, 0);
         }
-        {
-            let slot_of: std::collections::HashMap<HeapId, u16> = zone
-                .iter()
-                .enumerate()
-                .map(|(i, &h)| (h, i as u16))
-                .collect();
-            store.with_quarantine(|quarantined| {
-                for &(id, _retired_at) in quarantined {
-                    let chunk = store.chunk(id);
-                    let owner = HeapId::from_raw(chunk.owner());
-                    if owner.is_none() || (owner.raw() as usize) >= self.registry.n_heaps() {
-                        continue;
-                    }
-                    if let Some(&slot) = slot_of.get(&self.registry.resolve(owner)) {
-                        chunk.set_gc_from_space(epoch, slot);
-                    }
+        store.with_quarantine(|quarantined| {
+            for &(id, _retired_at) in quarantined {
+                let chunk = store.chunk(id);
+                let owner = HeapId::from_raw(chunk.owner());
+                if !owner.is_none() && self.registry.resolve(owner) == heap {
+                    chunk.set_gc_from_space(epoch, 0);
                 }
-            });
-        }
+            }
+        });
     }
 
-    /// Builds the engine's zone mapping for `zone`.
-    pub(crate) fn hier_zone(&self, store: &Arc<ChunkStore>, zone: &[HeapId]) -> HierZone {
+    /// Builds the engine's zone mapping for the (resolved) heap `heap`.
+    pub(crate) fn hier_zone(&self, heap: HeapId) -> HierZone {
+        let h = self.registry.heap(heap);
         HierZone {
-            store: Arc::clone(store),
-            heap_raws: zone.iter().map(|h| h.raw()).collect(),
-            heap_tags: zone
-                .iter()
-                .map(|&h| self.registry.heap(h).run_tag())
-                .collect(),
-            heap_roots: zone
-                .iter()
-                .map(|&h| self.registry.heap(h).parent().is_none())
-                .collect(),
+            store: Arc::clone(self.registry.store()),
+            heap_raw: heap.raw(),
+            run_tag: h.run_tag(),
+            root: h.parent().is_none(),
         }
     }
 
-    /// The shared collection body: evacuates `zone` (a set of live heaps), treating
-    /// `roots` as the root set and rewriting each root to its new location. Every
-    /// survivor is evacuated into a to-space owned by its own (resolved) heap, so a
-    /// subtree collection preserves each survivor's placement in the hierarchy.
+    /// Collects the (resolved) heap `heap`, treating `roots` as the root set and
+    /// rewriting each root to its new location. The caller guarantees that
+    /// nothing outside the heap's ownership domain can observe it (see
+    /// `HhCtx::with_quiescent_heap`), which is why no *mutator* synchronizes with
+    /// the collection — exactly the independence property the paper's design is
+    /// built around. (The drafted GC team members touch only the quiescent zone
+    /// and its to-space.) Memory merged upward at earlier joins (now part of the
+    /// heap's chunk list) is evacuated along with everything else, so it stops
+    /// being immortal.
     ///
     /// See the module docs for the GC v2 structure (chunk-tag membership, the team,
     /// scan-block stealing, the CAS forwarding race — all in `hh_sched::evac` now).
-    pub(crate) fn collect_zone(&self, zone: Vec<HeapId>, roots: &mut [ObjPtr]) {
+    pub(crate) fn collect_heap(&self, heap: HeapId, roots: &mut [ObjPtr]) {
         // A monolithic collection requires a quiescent zone; an open incremental
         // window (necessarily of a disjoint zone, but conservatively: any) is
         // completed first so the two engines never interleave on shared store
         // structures' lifecycle (quarantine stamps, heap chunk lists).
         self.finalize_incremental_now(|_| true);
-        let zone_ids = if self.invariants_enabled() {
-            zone.clone()
-        } else {
-            Vec::new()
-        };
         let start = Instant::now();
         let store = Arc::clone(self.registry.store());
-        let n_heaps = zone.len();
-        assert!(
-            n_heaps <= GC_MAX_ZONE_SLOTS,
-            "collection zone exceeds the chunk tag's slot range"
-        );
         let team = self.gc_team_size();
         let epoch = store.next_gc_epoch();
 
         // --- Zone assembly: stamp membership into chunk metadata. ----------------
-        let old_chunks = self.stamp_zone(&store, &zone, epoch);
+        let old = self.registry.heap(heap).chunks();
+        self.stamp_chunks(heap, epoch, &old);
 
         // --- Run the evacuation on the team. -------------------------------------
         let engine = Arc::new(EvacEngine::new(
-            self.hier_zone(&store, &zone),
+            self.hier_zone(heap),
             Arc::clone(&store),
             epoch,
             team,
@@ -296,13 +220,18 @@ impl Inner {
         engine.await_team();
         roots.copy_from_slice(&shared_roots.lock());
 
-        // --- Merge per-member to-spaces and install them. ------------------------
+        // --- Install the to-space; retire the from-space. ------------------------
         let outcome = engine.merge();
-        self.install_to_spaces(&store, epoch, old_chunks, outcome.per_slot);
+        let (chunks, words) = one_slot(outcome.per_slot);
+        if !chunks.is_empty() || !old.is_empty() {
+            // The engine's merge already moved a partially filled bump chunk to
+            // the end of the list — the heap's resume point.
+            self.registry.heap(heap).replace_chunks(chunks, words);
+        }
+        retire_from_space(&store, epoch, &old);
 
         // --- Statistics. ---------------------------------------------------------
         self.record_collection(
-            n_heaps,
             team,
             outcome.steal_blocks,
             outcome.copied_words,
@@ -310,58 +239,14 @@ impl Inner {
         );
 
         // Debug builds: re-verify disentanglement and forwarding acyclicity over the
-        // just-collected zone (the zone is still quiescent — same precondition the
-        // collection itself ran under). No-op in release builds.
-        self.verify_heaps(&zone_ids);
-    }
-
-    /// Installs the merged to-spaces into their heaps and retires the old
-    /// from-space chunks. `epoch` is the collection's epoch: an old chunk whose
-    /// tag now reads `ToSpace` was promoted in place (a dedicated large-object
-    /// chunk handed over wholesale) — it is part of the installed to-space and
-    /// must not be retired.
-    pub(crate) fn install_to_spaces(
-        &self,
-        store: &Arc<ChunkStore>,
-        epoch: u64,
-        old_chunks: Vec<(HeapId, Vec<ChunkId>)>,
-        per_slot: Vec<(Vec<ChunkId>, usize)>,
-    ) {
-        for ((heap, old), (chunks, words)) in old_chunks.into_iter().zip(per_slot) {
-            if chunks.is_empty() {
-                debug_assert_eq!(words, 0, "to-space words without to-space chunks");
-                // Zero survivors. A heap that also had no from-space chunks (an
-                // empty descendant swept into the zone) needs no flip at all;
-                // otherwise install the empty to-space so the old chunks retire.
-                if !old.is_empty() {
-                    self.registry.heap(heap).replace_chunks(Vec::new(), 0);
-                }
-            } else {
-                // The engine's merge already moved a partially filled bump chunk
-                // to the end of the list — the heap's resume point.
-                self.registry.heap(heap).replace_chunks(chunks, words);
-            }
-            // Retire the old from-space. Old chunk contents stay readable until the
-            // store's reuse horizon passes (they enter the quarantine — see
-            // `ChunkStore::reclaim_retired`), which keeps stale `ObjPtr` copies
-            // held in Rust locals harmless — they resolve through forwarding
-            // pointers on their next mutable access. See DESIGN.md §2 and §5.
-            for c in old {
-                if matches!(
-                    store.chunk(c).gc_state(epoch),
-                    hh_objmodel::ChunkGcState::ToSpace(_)
-                ) {
-                    continue; // promoted in place — now part of the to-space
-                }
-                store.retire_chunk(c);
-            }
-        }
+        // just-collected heap (still quiescent — same precondition the collection
+        // itself ran under). No-op in release builds.
+        self.verify_heap(heap);
     }
 
     /// Bumps the collection counters and records the pause.
     pub(crate) fn record_collection(
         &self,
-        n_heaps: usize,
         team: usize,
         steal_blocks: u64,
         copied_words: u64,
@@ -370,9 +255,6 @@ impl Inner {
         use std::sync::atomic::Ordering;
         let shard = self.shard();
         shard.gc_count.fetch_add(1, Ordering::Relaxed);
-        if n_heaps > 1 {
-            shard.subtree_collections.fetch_add(1, Ordering::Relaxed);
-        }
         if team > 1 {
             shard
                 .gc_parallel_collections
@@ -388,5 +270,25 @@ impl Inner {
             .fetch_add(copied_words, Ordering::Relaxed);
         shard.add_gc_time(pause);
         self.counters.record_gc_pause(pause);
+    }
+}
+
+/// The to-space chunks and words of a one-heap zone's only slot.
+pub(crate) fn one_slot(per_slot: Vec<(Vec<ChunkId>, usize)>) -> (Vec<ChunkId>, usize) {
+    per_slot.into_iter().next().unwrap_or_default()
+}
+
+/// Retires a collection's from-space chunks `old`. Their contents stay readable
+/// until the store's reuse horizon passes (they enter the quarantine — see
+/// `ChunkStore::reclaim_retired`), which keeps stale `ObjPtr` copies held in Rust
+/// locals harmless: they resolve through forwarding pointers on their next mutable
+/// access (DESIGN.md §2 and §5). A chunk whose tag reads `ToSpace` for `epoch` was
+/// promoted in place (a dedicated large-object chunk handed over wholesale): it is
+/// part of the installed to-space and is not retired.
+pub(crate) fn retire_from_space(store: &ChunkStore, epoch: u64, old: &[ChunkId]) {
+    for &c in old {
+        if !matches!(store.chunk(c).gc_state(epoch), ChunkGcState::ToSpace(_)) {
+            store.retire_chunk(c);
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! mutator for the whole evacuation — the pause grows with the live set. The
 //! incremental mode bounds the mutator pause by ~one scan block instead:
 //!
-//! 1. **Start (the measured pause)** — at an owner's safe point, the zone heaps'
-//!    chunk lists are *flipped out* (the mutator resumes allocating into fresh,
+//! 1. **Start (the measured pause)** — at a safe point, the zone heap's
+//!    chunk list is *flipped out* (the mutator resumes allocating into fresh,
 //!    untagged chunks), the old chunks are stamped from-space (plus the quarantine
 //!    rescue walk), and only the domain frame's **pins** are evacuated, through
 //!    [`hh_sched::EvacEngine::seed_roots`]. The engine is left installed in
@@ -34,9 +34,10 @@
 //!    claims the collection (`ActiveGc::finalizing`), runs the engine's
 //!    closed/retired handshake (residual barrier traffic is drained, late barrier
 //!    calls bounce to ordinary forwarding resolution), adopts the to-space chunk
-//!    lists into the zone heaps *without* touching the mutator's current bump
-//!    chunk ([`hh_heaps::Heap::adopt_collected_chunks`]), and retires the
-//!    from-space.
+//!    list into the heap now holding the zone heap's objects *without* touching
+//!    the mutator's current bump chunk ([`hh_heaps::HeapRegistry::adopt_collected`]:
+//!    the zone heap may join its parent mid-window, and an adoption that races the
+//!    join re-resolves), and retires the from-space.
 //!
 //! **Root-set completeness.** A window spans joins, so tasks forked *during* the
 //! window may receive from-space pointers. Every pointer they store passes the
@@ -45,15 +46,16 @@
 //! than the window can keep a from-space address past retirement. Frames *older*
 //! than the window cannot hold zone pointers: an owner starts with no live
 //! descendants (it sits between its joins), and a borrower starts only under a
-//! momentary exclusive steal-gate acquisition (no stolen task in flight), exactly
-//! the sync collector's quiescence argument — but held only for the seed pause.
+//! momentary exclusive steal-gate acquisition (no stolen task in flight, and every
+//! stolen task's heap already joined), exactly the sync collector's quiescence
+//! argument — but held only for the seed pause.
 //! Unpinned Rust locals keep the established semantics: readable until the reuse
 //! horizon, rescued by a later collection's quarantine walk if still reachable.
 
-use crate::gc::HierZone;
+use crate::gc::{one_slot, retire_from_space, HierZone};
 use crate::runtime::Inner;
 use hh_heaps::HeapId;
-use hh_objmodel::{ChunkGcState, ChunkId, ObjPtr, GC_MAX_ZONE_SLOTS};
+use hh_objmodel::{ChunkGcState, ChunkId, ObjPtr};
 use hh_sched::{EvacEngine, SCAN_BLOCK_WORDS};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -89,10 +91,13 @@ pub(crate) struct ActiveGc {
     /// Safe-point drains that observed the wavefront empty while the window
     /// stayed unclaimed (see `GC_FINALIZE_STALENESS`).
     empty_safepoint_ticks: AtomicUsize,
-    /// The flipped-out from-space chunk lists, per zone heap — retired at
-    /// finalize (the zone heaps' own lists were emptied at the flip).
-    old_chunks: Vec<(HeapId, Vec<ChunkId>)>,
-    /// Run tag of the zone's heaps; `end_run` force-finalizes a window whose run
+    /// The zone heap (as resolved at the start; it may join its parent
+    /// mid-window).
+    heap: HeapId,
+    /// The flipped-out from-space chunk list — retired at finalize (the zone
+    /// heap's own list was emptied at the flip).
+    old_chunks: Vec<ChunkId>,
+    /// Run tag of the zone heap; `end_run` force-finalizes a window whose run
     /// is ending, otherwise both semispaces would leak (neither is on a heap's
     /// chunk list during the window, so run-end disposal would miss them).
     pub(crate) zone_run_tag: u64,
@@ -108,20 +113,15 @@ impl ActiveGc {
 }
 
 impl Inner {
-    /// Starts an incremental collection of `zone` (resolved, non-empty), seeding
+    /// Starts an incremental collection of the (resolved) heap `heap`, seeding
     /// `roots` (rewritten in place) as the complete current root set. Returns
-    /// `false` — having collected nothing — when the zone overflows the chunk
-    /// tag's slot range or another window is already open (at most one per
-    /// runtime; contending triggers keep draining the open one from their own
-    /// safe points instead, which is what makes it finish).
+    /// `false` — having collected nothing — when another window is already open
+    /// (at most one per runtime; contending triggers keep draining the open one
+    /// from their own safe points instead, which is what makes it finish).
     ///
-    /// The caller must guarantee root-set completeness (see the module docs):
-    /// owners call between joins; borrowers call under a momentary exclusive
-    /// steal-gate acquisition.
-    pub(crate) fn start_incremental(&self, zone: Vec<HeapId>, roots: &mut [ObjPtr]) -> bool {
-        if zone.is_empty() || zone.len() > GC_MAX_ZONE_SLOTS {
-            return false;
-        }
+    /// The caller must guarantee root-set completeness (see the module docs and
+    /// `HhCtx::with_quiescent_heap`).
+    pub(crate) fn start_incremental(&self, heap: HeapId, roots: &mut [ObjPtr]) -> bool {
         let Some(mut guard) = self.active_gc.try_lock() else {
             return false;
         };
@@ -131,22 +131,13 @@ impl Inner {
         let start = Instant::now();
         let store = Arc::clone(self.registry.store());
         let epoch = store.next_gc_epoch();
-        let zone_run_tag = self.registry.heap(zone[0]).run_tag();
-        // Flip: take every zone heap's chunks out. The mutator's next allocation
-        // opens a fresh (untagged, hence zone-outside) chunk, so everything it
-        // allocates from here on is correctly excluded from the collection.
-        let old_chunks: Vec<(HeapId, Vec<ChunkId>)> = zone
-            .iter()
-            .map(|&h| (h, self.registry.heap(h).replace_chunks(Vec::new(), 0)))
-            .collect();
-        self.stamp_chunks(&store, &zone, epoch, &old_chunks);
-        let engine = EvacEngine::new(
-            self.hier_zone(&store, &zone),
-            Arc::clone(&store),
-            epoch,
-            1,
-            true,
-        );
+        let zone_run_tag = self.registry.heap(heap).run_tag();
+        // Flip: take the heap's chunks out. The mutator's next allocation opens a
+        // fresh (untagged, hence zone-outside) chunk, so everything it allocates
+        // from here on is correctly excluded from the collection.
+        let old_chunks = self.registry.heap(heap).replace_chunks(Vec::new(), 0);
+        self.stamp_chunks(heap, epoch, &old_chunks);
+        let engine = EvacEngine::new(self.hier_zone(heap), store, epoch, 1, true);
         // Evacuate the pins — the only part of the live set the mutator waits
         // for. Publication order: barriers must be fully armed (epoch, engine,
         // then the flag, Release) before any *other* thread can reach a
@@ -157,11 +148,11 @@ impl Inner {
                 *r = fwd(*r);
             }
         });
-        let n_heaps = zone.len();
         self.active_gc_epoch.store(epoch, Ordering::Release);
         *guard = Some(Arc::new(ActiveGc {
             engine,
             empty_safepoint_ticks: AtomicUsize::new(0),
+            heap,
             old_chunks,
             zone_run_tag,
             finalizing: AtomicBool::new(false),
@@ -169,11 +160,6 @@ impl Inner {
         self.incremental_active.store(true, Ordering::Release);
         drop(guard);
         self.fire_hook(crate::hooks::GcScheduleEvent::WindowStart { epoch });
-        if n_heaps > 1 {
-            self.shard()
-                .subtree_collections
-                .fetch_add(1, Ordering::Relaxed);
-        }
         let pause = start.elapsed();
         self.shard().add_gc_time(pause);
         self.counters.record_gc_pause(pause);
@@ -332,33 +318,15 @@ impl Inner {
     /// tail after a hook panic without re-firing hooks (re-firing could inject
     /// a second fault and turn recovery into an abort loop).
     fn finalize_merge_and_uninstall(&self, gc: &Arc<ActiveGc>) {
-        let store = self.registry.store();
         let outcome = gc.engine.merge();
-        for ((heap, old), (chunks, words)) in gc.old_chunks.iter().zip(outcome.per_slot) {
-            // A zone heap may have been joined away mid-window (a borrower-start
-            // descendant whose splice happened after the flip): its survivors
-            // belong to whatever heap holds its objects now.
-            let live = self.registry.resolve(*heap);
-            if !chunks.is_empty() {
-                self.registry
-                    .heap(live)
-                    .adopt_collected_chunks(chunks, words);
-            }
-            // From-space chunks carry the run's own tag, so under overlapping
-            // runs they quarantine behind this run's epoch, not a conservative
-            // latest-issued stamp. A chunk whose tag now reads `ToSpace` was
-            // promoted in place (a dedicated large-object chunk handed over
-            // wholesale) — it was just adopted above and must not be retired.
-            for &c in old {
-                if matches!(
-                    store.chunk(c).gc_state(gc.engine.epoch()),
-                    ChunkGcState::ToSpace(_)
-                ) {
-                    continue;
-                }
-                store.retire_chunk(c);
-            }
+        let (chunks, words) = one_slot(outcome.per_slot);
+        if !chunks.is_empty() {
+            self.registry.adopt_collected(gc.heap, chunks, words);
         }
+        // From-space chunks carry the run's own tag, so under overlapping runs
+        // they quarantine behind this run's epoch, not a conservative
+        // latest-issued stamp.
+        retire_from_space(self.registry.store(), gc.engine.epoch(), &gc.old_chunks);
         // Uninstall LAST — after survivor adoption and from-space retirement.
         // `finalize_incremental_now`'s waiter (the `end_run` path) unblocks on
         // this uninstall; doing it any earlier let an ending run dispose its

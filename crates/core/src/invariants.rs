@@ -8,7 +8,7 @@
 //!   (none of its pointer fields may reach a heap that is not an ancestor-or-self of
 //!   the promotion target, in particular no heap strictly deeper than the target)
 //!   and every forwarding chain touched must be acyclic;
-//! * **after every collection** — the collected zone's surviving objects must hold
+//! * **after every collection** — the collected heap's surviving objects must hold
 //!   only ancestor-or-self pointers, and no survivor may carry a forwarding cycle.
 //!
 //! Both checks run only over memory the calling task has exclusive access to at that
@@ -24,7 +24,7 @@
 
 use crate::runtime::Inner;
 use hh_heaps::HeapId;
-use hh_objmodel::{ChunkStore, ObjPtr, ObjView};
+use hh_objmodel::{ChunkStore, ObjPtr};
 
 impl Inner {
     /// True if the invariant checker should run: debug build + config opt-in
@@ -73,55 +73,33 @@ impl Inner {
         }
     }
 
-    /// Post-collection check over the collected zone (see module docs): every
+    /// Post-collection check over the collected heap (see module docs): every
     /// survivor's pointer fields must stay within the survivor's heap or an
-    /// ancestor, and no survivor may carry a forwarding cycle. The zone is quiescent
+    /// ancestor, and no survivor may carry a forwarding cycle. The heap is quiescent
     /// while this runs (same precondition as the collection itself).
-    pub(crate) fn verify_heaps(&self, zone: &[HeapId]) {
+    pub(crate) fn verify_heap(&self, h: HeapId) {
         if !self.invariants_enabled() {
             return;
         }
         let store: &ChunkStore = self.registry.store();
-        for &h in zone {
-            let heap = self.registry.heap(h);
-            if !heap.is_live() {
-                continue;
-            }
-            for chunk_id in heap.chunks() {
-                let chunk = store.chunk(chunk_id);
-                let mut off = 0usize;
-                while off < chunk.used() {
-                    let view = ObjView::new(chunk, off as u32);
-                    let header = view.header();
-                    if off + header.size_words() > chunk.used() {
-                        // Raw bump-gap tail: a failed `try_bump` advances the
-                        // cursor past the last real object (benign over-bump), so
-                        // the words from here on are unwritten — not objects.
-                        break;
-                    }
-                    let obj = ObjPtr::new(chunk_id, off as u32);
-                    assert_fwd_acyclic(store, obj);
-                    for f in 0..header.n_ptr() {
-                        let p = view.field_ptr(f);
-                        if p.is_null() {
-                            continue;
-                        }
-                        let to_heap = self.registry.heap_of(p);
-                        assert!(
-                            self.registry.is_ancestor_or_self(to_heap, h),
-                            "collection invariant violated: object {obj:?} in heap {h:?} \
-                             (depth {}) field {f} points to {p:?} in non-ancestor heap \
-                             {to_heap:?} (depth {}); holder {}; target {}",
-                            heap.depth(),
-                            self.registry.depth(to_heap),
-                            chunk.forensics(),
-                            store.chunk(p.chunk()).forensics(),
-                        );
-                    }
-                    off += header.size_words();
+        self.registry.for_each_object(h, |obj, view| {
+            assert_fwd_acyclic(store, obj);
+            for f in 0..view.n_ptr() {
+                if let Some(v) = self.registry.entanglement_of(obj, f, h) {
+                    panic!(
+                        "collection invariant violated: object {obj:?} in heap {h:?} \
+                         (depth {}) field {f} points to {:?} in non-ancestor heap \
+                         {:?} (depth {}); holder {}; target {}",
+                        v.holder_depth,
+                        v.target,
+                        v.target_heap,
+                        v.target_depth,
+                        v.holder_chunk,
+                        v.target_chunk,
+                    );
                 }
             }
-        }
+        });
     }
 }
 

@@ -118,14 +118,11 @@ impl Inner {
     /// may have been recycled for the new run (debug builds catch such stale
     /// pointers: the access paths assert the chunk's run tag — see
     /// `HhCtx::check_cross_run`).
-    fn begin_run(&self) -> (HeapId, usize, u64) {
+    fn begin_run(&self) -> (HeapId, u64) {
         let epoch = self.registry.store().run_epochs().begin();
-        // Watermark before creating the root: every heap of this run (the root
-        // included) gets an index at or above it.
-        let heaps_before = self.registry.n_heaps();
         let root = self.registry.new_root_heap_for_run(epoch);
         self.shard().heaps_created.fetch_add(1, Ordering::Relaxed);
-        (root, heaps_before, epoch)
+        (root, epoch)
     }
 
     /// Ends a run: the run's own heap tree is disposed immediately (its tasks are
@@ -133,8 +130,9 @@ impl Inner {
     /// the caller's Rust locals, which must not cross runs), its epoch retires, and
     /// the quarantine is drained up to the new watermark — reclaiming this run's
     /// chunks, and any older conservative stamps it was holding back, while other
-    /// runs keep flying.
-    fn end_run(&self, root: HeapId, heaps_before: usize, heaps_after: usize, epoch: u64) {
+    /// runs keep flying. Every child heap joined its parent when its task ended, so
+    /// the tree is the root heap alone.
+    fn end_run(&self, root: HeapId, epoch: u64) {
         // A window of the ending run must complete before its tree is disposed:
         // its semispaces are on no heap's chunk list mid-window, so disposal
         // would leak both.
@@ -151,8 +149,7 @@ impl Inner {
             self.finalize_incremental_now(|gc| gc.zone_run_tag == epoch);
             self.fire_hook(crate::hooks::GcScheduleEvent::EndRunPreDispose { run_epoch: epoch });
         }));
-        self.registry
-            .dispose_subtree_in(root, heaps_before..heaps_after);
+        self.registry.dispose_subtree(root);
         let store = self.registry.store();
         store.run_epochs().end(epoch);
         store.reclaim_watermark();
@@ -175,7 +172,6 @@ impl Inner {
 struct EndRunGuard<'a> {
     inner: &'a Inner,
     root: HeapId,
-    heaps_before: usize,
     epoch: u64,
 }
 
@@ -190,10 +186,8 @@ impl Drop for EndRunGuard<'_> {
                 .runs_aborted
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let heaps_after = self.inner.registry.n_heaps();
         let teardown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.inner
-                .end_run(self.root, self.heaps_before, heaps_after, self.epoch);
+            self.inner.end_run(self.root, self.epoch);
         }));
         if let Err(payload) = teardown {
             if unwinding {
@@ -418,16 +412,15 @@ impl HhRuntime {
         // the hierarchy in the paper's Figure 2. The guard ends the run — disposing
         // of its heap tree and recycling its chunks (see `Inner::end_run`) — even if
         // `f` panics out through `Pool::run`.
-        let (root_heap, heaps_before, epoch) = self.inner.begin_run();
+        let (root_heap, epoch) = self.inner.begin_run();
         let _guard = EndRunGuard {
             inner: &self.inner,
             root: root_heap,
-            heaps_before,
             epoch,
         };
         let inner = Arc::clone(&self.inner);
         self.inner.pool.run(move |worker| {
-            let ctx = HhCtx::new(Arc::clone(&inner), root_heap, worker.clone(), true, ctl);
+            let ctx = HhCtx::new(Arc::clone(&inner), root_heap, worker.clone(), None, ctl);
             f(&ctx)
         })
     }
@@ -489,6 +482,92 @@ impl Runtime for HhRuntime {
 mod tests {
     use super::*;
     use hh_api::ParCtx;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::time::{Duration, Instant};
+
+    /// The left branch of a fork whose right branch records its heap in `stolen`
+    /// when it owns one: yields until that heap has joined its parent, and
+    /// returns whether it did within the deadline. The fork's `join` cannot
+    /// return before this branch does, so `true` means the stolen heap joined
+    /// before the forker's `join` returned.
+    fn wait_for_stolen_join(rt: &HhRuntime, stolen: &AtomicU32) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while Instant::now() < deadline {
+            let raw = stolen.load(Ordering::Acquire);
+            if raw != HeapId::NONE.raw()
+                && !rt.inner().registry.heap(HeapId::from_raw(raw)).is_live()
+            {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        false
+    }
+
+    /// A stolen branch's work: allocates into its heap and records the heap.
+    fn stolen_branch(c: &HhCtx, stolen: &AtomicU32) {
+        let o = c.alloc_data_array(64);
+        c.write_nonptr(o, 0, 1);
+        assert!(c.owns_heap(), "the right branch runs on the other worker");
+        stolen.store(c.heap().raw(), Ordering::Release);
+    }
+
+    /// After a finished run every chunk is back in the store: none is still held
+    /// by a heap the run's disposal missed.
+    fn assert_store_drained(rt: &HhRuntime) {
+        let s = rt.store_stats();
+        assert_eq!(
+            s.chunks_created,
+            s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+            "chunk conservation violated: {s:?}"
+        );
+        assert_eq!(s.chunks_active, 0, "a heap outlived its run: {s:?}");
+        assert_eq!(rt.active_runs(), 0);
+    }
+
+    #[test]
+    fn child_heap_joins_when_its_stolen_branch_returns() {
+        let rt = HhRuntime::with_workers(2);
+        let stolen = AtomicU32::new(HeapId::NONE.raw());
+        let joined = rt.run(|ctx| {
+            let (joined, ()) = ctx.join(
+                |_| wait_for_stolen_join(&rt, &stolen),
+                |c| stolen_branch(c, &stolen),
+            );
+            joined
+        });
+        assert!(
+            joined,
+            "the stolen heap was still live while the forker waited"
+        );
+        let s = rt.stats();
+        assert_eq!((s.heaps_created, s.heaps_elided), (2, 1));
+        assert_store_drained(&rt);
+    }
+
+    #[test]
+    fn child_heap_joins_when_its_stolen_branch_panics() {
+        let rt = HhRuntime::with_workers(2);
+        let stolen = AtomicU32::new(HeapId::NONE.raw());
+        let joined = AtomicBool::new(false);
+        let ctl = hh_api::RunCtl::new();
+        let result = rt.try_run(&ctl, |ctx| {
+            ctx.join(
+                |_| joined.store(wait_for_stolen_join(&rt, &stolen), Ordering::Relaxed),
+                |c| {
+                    stolen_branch(c, &stolen);
+                    panic!("deliberate panic in a stolen branch");
+                },
+            );
+        });
+        assert!(result.is_err(), "the branch's panic reaches the run");
+        assert!(
+            joined.load(Ordering::Relaxed),
+            "the panicking branch's heap did not join while the forker waited"
+        );
+        assert_eq!(rt.stats().runs_aborted, 1);
+        assert_store_drained(&rt);
+    }
 
     #[test]
     fn run_returns_closure_result() {

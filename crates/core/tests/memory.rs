@@ -1,6 +1,6 @@
 //! Memory-lifecycle integration tests for the hierarchical-heap runtime: chunk
-//! recycling across runs, bounded steady-state footprint, subtree collection, and
-//! lifecycle conservation.
+//! recycling across runs, bounded steady-state footprint, one-heap collection zones,
+//! and lifecycle conservation.
 
 use hh_api::{ParCtx, Runtime};
 use hh_objmodel::ObjPtr;
@@ -172,15 +172,15 @@ fn forced_steal_run_holds_well_under_one_default_chunk() {
     );
 }
 
-/// Subtree collection: a borrower task collects its heap together with a *completed
-/// descendant* heap (created by a steal whose join has not resolved yet), in one
-/// pass, without disturbing pinned data.
+/// A borrower collects its heap after a stolen sibling completed: the sibling's
+/// heap joined the parent when its branch ended, so the collection zone is the one
+/// borrowed heap and no collection spans a subtree.
 ///
 /// Shape: fork(left, right). The right branch is stolen (a second worker picks it up
-/// while the left spins), creates a child heap, finishes, and releases the steal
-/// gate. The left branch — still running, borrowing the parent heap — then forces a
-/// collection: the child heap is live (its join splice only happens after the left
-/// branch returns), so the zone spans two heaps.
+/// while the left spins), creates a child heap, fills it, finishes — joining its heap
+/// into the parent — and releases the steal gate. The left branch — still running,
+/// borrowing the parent heap — then forces a collection, which now covers the
+/// stolen branch's memory as part of the parent's.
 #[test]
 fn borrower_collects_subtree_spanning_completed_descendant() {
     let rt = HhRuntime::new(HhConfig {
@@ -198,9 +198,9 @@ fn borrower_collects_subtree_spanning_completed_descendant() {
         ctx.pin(keep);
         let (collected, _) = ctx.join(
             move |c| {
-                // Wait until the stolen right branch has finished (and with it
-                // released the steal gate), then force a borrower collection. On a
-                // single-CPU machine the yield lets the second worker run.
+                // Wait until the stolen right branch has finished, then force a
+                // borrower collection. On a single-CPU machine the yield lets the
+                // second worker run.
                 let mut spins = 0u64;
                 while !right_done.load(Ordering::Acquire) {
                     std::thread::yield_now();
@@ -209,10 +209,9 @@ fn borrower_collects_subtree_spanning_completed_descendant() {
                         return false; // bail out rather than hang the suite
                     }
                 }
-                // The right branch's heap is merged only after *this* branch returns,
-                // so if the right branch was stolen its heap is still a live
-                // descendant here. Retry: the gate closes again if another steal is
-                // in flight.
+                // Retry: the gate stays closed until the right branch has joined
+                // its heap and returned, and closes again if another steal is in
+                // flight.
                 let mut tries = 0;
                 while !c.force_collect() {
                     std::thread::yield_now();
@@ -232,7 +231,7 @@ fn borrower_collects_subtree_spanning_completed_descendant() {
             },
         );
         assert!(collected, "borrower collection never ran");
-        // Pinned data survives the (possibly multi-heap) collection.
+        // Pinned data survives the collection.
         let mut sum = 0;
         for i in 0..16 {
             sum += ctx.read_mut(keep, i);
@@ -243,16 +242,83 @@ fn borrower_collects_subtree_spanning_completed_descendant() {
     assert_eq!(observed, (0..16u64).map(|i| i * 3).sum());
     let s = rt.stats();
     assert!(s.gc_count >= 1);
-    // Whether the fork was actually stolen depends on scheduling; only a stolen fork
-    // leaves a live descendant for the zone to span. When it was, the subtree
-    // counter must have seen it.
-    if s.sched_steals > 0 {
-        assert!(
-            s.subtree_collections >= 1,
-            "a stolen fork existed but no subtree collection was counted: {s:?}"
-        );
-    }
+    assert_eq!(
+        s.subtree_collections, 0,
+        "a collection zone spanned more than one heap: {s:?}"
+    );
     assert_eq!(rt.check_disentangled(), 0);
+    assert_store_drained(&rt);
+}
+
+/// At P workers (`HH_WORKERS`, default 2), runs that steal, abort and panic leave
+/// no heap behind: every child heap joined its parent as its branch ended, so each
+/// run's disposal retires all of the run's chunks, and no collection spans more
+/// than one heap.
+#[test]
+fn runs_that_steal_abort_and_panic_leave_no_heap_behind() {
+    hh_api::silence_expected_aborts();
+    let rt = HhRuntime::new(HhConfig {
+        n_workers: hh_api::env_workers(2),
+        chunk_words: 256,
+        gc_threshold_words: 2 * 1024,
+        ..Default::default()
+    });
+    fn tree(c: &impl ParCtx, depth: usize, fail_at: Option<usize>) -> u64 {
+        if depth == 0 {
+            let o = c.alloc_ref_data(1);
+            c.maybe_collect();
+            return c.read_mut(o, 0);
+        }
+        let (a, b) = c.join(
+            |c| tree(c, depth - 1, None),
+            |c| {
+                let v = tree(c, depth - 1, fail_at);
+                if fail_at == Some(depth) {
+                    std::panic::panic_any(hh_api::InjectedFault { site: "test" });
+                }
+                v
+            },
+        );
+        a + b
+    }
+    for round in 0..6 {
+        assert_eq!(rt.run(|ctx| tree(ctx, 10, None)), 1 << 10);
+        assert_store_drained(&rt);
+        // Forks until its deadline fires; the abort unwinds every branch in flight.
+        let ctl = hh_api::RunCtl::with_deadline(std::time::Duration::from_millis(5));
+        let aborted = rt.try_run(&ctl, |ctx| loop {
+            tree(ctx, 8, None);
+        });
+        assert!(
+            aborted.is_err(),
+            "round {round}: the deadline aborts the run"
+        );
+        assert_store_drained(&rt);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.run(|ctx| tree(ctx, 10, Some(3 + round % 4)))
+        }));
+        assert!(
+            panicked.is_err(),
+            "round {round}: the injected panic reaches the run"
+        );
+        assert_store_drained(&rt);
+    }
+    let s = rt.stats();
+    assert!(s.gc_count > 0, "{s:?}");
+    assert_eq!(s.subtree_collections, 0, "{s:?}");
+}
+
+/// After the runtime's runs have all finished, every chunk is back in the store:
+/// conserved across states, and none still held by a heap.
+fn assert_store_drained(rt: &HhRuntime) {
+    let s = rt.store_stats();
+    assert_eq!(
+        s.chunks_created,
+        s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+        "chunk conservation violated: {s:?}"
+    );
+    assert_eq!(s.chunks_active, 0, "a heap outlived its run: {s:?}");
+    assert_eq!(rt.active_runs(), 0, "run epoch leaked");
 }
 
 /// A panicking run must not wedge the run-epoch bookkeeping: disposal and recycling

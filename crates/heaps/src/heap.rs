@@ -177,6 +177,7 @@ impl Heap {
     }
 
     /// Records that this heap has been merged into `target` (used by `join_heap`).
+    #[cfg(test)]
     pub(crate) fn set_merged_into(&self, target: HeapId) {
         self.merged_into.store(target.raw(), Ordering::Release);
     }
@@ -348,8 +349,14 @@ impl Heap {
         self.chunks.lock().len()
     }
 
-    /// Splices all of `child`'s chunks onto this heap's chunk list (`joinHeap`). The
-    /// child's allocation state is emptied. Constant-time apart from the list splice.
+    /// Splices all of `child`'s chunks onto this heap's chunk list (`joinHeap`) and
+    /// forwards `child` to this heap. The child's allocation state is emptied.
+    /// Constant-time apart from the list splice.
+    ///
+    /// The forwarding link is published while the child's chunk list is still
+    /// locked, so a concurrent [`Heap::adopt_collected_chunks`] on the child either
+    /// lands before the splice (and its chunks move with the rest) or sees the
+    /// link and hands its chunks back.
     pub fn absorb_chunks_of(&self, child: &Heap) {
         let mut child_chunks = child.chunks.lock();
         let mut my_chunks = self.chunks.lock();
@@ -359,6 +366,7 @@ impl Heap {
             + child.promoted_words.swap(0, Ordering::Relaxed)
             + child.absorbed_words.swap(0, Ordering::Relaxed);
         self.absorbed_words.fetch_add(w, Ordering::Relaxed);
+        child.merged_into.store(self.id.raw(), Ordering::Release);
     }
 
     /// Points the owner cursor at `owner_chunk` and empties the promotion cursor.
@@ -396,8 +404,19 @@ impl Heap {
     /// mutator and promoters have been allocating fresh chunks into this heap since
     /// the roots-only pause, and their bump chunks must stay current). Counts as a
     /// collection.
-    pub fn adopt_collected_chunks(&self, mut collected: Vec<ChunkId>, collected_words: usize) {
+    ///
+    /// Hands `collected` back, adopting nothing, when this heap has been merged
+    /// away: the survivors belong to the heap it was merged into (see
+    /// [`crate::HeapRegistry::adopt_collected`]).
+    pub fn adopt_collected_chunks(
+        &self,
+        mut collected: Vec<ChunkId>,
+        collected_words: usize,
+    ) -> Result<(), Vec<ChunkId>> {
         let mut chunks = self.chunks.lock();
+        if !self.is_live() {
+            return Err(collected);
+        }
         collected.append(&mut chunks);
         *chunks = collected;
         // Both cursors still name their bump chunks (or none if nothing was
@@ -405,6 +424,7 @@ impl Heap {
         self.absorbed_words
             .fetch_add(collected_words, Ordering::Relaxed);
         self.collections.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Empties the heap's allocation state and returns every chunk it held. Unlike
@@ -583,6 +603,11 @@ mod tests {
         assert_eq!(child.n_chunks(), 0);
         assert_eq!(child.allocated_words(), 0);
         assert_eq!(parent.allocated_words(), child_words + header.size_words());
+        assert_eq!(
+            child.merged_into(),
+            HeapId(0),
+            "the splice forwards the child"
+        );
     }
 
     #[test]

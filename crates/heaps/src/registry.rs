@@ -2,7 +2,7 @@
 
 use crate::heap::Heap;
 use crate::id::HeapId;
-use hh_objmodel::{AppendVec, Chunk, ChunkForensics, ChunkStore, Header, ObjPtr};
+use hh_objmodel::{AppendVec, Chunk, ChunkForensics, ChunkId, ChunkStore, Header, ObjPtr, ObjView};
 use std::sync::Arc;
 
 /// One disentanglement violation found by [`HeapRegistry::check_disentangled`]:
@@ -208,9 +208,23 @@ impl HeapRegistry {
         let child_heap = self.heap(child);
         debug_assert!(child_heap.is_live(), "joining an already-merged heap");
         debug_assert_ne!(parent, child, "joining a heap into itself");
-        let parent_heap = self.heap(parent);
-        parent_heap.absorb_chunks_of(child_heap);
-        child_heap.set_merged_into(parent);
+        self.heap(parent).absorb_chunks_of(child_heap);
+    }
+
+    /// Adopts a finished incremental collection's to-space `chunks` (holding
+    /// `words` words of survivors) into the heap that now holds `heap`'s objects.
+    /// `heap` may be joined into its parent at any moment while the collection
+    /// runs, so an adoption that loses that race re-resolves and retries.
+    pub fn adopt_collected(&self, heap: HeapId, mut chunks: Vec<ChunkId>, words: usize) {
+        loop {
+            match self
+                .heap(self.resolve(heap))
+                .adopt_collected_chunks(chunks, words)
+            {
+                Ok(()) => return,
+                Err(back) => chunks = back,
+            }
+        }
     }
 
     /// True if `ancestor` is `h` itself or a (transitive) parent of `h`, after resolving
@@ -230,60 +244,72 @@ impl HeapRegistry {
         }
     }
 
-    /// Every live heap in the subtree rooted at (the resolved version of) `root`:
-    /// the root itself plus each live descendant, i.e. heaps created by steals that
-    /// have not yet been merged back by their fork's join.
-    ///
-    /// O(heaps ever created): the registry keeps no child lists, so this scans the
-    /// table. Collections are rare (they trigger on multi-megabyte thresholds), which
-    /// keeps the scan off every hot path; a per-heap child index would pay its
-    /// maintenance cost on every fork instead.
-    pub fn live_subtree(&self, root: HeapId) -> Vec<HeapId> {
-        let root = self.resolve(root);
-        let mut out = Vec::new();
-        for idx in 0..self.heaps.len() {
-            let id = HeapId::from_index(idx);
-            if self.heap(id).is_live() && self.is_ancestor_or_self(root, id) {
-                out.push(id);
-            }
-        }
-        out
-    }
-
-    /// Disposes of the heap subtree rooted at `root`: every chunk of every live heap
-    /// in the subtree is retired (entering the store's quarantine) and the heaps'
-    /// allocation states are emptied.
+    /// Disposes of a finished run's heap tree: every chunk of (the resolved version
+    /// of) `root` is retired, entering the store's quarantine, and the heap's
+    /// allocation state is emptied. Every child heap joins its parent when its task
+    /// ends, so once the run's tasks are gone the whole tree is its root.
     ///
     /// Used by runtimes once a run has completed and its result has been consumed:
     /// the tree is unreachable, so its memory can flow back to the allocator via
     /// [`ChunkStore::reclaim_retired`]. Returns the number of chunks retired.
     pub fn dispose_subtree(&self, root: HeapId) -> usize {
-        self.dispose_subtree_in(root, 0..self.heaps.len())
-    }
-
-    /// As [`HeapRegistry::dispose_subtree`], restricted to heaps whose registry index
-    /// lies in `ids` — the range a runtime recorded while the run was active. This
-    /// keeps the disposal scan proportional to the *run's* heap count instead of
-    /// every heap the registry ever created (heaps never leave the table), which
-    /// matters when one runtime serves many runs back to back. `root` need not lie
-    /// in the range check itself; it is disposed unconditionally.
-    pub fn dispose_subtree_in(&self, root: HeapId, ids: std::ops::Range<usize>) -> usize {
-        let root = self.resolve(root);
-        let mut retired = 0;
-        let mut dispose_one = |id: HeapId| {
-            for chunk in self.heap(id).take_all_chunks() {
-                self.store.retire_chunk(chunk);
-                retired += 1;
-            }
-        };
-        dispose_one(root);
-        for idx in ids {
-            let id = HeapId::from_index(idx);
-            if id != root && self.heap(id).is_live() && self.is_ancestor_or_self(root, id) {
-                dispose_one(id);
-            }
+        let chunks = self.heap(self.resolve(root)).take_all_chunks();
+        let retired = chunks.len();
+        for chunk in chunks {
+            self.store.retire_chunk(chunk);
         }
         retired
+    }
+
+    /// Calls `visit` on every object of the live heap `id`. The heap must be
+    /// quiescent while this runs.
+    pub fn for_each_object(&self, id: HeapId, mut visit: impl FnMut(ObjPtr, ObjView<'_>)) {
+        for chunk_id in self.heap(id).chunks() {
+            let chunk = self.store.chunk(chunk_id);
+            let mut off = 0usize;
+            while off < chunk.used() {
+                let view = ObjView::new(chunk, off as u32);
+                let size = view.header().size_words();
+                if off + size > chunk.used() {
+                    // Raw bump-gap tail: a failed `try_bump` advances the cursor
+                    // past the last real object (benign over-bump), so the words
+                    // from here on are unwritten — not objects.
+                    break;
+                }
+                visit(ObjPtr::new(chunk_id, off as u32), view);
+                off += size;
+            }
+        }
+    }
+
+    /// The violation, if pointer field `field` of `holder` (an object of the live
+    /// heap `holder_heap`) points into a heap that is not an ancestor of (or equal
+    /// to) `holder_heap`.
+    pub fn entanglement_of(
+        &self,
+        holder: ObjPtr,
+        field: usize,
+        holder_heap: HeapId,
+    ) -> Option<EntanglementViolation> {
+        let target = self.store.view(holder).field_ptr(field);
+        if target.is_null() {
+            return None;
+        }
+        let target_heap = self.heap_of(target);
+        if self.is_ancestor_or_self(target_heap, holder_heap) {
+            return None;
+        }
+        Some(EntanglementViolation {
+            holder,
+            field,
+            holder_heap,
+            holder_depth: self.depth(holder_heap),
+            holder_chunk: self.store.chunk(holder.chunk()).forensics(),
+            target,
+            target_heap,
+            target_depth: self.depth(target_heap),
+            target_chunk: self.store.chunk(target.chunk()).forensics(),
+        })
     }
 
     /// Walks every pointer field of every object in every live heap and checks the
@@ -296,46 +322,14 @@ impl HeapRegistry {
     pub fn check_disentangled(&self) -> Vec<EntanglementViolation> {
         let mut violations = Vec::new();
         for idx in 0..self.heaps.len() {
-            let heap = self.heap(HeapId::from_index(idx));
-            if !heap.is_live() {
+            let id = HeapId::from_index(idx);
+            if !self.heap(id).is_live() {
                 continue;
             }
-            let from_heap = heap.id();
-            for chunk_id in heap.chunks() {
-                let chunk = self.store.chunk(chunk_id);
-                let mut off = 0usize;
-                while off < chunk.used() {
-                    let view = hh_objmodel::ObjView::new(chunk, off as u32);
-                    let header = view.header();
-                    if off + header.size_words() > chunk.used() {
-                        // Raw bump-gap tail: a failed `try_bump` advances the
-                        // cursor past the last real object (benign over-bump), so
-                        // the words from here on are unwritten — not objects.
-                        break;
-                    }
-                    for f in 0..header.n_ptr() {
-                        let target = view.field_ptr(f);
-                        if target.is_null() {
-                            continue;
-                        }
-                        let to_heap = self.heap_of(target);
-                        if !self.is_ancestor_or_self(to_heap, from_heap) {
-                            violations.push(EntanglementViolation {
-                                holder: ObjPtr::new(chunk_id, off as u32),
-                                field: f,
-                                holder_heap: from_heap,
-                                holder_depth: self.depth(from_heap),
-                                holder_chunk: chunk.forensics(),
-                                target,
-                                target_heap: to_heap,
-                                target_depth: self.depth(to_heap),
-                                target_chunk: self.store.chunk(target.chunk()).forensics(),
-                            });
-                        }
-                    }
-                    off += header.size_words();
-                }
-            }
+            self.for_each_object(id, |obj, view| {
+                violations
+                    .extend((0..view.n_ptr()).filter_map(|f| self.entanglement_of(obj, f, id)));
+            });
         }
         violations
     }
@@ -477,23 +471,47 @@ mod tests {
     }
 
     #[test]
-    fn live_subtree_tracks_merges() {
+    fn adoption_into_a_just_merged_heap_lands_on_its_parent() {
         let reg = registry();
         let root = reg.new_root_heap();
-        let a = reg.new_child_heap(root);
-        let b = reg.new_child_heap(root);
-        let aa = reg.new_child_heap(a);
-        let other_root = reg.new_root_heap();
-        let mut sub = reg.live_subtree(root);
-        sub.sort();
-        assert_eq!(sub, vec![root, a, b, aa]);
-        assert!(!sub.contains(&other_root));
-        reg.join_heap(a, aa);
-        reg.join_heap(root, a);
-        let mut sub = reg.live_subtree(root);
-        sub.sort();
-        assert_eq!(sub, vec![root, b], "merged heaps leave the live subtree");
-        assert_eq!(reg.live_subtree(other_root), vec![other_root]);
+        let child = reg.new_child_heap(root);
+        // The to-space of a collection of `child` that finishes after the join.
+        let survivors = reg.store().alloc_chunk(child.raw(), 16).id();
+        reg.join_heap(root, child);
+        let back = reg.heap(child).adopt_collected_chunks(vec![survivors], 16);
+        assert_eq!(back, Err(vec![survivors]), "a merged heap adopts nothing");
+        assert_eq!(reg.heap(child).n_chunks(), 0);
+        reg.adopt_collected(child, vec![survivors], 16);
+        assert_eq!(reg.heap(root).chunks(), vec![survivors]);
+        assert_eq!(reg.heap(root).allocated_words(), 16);
+    }
+
+    #[test]
+    fn adoption_racing_the_join_never_strands_survivors() {
+        let reg = registry();
+        for _ in 0..200 {
+            let root = reg.new_root_heap();
+            let child = reg.new_child_heap(root);
+            let own = reg
+                .alloc_obj(child, Header::new(2, 0, ObjKind::Tuple))
+                .chunk();
+            let survivors = reg.store().alloc_chunk(child.raw(), 16).id();
+            std::thread::scope(|s| {
+                s.spawn(|| reg.join_heap(root, child));
+                s.spawn(|| reg.adopt_collected(child, vec![survivors], 16));
+            });
+            assert_eq!(
+                reg.heap(child).n_chunks(),
+                0,
+                "survivors stranded on a merged heap"
+            );
+            let mut on_root = reg.heap(root).chunks();
+            on_root.sort();
+            let mut expected = vec![own, survivors];
+            expected.sort();
+            assert_eq!(on_root, expected);
+            reg.dispose_subtree(root);
+        }
     }
 
     #[test]
@@ -505,6 +523,9 @@ mod tests {
         let _q = reg.alloc_obj(child, Header::new(3, 0, ObjKind::Tuple));
         let live_before = reg.store().stats().live_words;
         assert!(live_before > 0);
+        // A child joins its parent when its task ends, so a finished run's tree is
+        // its root.
+        reg.join_heap(root, child);
         let retired = reg.dispose_subtree(root);
         assert!(retired >= 2);
         assert_eq!(reg.heap(root).n_chunks(), 0);

@@ -115,8 +115,8 @@ fn unpack_span(span: Span) -> (ChunkId, u32, u32) {
 /// The slot-to-heap mapping of one collection zone: how to-space memory is
 /// allocated for each zone slot (the `u16` stamped into from-space chunk tags).
 ///
-/// The hierarchical runtime implements this with one slot per zone heap (so a
-/// subtree collection preserves each survivor's placement in the hierarchy);
+/// The hierarchical runtime implements this with one slot for the collected
+/// heap (so a collection preserves each survivor's placement in the hierarchy);
 /// the flat baselines implement it with a single slot backed by one global
 /// heap. The engine stamps every returned chunk `ToSpace` for the collection's
 /// epoch, so implementations only allocate.

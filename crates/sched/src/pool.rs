@@ -18,7 +18,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-type IdleHook = Arc<dyn Fn(usize) + Send + Sync>;
+type IdleHook = Box<dyn Fn(usize) + Send + Sync>;
 type StealHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
 /// How many fruitless scan rounds an idle worker spins through before it announces
@@ -62,10 +62,7 @@ struct PoolInner {
     sleepers: AtomicUsize,
     sleep: Mutex<SleepState>,
     sleep_cv: Condvar,
-    idle_hook: Mutex<Option<IdleHook>>,
-    /// Bumped on every `set_idle_hook`; lets workers cache the hook (satellite: no
-    /// lock-and-clone per idle iteration).
-    idle_hook_epoch: AtomicUsize,
+    idle_hook: OnceLock<IdleHook>,
     steal_hook: OnceLock<StealHook>,
     /// Per-worker xorshift state for randomized victim selection. Atomic only to be
     /// shareable; each worker touches its own.
@@ -133,12 +130,17 @@ impl PoolInner {
         !self.injector.is_empty() || self.queues.iter().any(|q| !q.is_empty())
     }
 
-    fn idle_hook_epoch(&self) -> usize {
-        self.idle_hook_epoch.load(Ordering::Acquire)
-    }
-
-    fn load_idle_hook(&self) -> Option<IdleHook> {
-        self.idle_hook.lock().clone()
+    /// Runs the idle hook, if one is installed, for worker `index`. Idle-hook
+    /// work is detached (it drains other runs' GC increments): a panic there — an
+    /// injected fault at a finalize hook site — is contained and counted, never
+    /// allowed to unwind the worker loop or a fork/join help loop.
+    #[inline]
+    fn run_idle_hook(&self, index: usize) {
+        if let Some(hook) = self.idle_hook.get() {
+            if catch_unwind(AssertUnwindSafe(|| hook(index))).is_err() {
+                self.worker_panics.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Executes a *detached* job under the worker panic shield: a panic
@@ -158,40 +160,6 @@ impl PoolInner {
         // SAFETY: forwarded caller contract.
         if catch_unwind(AssertUnwindSafe(|| unsafe { j.execute(stolen) })).is_err() {
             self.worker_panics.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A worker-local cache of the pool's idle hook, refreshed only when the hook is
-/// replaced (epoch check: one relaxed load per idle iteration instead of a
-/// lock-and-clone).
-struct CachedIdleHook {
-    epoch: usize,
-    hook: Option<IdleHook>,
-}
-
-impl CachedIdleHook {
-    fn new() -> Self {
-        CachedIdleHook {
-            epoch: usize::MAX,
-            hook: None,
-        }
-    }
-
-    #[inline]
-    fn run(&mut self, pool: &PoolInner, index: usize) {
-        let epoch = pool.idle_hook_epoch();
-        if epoch != self.epoch {
-            self.hook = pool.load_idle_hook();
-            self.epoch = epoch;
-        }
-        if let Some(hook) = &self.hook {
-            // Idle-hook work is detached (it drains other runs' GC increments);
-            // a panic there — an injected fault at a finalize hook site — must
-            // not unwind the worker loop or a fork/join help loop.
-            if catch_unwind(AssertUnwindSafe(|| hook(index))).is_err() {
-                pool.worker_panics.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 }
@@ -286,7 +254,6 @@ impl Worker {
 
         // Retrieve the right branch: pop it back if still local, otherwise help until
         // the thief finishes it.
-        let mut idle_hook = CachedIdleHook::new();
         while !job.is_done() {
             if let Some(j) = self.pool.queues[index].pop() {
                 if j.points_to(job.header_ptr()) {
@@ -307,7 +274,7 @@ impl Worker {
                 // Nothing to help with. Give the idle hook a chance to run — the
                 // stop-the-world baseline uses it to park waiting workers at a
                 // safepoint so a pending collection can proceed — then yield.
-                idle_hook.run(&self.pool, index);
+                self.pool.run_idle_hook(index);
                 std::thread::yield_now();
             }
         }
@@ -371,8 +338,7 @@ impl Pool {
             sleepers: AtomicUsize::new(0),
             sleep: Mutex::new(SleepState::default()),
             sleep_cv: Condvar::new(),
-            idle_hook: Mutex::new(None),
-            idle_hook_epoch: AtomicUsize::new(0),
+            idle_hook: OnceLock::new(),
             steal_hook: OnceLock::new(),
             rng: (0..n)
                 .map(|i| AtomicU64::new(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(i as u64 + 1)))
@@ -433,10 +399,9 @@ impl Pool {
 
     /// Installs a hook called by idle workers between steal attempts. The stop-the-world
     /// baseline uses this to park idle workers at safepoints during a collection.
-    /// Workers cache the hook and refresh it on replacement.
+    /// Set-once (at runtime construction); subsequent calls are ignored.
     pub fn set_idle_hook(&self, hook: impl Fn(usize) + Send + Sync + 'static) {
-        *self.inner.idle_hook.lock() = Some(Arc::new(hook));
-        self.inner.idle_hook_epoch.fetch_add(1, Ordering::Release);
+        let _ = self.inner.idle_hook.set(Box::new(hook));
     }
 
     /// Installs the on-steal hook, called as `hook(thief, victim)` on every successful
@@ -596,7 +561,6 @@ impl Drop for Pool {
 fn worker_loop(pool: Arc<PoolInner>, index: usize) {
     set_current_worker(&pool, index);
     pool.live_workers.fetch_add(1, Ordering::Relaxed);
-    let mut idle_hook = CachedIdleHook::new();
     'main: loop {
         // Phase 1: drain local work and steal.
         if let Some(j) = pool.queues[index].pop() {
@@ -616,7 +580,7 @@ fn worker_loop(pool: Arc<PoolInner>, index: usize) {
         // Phase 2: bounded spin, re-trying randomized steals and running the idle
         // hook (the stop-the-world baselines poll safepoints there).
         for _ in 0..SPIN_ROUNDS {
-            idle_hook.run(&pool, index);
+            pool.run_idle_hook(index);
             if let Some(j) = pool.steal_any(index) {
                 // SAFETY: stolen handle; executed exactly once.
                 unsafe { pool.execute_shielded(j, true) };
@@ -1027,30 +991,6 @@ mod tests {
         wait_until("an idle worker to run the hook", || {
             hits.load(Ordering::Relaxed) > 0
         });
-    }
-
-    #[test]
-    fn replaced_idle_hook_is_picked_up_by_cached_workers() {
-        let pool = Pool::new(2);
-        let first = Arc::new(AtomicUsize::new(0));
-        let second = Arc::new(AtomicUsize::new(0));
-        let f2 = Arc::clone(&first);
-        pool.set_idle_hook(move |_| {
-            f2.fetch_add(1, Ordering::Relaxed);
-        });
-        // Only once a worker has cached the first hook does replacing it test the
-        // refresh.
-        wait_until("a worker to cache the first hook", || {
-            first.load(Ordering::Relaxed) > 0
-        });
-        let s2 = Arc::clone(&second);
-        pool.set_idle_hook(move |_| {
-            s2.fetch_add(1, Ordering::Relaxed);
-        });
-        wait_until(
-            "epoch-cached workers to refresh to the replacement hook",
-            || second.load(Ordering::Relaxed) > 0,
-        );
     }
 
     #[test]

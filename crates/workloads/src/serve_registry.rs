@@ -55,15 +55,6 @@ impl ServeWorkloadId {
         }
     }
 
-    /// Looks a workload up by suite id; `None` for unknown names (the caller
-    /// rejects them — there is no silent fallback).
-    pub fn from_name(name: &str) -> Option<ServeWorkloadId> {
-        ServeWorkloadId::ALL
-            .iter()
-            .copied()
-            .find(|w| w.name() == name)
-    }
-
     /// Picks the default-mix member for a request seed (the historical
     /// `(seed >> 33) % 3` selection off the high bits — the low bits of simple
     /// generators are the weak ones).
@@ -99,20 +90,6 @@ mod tests {
     use hh_api::Runtime;
     use hh_baselines::SeqRuntime;
     use hh_runtime::HhRuntime;
-
-    #[test]
-    fn names_round_trip_and_unknown_names_are_rejected() {
-        for w in ServeWorkloadId::ALL {
-            assert_eq!(ServeWorkloadId::from_name(w.name()), Some(w));
-        }
-        assert_eq!(ServeWorkloadId::from_name("no-such-workload"), None);
-        assert_eq!(ServeWorkloadId::from_name(""), None);
-        assert_eq!(
-            ServeWorkloadId::from_name("Union-Find"),
-            None,
-            "case-sensitive"
-        );
-    }
 
     #[test]
     fn default_mix_matches_historical_dispatch() {

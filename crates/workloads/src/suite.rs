@@ -134,31 +134,9 @@ impl BenchId {
         }
     }
 
-    /// Looks a benchmark up by its table name.
-    pub fn from_name(name: &str) -> Option<BenchId> {
-        BenchId::ALL.iter().copied().find(|b| b.name() == name)
-    }
-
     /// True for the purely functional benchmarks of §4.1.
     pub fn is_pure(self) -> bool {
         BenchId::PURE.contains(&self)
-    }
-
-    /// The benchmark's representative memory operation (the paper's Figure 9).
-    pub fn representative_operation(self) -> &'static str {
-        match self {
-            b if b.is_pure() => "immutable reads",
-            BenchId::Msort | BenchId::Dedup => "local non-pointer writes",
-            BenchId::Tourney => "local non-promoting writes",
-            BenchId::Reachability | BenchId::Usp => "distant non-pointer writes",
-            BenchId::UspTree | BenchId::MultiUspTree => "distant promoting writes",
-            BenchId::UnionFind => "distant CAS + promoting log writes",
-            BenchId::BfsFrontier => "promoting writes on a growing frontier",
-            BenchId::LruChurn => "allocation churn + batched publish promotion",
-            BenchId::Wavefront => "CAS-max raises + promoting tile-queue publishes",
-            BenchId::Entangle => "cross-subtree mailbox sends (tunable promote rate)",
-            _ => unreachable!(),
-        }
     }
 }
 
@@ -411,12 +389,6 @@ fn timed<R: Into<u64>>(f: impl FnOnce() -> R) -> BenchOutcome {
     }
 }
 
-/// A convenient total ordering on benchmark outcomes for assertions in tests: two
-/// outcomes "agree" if their checksums match.
-pub fn outcomes_agree(a: &BenchOutcome, b: &BenchOutcome) -> bool {
-    a.checksum == b.checksum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,11 +398,10 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
+        // Rows are keyed by name: looking a name up in the table finds its own id.
         for b in BenchId::ALL {
-            assert_eq!(BenchId::from_name(b.name()), Some(b));
-            assert!(!b.representative_operation().is_empty());
+            assert_eq!(BenchId::ALL.iter().find(|x| x.name() == b.name()), Some(&b));
         }
-        assert_eq!(BenchId::from_name("no-such-bench"), None);
         assert_eq!(
             BenchId::PURE.len()
                 + BenchId::IMPERATIVE.len()
@@ -455,8 +426,9 @@ mod tests {
             let expected = seq.run(|ctx| run_timed(ctx, id, p));
             let hh = HhRuntime::with_workers(3);
             let got = hh.run(|ctx| run_timed(ctx, id, p));
-            assert!(
-                outcomes_agree(&expected, &got),
+            assert_eq!(
+                expected.checksum,
+                got.checksum,
                 "{}: seq={:#x} parmem={:#x}",
                 id.name(),
                 expected.checksum,
@@ -498,15 +470,17 @@ mod tests {
             let expected = seq.run(|ctx| run_timed(ctx, id, p));
             let stw = StwRuntime::with_workers(3);
             let got_stw = stw.run(|ctx| run_timed(ctx, id, p));
-            assert!(
-                outcomes_agree(&expected, &got_stw),
+            assert_eq!(
+                expected.checksum,
+                got_stw.checksum,
                 "{} disagrees on stw",
                 id.name()
             );
             let dlg = DlgRuntime::with_workers(3);
             let got_dlg = dlg.run(|ctx| run_timed(ctx, id, p));
-            assert!(
-                outcomes_agree(&expected, &got_dlg),
+            assert_eq!(
+                expected.checksum,
+                got_dlg.checksum,
                 "{} disagrees on dlg",
                 id.name()
             );

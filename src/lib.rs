@@ -28,11 +28,11 @@
 //! Memory management uses the v2 chunk lifecycle (crates `hh-objmodel` /
 //! `hh-runtime`): chunks retired by collections flow back to the allocator through
 //! size-classed lock-free free lists, every chunk request taking the same pop-or-mint
-//! path, collections
-//! can evacuate a whole heap-hierarchy *subtree* (an internal node plus its
-//! completed descendants) in one promotion-aware pass, and steady-state churn runs
-//! with a bounded footprint (see the `chunks_recycled` / `subtree_collections`
-//! statistics and `hhbench`'s `objmodel.recycle_rate` row). The design — object model, stack-map
+//! path, and steady-state churn runs with a bounded footprint (see the
+//! `chunks_recycled` statistic and `hhbench`'s `objmodel.recycle_rate` row). A child
+//! heap joins its parent when its task ends, so every promotion-aware collection
+//! evacuates exactly one heap; the `subtree_collections` statistic always reads 0
+//! and stays only because `hhbench` reads it. The design — object model, stack-map
 //! substitution, scheduler protocols, GC ownership rule, memory lifecycle,
 //! ablations — is documented in
 //! [`DESIGN.md`](https://github.com/paper-repo-growth/hierheap/blob/main/DESIGN.md)

@@ -596,16 +596,31 @@ fn race_bulk_writer_against_promoter<C: ParCtx>(
     const ROUNDS: u64 = 30;
     const PATTERNS: u64 = 40;
     // Rust-side mailbox handing freshly allocated array pointers to the promoter;
+    // `progress` is 1 once the promoter runs and counts its publishes after that;
     // `done` ends the promoter's spin loop.
     let mailbox = AtomicU64::new(0);
+    let progress = AtomicU64::new(0);
     let done = AtomicU64::new(0);
     let publish = |c: &C, bits: u64| {
         for &cell in cells {
             c.write_ptr(cell, 0, ObjPtr::from_bits(bits));
         }
+        progress.fetch_add(1, Ordering::Release);
+    };
+    // The writer's heap joins the parent when the writer returns, after which a
+    // publish is a same-heap write and promotes nothing. So the writer starts once
+    // the promoter runs on another worker, and returns only after it has
+    // published at least once. Bounded, so a schedule that never steals cannot
+    // hang the suite.
+    let await_progress = |at_least: u64| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while progress.load(Ordering::Acquire) < at_least && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
     };
     ctx.join(
         |c| {
+            await_progress(1);
             let mut torn = 0u64;
             let mut back = vec![0u64; LEN];
             for round in 0..ROUNDS {
@@ -624,12 +639,14 @@ fn race_bulk_writer_against_promoter<C: ParCtx>(
                     }
                 }
             }
+            await_progress(2);
             done.store(1, Ordering::Release);
             torn
         },
         |c| {
             // Promote whatever array the writer last published, as soon as it
             // appears, while the writer keeps bulk-writing it.
+            progress.store(1, Ordering::Release);
             let mut last = 0u64;
             while done.load(Ordering::Acquire) == 0 {
                 let bits = mailbox.load(Ordering::Acquire);
@@ -638,15 +655,6 @@ fn race_bulk_writer_against_promoter<C: ParCtx>(
                     publish(c, bits);
                 }
                 std::hint::spin_loop();
-            }
-            // If this branch was not stolen (possible on a single-core machine: it
-            // then runs sequentially after the writer, with `done` already set),
-            // still promote the final array so the promotion assertions hold under
-            // every schedule; when the race did happen this is a no-op-ish
-            // re-publication.
-            let bits = mailbox.load(Ordering::Acquire);
-            if bits != 0 {
-                publish(c, bits);
             }
         },
     )
