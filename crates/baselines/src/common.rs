@@ -2,8 +2,8 @@
 //! forwarding-resolution read barrier, root registries, and a plain semispace collector.
 
 use hh_api::CounterShard;
-use hh_objmodel::{Chunk, ChunkId, ChunkStore, Header, ObjPtr};
-use hh_sched::{EvacEngine, EvacZone, Safepoints};
+use hh_objmodel::{ChunkId, ChunkStore, Header, ObjPtr};
+use hh_sched::{EvacEngine, Safepoints, ToSpaceOwner};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -282,30 +282,6 @@ pub struct CollectOutcome {
     pub steal_blocks: u64,
 }
 
-/// The flat slot-to-heap mapping for the shared evacuation engine
-/// ([`hh_sched::EvacEngine`], GC v3): a single zone slot backed by one owner's
-/// to-space. The member body, span pack/steal loop, CAS forwarding race, and
-/// idle-termination protocol all live in `hh_sched::evac` — shared verbatim
-/// with the hierarchical collector, so a protocol fix lands in both at once.
-struct FlatZone {
-    store: Arc<ChunkStore>,
-    owner_raw: u32,
-}
-
-impl EvacZone for FlatZone {
-    fn n_slots(&self) -> usize {
-        1
-    }
-
-    fn alloc_dedicated(&self, _slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
-        self.store.alloc_dedicated(self.owner_raw, header)
-    }
-
-    fn alloc_chunk(&self, _slot: u16, min_words: usize) -> Arc<Chunk> {
-        self.store.alloc_chunk(self.owner_raw, min_words)
-    }
-}
-
 /// A plain (non-hierarchical) semispace collection over an explicit zone,
 /// optionally run on a **GC team** (GC v2): `draft = Some((safepoints, helpers))`
 /// offers the collection to up to `helpers` threads parked at the safepoint — the
@@ -333,14 +309,17 @@ pub fn par_semispace_collect(
 ) -> CollectOutcome {
     let epoch = store.next_gc_epoch();
     for &c in zone {
-        store.chunk(c).set_gc_from_space(epoch, 0);
+        store.chunk(c).set_gc_from_space(epoch);
     }
     let team = 1 + draft.map_or(0, |(_, helpers)| helpers);
+    // The flat to-space belongs to one owner, attributed to no run.
+    let owner = ToSpaceOwner {
+        raw: owner_raw,
+        run_tag: 0,
+        root: false,
+    };
     let engine = Arc::new(EvacEngine::new(
-        FlatZone {
-            store: Arc::clone(store),
-            owner_raw,
-        },
+        owner,
         Arc::clone(store),
         epoch,
         team,
@@ -368,26 +347,11 @@ pub fn par_semispace_collect(
         safepoints.end_pause_work();
     }
     let outcome = engine.merge();
-    for c in zone {
-        // A zone chunk whose tag now reads `ToSpace` held one large object and
-        // was promoted in place — it is part of `new_chunks`, not garbage.
-        if matches!(
-            store.chunk(*c).gc_state(epoch),
-            hh_objmodel::ChunkGcState::ToSpace(_)
-        ) {
-            continue;
-        }
-        store.retire_chunk(*c);
-    }
-    let (new_chunks, occupied_words) = outcome
-        .per_slot
-        .into_iter()
-        .next()
-        .expect("flat zone has exactly one slot");
+    engine.retire_from_space(zone);
     CollectOutcome {
-        new_chunks,
+        new_chunks: outcome.chunks,
         copied_words: outcome.copied_words as usize,
-        occupied_words,
+        occupied_words: outcome.occupied_words,
         steal_blocks: outcome.steal_blocks,
     }
 }

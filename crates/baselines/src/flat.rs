@@ -171,9 +171,11 @@ impl Exec for Pooled {
         RA: Send,
         RB: Send,
     {
-        let pool = &self.pool;
-        let current =
-            || Worker::current_in(pool).expect("task branch must execute on a pool worker");
+        let current = || {
+            worker
+                .current_peer()
+                .expect("task branch must execute on a pool worker")
+        };
         worker.join_context(move || fa(current()), move |stolen| fb(current(), stolen))
     }
 

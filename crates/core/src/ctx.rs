@@ -177,7 +177,7 @@ impl HhCtx {
     /// heap lock-free as one of its ancestors, so the call is skipped — never run
     /// unsoundly — unless the steal gate is free. Returns `true` if a collection ran.
     pub fn force_collect(&self) -> bool {
-        self.with_quiescent_heap(|heap, roots| self.inner.collect_heap(heap, roots))
+        self.with_quiescent_heap(|heap, roots| self.inner.collect_heap(&self.worker, heap, roots))
     }
 
     /// Number of currently pinned roots in this task's heap domain (diagnostics).
@@ -218,29 +218,46 @@ impl HhCtx {
     }
 }
 
-/// One branch of a fork, run on the worker executing it. In eager mode, or when
-/// the branch was `stolen`, it runs in a fresh child heap of `parent` that joins
-/// the parent when the branch ends — on return and on unwind alike, and, for a
-/// stolen branch, before the branch releases the steal gate. Otherwise it borrows
-/// `parent`, on the domain's shadow stack `frame`. `elided` counts the fork's
-/// child heaps that were never created.
-fn run_branch<R>(
-    inner: Arc<Inner>,
+/// What both branches of a fork borrow from the forking context, which outlives
+/// them: `join` returns only once both have finished.
+struct Fork<'a> {
+    worker: &'a Worker,
+    inner: &'a Arc<Inner>,
     parent: HeapId,
-    frame: Arc<RootFrame>,
-    run_ctl: Option<Arc<hh_api::RunCtl>>,
-    stolen: bool,
-    elided: u64,
-    f: impl FnOnce(&HhCtx) -> R,
-) -> R {
-    let worker =
-        Worker::current_in(&inner.pool).expect("task branch must execute on a pool worker");
+    frame: &'a Arc<RootFrame>,
+    run_ctl: &'a Option<Arc<hh_api::RunCtl>>,
+}
+
+/// One branch of `fork`, run on the worker executing it (a thief, if the branch
+/// was `stolen`). In eager mode, or when the branch was stolen, it runs in a fresh
+/// child heap of the forker's heap that joins it when the branch ends — on return
+/// and on unwind alike, and, for a stolen branch, before the branch releases the
+/// steal gate. Otherwise it borrows the forker's heap, on the domain's shadow
+/// stack. `elided` counts the fork's child heaps that were never created.
+fn run_branch<R>(fork: &Fork<'_>, stolen: bool, elided: u64, f: impl FnOnce(&HhCtx) -> R) -> R {
+    let Fork {
+        inner,
+        parent,
+        run_ctl,
+        ..
+    } = *fork;
+    let worker = fork
+        .worker
+        .current_peer()
+        .expect("task branch must execute on a pool worker");
     let counters = inner.counters.shard(Some(worker.index()));
     if elided > 0 {
         counters.heaps_elided.fetch_add(elided, Ordering::Relaxed);
     }
     if inner.config.lazy_child_heaps && !stolen {
-        return f(&HhCtx::new(inner, parent, worker, Some(frame), run_ctl));
+        let frame = Some(Arc::clone(fork.frame));
+        return f(&HhCtx::new(
+            Arc::clone(inner),
+            parent,
+            worker,
+            frame,
+            run_ctl.clone(),
+        ));
     }
     // A stolen branch holds the steal gate (shared) for its whole run: it reads
     // its ancestor heaps lock-free, so borrowers must not collect them while it
@@ -269,7 +286,13 @@ fn run_branch<R>(
         parent,
         heap,
     };
-    f(&HhCtx::new(Arc::clone(&inner), heap, worker, None, run_ctl))
+    f(&HhCtx::new(
+        Arc::clone(inner),
+        heap,
+        worker,
+        None,
+        run_ctl.clone(),
+    ))
 }
 
 impl ParCtx for HhCtx {
@@ -381,17 +404,20 @@ impl ParCtx for HhCtx {
         // only where parallelism actually happened; if not, it runs after the left
         // branch, also in the parent's heap, and the fork was heap-free.
         let eager = !self.inner.config.lazy_child_heaps;
-        let parent = self.heap;
-        let (frame_a, frame_b) = (Arc::clone(&self.frame), Arc::clone(&self.frame));
-        let (inner_a, inner_b) = (Arc::clone(&self.inner), Arc::clone(&self.inner));
-        let (ctl_a, ctl_b) = (self.run_ctl.clone(), self.run_ctl.clone());
+        let fork = &Fork {
+            worker: &self.worker,
+            inner: &self.inner,
+            parent: self.heap,
+            frame: &self.frame,
+            run_ctl: &self.run_ctl,
+        };
         self.worker.join_context(
-            move || run_branch(inner_a, parent, frame_a, ctl_a, false, 0, fa),
+            move || run_branch(fork, false, 0, fa),
             move |stolen| {
                 // This branch accounts for the fork's elided heaps: the lazy left
                 // branch's, and its own when unstolen.
                 let elided = if eager { 0 } else { 1 + u64::from(!stolen) };
-                run_branch(inner_b, parent, frame_b, ctl_b, stolen, elided, fb)
+                run_branch(fork, stolen, elided, fb)
             },
         )
     }
@@ -457,11 +483,13 @@ impl ParCtx for HhCtx {
             return;
         }
         if self.inner.should_collect(self.heap) {
-            self.with_quiescent_heap(|heap, roots| self.inner.collect_heap(heap, roots));
+            self.with_quiescent_heap(|heap, roots| {
+                self.inner.collect_heap(&self.worker, heap, roots)
+            });
         }
     }
 
     fn n_workers(&self) -> usize {
-        self.inner.pool.n_workers()
+        self.inner.n_workers()
     }
 }

@@ -11,22 +11,23 @@
 //! * **Hash-free membership** — at zone assembly every chunk of the zone is stamped
 //!   with an epoch-tagged *collection state* ([`hh_objmodel::ChunkGcState`]):
 //!   the forward step's three-way test ("already a to-space copy?" / "outside the
-//!   zone?" / "live from-space object, and of which heap?") collapses into **one
-//!   atomic load of chunk metadata**. Epochs are drawn fresh per collection
+//!   zone?" / "live from-space object?") collapses into **one atomic load of chunk
+//!   metadata**. Epochs are drawn fresh per collection
 //!   ([`hh_objmodel::ChunkStore::next_gc_epoch`]), so nothing is ever cleared and
-//!   concurrent collections of disjoint subtrees cannot confuse each other's tags.
+//!   concurrent collections of disjoint heaps cannot confuse each other's tags.
 //! * **Parallel evacuation** — the collection runs on a *GC team*
 //!   ([`hh_sched::TeamSync`]): the triggering worker plus parked/idle pool workers
-//!   drafted through [`hh_sched::Pool::run_gc_team`], sized by
+//!   drafted through [`hh_sched::Worker::run_gc_team`], sized by
 //!   [`crate::HhConfig::gc_workers`]. With `gc_workers = 1` (ablation A4) no team
 //!   is drafted and the forwarding install degrades to a plain store — the v1
 //!   shape minus the hash probes.
 //!
-//! Since GC v3, the member body, span pack/steal loop, CAS forwarding race, and
-//! idle-termination protocol live in **one** shared module — `hh_sched::evac` —
-//! consumed by this collector and the flat baseline collector alike. This module
-//! contributes only what is hierarchical about the collection: the zone is one
-//! heap (`HierZone`: to-space chunks owned and run-tagged by the collected heap,
+//! Since GC v3, the member body, span pack/steal loop, CAS forwarding race,
+//! idle-termination protocol, merge and from-space retirement live in **one**
+//! shared module — `hh_sched::evac` — consumed by this collector and the flat
+//! baseline collector alike. This module contributes only what is hierarchical
+//! about the collection: the zone is one heap, which also owns the to-space
+//! ([`hh_sched::ToSpaceOwner`]: chunks owned and run-tagged by the collected heap,
 //! so survivors keep their placement in the hierarchy), zone assembly (chunk
 //! stamping plus the quarantine rescue walk), and the post-collection installation
 //! of the heap's chunk list. A zone never spans more than one heap: a child heap
@@ -36,69 +37,21 @@
 
 use crate::runtime::Inner;
 use hh_heaps::HeapId;
-use hh_objmodel::{Chunk, ChunkGcState, ChunkId, ChunkStore, Header, ObjPtr};
-use hh_sched::{EvacEngine, EvacZone};
+use hh_objmodel::{ChunkId, ObjPtr};
+use hh_sched::{EvacEngine, ToSpaceOwner, Worker};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The engine's zone mapping for one collected heap: its single slot allocates
-/// to-space chunks owned (and run-tagged) by the heap, so a collection preserves
-/// each survivor's placement in the hierarchy.
-pub(crate) struct HierZone {
-    store: Arc<ChunkStore>,
-    /// Raw id of the collected heap, for tagging freshly allocated to-space chunks.
-    heap_raw: u32,
-    /// Run epoch of the heap (its run tag). To-space chunks inherit it so that
-    /// (a) the debug cross-run assertion accepts survivors and (b) when the run
-    /// later disposes, its to-space chunks carry the run's own epoch stamp into
-    /// quarantine instead of a conservative latest-issued stamp — under
-    /// overlapping runs the conservative stamp would park them behind every
-    /// younger run and visibly degrade recycling.
-    run_tag: u64,
-    /// The heap is a root, so its to-space chunks are marked root-owned as its
-    /// allocation cursors' chunks are.
-    root: bool,
-}
-
-impl HierZone {
-    fn activated(&self, chunk: Arc<Chunk>) -> Arc<Chunk> {
-        if self.root {
-            chunk.set_root_owned();
-        }
-        chunk
-    }
-}
-
-impl EvacZone for HierZone {
-    fn n_slots(&self) -> usize {
-        1
-    }
-
-    fn alloc_dedicated(&self, _slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
-        let (chunk, ptr) = self
-            .store
-            .alloc_dedicated_for_run(self.heap_raw, header, self.run_tag);
-        (self.activated(chunk), ptr)
-    }
-
-    fn alloc_chunk(&self, _slot: u16, min_words: usize) -> Arc<Chunk> {
-        self.activated(
-            self.store
-                .alloc_chunk_for_run(self.heap_raw, min_words, self.run_tag),
-        )
-    }
-}
 
 impl Inner {
     /// Effective GC team size: `gc_workers` (0 = "pool size"), clamped to the pool.
     pub(crate) fn gc_team_size(&self) -> usize {
         let configured = if self.config.gc_workers == 0 {
-            self.pool.n_workers()
+            self.n_workers()
         } else {
             self.config.gc_workers
         };
-        configured.clamp(1, self.pool.n_workers())
+        configured.clamp(1, self.n_workers())
     }
 
     /// True if `heap`'s allocation volume warrants a collection at the next safe point.
@@ -130,25 +83,31 @@ impl Inner {
     pub(crate) fn stamp_chunks(&self, heap: HeapId, epoch: u64, old: &[ChunkId]) {
         let store = self.registry.store();
         for &c in old {
-            store.chunk(c).set_gc_from_space(epoch, 0);
+            store.chunk(c).set_gc_from_space(epoch);
         }
         store.with_quarantine(|quarantined| {
             for &(id, _retired_at) in quarantined {
                 let chunk = store.chunk(id);
                 let owner = HeapId::from_raw(chunk.owner());
                 if !owner.is_none() && self.registry.resolve(owner) == heap {
-                    chunk.set_gc_from_space(epoch, 0);
+                    chunk.set_gc_from_space(epoch);
                 }
             }
         });
     }
 
-    /// Builds the engine's zone mapping for the (resolved) heap `heap`.
-    pub(crate) fn hier_zone(&self, heap: HeapId) -> HierZone {
+    /// The to-space owner of a collection of the (resolved) heap `heap`: the
+    /// heap itself, so a collection preserves each survivor's placement in the
+    /// hierarchy. To-space chunks inherit the heap's run tag so that (a) the
+    /// debug cross-run assertion accepts survivors and (b) when the run later
+    /// disposes, its to-space chunks carry the run's own epoch stamp into
+    /// quarantine instead of a conservative latest-issued stamp — under
+    /// overlapping runs the conservative stamp would park them behind every
+    /// younger run and visibly degrade recycling.
+    pub(crate) fn to_space_owner(&self, heap: HeapId) -> ToSpaceOwner {
         let h = self.registry.heap(heap);
-        HierZone {
-            store: Arc::clone(self.registry.store()),
-            heap_raw: heap.raw(),
+        ToSpaceOwner {
+            raw: heap.raw(),
             run_tag: h.run_tag(),
             root: h.parent().is_none(),
         }
@@ -164,9 +123,10 @@ impl Inner {
     /// heap's chunk list) is evacuated along with everything else, so it stops
     /// being immortal.
     ///
-    /// See the module docs for the GC v2 structure (chunk-tag membership, the team,
+    /// `worker` is the calling task's worker, which drafts the team. See the
+    /// module docs for the GC v2 structure (chunk-tag membership, the team,
     /// scan-block stealing, the CAS forwarding race — all in `hh_sched::evac` now).
-    pub(crate) fn collect_heap(&self, heap: HeapId, roots: &mut [ObjPtr]) {
+    pub(crate) fn collect_heap(&self, worker: &Worker, heap: HeapId, roots: &mut [ObjPtr]) {
         // A monolithic collection requires a quiescent zone; an open incremental
         // window (necessarily of a disjoint zone, but conservatively: any) is
         // completed first so the two engines never interleave on shared store
@@ -183,7 +143,7 @@ impl Inner {
 
         // --- Run the evacuation on the team. -------------------------------------
         let engine = Arc::new(EvacEngine::new(
-            self.hier_zone(heap),
+            self.to_space_owner(heap),
             Arc::clone(&store),
             epoch,
             team,
@@ -209,7 +169,7 @@ impl Inner {
                     }
                 })
             };
-            self.pool.run_gc_team(team - 1, work);
+            worker.run_gc_team(team - 1, work);
         } else {
             engine.run_trigger(|fwd| {
                 for r in shared_roots.lock().iter_mut() {
@@ -222,13 +182,14 @@ impl Inner {
 
         // --- Install the to-space; retire the from-space. ------------------------
         let outcome = engine.merge();
-        let (chunks, words) = one_slot(outcome.per_slot);
-        if !chunks.is_empty() || !old.is_empty() {
+        if !outcome.chunks.is_empty() || !old.is_empty() {
             // The engine's merge already moved a partially filled bump chunk to
             // the end of the list — the heap's resume point.
-            self.registry.heap(heap).replace_chunks(chunks, words);
+            self.registry
+                .heap(heap)
+                .replace_chunks(outcome.chunks, outcome.occupied_words);
         }
-        retire_from_space(&store, epoch, &old);
+        engine.retire_from_space(&old);
 
         // --- Statistics. ---------------------------------------------------------
         self.record_collection(
@@ -270,25 +231,5 @@ impl Inner {
             .fetch_add(copied_words, Ordering::Relaxed);
         shard.add_gc_time(pause);
         self.counters.record_gc_pause(pause);
-    }
-}
-
-/// The to-space chunks and words of a one-heap zone's only slot.
-pub(crate) fn one_slot(per_slot: Vec<(Vec<ChunkId>, usize)>) -> (Vec<ChunkId>, usize) {
-    per_slot.into_iter().next().unwrap_or_default()
-}
-
-/// Retires a collection's from-space chunks `old`. Their contents stay readable
-/// until the store's reuse horizon passes (they enter the quarantine — see
-/// `ChunkStore::reclaim_retired`), which keeps stale `ObjPtr` copies held in Rust
-/// locals harmless: they resolve through forwarding pointers on their next mutable
-/// access (DESIGN.md §2 and §5). A chunk whose tag reads `ToSpace` for `epoch` was
-/// promoted in place (a dedicated large-object chunk handed over wholesale): it is
-/// part of the installed to-space and is not retired.
-pub(crate) fn retire_from_space(store: &ChunkStore, epoch: u64, old: &[ChunkId]) {
-    for &c in old {
-        if !matches!(store.chunk(c).gc_state(epoch), ChunkGcState::ToSpace(_)) {
-            store.retire_chunk(c);
-        }
     }
 }

@@ -52,7 +52,6 @@
 //! Unpinned Rust locals keep the established semantics: readable until the reuse
 //! horizon, rescued by a later collection's quarantine walk if still reachable.
 
-use crate::gc::{one_slot, retire_from_space, HierZone};
 use crate::runtime::Inner;
 use hh_heaps::HeapId;
 use hh_objmodel::{ChunkGcState, ChunkId, ObjPtr};
@@ -87,7 +86,7 @@ const GC_FINALIZE_STALENESS: usize = 64;
 pub(crate) struct ActiveGc {
     /// The evacuation engine, in mutator-concurrent mode (one member slot plus
     /// the hidden barrier slot).
-    pub(crate) engine: EvacEngine<HierZone>,
+    pub(crate) engine: EvacEngine,
     /// Safe-point drains that observed the wavefront empty while the window
     /// stayed unclaimed (see `GC_FINALIZE_STALENESS`).
     empty_safepoint_ticks: AtomicUsize,
@@ -137,7 +136,7 @@ impl Inner {
         // from here on is correctly excluded from the collection.
         let old_chunks = self.registry.heap(heap).replace_chunks(Vec::new(), 0);
         self.stamp_chunks(heap, epoch, &old_chunks);
-        let engine = EvacEngine::new(self.hier_zone(heap), store, epoch, 1, true);
+        let engine = EvacEngine::new(self.to_space_owner(heap), store, epoch, 1, true);
         // Evacuate the pins — the only part of the live set the mutator waits
         // for. Publication order: barriers must be fully armed (epoch, engine,
         // then the flag, Release) before any *other* thread can reach a
@@ -319,14 +318,14 @@ impl Inner {
     /// a second fault and turn recovery into an abort loop).
     fn finalize_merge_and_uninstall(&self, gc: &Arc<ActiveGc>) {
         let outcome = gc.engine.merge();
-        let (chunks, words) = one_slot(outcome.per_slot);
-        if !chunks.is_empty() {
-            self.registry.adopt_collected(gc.heap, chunks, words);
+        if !outcome.chunks.is_empty() {
+            self.registry
+                .adopt_collected(gc.heap, outcome.chunks, outcome.occupied_words);
         }
         // From-space chunks carry the run's own tag, so under overlapping runs
         // they quarantine behind this run's epoch, not a conservative
         // latest-issued stamp.
-        retire_from_space(self.registry.store(), gc.engine.epoch(), &gc.old_chunks);
+        gc.engine.retire_from_space(&gc.old_chunks);
         // Uninstall LAST — after survivor adoption and from-space retirement.
         // `finalize_incremental_now`'s waiter (the `end_run` path) unblocks on
         // this uninstall; doing it any earlier let an ending run dispose its
@@ -413,7 +412,7 @@ impl Inner {
         // stamped by a *newer* window reads that window's epoch or `Outside`
         // conservatively — the re-check under the engine's own epoch below
         // settles it.
-        if !matches!(chunk.gc_state(epoch), ChunkGcState::FromSpace(_)) {
+        if chunk.gc_state(epoch) != ChunkGcState::FromSpace {
             return p;
         }
         let gc = {
@@ -423,10 +422,7 @@ impl Inner {
             }
         };
         if gc.engine.epoch() != epoch
-            && !matches!(
-                chunk.gc_state(gc.engine.epoch()),
-                ChunkGcState::FromSpace(_)
-            )
+            && chunk.gc_state(gc.engine.epoch()) != ChunkGcState::FromSpace
         {
             return store.resolve_fwd(p);
         }

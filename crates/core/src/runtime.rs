@@ -5,20 +5,22 @@ use crate::ctx::HhCtx;
 use hh_api::{CounterShard, Counters, RunStats, Runtime};
 use hh_heaps::{HeapId, HeapRegistry};
 use hh_objmodel::ChunkStore;
-use hh_sched::Pool;
+use hh_sched::{Pool, PoolId};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Shared state of one hierarchical-heap runtime: the heap registry (which owns the
-/// chunk store), the scheduler pool, the configuration, and the statistics counters.
+/// chunk store), the configuration, and the statistics counters. The scheduler
+/// pool is not part of it: [`HhRuntime`] owns the pool, and the pool's hooks own
+/// an `Arc<Inner>`, so no cycle keeps either alive.
 pub(crate) struct Inner {
     pub(crate) registry: HeapRegistry,
-    pub(crate) pool: Pool,
+    /// The pool's identity: tells its workers apart from other threads.
+    pub(crate) pool: PoolId,
     pub(crate) config: HhConfig,
     /// One shard per pool worker plus one for outside threads; operations count
-    /// into [`Inner::shard`]. Shared with the scheduler's on-steal hook (which must
-    /// not hold an `Arc<Inner>`, or the pool would keep its owner alive in a cycle).
-    pub(crate) counters: Arc<Counters>,
+    /// into [`Inner::shard`].
+    pub(crate) counters: Counters,
     /// The steal gate of the lazy heap policy: every *stolen* branch holds a read
     /// lock for its whole execution, and a task that borrows its heap may collect it
     /// only under `try_write` — i.e. only while no stolen task (which could be
@@ -57,6 +59,11 @@ pub(crate) struct Inner {
 pub(crate) struct CasSlot(pub(crate) std::sync::atomic::AtomicU64);
 
 impl Inner {
+    /// Number of pool workers (there is one CAS slot per worker).
+    pub(crate) fn n_workers(&self) -> usize {
+        self.cas_slots.len()
+    }
+
     /// The calling thread's counter shard: its worker's own, or the shared one of
     /// threads outside the pool. One thread-local load.
     #[inline]
@@ -258,6 +265,10 @@ impl std::fmt::Display for DisentanglementReport {
 /// assert_eq!(sum, 5);
 /// ```
 pub struct HhRuntime {
+    /// Declared first, so it drops first: every worker is joined on the owner's
+    /// thread, and the pool's hooks release their `Arc<Inner>`, before `inner`
+    /// drops. A worker therefore never tears the runtime down.
+    pool: Pool,
     inner: Arc<Inner>,
 }
 
@@ -268,54 +279,48 @@ impl HhRuntime {
         store.set_max_free_words(config.max_free_words);
         let registry = HeapRegistry::new(store);
         let pool = Pool::new(config.n_workers);
-        let counters = Arc::new(Counters::new(pool.n_workers()));
-        let cas_slots = (0..pool.n_workers())
-            .map(|_| CasSlot(hh_objmodel::ObjPtr::NULL.to_bits().into()))
-            .collect();
+        let inner = Arc::new(Inner {
+            registry,
+            pool: pool.id(),
+            counters: Counters::new(pool.n_workers()),
+            steal_gate: std::sync::RwLock::new(()),
+            incremental_active: std::sync::atomic::AtomicBool::new(false),
+            active_gc: parking_lot::Mutex::new(None),
+            active_gc_epoch: std::sync::atomic::AtomicU64::new(0),
+            hooks_installed: std::sync::atomic::AtomicBool::new(false),
+            hooks: parking_lot::Mutex::new(None),
+            cas_slots: (0..pool.n_workers())
+                .map(|_| CasSlot(hh_objmodel::ObjPtr::NULL.to_bits().into()))
+                .collect(),
+            config,
+        });
         // The scheduler's on-steal hook: count steals into the thief's shard of the
         // runtime's resettable statistics. (The per-fork steal observation that
         // drives lazy heap creation flows through `Worker::join_context` in
         // `HhCtx::join` instead.)
         {
-            let counters = Arc::clone(&counters);
+            let inner = Arc::clone(&inner);
             pool.set_steal_hook(move |thief, _victim| {
-                counters
+                inner
+                    .counters
                     .shard(Some(thief))
                     .sched_steals
                     .fetch_add(1, Ordering::Relaxed);
             });
         }
-        let rt = HhRuntime {
-            inner: Arc::new(Inner {
-                registry,
-                pool,
-                config,
-                counters,
-                steal_gate: std::sync::RwLock::new(()),
-                incremental_active: std::sync::atomic::AtomicBool::new(false),
-                active_gc: parking_lot::Mutex::new(None),
-                active_gc_epoch: std::sync::atomic::AtomicU64::new(0),
-                hooks_installed: std::sync::atomic::AtomicBool::new(false),
-                hooks: parking_lot::Mutex::new(None),
-                cas_slots,
-            }),
-        };
-        if rt.inner.config.incremental_gc {
+        if inner.config.incremental_gc {
             // Idle workers drain increments of an open window instead of
             // spinning: the collection makes progress on cycles that would
             // otherwise be wasted, without charging any mutator a pause (hence
-            // `record_pause = false`). The hook holds a `Weak` — the pool lives
-            // inside `Inner`, so a strong capture would leak the runtime.
-            let weak = Arc::downgrade(&rt.inner);
-            rt.inner.pool.set_idle_hook(move |_worker| {
-                if let Some(inner) = weak.upgrade() {
-                    if inner.incremental_active.load(Ordering::Relaxed) {
-                        inner.incremental_tick(false);
-                    }
+            // `record_pause = false`).
+            let inner = Arc::clone(&inner);
+            pool.set_idle_hook(move |_worker| {
+                if inner.incremental_active.load(Ordering::Relaxed) {
+                    inner.incremental_tick(false);
                 }
             });
         }
-        rt
+        HhRuntime { pool, inner }
     }
 
     /// Creates a runtime with `n` workers and default memory parameters.
@@ -344,7 +349,7 @@ impl HhRuntime {
 
     /// As [`HhRuntime::check_disentangled`], but returns the full forensic
     /// report: every violation with the chunk-level context of both ends
-    /// (run tag, gc tag epoch/slot/FROM-TO, retirement, generation, depths)
+    /// (run tag, gc tag epoch and FROM/TO, retirement, generation, depths)
     /// plus the incremental-window state at check time. This is what turns a
     /// one-in-a-thousand race hit into a diagnosable artifact.
     pub fn check_disentangled_report(&self) -> DisentanglementReport {
@@ -419,7 +424,7 @@ impl HhRuntime {
             epoch,
         };
         let inner = Arc::clone(&self.inner);
-        self.inner.pool.run(move |worker| {
+        self.pool.run(move |worker| {
             let ctx = HhCtx::new(Arc::clone(&inner), root_heap, worker.clone(), None, ctl);
             f(&ctx)
         })
@@ -434,7 +439,7 @@ impl Runtime for HhRuntime {
     }
 
     fn n_workers(&self) -> usize {
-        self.inner.pool.n_workers()
+        self.pool.n_workers()
     }
 
     fn run<R, F>(&self, f: F) -> R
@@ -467,7 +472,7 @@ impl Runtime for HhRuntime {
         let mut stats = self.inner.counters.snapshot(&store_stats);
         // Parking statistics live in the pool (cumulative over its lifetime); steals
         // are counted through the on-steal hook so they reset with the other counters.
-        let sched = self.inner.pool.sched_stats();
+        let sched = self.pool.sched_stats();
         stats.sched_parks = sched.parks as u64;
         stats.sched_wakes = sched.wakes as u64;
         stats

@@ -282,7 +282,12 @@ fn runs_that_steal_abort_and_panic_leave_no_heap_behind() {
         a + b
     }
     for round in 0..6 {
-        assert_eq!(rt.run(|ctx| tree(ctx, 10, None)), 1 << 10);
+        // Whether a leaf's heap reaches the threshold depends on the schedule,
+        // so the run's root task also forces one owner collection after its
+        // join tree returns (an owner never skips one).
+        let (sum, collected) = rt.run(|ctx| (tree(ctx, 10, None), ctx.force_collect()));
+        assert_eq!(sum, 1 << 10);
+        assert!(collected, "round {round}: an owner's forced collection ran");
         assert_store_drained(&rt);
         // Forks until its deadline fires; the abort unwinds every branch in flight.
         let ctl = hh_api::RunCtl::with_deadline(std::time::Duration::from_millis(5));

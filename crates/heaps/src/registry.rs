@@ -8,7 +8,7 @@ use std::sync::Arc;
 /// One disentanglement violation found by [`HeapRegistry::check_disentangled`]:
 /// a pointer field whose target's heap is *not* an ancestor of (or equal to) the
 /// holder's heap, together with the chunk-level forensics ([`ChunkForensics`]:
-/// run tag, gc tag epoch/slot/FROM-TO bits, retirement, generation) of both ends.
+/// run tag, gc tag epoch and FROM/TO bits, retirement, generation) of both ends.
 /// The context is captured at detection time so a violation seen once under a
 /// racy schedule is diagnosable from its report alone.
 #[derive(Clone, Debug)]

@@ -8,6 +8,11 @@
 //! Each chunk records the heap that allocated it (`owner`). Resolving the *current* heap
 //! of an object — after any number of heap joins — is the job of the heap registry; the
 //! chunk only remembers where the object was born.
+//!
+//! Each chunk also carries one packed collection tag, `epoch << 2 | {FROM, TO}` (see
+//! [`ChunkGcState`]): `FROM` marks live data of the zone that collection `epoch`
+//! evacuates, `TO` its one to-space. A collection needs nothing more, because it
+//! evacuates one zone heap into one to-space.
 
 use crate::objptr::ObjPtr;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -30,21 +35,17 @@ pub const RAW_HEAP_NONE: u32 = u32::MAX;
 pub enum ChunkGcState {
     /// The chunk is not involved in the collection of the given epoch.
     Outside,
-    /// From-space of the collection: the chunk belongs to a heap of the zone (the
-    /// payload is the zone-local *slot* of that heap, assigned at zone assembly).
-    FromSpace(u16),
+    /// From-space of the collection: live data of the zone, to be evacuated.
+    FromSpace,
     /// To-space of the collection: the chunk holds copies made by this collection
-    /// (the payload is the heap slot the copies belong to).
-    ToSpace(u16),
+    /// (or a large object it promoted in place).
+    ToSpace,
 }
 
-/// Bit layout of the packed collection-state word: `epoch << 18 | slot << 2 | flags`.
+/// Bit layout of the packed collection-state word: `epoch << 2 | flags`.
 const GC_FLAG_FROM: u64 = 0b01;
 const GC_FLAG_TO: u64 = 0b10;
-const GC_SLOT_SHIFT: u32 = 2;
-const GC_EPOCH_SHIFT: u32 = 18;
-/// Maximum number of heaps one collection zone can address through chunk tags.
-pub const GC_MAX_ZONE_SLOTS: usize = 1 << (GC_EPOCH_SHIFT - GC_SLOT_SHIFT);
+const GC_EPOCH_SHIFT: u32 = 2;
 
 /// A diagnostic snapshot of one chunk's lifecycle and collection state, taken by
 /// [`Chunk::forensics`]. Invariant checkers attach this to their reports so a
@@ -66,8 +67,6 @@ pub struct ChunkForensics {
     /// Collection epoch of the last gc tag stamped on the chunk (0 = never tagged
     /// or recycled since).
     pub gc_epoch: u64,
-    /// Zone-heap slot encoded in the last gc tag.
-    pub gc_slot: u16,
     /// FROM bit of the last gc tag.
     pub gc_from: bool,
     /// TO bit of the last gc tag.
@@ -84,14 +83,13 @@ impl std::fmt::Display for ChunkForensics {
         };
         write!(
             f,
-            "chunk {} (owner {}, run_tag {}, gen {}, {}, gc epoch {} slot {} {})",
+            "chunk {} (owner {}, run_tag {}, gen {}, {}, gc epoch {} {})",
             self.chunk.0,
             self.owner,
             self.run_tag,
             self.generation,
             if self.retired { "retired" } else { "active" },
             self.gc_epoch,
-            self.gc_slot,
             phase,
         )
     }
@@ -263,57 +261,49 @@ impl Chunk {
         self.run_tag.store(epoch, Ordering::Release);
     }
 
-    /// Stamps this chunk as **from-space** of the collection `epoch`, belonging to
-    /// the zone heap at `slot`. Called during zone assembly, before any collector
-    /// worker starts evacuating (the `Release` store pairs with the `Acquire` load
-    /// in [`Chunk::gc_state`]).
+    /// The packed tag of collection `epoch` with phase `flag`. The tag holds
+    /// 64 - `GC_EPOCH_SHIFT` epoch bits; beyond that the shift truncates and every
+    /// tag would decode as Outside (2^62 collections away, but enforce the bound
+    /// rather than rely on it silently).
     #[inline]
-    pub fn set_gc_from_space(&self, epoch: u64, slot: u16) {
-        // The tag holds 64 - GC_EPOCH_SHIFT epoch bits; beyond that the shift
-        // truncates and every tag would decode as Outside (2^46 collections away,
-        // but enforce the bound rather than rely on it silently).
+    fn gc_tag_of(epoch: u64, flag: u64) -> u64 {
         debug_assert!(
             epoch < 1 << (64 - GC_EPOCH_SHIFT),
             "GC epoch exceeds the chunk tag's epoch field"
         );
-        self.gc_tag.store(
-            (epoch << GC_EPOCH_SHIFT) | ((slot as u64) << GC_SLOT_SHIFT) | GC_FLAG_FROM,
-            Ordering::Release,
-        );
+        (epoch << GC_EPOCH_SHIFT) | flag
     }
 
-    /// Stamps this chunk as **to-space** of the collection `epoch` for the zone heap
-    /// at `slot`. Called by the allocating collector worker before the chunk becomes
-    /// reachable through any forwarding pointer.
+    /// Stamps this chunk as **from-space** of the collection `epoch`. Called during
+    /// zone assembly, before any collector worker starts evacuating (the `Release`
+    /// store pairs with the `Acquire` load in [`Chunk::gc_state`]).
     #[inline]
-    pub fn set_gc_to_space(&self, epoch: u64, slot: u16) {
-        debug_assert!(
-            epoch < 1 << (64 - GC_EPOCH_SHIFT),
-            "GC epoch exceeds the chunk tag's epoch field"
-        );
-        self.gc_tag.store(
-            (epoch << GC_EPOCH_SHIFT) | ((slot as u64) << GC_SLOT_SHIFT) | GC_FLAG_TO,
-            Ordering::Release,
-        );
+    pub fn set_gc_from_space(&self, epoch: u64) {
+        self.gc_tag
+            .store(Self::gc_tag_of(epoch, GC_FLAG_FROM), Ordering::Release);
+    }
+
+    /// Stamps this chunk as **to-space** of the collection `epoch`. Called by the
+    /// allocating collector worker before the chunk becomes reachable through any
+    /// forwarding pointer.
+    #[inline]
+    pub fn set_gc_to_space(&self, epoch: u64) {
+        self.gc_tag
+            .store(Self::gc_tag_of(epoch, GC_FLAG_TO), Ordering::Release);
     }
 
     /// Atomically retags this chunk from **from-space** to **to-space** of the same
-    /// collection (`epoch`, `slot`) — the in-place promotion of a dedicated
-    /// large-object chunk, whose single object is transferred wholesale instead of
-    /// being copied. The CAS arbitrates racing evacuators: exactly one caller wins
-    /// (and performs the transfer bookkeeping); losers re-read the tag and find the
-    /// object already in to-space.
+    /// collection `epoch` — the in-place promotion of a dedicated large-object
+    /// chunk, whose single object is transferred wholesale instead of being copied.
+    /// The CAS arbitrates racing evacuators: exactly one caller wins (and performs
+    /// the transfer bookkeeping); losers re-read the tag and find the object
+    /// already in to-space.
     #[inline]
-    pub fn try_gc_promote_in_place(&self, epoch: u64, slot: u16) -> bool {
-        debug_assert!(
-            epoch < 1 << (64 - GC_EPOCH_SHIFT),
-            "GC epoch exceeds the chunk tag's epoch field"
-        );
-        let base = (epoch << GC_EPOCH_SHIFT) | ((slot as u64) << GC_SLOT_SHIFT);
+    pub fn try_gc_promote_in_place(&self, epoch: u64) -> bool {
         self.gc_tag
             .compare_exchange(
-                base | GC_FLAG_FROM,
-                base | GC_FLAG_TO,
+                Self::gc_tag_of(epoch, GC_FLAG_FROM),
+                Self::gc_tag_of(epoch, GC_FLAG_TO),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             )
@@ -329,13 +319,11 @@ impl Chunk {
     pub fn gc_state(&self, epoch: u64) -> ChunkGcState {
         let tag = self.gc_tag.load(Ordering::Acquire);
         if tag >> GC_EPOCH_SHIFT != epoch {
-            return ChunkGcState::Outside;
-        }
-        let slot = ((tag >> GC_SLOT_SHIFT) & (GC_MAX_ZONE_SLOTS as u64 - 1)) as u16;
-        if tag & GC_FLAG_TO != 0 {
-            ChunkGcState::ToSpace(slot)
+            ChunkGcState::Outside
+        } else if tag & GC_FLAG_TO != 0 {
+            ChunkGcState::ToSpace
         } else {
-            ChunkGcState::FromSpace(slot)
+            ChunkGcState::FromSpace
         }
     }
 
@@ -353,7 +341,6 @@ impl Chunk {
             generation: self.generation(),
             retired: self.is_retired(),
             gc_epoch: tag >> GC_EPOCH_SHIFT,
-            gc_slot: ((tag >> GC_SLOT_SHIFT) & (GC_MAX_ZONE_SLOTS as u64 - 1)) as u16,
             gc_from: tag & GC_FLAG_FROM != 0,
             gc_to: tag & GC_FLAG_TO != 0,
         }
@@ -500,21 +487,36 @@ mod tests {
     fn gc_state_roundtrips_and_respects_epochs() {
         let c = Chunk::new(ChunkId(0), 0, 16);
         assert_eq!(c.gc_state(1), ChunkGcState::Outside, "untagged chunk");
-        c.set_gc_from_space(7, 3);
-        assert_eq!(c.gc_state(7), ChunkGcState::FromSpace(3));
+        c.set_gc_from_space(7);
+        assert_eq!(c.gc_state(7), ChunkGcState::FromSpace);
         assert_eq!(c.gc_state(8), ChunkGcState::Outside, "stale epoch");
         assert_eq!(
             c.gc_state(6),
             ChunkGcState::Outside,
             "future tag, old epoch"
         );
-        c.set_gc_to_space(8, 11);
-        assert_eq!(c.gc_state(8), ChunkGcState::ToSpace(11));
+        assert!(
+            !c.try_gc_promote_in_place(8),
+            "promotion needs this epoch's FROM"
+        );
+        assert!(c.try_gc_promote_in_place(7));
+        assert_eq!(c.gc_state(7), ChunkGcState::ToSpace);
+        assert!(!c.try_gc_promote_in_place(7), "one promoter wins");
+        c.set_gc_to_space(8);
+        assert_eq!(c.gc_state(8), ChunkGcState::ToSpace);
         assert_eq!(
             c.gc_state(7),
             ChunkGcState::Outside,
             "old epoch overwritten"
         );
+        // The epoch field is 62 bits wide: epochs past the old 2^46 bound, up
+        // to the last one, round-trip.
+        for epoch in [1 << 46, (1 << 62) - 1] {
+            c.set_gc_from_space(epoch);
+            assert_eq!(c.gc_state(epoch), ChunkGcState::FromSpace);
+            assert_eq!(c.gc_state(epoch - 1), ChunkGcState::Outside);
+            assert_eq!(c.forensics().gc_epoch, epoch);
+        }
         // Recycling clears the tag.
         c.retire();
         c.recycle(2);

@@ -40,7 +40,7 @@ pub mod store;
 pub mod view;
 
 pub use appendvec::AppendVec;
-pub use chunk::{Chunk, ChunkForensics, ChunkGcState, ChunkId, GC_MAX_ZONE_SLOTS, RAW_HEAP_NONE};
+pub use chunk::{Chunk, ChunkForensics, ChunkGcState, ChunkId, RAW_HEAP_NONE};
 pub use epoch::RunEpochs;
 pub use header::{Header, ObjKind};
 pub use objptr::{ObjPtr, MAX_CHUNK_WORDS};

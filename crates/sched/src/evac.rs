@@ -1,20 +1,21 @@
 //! The shared evacuation engine (GC v3) — **one** copy of the span pack/steal
 //! loop, the team-member body, and the idle-termination protocol, consumed by
-//! both the hierarchical collector (`hh-runtime`'s `collect_zone`) and the flat
+//! both the hierarchical collector (`hh-runtime`'s `collect_heap`) and the flat
 //! baseline collector (`hh-baselines`' `par_semispace_collect`).
 //!
 //! GC v2 (PR 5) grew this machinery twice — once per collector — and its
 //! trigger-preregistration race had to be fixed in both copies. The engine
-//! factors the duplicated ~1.7k lines down to one parameterized implementation:
-//! an [`EvacZone`] maps *zone slots* (the `u16` carried by from-space chunk
-//! tags, see [`hh_objmodel::ChunkGcState`]) to to-space allocation — per-heap
-//! slots for the hierarchical runtime, a single slot for the flat baselines.
-//! Everything else is identical between the two collectors and lives here:
+//! factors the duplicated ~1.7k lines down to one implementation. A collection
+//! evacuates one zone into **one** to-space, owned by a [`ToSpaceOwner`]: the
+//! collected heap for the hierarchical runtime (every zone is one leaf heap,
+//! since a child heap joins its parent when its task ends), the global heap for
+//! the flat baselines. The two collectors differ only in that value; everything
+//! else lives here:
 //!
-//! * **per-member to-space cursors** — each team member bump-allocates copies
-//!   into private chunks ([`EvacZone::alloc_chunk`]) which the engine stamps
-//!   `ToSpace` for this collection's epoch, so membership tests stay one atomic
-//!   chunk-metadata load;
+//! * **one private to-space cursor per member** — each team member
+//!   bump-allocates copies into chunks of its own, which the engine allocates
+//!   for the owner and stamps `ToSpace` for this collection's epoch, so
+//!   membership tests stay one atomic chunk-metadata load;
 //! * **scan blocks** — contiguous spans of fully written copies, published on a
 //!   per-member [`SpanDeque`] (the scheduler's Chase–Lev [`crate::queue::Deque`]
 //!   over two-word elements) once [`SCAN_BLOCK_WORDS`] accumulate; idle members
@@ -112,32 +113,25 @@ fn unpack_span(span: Span) -> (ChunkId, u32, u32) {
     (ChunkId((span.0 >> 32) as u32), span.0 as u32, span.1 as u32)
 }
 
-/// The slot-to-heap mapping of one collection zone: how to-space memory is
-/// allocated for each zone slot (the `u16` stamped into from-space chunk tags).
-///
-/// The hierarchical runtime implements this with one slot for the collected
-/// heap (so a collection preserves each survivor's placement in the hierarchy);
-/// the flat baselines implement it with a single slot backed by one global
-/// heap. The engine stamps every returned chunk `ToSpace` for the collection's
-/// epoch, so implementations only allocate.
-pub trait EvacZone: Send + Sync {
-    /// Number of zone slots (heaps being evacuated). From-space tags carry
-    /// slots in `0..n_slots()`.
-    fn n_slots(&self) -> usize;
-
-    /// Allocates a dedicated large-object chunk for `header` on behalf of
-    /// `slot`, returning the chunk and the object pointer placed in it.
-    fn alloc_dedicated(&self, slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr);
-
-    /// Allocates a fresh to-space bump chunk of at least `min_words` usable
-    /// words on behalf of `slot`.
-    fn alloc_chunk(&self, slot: u16, min_words: usize) -> Arc<Chunk>;
+/// The owner of a collection's to-space: every chunk the engine allocates for
+/// copies is owned by heap `raw` and attributed to run `run_tag` (see
+/// [`ChunkStore::alloc_chunk_for_run`]), so survivors keep their placement, and
+/// is marked root-owned when the owner is a root heap (see
+/// [`Chunk::is_root_owned`]), as the owner's own allocation chunks are.
+#[derive(Copy, Clone, Debug)]
+pub struct ToSpaceOwner {
+    /// Raw id of the owning heap.
+    pub raw: u32,
+    /// Run epoch the to-space chunks are attributed to (0 = untracked).
+    pub run_tag: u64,
+    /// True if the owner is a root heap.
+    pub root: bool,
 }
 
-/// One member's private to-space state for one zone slot.
+/// One member's private to-space cursor.
 #[derive(Default)]
 struct ToCursor {
-    /// Chunks this member allocated for the slot, in allocation order.
+    /// Chunks this member allocated, in allocation order.
     chunks: Vec<ChunkId>,
     /// Current bump chunk, held by `Arc` so the per-copy path performs no
     /// chunk-table lookup.
@@ -149,15 +143,15 @@ struct ToCursor {
     /// Offset up to which spans of `current` have been handed out for
     /// scanning.
     scanned: u32,
-    /// Words occupied in this to-space (survivors plus race-loser fillers) —
-    /// the slot's post-collection allocation volume.
+    /// Words this member placed in the to-space: copies, race-loser fillers,
+    /// and large objects promoted in place.
     words: usize,
 }
 
-/// One member's collection state: per-slot to-space cursors plus statistics.
+/// One member's collection state: its to-space cursor plus statistics.
 #[derive(Default)]
 struct EvacWorker {
-    tos: Vec<ToCursor>,
+    to: ToCursor,
     /// Words of survivors this member won (excludes race-loser fillers).
     copied_words: u64,
     /// Words of large objects this member promoted in place (dedicated chunks
@@ -171,11 +165,15 @@ struct EvacWorker {
     rng: u64,
 }
 
-/// Merged result of one evacuation: per-slot chunk lists plus statistics.
+/// Merged result of one evacuation: the to-space chunk list plus statistics.
+#[derive(Default)]
 pub struct EvacOutcome {
-    /// Per zone slot: the to-space chunk list (a partially filled bump chunk
-    /// last, so heaps resume allocation from it) and the words occupying it.
-    pub per_slot: Vec<(Vec<ChunkId>, usize)>,
+    /// The to-space chunks (a partially filled bump chunk last, so the owner
+    /// resumes allocation from it).
+    pub chunks: Vec<ChunkId>,
+    /// Words occupying the to-space (`copied + inplace + waste`): the owner's
+    /// allocation volume after the collection.
+    pub occupied_words: usize,
     /// Words of live data copied (survivors; excludes evacuation-race waste).
     pub copied_words: u64,
     /// Words of live large objects promoted in place (their dedicated chunks
@@ -183,8 +181,6 @@ pub struct EvacOutcome {
     pub inplace_words: u64,
     /// Words wasted on evacuation-race losses (opaque fillers).
     pub waste_words: u64,
-    /// Total words occupying the to-spaces (`copied + waste`).
-    pub occupied_words: u64,
     /// Scan blocks stolen between members (0 for a solo collection).
     pub steal_blocks: u64,
 }
@@ -192,8 +188,8 @@ pub struct EvacOutcome {
 /// The evacuation engine: shared state of one collection, driven either by a
 /// synchronous team or incrementally under running mutators (see the module
 /// docs).
-pub struct EvacEngine<Z: EvacZone> {
-    zone: Z,
+pub struct EvacEngine {
+    owner: ToSpaceOwner,
     store: Arc<ChunkStore>,
     /// This collection's epoch (chunk tags are tested against it).
     epoch: u64,
@@ -229,8 +225,8 @@ pub struct EvacEngine<Z: EvacZone> {
     barrier_inflight: AtomicUsize,
 }
 
-impl<Z: EvacZone> EvacEngine<Z> {
-    /// Creates the engine for one collection over `zone`.
+impl EvacEngine {
+    /// Creates the engine for one collection whose to-space `owner` owns.
     ///
     /// `members` is the team size (slot 0 is the trigger); a
     /// `mutator_concurrent` engine gets one extra hidden slot through which
@@ -240,20 +236,25 @@ impl<Z: EvacZone> EvacEngine<Z> {
     /// alone must not be able to terminate the team before the roots have
     /// seeded the wavefront.
     pub fn new(
-        zone: Z,
+        owner: ToSpaceOwner,
         store: Arc<ChunkStore>,
         epoch: u64,
         members: usize,
         mutator_concurrent: bool,
-    ) -> EvacEngine<Z> {
-        let n_slots = members + usize::from(mutator_concurrent);
+    ) -> EvacEngine {
+        let slots = members + usize::from(mutator_concurrent);
         EvacEngine {
-            zone,
+            owner,
             store,
             epoch,
-            deques: (0..n_slots).map(|_| SpanDeque::new()).collect(),
-            slots: (0..n_slots)
-                .map(|_| Mutex::new(EvacWorker::default()))
+            deques: (0..slots).map(|_| SpanDeque::new()).collect(),
+            slots: (0..slots)
+                .map(|slot| {
+                    Mutex::new(EvacWorker {
+                        rng: 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(slot as u64 + 1) | 1,
+                        ..EvacWorker::default()
+                    })
+                })
                 .collect(),
             sync: TeamSync::with_trigger(),
             roots_seeded: AtomicBool::new(false),
@@ -282,31 +283,33 @@ impl<Z: EvacZone> EvacEngine<Z> {
         self.slots.len() - 1
     }
 
-    fn init_worker(&self, w: &mut EvacWorker, slot: usize) {
-        w.tos.resize_with(self.zone.n_slots(), ToCursor::default);
-        w.rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(slot as u64 + 1) | 1;
+    /// Makes a freshly allocated chunk part of this collection's to-space.
+    fn activate(&self, chunk: &Chunk) {
+        chunk.set_gc_to_space(self.epoch);
+        if self.owner.root {
+            chunk.set_root_owned();
+        }
     }
 
     // --- The copy step (shared by every drive mode). -------------------------
 
-    /// Allocates a copy of `header` in `w`'s to-space for zone slot `slot`,
-    /// returning the pointer, the chunk it landed in, and whether that chunk is
-    /// a dedicated large-object chunk. Mirrors the placement rules of heap
-    /// allocation: large objects get dedicated chunks without displacing the
-    /// bump chunk.
+    /// Allocates a copy of `header` in `w`'s to-space, returning the pointer,
+    /// the chunk it landed in, and whether that chunk is a dedicated
+    /// large-object chunk. Mirrors the placement rules of heap allocation:
+    /// large objects get dedicated chunks without displacing the bump chunk.
     fn alloc_to(
         &self,
         w: &mut EvacWorker,
         my_slot: usize,
-        slot: u16,
         header: Header,
     ) -> (ObjPtr, Arc<Chunk>, bool) {
-        let to = &mut w.tos[slot as usize];
+        let ToSpaceOwner { raw, run_tag, .. } = self.owner;
+        let to = &mut w.to;
         let size = header.size_words();
         to.words += size;
         if self.store.needs_dedicated_chunk(header) {
-            let (chunk, ptr) = self.zone.alloc_dedicated(slot, header);
-            chunk.set_gc_to_space(self.epoch, slot);
+            let (chunk, ptr) = self.store.alloc_dedicated_for_run(raw, header, run_tag);
+            self.activate(&chunk);
             to.chunks.push(chunk.id());
             return (ptr, chunk, true);
         }
@@ -323,8 +326,8 @@ impl<Z: EvacZone> EvacEngine<Z> {
                 self.deques[my_slot].push(pack_span(prev.id(), to.scanned, to.filled));
             }
         }
-        let chunk = self.zone.alloc_chunk(slot, size);
-        chunk.set_gc_to_space(self.epoch, slot);
+        let chunk = self.store.alloc_chunk_for_run(raw, size, run_tag);
+        self.activate(&chunk);
         to.chunks.push(chunk.id());
         to.current = Some(Arc::clone(&chunk));
         to.filled = 0;
@@ -361,7 +364,6 @@ impl<Z: EvacZone> EvacEngine<Z> {
         &self,
         w: &mut EvacWorker,
         my_slot: usize,
-        heap_slot: u16,
         copy: ObjPtr,
         size: usize,
         dedicated: Option<usize>,
@@ -372,7 +374,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
             self.push_ptr_prefix_spans(my_slot, copy, n_ptr);
             return;
         }
-        let to = &mut w.tos[heap_slot as usize];
+        let to = &mut w.to;
         debug_assert_eq!(to.filled, copy.offset(), "out-of-order copy completion");
         to.filled = copy.offset() + size as u32;
         if to.filled - to.scanned >= SCAN_BLOCK_WORDS {
@@ -390,9 +392,9 @@ impl<Z: EvacZone> EvacEngine<Z> {
     /// * `Outside` identifies an object beyond the zone — an ancestor heap, a
     ///   copy made by an earlier *promotion* (reusing it eliminates the
     ///   duplicate left in the subtree), or, defensively, any unrelated heap;
-    /// * `FromSpace(slot)` is live data of the zone: follow its forwarding
-    ///   chain if one exists, otherwise evacuate it into `slot`'s to-space and
-    ///   race to install the forwarding pointer.
+    /// * `FromSpace` is live data of the zone: follow its forwarding chain if
+    ///   one exists, otherwise evacuate it into the to-space and race to
+    ///   install the forwarding pointer.
     fn forward(&self, w: &mut EvacWorker, my_slot: usize, obj: ObjPtr) -> ObjPtr {
         if obj.is_null() {
             return ObjPtr::NULL;
@@ -400,12 +402,11 @@ impl<Z: EvacZone> EvacEngine<Z> {
         let mut cur = obj;
         loop {
             let chunk = self.store.chunk(cur.chunk());
-            let heap_slot = match chunk.gc_state(self.epoch) {
+            if chunk.gc_state(self.epoch) != ChunkGcState::FromSpace {
                 // Case 1: already a to-space copy made by this collection.
                 // Case 2: outside the collection zone.
-                ChunkGcState::ToSpace(_) | ChunkGcState::Outside => return cur,
-                ChunkGcState::FromSpace(slot) => slot,
-            };
+                return cur;
+            }
             let v = ObjView::new(chunk, cur.offset());
             // Follow forwarding chains (they may lead to a promotion copy above
             // us, to a to-space copy, or to another from-space object of the
@@ -429,7 +430,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
             let header = v.header();
             let size = header.size_words();
             if self.store.needs_dedicated_chunk(header) && !chunk.is_retired() {
-                if chunk.try_gc_promote_in_place(self.epoch, heap_slot) {
+                if chunk.try_gc_promote_in_place(self.epoch) {
                     // The retirement test above races with the store (a
                     // quarantine rescue may retire the chunk between the load
                     // and the CAS). Promoting a retired chunk in place would
@@ -438,21 +439,20 @@ impl<Z: EvacZone> EvacEngine<Z> {
                     // double-ownership shape as the end_run overlap race
                     // (DESIGN.md §11.5). Re-check after winning and revert.
                     if chunk.is_retired() {
-                        chunk.set_gc_from_space(self.epoch, heap_slot);
+                        chunk.set_gc_from_space(self.epoch);
                         continue;
                     }
-                    let to = &mut w.tos[heap_slot as usize];
-                    to.words += size;
-                    to.chunks.push(cur.chunk());
+                    w.to.words += size;
+                    w.to.chunks.push(cur.chunk());
                     w.inplace_words += size as u64;
                     self.push_ptr_prefix_spans(my_slot, cur, header.n_ptr());
                     return cur;
                 }
                 continue;
             }
-            // Case 3b: live from-space object — evacuate it into its own slot's
-            // to-space, then race to publish the copy.
-            let (copy, copy_chunk, dedicated) = self.alloc_to(w, my_slot, heap_slot, header);
+            // Case 3b: live from-space object — evacuate it into the to-space,
+            // then race to publish the copy.
+            let (copy, copy_chunk, dedicated) = self.alloc_to(w, my_slot, header);
             let cv = ObjView::new(&copy_chunk, copy.offset());
             for f in 0..header.n_fields() {
                 cv.set_field(f, v.field(f));
@@ -466,7 +466,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
             if won {
                 w.copied_words += size as u64;
                 let ded = dedicated.then(|| header.n_ptr());
-                self.complete_copy(w, my_slot, heap_slot, copy, size, ded);
+                self.complete_copy(w, my_slot, copy, size, ded);
                 return copy;
             }
             // Another party won the race: our copy is unreachable. Retag it as
@@ -475,7 +475,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
             // able to step over it), and adopt the winner's copy.
             cv.retag_as_filler();
             w.waste_words += size as u64;
-            self.complete_copy(w, my_slot, heap_slot, copy, size, dedicated.then_some(0));
+            self.complete_copy(w, my_slot, copy, size, dedicated.then_some(0));
             cur = v.fwd();
             debug_assert!(!cur.is_null(), "lost the forwarding race to a NULL");
         }
@@ -567,33 +567,31 @@ impl<Z: EvacZone> EvacEngine<Z> {
         }
     }
 
-    /// Claims the unscanned tail of one of this member's own current chunks,
-    /// if any.
+    /// Claims the unscanned tail of this member's current chunk, if any.
     fn take_tail(w: &mut EvacWorker) -> Option<Span> {
-        for to in w.tos.iter_mut() {
-            if to.filled > to.scanned {
-                let chunk = to.current.as_ref().expect("filled words without a chunk");
-                let span = pack_span(chunk.id(), to.scanned, to.filled);
-                to.scanned = to.filled;
-                return Some(span);
-            }
+        let to = &mut w.to;
+        if to.filled <= to.scanned {
+            return None;
         }
-        None
+        let chunk = to.current.as_ref().expect("filled words without a chunk");
+        let span = pack_span(chunk.id(), to.scanned, to.filled);
+        to.scanned = to.filled;
+        Some(span)
     }
 
-    /// Flushes every unscanned tail of `w` onto this member's deque, making
-    /// the work visible to other parties. Incremental drains and barriers must
-    /// do this before releasing their slot: the slot may next be claimed by a
-    /// different thread (or inspected by finalize), and tails are otherwise
+    /// Flushes the unscanned tail of `w` onto this member's deque, making the
+    /// work visible to other parties. Incremental drains and barriers must do
+    /// this before releasing their slot: the slot may next be claimed by a
+    /// different thread (or inspected by finalize), and a tail is otherwise
     /// invisible.
-    fn flush_tails(&self, w: &mut EvacWorker, my_slot: usize) {
-        while let Some(span) = Self::take_tail(w) {
+    fn flush_tail(&self, w: &mut EvacWorker, my_slot: usize) {
+        if let Some(span) = Self::take_tail(w) {
             self.deques[my_slot].push(span);
         }
     }
 
     /// The one drain step of every loop below: the newest block on this slot's own
-    /// deque, else an unscanned tail of `w`'s own chunks, else (if `steal`) a block
+    /// deque, else the unscanned tail of `w`'s current chunk, else (if `steal`) a block
     /// stolen from another slot through the shared victim scan, counted in
     /// `steal_blocks`.
     fn next_span(&self, w: &mut EvacWorker, slot: usize, steal: bool) -> Option<Span> {
@@ -662,7 +660,6 @@ impl<Z: EvacZone> EvacEngine<Z> {
         // spin forever on its registration.
         let _depart = self.sync.depart_on_drop();
         let mut w = self.slots[0].lock();
-        self.init_worker(&mut w, 0);
         seed(&mut |p| self.forward(&mut w, 0, p));
         self.roots_seeded.store(true, Ordering::Release);
         self.member_loop(&mut w, 0);
@@ -683,7 +680,6 @@ impl<Z: EvacZone> EvacEngine<Z> {
         // registration behind.
         let _depart = self.sync.depart_on_drop();
         let mut w = self.slots[slot].lock();
-        self.init_worker(&mut w, slot);
         self.member_loop(&mut w, slot);
     }
 
@@ -712,10 +708,9 @@ impl<Z: EvacZone> EvacEngine<Z> {
             "seed_roots on a synchronous engine"
         );
         let mut w = self.slots[0].lock();
-        self.init_worker(&mut w, 0);
         seed(&mut |p| self.forward(&mut w, 0, p));
         // Publish the seeded tail: increments from any thread must see it.
-        self.flush_tails(&mut w, 0);
+        self.flush_tail(&mut w, 0);
         self.roots_seeded.store(true, Ordering::Release);
     }
 
@@ -745,9 +740,6 @@ impl<Z: EvacZone> EvacEngine<Z> {
             self.drain_inflight.fetch_sub(1, Ordering::SeqCst);
             return false;
         };
-        if w.tos.len() != self.zone.n_slots() {
-            self.init_worker(&mut w, slot);
-        }
         let mut budget = budget_words;
         let drained = loop {
             if budget == 0 {
@@ -759,8 +751,8 @@ impl<Z: EvacZone> EvacEngine<Z> {
             self.scan_span_bounded(&mut w, slot, span, &mut budget);
         };
         // The slot may be claimed by a different thread next: leave no work
-        // hidden in tails.
-        self.flush_tails(&mut w, slot);
+        // hidden in its tail.
+        self.flush_tail(&mut w, slot);
         drop(w);
         self.drain_inflight.fetch_sub(1, Ordering::SeqCst);
         drained
@@ -785,13 +777,10 @@ impl<Z: EvacZone> EvacEngine<Z> {
         }
         let slot = self.barrier_slot();
         let mut w = self.slots[slot].lock();
-        if w.tos.len() != self.zone.n_slots() {
-            self.init_worker(&mut w, slot);
-        }
         let res = self.forward(&mut w, slot, obj);
         // Flush after *every* operation: the barrier slot runs no member loop,
         // so an unflushed tail here would never be scanned.
-        self.flush_tails(&mut w, slot);
+        self.flush_tail(&mut w, slot);
         drop(w);
         if self.closed.load(Ordering::SeqCst) {
             // Finalize is draining toward quiescence: consume our own spill so
@@ -814,13 +803,10 @@ impl<Z: EvacZone> EvacEngine<Z> {
     /// Solo-drains the whole wavefront (own deque, tails, steals) on slot 0.
     fn drain_solo(&self) {
         let mut w = self.slots[0].lock();
-        if w.tos.len() != self.zone.n_slots() {
-            self.init_worker(&mut w, 0);
-        }
         while let Some(span) = self.next_span(&mut w, 0, true) {
             self.scan_span(&mut w, 0, span);
         }
-        self.flush_tails(&mut w, 0);
+        self.flush_tail(&mut w, 0);
     }
 
     /// Retires an incremental collection: drains the remaining wavefront to
@@ -873,13 +859,12 @@ impl<Z: EvacZone> EvacEngine<Z> {
         );
     }
 
-    // --- Merging. ------------------------------------------------------------
+    // --- Merging and retirement. --------------------------------------------
 
-    /// Merges every member's to-spaces into per-slot chunk lists. Within each
-    /// slot, *a* partially filled bump chunk is moved to the end of the list —
-    /// it becomes the heap's resume point; other members' partial chunks keep
-    /// their unused tails (bounded internal fragmentation, reclaimed at the
-    /// next collection).
+    /// Merges every member's to-space into one chunk list. *A* partially filled
+    /// bump chunk is moved to the end of the list — it becomes the owner's
+    /// resume point; other members' partial chunks keep their unused tails
+    /// (bounded internal fragmentation, reclaimed at the next collection).
     ///
     /// Call after [`EvacEngine::await_team`] (synchronous mode) or
     /// [`EvacEngine::finalize`] (incremental mode); the engine must be
@@ -889,64 +874,56 @@ impl<Z: EvacZone> EvacEngine<Z> {
             self.roots_seeded.load(Ordering::Acquire),
             "merging an evacuation whose roots were never seeded"
         );
-        let n_slots = self.zone.n_slots();
-        let mut copied_words = 0u64;
-        let mut inplace_words = 0u64;
-        let mut waste_words = 0u64;
-        let mut occupied_words = 0u64;
-        let mut steal_blocks = 0u64;
-        let mut per_slot: Vec<(Vec<ChunkId>, usize, Option<ChunkId>)> =
-            (0..n_slots).map(|_| (Vec::new(), 0, None)).collect();
+        let mut out = EvacOutcome::default();
+        let mut partial = None;
         for slot in self.slots.iter() {
             let mut w = slot.lock();
-            copied_words += w.copied_words;
-            inplace_words += w.inplace_words;
-            waste_words += w.waste_words;
-            steal_blocks += w.steal_blocks;
-            for (si, to) in w.tos.iter_mut().enumerate() {
-                let merged = &mut per_slot[si];
-                merged.0.append(&mut to.chunks);
-                merged.1 += to.words;
-                occupied_words += to.words as u64;
-                if let Some(cur) = to.current.take() {
-                    merged.2 = Some(cur.id());
-                }
+            out.copied_words += w.copied_words;
+            out.inplace_words += w.inplace_words;
+            out.waste_words += w.waste_words;
+            out.steal_blocks += w.steal_blocks;
+            out.chunks.append(&mut w.to.chunks);
+            out.occupied_words += w.to.words;
+            if let Some(cur) = w.to.current.take() {
+                partial = Some(cur.id());
             }
         }
         // To-space conservation: every occupying word is a copied survivor, an
         // in-place-promoted survivor, or an evacuation-race filler.
         debug_assert_eq!(
-            copied_words + inplace_words + waste_words,
-            occupied_words,
+            out.copied_words + out.inplace_words + out.waste_words,
+            out.occupied_words as u64,
             "to-space words unaccounted for"
         );
-        let per_slot = per_slot
-            .into_iter()
-            .map(|(mut chunks, words, partial)| {
-                // Resume-point invariant: heaps bump-allocate from the *last*
-                // chunk of the list, so make sure that is a partially filled
-                // bump chunk, not a full or dedicated chunk that happened to be
-                // merged after it. Constant-time swap_remove — the list is
-                // otherwise unordered, and the common single-member case
-                // already has the bump chunk last.
-                if let Some(cur) = partial {
-                    if chunks.last() != Some(&cur) {
-                        if let Some(pos) = chunks.iter().position(|&c| c == cur) {
-                            chunks.swap_remove(pos);
-                            chunks.push(cur);
-                        }
-                    }
+        // Resume-point invariant: heaps bump-allocate from the *last* chunk of
+        // the list, so make sure that is a partially filled bump chunk, not a
+        // full or dedicated chunk that happened to be merged after it.
+        // Constant-time swap_remove — the list is otherwise unordered, and the
+        // common single-member case already has the bump chunk last.
+        if let Some(cur) = partial {
+            if out.chunks.last() != Some(&cur) {
+                if let Some(pos) = out.chunks.iter().position(|&c| c == cur) {
+                    out.chunks.swap_remove(pos);
+                    out.chunks.push(cur);
                 }
-                (chunks, words)
-            })
-            .collect();
-        EvacOutcome {
-            per_slot,
-            copied_words,
-            inplace_words,
-            waste_words,
-            occupied_words,
-            steal_blocks,
+            }
+        }
+        out
+    }
+
+    /// Retires the collection's from-space chunks `old`. Their contents stay
+    /// readable until the store's reuse horizon passes (they enter the
+    /// quarantine — see `ChunkStore::reclaim_retired`), which keeps stale
+    /// `ObjPtr` copies held in Rust locals harmless: they resolve through
+    /// forwarding pointers on their next mutable access (DESIGN.md §2 and §5).
+    /// A chunk whose tag reads `ToSpace` was promoted in place (a dedicated
+    /// large-object chunk handed over wholesale): it is part of the merged
+    /// to-space and is not retired.
+    pub fn retire_from_space(&self, old: &[ChunkId]) {
+        for &c in old {
+            if self.store.chunk(c).gc_state(self.epoch) != ChunkGcState::ToSpace {
+                self.store.retire_chunk(c);
+            }
         }
     }
 }
@@ -968,23 +945,12 @@ mod tests {
         assert_eq!(unpack_span(raw), (ChunkId(7), 12, 400));
     }
 
-    /// A single-slot zone over one owner — the flat baselines' shape, reused
-    /// here to exercise the engine without a heap hierarchy.
-    struct TestZone {
-        store: Arc<ChunkStore>,
-        owner: u32,
-        hint: usize,
-    }
-
-    impl EvacZone for TestZone {
-        fn n_slots(&self) -> usize {
-            1
-        }
-        fn alloc_dedicated(&self, _slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
-            self.store.alloc_dedicated(self.owner, header)
-        }
-        fn alloc_chunk(&self, _slot: u16, min_words: usize) -> Arc<Chunk> {
-            self.store.alloc_chunk(self.owner, min_words.max(self.hint))
+    /// A to-space owned by the untracked, non-root heap `raw`.
+    fn owner(raw: u32) -> ToSpaceOwner {
+        ToSpaceOwner {
+            raw,
+            run_tag: 0,
+            root: false,
         }
     }
 
@@ -1026,23 +992,13 @@ mod tests {
     #[test]
     fn solo_synchronous_evacuation_preserves_the_graph() {
         let store = Arc::new(ChunkStore::new(256));
-        let owner = 9;
-        let (chunks, list) = build_list(&store, owner, 5);
+        let raw = 9;
+        let (chunks, list) = build_list(&store, raw, 5);
         let epoch = store.next_gc_epoch();
         for &c in &chunks {
-            store.chunk(c).set_gc_from_space(epoch, 0);
+            store.chunk(c).set_gc_from_space(epoch);
         }
-        let engine = EvacEngine::new(
-            TestZone {
-                store: Arc::clone(&store),
-                owner,
-                hint: 256,
-            },
-            Arc::clone(&store),
-            epoch,
-            1,
-            false,
-        );
+        let engine = EvacEngine::new(owner(raw), Arc::clone(&store), epoch, 1, false);
         let roots = Mutex::new(vec![list]);
         engine.run_trigger(|fwd| {
             for r in roots.lock().iter_mut() {
@@ -1053,33 +1009,78 @@ mod tests {
         let outcome = engine.merge();
         assert_eq!(outcome.copied_words, 5 * 5);
         assert_eq!(outcome.waste_words, 0);
-        assert_eq!(outcome.per_slot.len(), 1);
-        assert_eq!(outcome.per_slot[0].1, 25);
+        assert_eq!(outcome.occupied_words, 25);
         let new_root = roots.lock()[0];
         assert_ne!(new_root, list);
         assert_eq!(walk_tags(&store, new_root), vec![4, 3, 2, 1, 0]);
     }
 
     #[test]
-    fn incremental_evacuation_drains_in_bounded_slices() {
+    fn two_member_evacuation_merges_with_the_bump_chunk_last() {
+        const N: u64 = 2_000;
         let store = Arc::new(ChunkStore::new(256));
-        let owner = 11;
-        let (chunks, list) = build_list(&store, owner, 200);
+        let raw = 15;
+        let (mut chunks, list) = build_list(&store, raw, N);
+        // The list's tail points at a large array in a dedicated chunk: it is
+        // reached last and promoted in place, so the trigger's own chunk list
+        // ends with the dedicated chunk, not its bump chunk.
+        let big_header = Header::new(300, 0, ObjKind::ArrayData);
+        let (big_chunk, big) = store.alloc_dedicated(raw, big_header);
+        chunks.push(big_chunk.id());
+        let mut tail = list;
+        while !store.view(tail).field_ptr(1).is_null() {
+            tail = store.view(tail).field_ptr(1);
+        }
+        store.view(tail).set_field_ptr(0, big);
         let epoch = store.next_gc_epoch();
         for &c in &chunks {
-            store.chunk(c).set_gc_from_space(epoch, 0);
+            store.chunk(c).set_gc_from_space(epoch);
         }
-        let engine = EvacEngine::new(
-            TestZone {
-                store: Arc::clone(&store),
-                owner,
-                hint: 256,
-            },
-            Arc::clone(&store),
-            epoch,
-            1,
-            true,
+        let engine = EvacEngine::new(owner(raw), Arc::clone(&store), epoch, 2, false);
+        let roots = Mutex::new(vec![list]);
+        std::thread::scope(|s| {
+            s.spawn(|| engine.run_helper(1));
+            engine.run_trigger(|fwd| {
+                for r in roots.lock().iter_mut() {
+                    *r = fwd(*r);
+                }
+            });
+        });
+        engine.await_team();
+        let outcome = engine.merge();
+        assert_eq!(outcome.copied_words, N * 5);
+        assert_eq!(outcome.inplace_words, big_header.size_words() as u64);
+        assert_eq!(
+            outcome.occupied_words as u64,
+            outcome.copied_words + outcome.inplace_words + outcome.waste_words
         );
+        let new_root = roots.lock()[0];
+        assert_eq!(
+            walk_tags(&store, new_root),
+            (0..N).rev().collect::<Vec<_>>()
+        );
+        let mut new_tail = new_root;
+        while !store.view(new_tail).field_ptr(1).is_null() {
+            new_tail = store.view(new_tail).field_ptr(1);
+        }
+        assert_eq!(store.view(new_tail).field_ptr(0), big, "moved in place");
+        assert!(outcome.chunks.contains(&big_chunk.id()));
+        let last = *outcome.chunks.last().unwrap();
+        assert_ne!(last, big_chunk.id(), "the resume point is a bump chunk");
+        assert_eq!(store.chunk(last).capacity(), 256);
+        assert_eq!(store.chunk(last).gc_state(epoch), ChunkGcState::ToSpace);
+    }
+
+    #[test]
+    fn incremental_evacuation_drains_in_bounded_slices() {
+        let store = Arc::new(ChunkStore::new(256));
+        let raw = 11;
+        let (chunks, list) = build_list(&store, raw, 200);
+        let epoch = store.next_gc_epoch();
+        for &c in &chunks {
+            store.chunk(c).set_gc_from_space(epoch);
+        }
+        let engine = EvacEngine::new(owner(raw), Arc::clone(&store), epoch, 1, true);
         let roots = Mutex::new(vec![list]);
         engine.seed_roots(|fwd| {
             for r in roots.lock().iter_mut() {
@@ -1106,23 +1107,13 @@ mod tests {
     #[test]
     fn barrier_forward_evacuates_on_access_and_bounces_after_retirement() {
         let store = Arc::new(ChunkStore::new(256));
-        let owner = 13;
-        let (chunks, list) = build_list(&store, owner, 3);
+        let raw = 13;
+        let (chunks, list) = build_list(&store, raw, 3);
         let epoch = store.next_gc_epoch();
         for &c in &chunks {
-            store.chunk(c).set_gc_from_space(epoch, 0);
+            store.chunk(c).set_gc_from_space(epoch);
         }
-        let engine = EvacEngine::new(
-            TestZone {
-                store: Arc::clone(&store),
-                owner,
-                hint: 256,
-            },
-            Arc::clone(&store),
-            epoch,
-            1,
-            true,
-        );
+        let engine = EvacEngine::new(owner(raw), Arc::clone(&store), epoch, 1, true);
         let roots = Mutex::new(vec![list]);
         engine.seed_roots(|fwd| {
             for r in roots.lock().iter_mut() {

@@ -257,7 +257,7 @@ impl HeapJob {
 }
 
 /// A fire-and-forget boxed job that **frees itself** after execution. Used for GC
-/// team helper jobs (`Pool::run_gc_team`): the spawner does not wait for the job, so
+/// team helper jobs (`Worker::run_gc_team`): the spawner does not wait for the job, so
 /// nobody external can own the box — execution reconstitutes and drops it.
 ///
 /// Every spawned `OwnedJob` must eventually be executed exactly once; the pool

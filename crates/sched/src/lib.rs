@@ -57,9 +57,9 @@ pub mod queue;
 pub mod safepoint;
 pub mod team;
 
-pub use evac::{EvacEngine, EvacOutcome, EvacZone, SCAN_BLOCK_WORDS};
+pub use evac::{EvacEngine, EvacOutcome, ToSpaceOwner, SCAN_BLOCK_WORDS};
 pub use job::JobRef;
-pub use pool::{Pool, PoolWaker, SchedStats, Worker};
+pub use pool::{Pool, PoolId, PoolWaker, SchedStats, Worker};
 pub use queue::{Injector, JobQueue, Span, SpanDeque};
 pub use safepoint::Safepoints;
 pub use team::TeamSync;

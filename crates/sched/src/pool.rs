@@ -181,9 +181,26 @@ fn clear_current_worker() {
 /// Index of the calling thread within `pool`, if it is one of `pool`'s workers.
 #[inline]
 fn current_index(pool: &Arc<PoolInner>) -> Option<usize> {
-    CURRENT_WORKER
-        .with(|c| c.get())
-        .and_then(|(pool_id, index)| (pool_id == Arc::as_ptr(pool) as usize).then_some(index))
+    PoolId(Arc::as_ptr(pool) as usize).current_worker_index()
+}
+
+/// A pool's identity (see [`Pool::id`]): tells the pool's worker threads apart
+/// from every other thread without holding the pool, so state the pool's hooks
+/// keep alive can hold it without forming a cycle.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct PoolId(usize);
+
+impl PoolId {
+    /// Index (`0 .. n_workers`) of the calling thread if it is one of the pool's
+    /// workers, `None` on any other thread. One thread-local load: cheap enough
+    /// for per-operation use (the runtime picks its per-worker counter shard with
+    /// it).
+    #[inline]
+    pub fn current_worker_index(self) -> Option<usize> {
+        CURRENT_WORKER
+            .with(|c| c.get())
+            .and_then(|(pool, index)| (pool == self.0).then_some(index))
+    }
 }
 
 /// A handle to the worker thread currently executing, used to fork new work.
@@ -289,12 +306,65 @@ impl Worker {
         }
     }
 
-    /// The worker the calling thread is running on, if it is a pool worker.
-    pub fn current_in(pool: &Pool) -> Option<Worker> {
-        current_index(&pool.inner).map(|index| Worker {
-            pool: Arc::clone(&pool.inner),
+    /// The worker of this worker's pool that the calling thread is running on,
+    /// if any: how a fork branch, which may run on a thief, derives its own
+    /// handle from its forker's.
+    pub fn current_peer(&self) -> Option<Worker> {
+        current_index(&self.pool).map(|index| Worker {
+            pool: Arc::clone(&self.pool),
             index,
         })
+    }
+
+    /// Drafts up to `helpers` of the pool's workers into a collection team (GC
+    /// v2): this worker runs `work(0)` inline as team member 0, and `helpers`
+    /// fire-and-forget jobs calling `work(1) .. work(helpers)` are injected for
+    /// idle workers to pick up. Every parked worker is woken so a sleeping pool
+    /// joins the collection instead of sleeping through it.
+    ///
+    /// Helpers are **best-effort**: a worker busy with mutator tasks simply never
+    /// takes its helper job, and a job executed after the collection finished must
+    /// return immediately — `work` is responsible for that (the collectors gate on
+    /// a team-done flag; see `hh_sched::TeamSync`). The jobs own their closures
+    /// ([`OwnedJob`]); any still queued when the pool shuts down are executed (and
+    /// thereby freed) by the shutdown drain.
+    pub fn run_gc_team(&self, helpers: usize, work: Arc<dyn Fn(usize) + Send + Sync>) {
+        // Bound the injector backlog: a saturated pool visits the injector rarely,
+        // so frequent collections could otherwise pile up thousands of stale
+        // helper jobs, each pinning its team's shared state until executed. Past
+        // the cap the team simply runs with fewer helpers — a pool that busy
+        // would not have drafted any anyway.
+        let backlog_cap = 2 * self.pool.queues.len();
+        let mut injected = 0;
+        for slot in 1..=helpers {
+            if self.pool.gc_helper_jobs.load(Ordering::Relaxed) >= backlog_cap {
+                break;
+            }
+            self.pool.gc_helper_jobs.fetch_add(1, Ordering::Relaxed);
+            let w = Arc::clone(&work);
+            let inner = Arc::clone(&self.pool);
+            self.pool.injector.push(OwnedJob::spawn(Box::new(move || {
+                // Release the backlog slot on drop, not fall-through: helper
+                // work can panic (an injected fault inside a collection), and
+                // a skipped decrement would permanently shrink the backlog cap
+                // and trip the shutdown drain's leak assertion.
+                struct BacklogSlot(Arc<PoolInner>);
+                impl Drop for BacklogSlot {
+                    fn drop(&mut self) {
+                        self.0.gc_helper_jobs.fetch_sub(1, Ordering::Relaxed);
+                    }
+                }
+                let _slot = BacklogSlot(inner);
+                w(slot);
+            })));
+            injected += 1;
+        }
+        if injected > 0 {
+            // Parked workers are exactly the ones we want: they have no mutator
+            // work, so draft them all.
+            self.pool.wake_all();
+        }
+        work(0);
     }
 }
 
@@ -368,17 +438,9 @@ impl Pool {
         self.inner.queues.len()
     }
 
-    /// Index (`0 .. n_workers`) of the calling thread if it is one of this pool's
-    /// workers, `None` on any other thread. One thread-local load: cheap enough for
-    /// per-operation use (the runtime picks its per-worker counter shard with it).
-    #[inline]
-    pub fn current_worker_index(&self) -> Option<usize> {
-        current_index(&self.inner)
-    }
-
-    /// Total number of successful steals so far (scheduler statistic).
-    pub fn steal_count(&self) -> usize {
-        self.inner.steals.load(Ordering::Relaxed)
+    /// This pool's identity.
+    pub fn id(&self) -> PoolId {
+        PoolId(Arc::as_ptr(&self.inner) as usize)
     }
 
     /// Number of workers currently announced as sleepers.
@@ -413,60 +475,6 @@ impl Pool {
         let _ = self.inner.steal_hook.set(Arc::new(hook));
     }
 
-    /// Drafts up to `helpers` pool workers into a collection team (GC v2): the
-    /// calling thread runs `work(0)` inline as team member 0, and `helpers`
-    /// fire-and-forget jobs calling `work(1) .. work(helpers)` are injected for idle
-    /// workers to pick up. Every parked worker is woken so a sleeping pool joins the
-    /// collection instead of sleeping through it.
-    ///
-    /// Helpers are **best-effort**: a worker busy with mutator tasks simply never
-    /// takes its helper job, and a job executed after the collection finished must
-    /// return immediately — `work` is responsible for that (the collectors gate on a
-    /// team-done flag; see `hh_sched::TeamSync`). The jobs own their closures
-    /// ([`OwnedJob`]); any still queued when the pool shuts down are executed (and
-    /// thereby freed) by the shutdown drain.
-    ///
-    /// May be called from a pool worker (the common case: a collection triggered
-    /// inside a task) or from an external thread.
-    pub fn run_gc_team(&self, helpers: usize, work: Arc<dyn Fn(usize) + Send + Sync>) {
-        // Bound the injector backlog: a saturated pool visits the injector rarely,
-        // so frequent collections could otherwise pile up thousands of stale
-        // helper jobs, each pinning its team's shared state until executed. Past
-        // the cap the team simply runs with fewer helpers — a pool that busy
-        // would not have drafted any anyway.
-        let backlog_cap = 2 * self.inner.queues.len();
-        let mut injected = 0;
-        for slot in 1..=helpers {
-            if self.inner.gc_helper_jobs.load(Ordering::Relaxed) >= backlog_cap {
-                break;
-            }
-            self.inner.gc_helper_jobs.fetch_add(1, Ordering::Relaxed);
-            let w = Arc::clone(&work);
-            let inner = Arc::clone(&self.inner);
-            self.inner.injector.push(OwnedJob::spawn(Box::new(move || {
-                // Release the backlog slot on drop, not fall-through: helper
-                // work can panic (an injected fault inside a collection), and
-                // a skipped decrement would permanently shrink the backlog cap
-                // and trip the shutdown drain's leak assertion.
-                struct BacklogSlot(Arc<PoolInner>);
-                impl Drop for BacklogSlot {
-                    fn drop(&mut self) {
-                        self.0.gc_helper_jobs.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                let _slot = BacklogSlot(inner);
-                w(slot);
-            })));
-            injected += 1;
-        }
-        if injected > 0 {
-            // Parked workers are exactly the ones we want: they have no mutator
-            // work, so draft them all.
-            self.inner.wake_all();
-        }
-        work(0);
-    }
-
     /// A handle that can wake all parked workers (see [`PoolWaker`]).
     pub fn waker(&self) -> PoolWaker {
         PoolWaker {
@@ -485,7 +493,7 @@ impl Pool {
         F: FnOnce(&Worker) -> R + Send,
     {
         assert!(
-            Worker::current_in(self).is_none(),
+            current_index(&self.inner).is_none(),
             "Pool::run called from inside the pool; use Worker::join for nested work"
         );
         let result: Mutex<Option<std::thread::Result<R>>> = Mutex::new(None);
@@ -521,10 +529,20 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
+        // A worker cannot join itself: the pool's owner drops it, so a hook or
+        // job that could make a worker the last owner is a bug.
+        debug_assert!(
+            current_index(&self.inner).is_none(),
+            "a pool dropped on one of its own workers"
+        );
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.wake_all();
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            // Worker loops run every job under the panic shield, so a worker
+            // thread that unwinds anyway is counted, not re-raised in a drop.
+            if h.join().is_err() {
+                self.inner.worker_panics.fetch_add(1, Ordering::Relaxed);
+            }
         }
         // Drain leftover injected jobs. These can only be self-owning GC helper
         // jobs whose team already finished (`Pool::run` blocks until its job has
@@ -623,6 +641,22 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
+    /// The worker of `pool` the calling thread is running on.
+    fn current_in(pool: &Pool) -> Worker {
+        Worker {
+            pool: Arc::clone(&pool.inner),
+            index: current_index(&pool.inner).expect("on a pool worker"),
+        }
+    }
+
+    /// A handle to `pool` for a thread outside it, to draft GC teams from.
+    fn outside_worker(pool: &Pool) -> Worker {
+        Worker {
+            pool: Arc::clone(&pool.inner),
+            index: 0,
+        }
+    }
+
     /// Fork/join fib. The current worker is re-derived inside each branch (as the
     /// real runtimes do): a *stolen* branch executes on a different worker, and using
     /// a captured parent `Worker` there would push onto the victim's deque from the
@@ -634,7 +668,7 @@ mod tests {
         if n < 12 {
             return fib_seq(n);
         }
-        let w = Worker::current_in(pool).expect("fib must run on a pool worker");
+        let w = current_in(pool);
         let (a, b) = w.join(|| fib(pool, n - 1), || fib(pool, n - 2));
         a + b
     }
@@ -658,7 +692,7 @@ mod tests {
             std::thread::yield_now();
             return v % 2;
         }
-        let w = Worker::current_in(pool).expect("on a pool worker");
+        let w = current_in(pool);
         let (a, b) = w.join(
             || steal_prone_tree(pool, depth - 1),
             || steal_prone_tree(pool, depth - 1),
@@ -696,7 +730,7 @@ mod tests {
             // The only worker is pinned inside the job above, so every drafted
             // helper slot (backlog cap = 2 × pool size) stays on the injector.
             let counter = Arc::clone(&ran);
-            pool.run_gc_team(
+            outside_worker(&pool).run_gc_team(
                 4,
                 Arc::new(move |slot| {
                     if slot > 0 {
@@ -786,7 +820,7 @@ mod tests {
                 std::thread::yield_now();
                 return 0;
             }
-            let w = Worker::current_in(pool).expect("on a pool worker");
+            let w = current_in(pool);
             let (a, b) = w.join_context(
                 || probe(pool, depth - 1),
                 |stolen| probe(pool, depth - 1) + usize::from(stolen),
@@ -828,7 +862,7 @@ mod tests {
         for attempt in 0..10 {
             let r = pool.run(|_| steal_prone_tree(&pool, 6));
             assert_eq!(r, 0, "fib_seq(18) is even, so every leaf contributes 0");
-            if pool.steal_count() > 0 {
+            if pool.sched_stats().steals > 0 {
                 return;
             }
             std::thread::sleep(Duration::from_millis(10 * attempt));
@@ -850,7 +884,7 @@ mod tests {
             assert_eq!(r, 0);
             let observed = hits.load(Ordering::Relaxed);
             if observed > 0 {
-                assert_eq!(observed, pool.steal_count());
+                assert_eq!(observed, pool.sched_stats().steals);
                 return;
             }
             std::thread::sleep(Duration::from_millis(10 * attempt));
@@ -941,7 +975,7 @@ mod tests {
         // there is no joining frame to propagate it to.
         let pool = Pool::new(2);
         let inner = Arc::clone(&pool.inner);
-        pool.run_gc_team(
+        outside_worker(&pool).run_gc_team(
             2,
             Arc::new(|slot| {
                 if slot > 0 {

@@ -2,7 +2,7 @@
 //!
 //! A *GC team* is the set of threads cooperating on one collection: the thread that
 //! triggered it (always member 0) plus any drafted helpers — idle pool workers that
-//! picked up a helper job ([`crate::Pool::run_gc_team`]) or mutators parked at a
+//! picked up a helper job ([`crate::Worker::run_gc_team`]) or mutators parked at a
 //! stop-the-world safepoint ([`crate::Safepoints::begin_pause_work`]). Helpers are
 //! **best-effort**: the collection must complete with whichever members actually
 //! arrive, and a helper arriving after the work is done must get out of the way

@@ -538,7 +538,6 @@ mod tests {
             generation: 1 + owner,
             retired: owner == 1,
             gc_epoch: 3,
-            gc_slot: 2 * owner as u16,
             gc_from: owner == 1,
             gc_to: owner == 0,
         };
@@ -567,8 +566,8 @@ mod tests {
             "window open: true, finalizing: false, epoch 3",
             "field 5 in heap HeapId(0) (depth 1)",
             "non-ancestor heap HeapId(1) (depth 2)",
-            "chunk 2 (owner 0, run_tag 7, gen 1, active, gc epoch 3 slot 0 TO)",
-            "chunk 4 (owner 1, run_tag 8, gen 2, retired, gc epoch 3 slot 2 FROM)",
+            "chunk 2 (owner 0, run_tag 7, gen 1, active, gc epoch 3 TO)",
+            "chunk 4 (owner 1, run_tag 8, gen 2, retired, gc epoch 3 FROM)",
         ] {
             assert!(text.contains(key), "missing {key:?} in {text}");
         }
