@@ -171,7 +171,8 @@ run_stats! {
         /// (hierarchical runtime only; 0 elsewhere).
         heaps_elided: u64,
         /// Successful work steals observed by the scheduler. Resettable on the
-        /// hierarchical runtime (fed by the on-steal hook); pool-lifetime on the baselines.
+        /// hierarchical runtime (counted by each stolen branch); pool-lifetime on the
+        /// baselines.
         sched_steals: u64,
         /// Words copied by garbage collections (survivors).
         gc_copied_words: u64,

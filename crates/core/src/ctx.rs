@@ -42,11 +42,11 @@ impl RootFrame {
 /// either **owns** its heap (the root task, a stolen branch, or any branch in eager
 /// mode — the heap was created for this task and joins its parent when the task
 /// ends) or **borrows** the parent's heap (an unstolen branch, which runs
-/// sequentially on the forking worker). Owners collect on threshold between their
-/// joins; borrowers collect the shared heap only while no stolen task is in flight
-/// (the steal gate), using the heap domain's shared shadow stack as the root set.
-/// See the `RootFrame` and `HhCtx::with_quiescent_heap` internals and DESIGN.md
-/// §4.2 / §5.
+/// sequentially on the forking worker). Either collects the heap on threshold only
+/// while no stolen child of the heap is in flight (the heap's steal gate), using the
+/// heap domain's shared shadow stack as the root set; an owner between its joins
+/// always qualifies. See the `RootFrame` and `HhCtx::with_quiescent_heap` internals
+/// and DESIGN.md §4.2 / §5.
 pub struct HhCtx {
     inner: Arc<Inner>,
     heap: HeapId,
@@ -173,9 +173,11 @@ impl HhCtx {
     ///
     /// On a task that owns its heap this always collects (between its joins nothing
     /// else can reach the heap). On a task that *borrows* its heap (lazy policy),
-    /// the collection is best-effort: an in-flight stolen task may be reading this
-    /// heap lock-free as one of its ancestors, so the call is skipped — never run
-    /// unsoundly — unless the steal gate is free. Returns `true` if a collection ran.
+    /// the collection is best-effort: a stolen sibling still in flight may be
+    /// reading this heap lock-free as one of its ancestors, so the call is skipped —
+    /// never run unsoundly — unless the heap's steal gate is free. Stolen tasks
+    /// elsewhere, under other heaps or in other runs, never block it. Returns `true`
+    /// if a collection ran.
     pub fn force_collect(&self) -> bool {
         self.with_quiescent_heap(|heap, roots| self.inner.collect_heap(&self.worker, heap, roots))
     }
@@ -191,28 +193,27 @@ impl HhCtx {
     /// zone is this one heap: a child heap joins its parent when its task ends, so a
     /// heap whose collector may run has no live descendant (DESIGN.md §4.2, §5.3).
     ///
-    /// An owner sits between its joins: every child has joined, and no concurrent
-    /// task has this heap on its ancestor path. A borrower needs the steal gate
-    /// exclusively (`try_write`, never a blocking `write`, which would deadlock a
-    /// caller beneath a stolen task holding the read side): no stolen task is in
-    /// flight anywhere — each holds the gate's read side for its whole run, joins
-    /// its heap before releasing it, and could be reading this heap as an ancestor
-    /// — and none starts until the gate drops. Everything else of the domain runs
-    /// on this worker's thread, suspended beneath this frame, and its pins all live
-    /// in the shared frame. Ancestors above the owner cannot hold pointers into a
-    /// heap created after their frames suspended, and no heap outside the domain can
+    /// Owners and borrowers follow one rule: the collector needs its heap's steal
+    /// gate exclusively (`try_write`: while a stolen child runs, the collection is
+    /// skipped, never waited for). Every stolen child of the heap holds the read
+    /// side for its whole run and joins its heap before releasing it; a stolen
+    /// grandchild holds its own parent's gate, whose owner in turn holds this one
+    /// until every join beneath it returns. So while the gate is held no task
+    /// beneath this heap runs elsewhere, and none starts until it drops. Between its
+    /// joins an owner finds the gate free. Everything else of the domain runs on
+    /// this worker's thread, suspended beneath this frame, and its pins all live in
+    /// the shared frame. Ancestors above the owner cannot hold pointers into a heap
+    /// created after their frames suspended, and no heap outside the domain can
     /// point into it (that would be entanglement).
     fn with_quiescent_heap(&self, collect: impl FnOnce(HeapId, &mut [ObjPtr])) -> bool {
-        let _gate = if self.owns_heap {
-            None
-        } else {
-            match self.inner.steal_gate.try_write() {
-                Ok(gate) => Some(gate),
-                Err(TryLockError::Poisoned(gate)) => Some(gate.into_inner()),
-                Err(TryLockError::WouldBlock) => return false,
-            }
-        };
         let heap = self.inner.registry.resolve(self.heap);
+        // The gate a thief holds is its parent's, looked up unresolved: the same
+        // heap, because a heap joins its parent only once its owning branch ended.
+        debug_assert_eq!(heap, self.heap, "a live task's heap has joined its parent");
+        let _gate = match self.inner.registry.heap(heap).steal_gate.try_write() {
+            Err(TryLockError::WouldBlock) => return false,
+            held => held,
+        };
         collect(heap, &mut self.frame.pins.lock());
         true
     }
@@ -232,8 +233,9 @@ struct Fork<'a> {
 /// was `stolen`). In eager mode, or when the branch was stolen, it runs in a fresh
 /// child heap of the forker's heap that joins it when the branch ends — on return
 /// and on unwind alike, and, for a stolen branch, before the branch releases the
-/// steal gate. Otherwise it borrows the forker's heap, on the domain's shadow
-/// stack. `elided` counts the fork's child heaps that were never created.
+/// forker's heap's steal gate. Otherwise it borrows the forker's heap, on the
+/// domain's shadow stack. `elided` counts the fork's child heaps that were never
+/// created.
 fn run_branch<R>(fork: &Fork<'_>, stolen: bool, elided: u64, f: impl FnOnce(&HhCtx) -> R) -> R {
     let Fork {
         inner,
@@ -259,14 +261,12 @@ fn run_branch<R>(fork: &Fork<'_>, stolen: bool, elided: u64, f: impl FnOnce(&HhC
             run_ctl.clone(),
         ));
     }
-    // A stolen branch holds the steal gate (shared) for its whole run: it reads
-    // its ancestor heaps lock-free, so borrowers must not collect them while it
-    // is in flight (see `HhCtx::with_quiescent_heap`).
+    // A stolen branch holds its parent heap's steal gate (shared) for its whole
+    // run: it reads its ancestor heaps lock-free, so the parent must not be
+    // collected while it is in flight (see `HhCtx::with_quiescent_heap`).
     let _gate = stolen.then(|| {
-        inner
-            .steal_gate
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        counters.sched_steals.fetch_add(1, Ordering::Relaxed);
+        inner.registry.heap(parent).steal_gate.read()
     });
     counters.heaps_created.fetch_add(1, Ordering::Relaxed);
     /// `joinHeap` at the end of the branch's task (Figure 5).
@@ -399,8 +399,8 @@ impl ParCtx for HhCtx {
         // forkjoin. Eager mode gives every branch a fresh child heap. The lazy
         // steal-time policy creates none up front: the left branch always runs
         // inline on this worker and continues in the parent's heap; the right
-        // branch learns from the scheduler whether it was stolen (the on-steal
-        // hook) — if so, the *thief* creates its child heap, paying the heap cost
+        // branch learns from the scheduler whether it was stolen (`join_context`'s
+        // flag) — if so, the *thief* creates its child heap, paying the heap cost
         // only where parallelism actually happened; if not, it runs after the left
         // branch, also in the parent's heap, and the fork was heap-free.
         let eager = !self.inner.config.lazy_child_heaps;

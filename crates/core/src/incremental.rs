@@ -44,11 +44,11 @@
 //! value barrier (`Inner::gc_barrier_value` in `write_ptr`), and every pin they
 //! take is forwarded at `pin` time — so nothing reachable from a frame younger
 //! than the window can keep a from-space address past retirement. Frames *older*
-//! than the window cannot hold zone pointers: an owner starts with no live
-//! descendants (it sits between its joins), and a borrower starts only under a
-//! momentary exclusive steal-gate acquisition (no stolen task in flight, and every
-//! stolen task's heap already joined), exactly the sync collector's quiescence
-//! argument — but held only for the seed pause.
+//! than the window cannot hold zone pointers: owner and borrower alike start only
+//! under a momentary exclusive acquisition of the heap's steal gate (no stolen
+//! child of the heap in flight, and every stolen child's heap already joined; an
+//! owner, between its joins, always gets it), exactly the sync collector's
+//! quiescence argument — but held only for the seed pause.
 //! Unpinned Rust locals keep the established semantics: readable until the reuse
 //! horizon, rescued by a later collection's quarantine walk if still reachable.
 
@@ -140,8 +140,8 @@ impl Inner {
         // Evacuate the pins — the only part of the live set the mutator waits
         // for. Publication order: barriers must be fully armed (epoch, engine,
         // then the flag, Release) before any *other* thread can reach a
-        // from-space object; until this function returns none can (owner: no
-        // live descendants; borrower: steal gate held by the caller).
+        // from-space object; until this function returns none can (the caller
+        // holds the heap's steal gate: no live descendant, no stolen child).
         engine.seed_roots(|fwd| {
             for r in roots.iter_mut() {
                 *r = fwd(*r);

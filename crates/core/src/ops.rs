@@ -493,10 +493,7 @@ impl Inner {
 mod tests {
     use crate::{HhConfig, HhRuntime};
     use hh_api::{ParCtx, Runtime};
-    use hh_heaps::HeapId;
     use hh_objmodel::{Header, ObjKind, ObjPtr};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Arc;
 
     /// A CAS that took effect must be reported as such when a promotion overtakes
     /// it. Two threads race per round: one CAS-adds into `x`, retrying on failure
@@ -610,6 +607,9 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn panic_inside_a_bulk_op_on_a_forwarded_object_releases_the_heap_lock() {
+        use hh_heaps::HeapId;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::Arc;
         let rt = HhRuntime::new(HhConfig::eager_heaps(2));
         let inner = rt.inner();
         let reg = &inner.registry;

@@ -21,12 +21,6 @@ pub(crate) struct Inner {
     /// One shard per pool worker plus one for outside threads; operations count
     /// into [`Inner::shard`].
     pub(crate) counters: Counters,
-    /// The steal gate of the lazy heap policy: every *stolen* branch holds a read
-    /// lock for its whole execution, and a task that borrows its heap may collect it
-    /// only under `try_write` — i.e. only while no stolen task (which could be
-    /// reading this heap as one of its ancestors) is in flight, with new steals
-    /// blocking for the (short) duration of the collection. See DESIGN.md §4.2.
-    pub(crate) steal_gate: std::sync::RwLock<()>,
     /// True while an incremental collection window is open (GC v3). The write
     /// barrier's per-operation test: one atomic load, behind a plain
     /// `config.incremental_gc` test so the A6 shape pays nothing.
@@ -283,7 +277,6 @@ impl HhRuntime {
             registry,
             pool: pool.id(),
             counters: Counters::new(pool.n_workers()),
-            steal_gate: std::sync::RwLock::new(()),
             incremental_active: std::sync::atomic::AtomicBool::new(false),
             active_gc: parking_lot::Mutex::new(None),
             active_gc_epoch: std::sync::atomic::AtomicU64::new(0),
@@ -294,20 +287,6 @@ impl HhRuntime {
                 .collect(),
             config,
         });
-        // The scheduler's on-steal hook: count steals into the thief's shard of the
-        // runtime's resettable statistics. (The per-fork steal observation that
-        // drives lazy heap creation flows through `Worker::join_context` in
-        // `HhCtx::join` instead.)
-        {
-            let inner = Arc::clone(&inner);
-            pool.set_steal_hook(move |thief, _victim| {
-                inner
-                    .counters
-                    .shard(Some(thief))
-                    .sched_steals
-                    .fetch_add(1, Ordering::Relaxed);
-            });
-        }
         if inner.config.incremental_gc {
             // Idle workers drain increments of an open window instead of
             // spinning: the collection makes progress on cycles that would
@@ -471,7 +450,7 @@ impl Runtime for HhRuntime {
         let store_stats = self.inner.registry.store().stats();
         let mut stats = self.inner.counters.snapshot(&store_stats);
         // Parking statistics live in the pool (cumulative over its lifetime); steals
-        // are counted through the on-steal hook so they reset with the other counters.
+        // are counted by each stolen branch, so they reset with the other counters.
         let sched = self.pool.sched_stats();
         stats.sched_parks = sched.parks as u64;
         stats.sched_wakes = sched.wakes as u64;

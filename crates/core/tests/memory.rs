@@ -209,9 +209,8 @@ fn borrower_collects_subtree_spanning_completed_descendant() {
                         return false; // bail out rather than hang the suite
                     }
                 }
-                // Retry: the gate stays closed until the right branch has joined
-                // its heap and returned, and closes again if another steal is in
-                // flight.
+                // Retry: the heap's gate stays closed until the right branch has
+                // joined its heap and returned.
                 let mut tries = 0;
                 while !c.force_collect() {
                     std::thread::yield_now();
@@ -248,6 +247,110 @@ fn borrower_collects_subtree_spanning_completed_descendant() {
     );
     assert_eq!(rt.check_disentangled(), 0);
     assert_store_drained(&rt);
+}
+
+/// Spins (yielding, so a one-CPU host runs the other worker) until `flag` is set;
+/// fails the test after a minute rather than hang it.
+fn wait_for(flag: &AtomicBool) {
+    let start = std::time::Instant::now();
+    while !flag.load(Ordering::Acquire) {
+        assert!(
+            start.elapsed().as_secs() < 60,
+            "the awaited branch never ran"
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// A borrower beneath a stolen task collects: the gate it needs is its own
+/// heap's, which no stolen task holds, not the one the stolen task holds on its
+/// parent's heap for its whole run.
+///
+/// Shape: fork(left, right) at the root. The left branch spins until the right
+/// one runs, which it can only do stolen, on the other worker; so the spinning
+/// worker never steals the right branch's own fork. The right branch forks, and
+/// its unstolen left child, borrowing the stolen branch's heap, forces a
+/// collection.
+#[test]
+fn borrower_beneath_a_stolen_task_collects() {
+    let rt = HhRuntime::new(HhConfig {
+        n_workers: 2,
+        gc_threshold_words: 1 << 20,
+        ..Default::default()
+    });
+    let done = &AtomicBool::new(false);
+    let (borrowed, collected) = rt.run(|ctx| {
+        let ((), right) = ctx.join(
+            |_| wait_for(done),
+            |c| {
+                assert!(c.owns_heap(), "the right branch runs only stolen");
+                let keep = c.alloc_data_array(4);
+                c.write_nonptr(keep, 3, 9);
+                c.pin(keep);
+                let (collected, ()) = c.join(|b| (!b.owns_heap(), b.force_collect()), |_| ());
+                assert_eq!(c.read_mut(keep, 3), 9, "the pinned object survives");
+                c.unpin(keep);
+                done.store(true, Ordering::Release);
+                collected
+            },
+        );
+        right
+    });
+    assert!(borrowed, "the forced collection ran on a borrower");
+    assert!(
+        collected,
+        "a borrower beneath a stolen task never collected"
+    );
+    assert!(rt.stats().gc_count >= 1);
+}
+
+/// Another tenant's stolen task does not block a borrower's collection.
+///
+/// Tenant A's right branch is stolen and parks until it is released; A's left
+/// branch waits for that, then returns, so its worker helps while A's join waits.
+/// Tenant B's run, started only then, executes from that help loop, and B's
+/// borrower forces a collection while A's stolen task is still in flight.
+#[test]
+fn another_tenants_stolen_task_does_not_block_a_borrower() {
+    let rt = HhRuntime::new(HhConfig {
+        n_workers: 2,
+        gc_threshold_words: 1 << 20,
+        ..Default::default()
+    });
+    let parked = AtomicBool::new(false);
+    let release = AtomicBool::new(false);
+    let collected = std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            rt.run(|ctx| {
+                ctx.join(
+                    |_| wait_for(&parked),
+                    |c| {
+                        assert!(c.owns_heap(), "A's right branch runs only stolen");
+                        parked.store(true, Ordering::Release);
+                        wait_for(&release);
+                    },
+                )
+            })
+        });
+        wait_for(&parked);
+        let collected = rt.run(|ctx| {
+            let (collected, ()) = ctx.join(
+                |c| {
+                    assert!(!c.owns_heap(), "B's left branch borrows B's heap");
+                    c.force_collect()
+                },
+                |_| (),
+            );
+            collected
+        });
+        release.store(true, Ordering::Release);
+        a.join().unwrap();
+        collected
+    });
+    assert!(
+        collected,
+        "a stolen task of another run blocked the borrower"
+    );
 }
 
 /// At P workers (`HH_WORKERS`, default 2), runs that steal, abort and panic leave

@@ -52,9 +52,9 @@ pub struct HeapStats {
 ///
 /// The fields fall into three groups by who writes them, each kept off the others'
 /// cache lines (DESIGN.md §6.8): the read-mostly **identity**; the **promotion side**
-/// — the lock word, the promoters' bump cursor and the promoted-in accounting,
-/// written by promoters into this heap — and the **owner side**, the owner's bump cursor
-/// and accounting. Allocation takes no lock: each side bumps its own chunk, and the
+/// — the lock word, the steal gate, the promoters' bump cursor and the promoted-in
+/// accounting, written by promoters into this heap and by its stolen children — and
+/// the **owner side**, the owner's bump cursor and accounting. Allocation takes no lock: each side bumps its own chunk, and the
 /// chunk-list mutex is taken only to refill either cursor.
 #[repr(C)]
 pub struct Heap {
@@ -73,9 +73,14 @@ pub struct Heap {
 
     // -- Promotion side: written by promoters into this heap, under its WRITE lock
     // or, for one-object promotions, its READ lock (and reset by the collector's
-    // flip).
+    // flip), and by this heap's stolen children (the steal gate).
     /// The paper's per-heap readers–writer lock.
     pub lock: HeapRwLock,
+    /// The steal gate of the lazy heap policy: a stolen child of this heap holds
+    /// the read side for its whole run, and a collector of this heap needs the
+    /// write side (`try_write`). It guards no data, so a poisoned gate is held like
+    /// a clean one. See DESIGN.md §4.2.
+    pub steal_gate: std::sync::RwLock<()>,
     /// Raw id of the chunk promotions ([`BatchAlloc`]) bump into (always also in
     /// `chunks`), or [`NO_CHUNK`]. Changes only under the `chunks` mutex.
     promo_current: AtomicU32,
@@ -127,6 +132,7 @@ impl Heap {
             merged_into: AtomicU32::new(HeapId::NONE.raw()),
             _identity_end: LinePad::default(),
             lock: HeapRwLock::new(),
+            steal_gate: std::sync::RwLock::new(()),
             promo_current: AtomicU32::new(NO_CHUNK),
             promoted_words: AtomicUsize::new(0),
             promoted_objects: AtomicUsize::new(0),
@@ -730,6 +736,10 @@ mod tests {
         ]);
         let promotion = range(&[
             (offset_of!(Heap, lock), size_of::<HeapRwLock>()),
+            (
+                offset_of!(Heap, steal_gate),
+                size_of::<std::sync::RwLock<()>>(),
+            ),
             (offset_of!(Heap, promo_current), size_of::<AtomicU32>()),
             (offset_of!(Heap, promoted_words), size_of::<AtomicUsize>()),
             (offset_of!(Heap, promoted_objects), size_of::<AtomicUsize>()),

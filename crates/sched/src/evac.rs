@@ -604,7 +604,7 @@ impl EvacEngine {
         if !steal {
             return None;
         }
-        let (_, span) = steal_other(&self.deques, slot, &mut w.rng)?;
+        let span = steal_other(&self.deques, slot, &mut w.rng)?;
         w.steal_blocks += 1;
         Some(span)
     }

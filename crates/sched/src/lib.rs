@@ -14,9 +14,9 @@
 //! * [`Worker::join`] / [`Worker::join_context`], the work-first fork/join primitive:
 //!   the left closure runs inline, the right lives in a **stack-resident job** (no
 //!   heap allocation on the unstolen fast path) pushed onto the current worker's
-//!   deque. `join_context` hands the right branch a `stolen` flag — the on-steal hook
-//!   through which upper layers pay steal-only costs, like the hierarchical runtime's
-//!   lazy child-heap creation;
+//!   deque. `join_context` hands the right branch a `stolen` flag through
+//!   which upper layers pay steal-only costs, like the hierarchical runtime's lazy
+//!   child-heap creation and its steal count;
 //! * a parking-based idle protocol: pushes wake at most one sleeper (and only when the
 //!   sleeper counter says someone is parked), idle workers spin briefly over
 //!   randomized steal victims and then park on a condvar; wake tokens close the

@@ -19,7 +19,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 type IdleHook = Box<dyn Fn(usize) + Send + Sync>;
-type StealHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
 /// How many fruitless scan rounds an idle worker spins through before it announces
 /// itself as a sleeper and parks. Each round scans every victim once.
@@ -63,7 +62,6 @@ struct PoolInner {
     sleep: Mutex<SleepState>,
     sleep_cv: Condvar,
     idle_hook: OnceLock<IdleHook>,
-    steal_hook: OnceLock<StealHook>,
     /// Per-worker xorshift state for randomized victim selection. Atomic only to be
     /// shareable; each worker touches its own.
     rng: Vec<AtomicU64>,
@@ -114,11 +112,8 @@ impl PoolInner {
         let mut rng = self.rng[me].load(Ordering::Relaxed);
         let stolen = steal_other(&self.queues, me, &mut rng);
         self.rng[me].store(rng, Ordering::Relaxed);
-        let (victim, j) = stolen?;
+        let j = stolen?;
         self.steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(hook) = self.steal_hook.get() {
-            hook(me, victim);
-        }
         Some(j)
     }
 
@@ -237,9 +232,9 @@ impl Worker {
     /// stack-resident job — **no heap allocation happens on this path**. If nobody
     /// steals `fb`, the current worker pops it back and runs it inline with
     /// `stolen == false` (the common, cheap case the paper's scheduler optimizes
-    /// for); if a thief took it, the thief runs it with `stolen == true` — this is the
-    /// on-steal hook through which upper layers observe steals (the hierarchical
-    /// runtime creates child heaps there, lazily) — while the current worker *helps*:
+    /// for); if a thief took it, the thief runs it with `stolen == true` — this flag is
+    /// how upper layers observe steals (the hierarchical runtime creates child heaps
+    /// and counts steals there, lazily) — while the current worker *helps*:
     /// executing other local jobs or stealing elsewhere until `fb`'s latch is set.
     /// Panics in either branch are re-raised here after both branches have finished,
     /// so the scheduler never leaks a running job that borrows a dead frame.
@@ -409,7 +404,6 @@ impl Pool {
             sleep: Mutex::new(SleepState::default()),
             sleep_cv: Condvar::new(),
             idle_hook: OnceLock::new(),
-            steal_hook: OnceLock::new(),
             rng: (0..n)
                 .map(|i| AtomicU64::new(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(i as u64 + 1)))
                 .collect(),
@@ -464,15 +458,6 @@ impl Pool {
     /// Set-once (at runtime construction); subsequent calls are ignored.
     pub fn set_idle_hook(&self, hook: impl Fn(usize) + Send + Sync + 'static) {
         let _ = self.inner.idle_hook.set(Box::new(hook));
-    }
-
-    /// Installs the on-steal hook, called as `hook(thief, victim)` on every successful
-    /// steal from a worker deque. Set-once (typically at runtime construction);
-    /// subsequent calls are ignored. The *per-fork* steal observation — "was this
-    /// particular right branch stolen?" — is delivered through
-    /// [`Worker::join_context`]'s flag instead.
-    pub fn set_steal_hook(&self, hook: impl Fn(usize, usize) + Send + Sync + 'static) {
-        let _ = self.inner.steal_hook.set(Arc::new(hook));
     }
 
     /// A handle that can wake all parked workers (see [`PoolWaker`]).
@@ -868,28 +853,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10 * attempt));
         }
         panic!("expected at least one steal across ten runs");
-    }
-
-    #[test]
-    fn steal_hook_fires_on_steals() {
-        let pool = Pool::new(4);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h2 = Arc::clone(&hits);
-        pool.set_steal_hook(move |thief, victim| {
-            assert_ne!(thief, victim);
-            h2.fetch_add(1, Ordering::Relaxed);
-        });
-        for attempt in 0..10 {
-            let r = pool.run(|_| steal_prone_tree(&pool, 6));
-            assert_eq!(r, 0);
-            let observed = hits.load(Ordering::Relaxed);
-            if observed > 0 {
-                assert_eq!(observed, pool.sched_stats().steals);
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10 * attempt));
-        }
-        panic!("steal hook never fired");
     }
 
     #[test]

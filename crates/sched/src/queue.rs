@@ -280,13 +280,13 @@ impl<S: Slot> Drop for Deque<S> {
 /// The randomized victim scan of both thief loops (pool workers and GC members):
 /// one xorshift64 step of the caller's private `rng`, then one steal attempt on every
 /// deque but `me`'s, starting from a random victim so contending thieves spread out
-/// instead of converging on the same victims. Returns the victim's index and the
-/// stolen element, or `None` if every other deque was (momentarily) empty.
+/// instead of converging on the same victims. Returns the stolen element, or `None`
+/// if every other deque was (momentarily) empty.
 pub(crate) fn steal_other<S: Slot>(
     deques: &[Deque<S>],
     me: usize,
     rng: &mut u64,
-) -> Option<(usize, S::Elem)> {
+) -> Option<S::Elem> {
     let n = deques.len();
     if n <= 1 {
         return None;
@@ -300,7 +300,7 @@ pub(crate) fn steal_other<S: Slot>(
     (0..n)
         .map(|k| (start + k) % n)
         .filter(|&victim| victim != me)
-        .find_map(|victim| Some((victim, deques[victim].steal()?)))
+        .find_map(|victim| deques[victim].steal())
 }
 
 /// The mutex-protected FIFO through which external threads inject root jobs.
@@ -561,7 +561,7 @@ mod tests {
                         deques[victim].push((victim as u64, seed));
                         let mut rng = seed;
                         let got = steal_other(&deques, me, &mut rng);
-                        assert_eq!(got, Some((victim, (victim as u64, seed))), "n={n} me={me}");
+                        assert_eq!(got, Some((victim as u64, seed)), "n={n} me={me}");
                         starts[(rng % n as u64) as usize] = true;
                     }
                     assert!(deques.iter().all(|d| d.is_empty()));
