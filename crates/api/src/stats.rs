@@ -257,10 +257,10 @@ run_stats! {
         sum alloc_cache_hits: u64 = overlay,
         /// Words currently held by active chunks (gauge, at snapshot time).
         max live_words: u64 = store.live_words,
-        /// Words currently parked on the store's free lists, never above the
-        /// free-pool cap (gauge, at snapshot time).
+        /// Words currently parked on the store's free lists (gauge, at snapshot
+        /// time).
         max free_words: u64 = store.free_words,
-        /// Quarantined chunks moved out of quarantine (freed or released) by the
+        /// Quarantined chunks moved out of quarantine onto the free lists by the
         /// epoch watermark — i.e. reclaimed because every run whose epoch could hold
         /// a stale pointer into them had ended, without waiting for global quiescence
         /// (monotone).

@@ -20,22 +20,16 @@ pub struct HhConfig {
     /// Helpers are best-effort — a busy pool contributes fewer members and the
     /// collection still completes. See DESIGN.md §9.
     pub gc_workers: usize,
-    /// Cap, in words, on the chunk store's free pool (memory v2).
-    ///
-    /// Chunks retired by collections flow back to the allocator through size-classed
-    /// free lists once they pass the reuse horizon (see DESIGN.md §5). When the free
-    /// pool would exceed this many words, the excess chunks are released instead of
-    /// kept for reuse, bounding the runtime's resident footprint between bursts.
-    pub max_free_words: usize,
     /// Run the debug-build invariant checker (promotion v2).
     ///
-    /// When enabled **and** the build has `debug_assertions`, the runtime verifies
-    /// after every promotion that each freshly promoted copy is disentangled (no
-    /// field points into a heap strictly deeper than the promotion target) with an
-    /// acyclic forwarding chain, and after every collection that the collected zone
-    /// contains no down-pointers and no forwarding cycles. Violations panic with the
-    /// offending objects. Defaults to on in debug builds (so every debug `cargo
-    /// test` run is checked) and compiles to nothing in release builds.
+    /// When the build has `debug_assertions`, the runtime verifies after every
+    /// promotion that each freshly promoted copy is disentangled (no field points
+    /// into a heap strictly deeper than the promotion target) with an acyclic
+    /// forwarding chain, and after every collection that the collected zone contains
+    /// no down-pointers and no forwarding cycles. Violations panic with the
+    /// offending objects. The default is on in debug builds, so every debug `cargo
+    /// test` run is checked; `false` switches it off there (for a timing run).
+    /// Release builds compile the checker out whatever this says.
     pub check_invariants: bool,
     /// Collect owned leaf heaps incrementally, concurrent with their mutator
     /// (GC v3 / ablation A6 when off).
@@ -84,7 +78,6 @@ impl Default for HhConfig {
             chunk_words: 8 * 1024,
             gc_threshold_words: 4 * 1024 * 1024,
             gc_workers: 0,
-            max_free_words: 64 * 1024 * 1024, // 512 MiB of reusable chunk memory
             check_invariants: cfg!(debug_assertions),
             incremental_gc: false,
             lazy_child_heaps: true,
@@ -128,7 +121,6 @@ mod tests {
         assert!(c.n_workers >= 1);
         assert!(c.chunk_words >= 16);
         assert!(c.gc_threshold_words > c.chunk_words);
-        assert!(c.max_free_words > c.gc_threshold_words);
         assert_eq!(c.gc_workers, 0, "default GC team = pool size");
         assert!(
             !c.incremental_gc,

@@ -23,7 +23,7 @@
 //! | [`gc`]       | Figure 14 / Appendix A promotion-aware copy collection             |
 //! | [`invariants`] | debug-build disentanglement / forwarding-acyclicity checker      |
 //! | [`runtime`]  | runtime construction, scheduler integration, statistics            |
-//! | [`config`]   | tunables (workers, chunk size, GC threshold, fast-path ablations)  |
+//! | [`config`]   | tunables (workers, chunk size, GC threshold and team, heap shapes) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

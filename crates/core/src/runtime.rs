@@ -270,7 +270,6 @@ impl HhRuntime {
     /// Creates a runtime from a configuration.
     pub fn new(config: HhConfig) -> HhRuntime {
         let store = Arc::new(ChunkStore::new(config.chunk_words));
-        store.set_max_free_words(config.max_free_words);
         let registry = HeapRegistry::new(store);
         let pool = Pool::new(config.n_workers);
         let inner = Arc::new(Inner {
@@ -502,7 +501,7 @@ mod tests {
         let s = rt.store_stats();
         assert_eq!(
             s.chunks_created,
-            s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+            s.chunks_active + s.chunks_quarantined + s.chunks_free,
             "chunk conservation violated: {s:?}"
         );
         assert_eq!(s.chunks_active, 0, "a heap outlived its run: {s:?}");

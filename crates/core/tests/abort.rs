@@ -39,7 +39,7 @@ fn assert_conserved(rt: &HhRuntime) {
     let s = rt.store_stats();
     assert_eq!(
         s.chunks_created,
-        s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+        s.chunks_active + s.chunks_quarantined + s.chunks_free,
         "chunk conservation violated after abort"
     );
     assert_eq!(rt.active_runs(), 0, "run epoch leaked");

@@ -121,7 +121,7 @@ fn first_run_reclaims_while_later_runs_still_flying() {
     let s = rt.store_stats();
     assert_eq!(
         s.chunks_created,
-        s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+        s.chunks_active + s.chunks_quarantined + s.chunks_free,
         "chunk conservation: {s:?}"
     );
     assert_eq!(s.active_runs, 0);

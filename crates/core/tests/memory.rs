@@ -12,7 +12,6 @@ fn churn_runtime(workers: usize) -> HhRuntime {
         n_workers: workers,
         chunk_words: 256,
         gc_threshold_words: 8 * 1024,
-        max_free_words: 1 << 30,
         ..Default::default()
     })
 }
@@ -39,9 +38,14 @@ fn churn(ctx: &impl ParCtx, rounds: usize) -> u64 {
 }
 
 /// The acceptance bound of memory v2: under steady-state churn (repeated runs on one
-/// runtime), the peak footprint stops growing after warmup — retired chunks flow back
+/// runtime), the footprint stops growing after warmup — retired chunks flow back
 /// through the free lists instead of accumulating forever. Before recycling, every
 /// run's chunks were immortal and the peak of N runs was ~N times one run's.
+///
+/// The store never gives a buffer back, so the words it ever minted are what it
+/// holds: those must stop growing too. A reclaim that dropped a chunk from the free
+/// lists without freeing its buffer would keep `peak_live_words` flat while every
+/// run minted afresh.
 #[test]
 fn steady_state_footprint_is_bounded_across_runs() {
     let rt = churn_runtime(1);
@@ -53,6 +57,7 @@ fn steady_state_footprint_is_bounded_across_runs() {
     }
     let warm = rt.stats();
     let peak_after_warmup = warm.peak_live_words;
+    let minted_after_warmup = rt.store_stats().total_allocated_words;
 
     for _ in 0..10 {
         assert_eq!(rt.run(|ctx| churn(ctx, 120)), expected);
@@ -78,6 +83,11 @@ fn steady_state_footprint_is_bounded_across_runs() {
         s.live_words,
         s.free_words
     );
+    let minted = rt.store_stats().total_allocated_words;
+    assert_eq!(
+        minted, minted_after_warmup,
+        "the store kept minting after warmup: {minted_after_warmup} words, then {minted}"
+    );
 }
 
 /// Lifecycle conservation at the runtime level: after any number of runs, every chunk
@@ -90,36 +100,10 @@ fn chunk_lifecycle_is_conserved_across_runs() {
         let s = rt.store_stats();
         assert_eq!(
             s.chunks_created,
-            s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+            s.chunks_active + s.chunks_quarantined + s.chunks_free,
             "conservation violated after round {round}: {s:?}"
         );
     }
-}
-
-/// `max_free_words` bounds the recyclable pool: with a tiny cap, reclaimed chunks are
-/// released instead of parked for reuse.
-#[test]
-fn free_pool_cap_releases_excess_buffers() {
-    let rt = HhRuntime::new(HhConfig {
-        n_workers: 1,
-        chunk_words: 256,
-        gc_threshold_words: 8 * 1024,
-        max_free_words: 512, // at most two 256-word chunks stay reusable
-        ..Default::default()
-    });
-    for _ in 0..4 {
-        rt.run(|ctx| churn(ctx, 80));
-    }
-    let s = rt.store_stats();
-    assert!(
-        s.chunks_released > 0,
-        "the free-pool cap must release excess buffers: {s:?}"
-    );
-    assert!(
-        s.free_words <= 512,
-        "free pool exceeded its cap: {} words",
-        s.free_words
-    );
 }
 
 /// A small run holds small chunks: with a forced steal, the run has two heaps (the
@@ -422,7 +406,7 @@ fn assert_store_drained(rt: &HhRuntime) {
     let s = rt.store_stats();
     assert_eq!(
         s.chunks_created,
-        s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+        s.chunks_active + s.chunks_quarantined + s.chunks_free,
         "chunk conservation violated: {s:?}"
     );
     assert_eq!(s.chunks_active, 0, "a heap outlived its run: {s:?}");
@@ -454,7 +438,7 @@ fn panicking_run_does_not_disable_recycling() {
     let store = rt.store_stats();
     assert_eq!(
         store.chunks_created,
-        store.chunks_active + store.chunks_quarantined + store.chunks_free + store.chunks_released,
+        store.chunks_active + store.chunks_quarantined + store.chunks_free,
         "conservation must survive a panicked run: {store:?}"
     );
 }

@@ -17,9 +17,9 @@
 //! **mailbox ops**, where both siblings CAS-add into the *same* accumulator slots
 //! (addition commutes, so the sum is schedule-independent) and publish message
 //! records into per-lane log slots mid-flight — and read shared mutable data only
-//! after the join. A third of the seeds run with tiny GC
-//! thresholds so collections, promotions, and chunk recycling interleave. The
-//! hierarchical runtime runs with `check_invariants` on, so a seed that corrupts the
+//! after the join. A third of the seeds run with tiny GC thresholds so collections,
+//! promotions, and chunk recycling interleave. In debug builds the hierarchical
+//! runtime runs its invariant checker (on by default), so a seed that corrupts the
 //! hierarchy fails at the corrupting operation, and the failing **seed is printed**
 //! so `HH_STRESS_SEED=<n> cargo test -p hh-runtime --test stress` replays it.
 //!
@@ -406,7 +406,6 @@ fn run_case_everywhere(case: &Case) {
         n_workers: n,
         chunk_words: chunk,
         gc_threshold_words: threshold,
-        check_invariants: true,
         lazy_child_heaps: lazy,
         ..Default::default()
     };
@@ -472,7 +471,6 @@ fn run_case_parallel_gc(case: &Case) {
         gc_workers: 8,
         chunk_words: 256,
         gc_threshold_words: 8 * 1024,
-        check_invariants: true,
         lazy_child_heaps: lazy,
         ..Default::default()
     };
@@ -524,7 +522,6 @@ fn run_case_incremental_gc(case: &Case) -> u64 {
         n_workers: workers,
         chunk_words: 128,
         gc_threshold_words: 512,
-        check_invariants: true,
         incremental_gc: true,
         ..Default::default()
     });
@@ -575,7 +572,6 @@ fn run_case_entangled(case: &Case) -> u64 {
         n_workers: workers,
         chunk_words: 256,
         gc_threshold_words: 2 * 1024,
-        check_invariants: true,
         lazy_child_heaps: false,
         ..Default::default()
     });
@@ -600,7 +596,6 @@ fn run_case_entangled(case: &Case) -> u64 {
         n_workers: workers,
         chunk_words: 128,
         gc_threshold_words: 512,
-        check_invariants: true,
         lazy_child_heaps: false,
         incremental_gc: true,
         ..Default::default()

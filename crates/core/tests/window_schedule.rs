@@ -96,7 +96,6 @@ fn epoch_inc_finalize_vs_end_run_pinned_schedule() {
         chunk_words: CHUNK_WORDS,
         // No spontaneous windows: the hook's force_collect opens exactly one.
         gc_threshold_words: usize::MAX / 2,
-        check_invariants: true,
         incremental_gc: true,
         ..Default::default()
     });

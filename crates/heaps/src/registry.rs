@@ -251,7 +251,7 @@ impl HeapRegistry {
     ///
     /// Used by runtimes once a run has completed and its result has been consumed:
     /// the tree is unreachable, so its memory can flow back to the allocator via
-    /// [`ChunkStore::reclaim_retired`]. Returns the number of chunks retired.
+    /// [`ChunkStore::reclaim_watermark`]. Returns the number of chunks retired.
     pub fn dispose_subtree(&self, root: HeapId) -> usize {
         let chunks = self.heap(self.resolve(root)).take_all_chunks();
         let retired = chunks.len();

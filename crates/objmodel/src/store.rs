@@ -1,5 +1,5 @@
 //! The chunk store: the global table mapping chunk ids to chunks, plus the chunk
-//! memory lifecycle (free lists, recycling, release).
+//! memory lifecycle (free lists, recycling).
 //!
 //! This is the stand-in for MLton's address-masked chunk metadata: given an [`ObjPtr`],
 //! `heapOf` needs the chunk's metadata in O(1). The store also carries the global memory
@@ -8,12 +8,11 @@
 //!
 //! ## Chunk lifecycle
 //!
-//! A chunk moves through four states (see DESIGN.md §5 for the full story):
+//! A chunk moves through three states after it is minted (see DESIGN.md §5 for the
+//! full story):
 //!
 //! ```text
 //! fresh ──mint──▶ active ──retire──▶ quarantined ──reclaim──▶ free ──reuse──▶ active
-//!                                                    │
-//!                                                    └──(over max_free_words)──▶ released
 //! ```
 //!
 //! * **active**: owned by a heap, counted in `live_words`.
@@ -25,12 +24,10 @@
 //! * **free**: past the reuse horizon — per run via the epoch watermark
 //!   ([`ChunkStore::reclaim_watermark`], called at every run dispose) or globally at
 //!   quiescence ([`ChunkStore::reclaim_retired`]) — parked on a size-classed
-//!   lock-free free list and counted in `free_words`.
-//! * **released**: the free pool exceeded [`ChunkStore::set_max_free_words`]; the chunk is
-//!   dropped from all accounting, modelling a buffer returned to the OS. (The backing
-//!   allocation itself stays in the table because `ObjPtr` resolution requires the
-//!   id → chunk mapping to be stable; release is an accounting notion, exactly like
-//!   retirement.)
+//!   lock-free free list and counted in `free_words`. Every reclaimed chunk is
+//!   kept for reuse: buffers stay in the table for good, because `ObjPtr` resolution
+//!   requires the id → chunk mapping to be stable, so the store never gives memory
+//!   back and `total_allocated_words` is what it holds.
 //!
 //! Reuse re-tags the chunk with its new owner, zeroes the previously used words, and
 //! advances the chunk's *generation* so stale pointers from before the reuse are
@@ -90,8 +87,7 @@ pub struct StoreStats {
     pub peak_words: usize,
     /// Total words ever allocated in chunks (monotone).
     pub total_allocated_words: usize,
-    /// Words currently parked on the free lists (never above
-    /// [`ChunkStore::set_max_free_words`]).
+    /// Words currently parked on the free lists.
     pub free_words: usize,
     /// Number of chunks ever created.
     pub chunks_created: usize,
@@ -100,17 +96,14 @@ pub struct StoreStats {
     pub chunks_retired: usize,
     /// Number of times a free chunk was reused for a new owner (monotone).
     pub chunks_recycled: usize,
-    /// Number of chunks whose buffers were released because the free pool exceeded
-    /// its cap (terminal state).
-    pub chunks_released: usize,
     /// Chunks currently owned by heaps.
     pub chunks_active: usize,
     /// Chunks retired but not yet past the reuse horizon.
     pub chunks_quarantined: usize,
     /// Chunks currently parked on the free lists.
     pub chunks_free: usize,
-    /// Chunks whose quarantine exit (to the free lists or release) was driven by the
-    /// epoch watermark ([`ChunkStore::reclaim_watermark`]) rather than by global
+    /// Chunks whose quarantine exit to the free lists was driven by the epoch
+    /// watermark ([`ChunkStore::reclaim_watermark`]) rather than by global
     /// quiescence.
     pub epoch_reclaims: usize,
     /// Runs currently registered as active with the store's [`RunEpochs`].
@@ -196,8 +189,6 @@ pub struct ChunkStore {
     quarantine: parking_lot::Mutex<Vec<(ChunkId, u64)>>,
     /// Run-epoch registry: the per-run reuse horizons (see [`RunEpochs`]).
     run_epochs: RunEpochs,
-    /// Cap on `free_words`: reclaimed chunks beyond it are released instead of reused.
-    max_free_words: AtomicUsize,
     /// Source of collection epochs (see [`Chunk::gc_state`]): each collection draws a
     /// fresh epoch, so concurrent collections of disjoint zones never confuse each
     /// other's chunk tags and tags never need clearing.
@@ -210,7 +201,6 @@ pub struct ChunkStore {
     free_words: AtomicUsize,
     chunks_retired: AtomicUsize,
     chunks_recycled: AtomicUsize,
-    chunks_released: AtomicUsize,
     chunks_active: AtomicUsize,
     chunks_quarantined: AtomicUsize,
     chunks_free: AtomicUsize,
@@ -233,7 +223,6 @@ impl ChunkStore {
             free: std::array::from_fn(|_| FreeStack::new()),
             quarantine: parking_lot::Mutex::new(Vec::new()),
             run_epochs: RunEpochs::new(),
-            max_free_words: AtomicUsize::new(usize::MAX),
             gc_epochs: AtomicU64::new(0),
             live_words: AtomicUsize::new(0),
             peak_words: AtomicUsize::new(0),
@@ -241,7 +230,6 @@ impl ChunkStore {
             free_words: AtomicUsize::new(0),
             chunks_retired: AtomicUsize::new(0),
             chunks_recycled: AtomicUsize::new(0),
-            chunks_released: AtomicUsize::new(0),
             chunks_active: AtomicUsize::new(0),
             chunks_quarantined: AtomicUsize::new(0),
             chunks_free: AtomicUsize::new(0),
@@ -266,14 +254,6 @@ impl ChunkStore {
     /// The default chunk capacity in words.
     pub fn default_chunk_words(&self) -> usize {
         self.default_chunk_words
-    }
-
-    /// Sets the cap on the free pool: a reclaim ([`ChunkStore::reclaim_watermark`] or
-    /// [`ChunkStore::reclaim_retired`]) that would push `free_words` beyond this
-    /// releases the excess chunks instead of keeping them for reuse. Defaults to
-    /// unlimited.
-    pub fn set_max_free_words(&self, words: usize) {
-        self.max_free_words.store(words, Ordering::Relaxed);
     }
 
     /// Mints a brand-new chunk (id == table index) in the **active** state,
@@ -457,39 +437,10 @@ impl ChunkStore {
         }
     }
 
-    /// Moves one reclaimed chunk out of quarantine accounting and onto its free list,
-    /// or releases it when parking it would push the free pool over `cap_limit`.
-    /// The words are reserved with one atomic update, so concurrent reclaims cannot
-    /// both pass the check. Returns `true` if the chunk was parked for reuse.
-    fn park_or_release(&self, id: ChunkId, cap_limit: usize) -> bool {
-        let chunk = self.chunk(id);
-        debug_assert!(chunk.is_retired(), "quarantine holds a non-retired chunk");
-        let cap = chunk.capacity();
-        self.chunks_quarantined.fetch_sub(1, Ordering::Relaxed);
-        self.quarantined_words.fetch_sub(cap, Ordering::Relaxed);
-        let reserved = self
-            .free_words
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
-                free.checked_add(cap).filter(|&w| w <= cap_limit)
-            })
-            .is_ok();
-        if reserved {
-            self.chunks_free.fetch_add(1, Ordering::Relaxed);
-            self.free[class_of(cap)].push(&self.chunks, id);
-        } else {
-            // Over the cap: model returning the buffer to the OS. The chunk stays
-            // in the table (ObjPtr resolution needs id stability) but leaves all
-            // accounting for good.
-            self.chunks_released.fetch_add(1, Ordering::Relaxed);
-        }
-        reserved
-    }
-
     /// Takes every quarantined chunk stamped below `horizon` out of the quarantine
-    /// and parks or releases it, in quarantine order. Returns the number of chunks
-    /// taken and the number parked for reuse.
-    fn drain_quarantine(&self, horizon: u64) -> (usize, usize) {
-        let cap_limit = self.max_free_words.load(Ordering::Relaxed);
+    /// and parks it on its size class's free list, in quarantine order. Returns the
+    /// number of chunks parked.
+    fn drain_quarantine(&self, horizon: u64) -> usize {
         let mut taken = Vec::new();
         self.quarantine.lock().retain(|&(id, retired_at)| {
             let keep = retired_at >= horizon;
@@ -498,17 +449,22 @@ impl ChunkStore {
             }
             keep
         });
-        let parked = taken
-            .iter()
-            .filter(|&&id| self.park_or_release(id, cap_limit))
-            .count();
-        (taken.len(), parked)
+        for &id in &taken {
+            let chunk = self.chunk(id);
+            debug_assert!(chunk.is_retired(), "quarantine holds a non-retired chunk");
+            let cap = chunk.capacity();
+            self.chunks_quarantined.fetch_sub(1, Ordering::Relaxed);
+            self.quarantined_words.fetch_sub(cap, Ordering::Relaxed);
+            self.free_words.fetch_add(cap, Ordering::Relaxed);
+            self.chunks_free.fetch_add(1, Ordering::Relaxed);
+            self.free[class_of(cap)].push(&self.chunks, id);
+        }
+        taken.len()
     }
 
     /// Moves every quarantined chunk whose reuse horizon has passed — its
     /// `retired_at` stamp is strictly below the min-active-epoch watermark — to the
-    /// free lists (or releases it over the free-pool cap). Returns the number of
-    /// chunks made reusable.
+    /// free lists. Returns the number of chunks made reusable.
     ///
     /// This is the quiescence-free reclaim: runtimes call it at every run dispose,
     /// so one run's chunks recycle while other runs are still mid-flight. Soundness:
@@ -516,13 +472,12 @@ impl ChunkStore {
     /// it (pointers must not cross runs — DESIGN.md §5), and `retired_at` is that
     /// run's epoch, so `retired_at < min_active` means every such task is gone.
     pub fn reclaim_watermark(&self) -> usize {
-        let (taken, parked) = self.drain_quarantine(self.run_epochs.min_active());
-        self.epoch_reclaims.fetch_add(taken, Ordering::Relaxed);
+        let parked = self.drain_quarantine(self.run_epochs.min_active());
+        self.epoch_reclaims.fetch_add(parked, Ordering::Relaxed);
         parked
     }
 
-    /// Moves every quarantined chunk to the free lists (or releases it once the free
-    /// pool exceeds [`ChunkStore::set_max_free_words`]), making the memory retired by
+    /// Moves every quarantined chunk to the free lists, making the memory retired by
     /// past collections available for reuse. This is the **global** horizon — the
     /// watermark drain with an unbounded horizon, used by the baselines between runs.
     ///
@@ -535,7 +490,7 @@ impl ChunkStore {
     /// this between runs, when no task is live. Returns the number of chunks moved
     /// to the free lists.
     pub fn reclaim_retired(&self) -> usize {
-        self.drain_quarantine(u64::MAX).1
+        self.drain_quarantine(u64::MAX)
     }
 
     /// Resolves an object pointer to a view of the object.
@@ -650,7 +605,6 @@ impl ChunkStore {
             chunks_created: self.chunks.len(),
             chunks_retired: self.chunks_retired.load(Ordering::Relaxed),
             chunks_recycled: self.chunks_recycled.load(Ordering::Relaxed),
-            chunks_released: self.chunks_released.load(Ordering::Relaxed),
             chunks_active: self.chunks_active.load(Ordering::Relaxed),
             chunks_quarantined: self.chunks_quarantined.load(Ordering::Relaxed),
             chunks_free: self.chunks_free.load(Ordering::Relaxed),
@@ -806,7 +760,7 @@ mod tests {
         assert_eq!(all.len(), 8 * 200, "chunk ids must be unique");
     }
 
-    // -- lifecycle: recycling, release, conservation --------------------------
+    // -- lifecycle: recycling, conservation -----------------------------------
 
     #[test]
     fn retire_reclaim_recycle_roundtrip() {
@@ -840,49 +794,6 @@ mod tests {
         assert_eq!(s.chunks_recycled, 1);
         assert_eq!(s.free_words, 0);
         assert_eq!(s.live_words, 128);
-    }
-
-    #[test]
-    fn reclaim_releases_beyond_the_free_cap() {
-        let store = ChunkStore::new(100);
-        store.set_max_free_words(150); // room for one 100-word chunk, not two
-        let held = [store.alloc_chunk(0, 0), store.alloc_chunk(0, 0)];
-        assert_eq!(store.stats().free_words, 0);
-        store.retire_chunk(held[0].id());
-        store.retire_chunk(held[1].id());
-        assert_eq!(store.reclaim_retired(), 1);
-        let s = store.stats();
-        assert_eq!(s.chunks_free, 1);
-        assert_eq!(s.chunks_released, 1);
-        assert_eq!(s.free_words, 100);
-    }
-
-    /// The free pool never holds more than its cap: minting parks nothing, and a
-    /// reclaim reserves a chunk's words against the cap before parking it.
-    #[test]
-    fn free_pool_never_exceeds_its_cap() {
-        let store = ChunkStore::new(64);
-        store.set_max_free_words(256);
-        let big = [store.alloc_chunk(0, 128), store.alloc_chunk(0, 128)];
-        assert!(big.iter().all(|c| c.capacity() == 128));
-        for c in &big {
-            store.retire_chunk(c.id());
-        }
-        assert_eq!(store.reclaim_retired(), 2);
-        assert_eq!(store.stats().free_words, 256, "the pool is exactly full");
-        // A default request finds no default chunk free: it mints one, and parks
-        // nothing beside it.
-        let c = store.alloc_chunk(1, 0);
-        assert_eq!(c.capacity(), 64);
-        let s = store.stats();
-        assert!(s.free_words <= 256, "free pool over its cap: {s:?}");
-        assert_eq!(s.free_words, 256);
-        assert_eq!(s.chunks_free, 2);
-        // A further retiree does not fit the full pool and is released.
-        store.retire_chunk(c.id());
-        assert_eq!(store.reclaim_retired(), 0);
-        let s = store.stats();
-        assert_eq!((s.free_words, s.chunks_released), (256, 1));
     }
 
     #[test]
@@ -936,11 +847,10 @@ mod tests {
         assert_eq!(odd.alloc_sized_chunk_for_run(0, 512, 0).capacity(), 1000);
     }
 
-    /// chunks_created == active + quarantined + free + released, and free_words stays
-    /// within its cap, at **every** point of a randomized interleaving of
-    /// sub-default, default and oversized traffic — including mid-overlap, while
-    /// several run epochs are active and the watermark reclaims some runs' chunks
-    /// but not others'.
+    /// chunks_created == active + quarantined + free at **every** point of a
+    /// randomized interleaving of sub-default, default and oversized traffic —
+    /// including mid-overlap, while several run epochs are active and the watermark
+    /// reclaims some runs' chunks but not others'.
     #[test]
     fn prop_lifecycle_conservation() {
         let mut state = 0xFEED_FACE_0123_4567u64;
@@ -953,7 +863,6 @@ mod tests {
             state >> 11
         };
         let store = ChunkStore::new(64);
-        store.set_max_free_words(64 * 8);
         let mut owned: Vec<(ChunkId, u64)> = Vec::new();
         // Simulated overlapping runs: epochs currently active.
         let mut runs: Vec<u64> = Vec::new();
@@ -1027,20 +936,12 @@ mod tests {
             let s = store.stats();
             assert_eq!(
                 s.chunks_created,
-                s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+                s.chunks_active + s.chunks_quarantined + s.chunks_free,
                 "conservation violated at step {step}: {s:?}"
             );
             assert_eq!(s.chunks_active, owned.len(), "active count at step {step}");
-            assert!(
-                s.free_words <= 64 * 8,
-                "free pool over its cap at step {step}: {s:?}"
-            );
         }
         assert!(store.stats().chunks_recycled > 0, "recycling must occur");
-        assert!(
-            store.stats().chunks_released > 0,
-            "release cap must trigger"
-        );
         assert!(
             store.stats().epoch_reclaims > 0,
             "watermark reclaim must trigger mid-overlap"
@@ -1101,14 +1002,19 @@ mod tests {
     /// shared free lists, each round inside its own run epoch: every handout goes
     /// to exactly one holder (a claim in a shared table must succeed), fits its
     /// request and starts empty, and the lifecycle counts balance at the end.
+    ///
+    /// Minting stays bounded by two rounds' chunks. A thread runs at most one round
+    /// ahead of the slowest (the barrier), and a round's chunks are all back on the
+    /// free lists before any thread passes the next barrier: the last thread to end
+    /// its round's epoch then drains them. So a request that finds its class empty
+    /// sees at most the chunks of the current and the previous round out of the pool.
     #[test]
     fn concurrent_recycling_hands_each_chunk_to_one_holder() {
         const THREADS: usize = 8;
         const ROUNDS: usize = 1000;
         const REQUESTS: [usize; 3] = [20, 64, 200]; // sub-default, default, oversized
-        const CAP: usize = THREADS * (32 + 64 + 256);
+        const ROUND_WORDS: usize = THREADS * (32 + 64 + 256); // the classes' boundaries
         let store = StdArc::new(ChunkStore::new(64));
-        store.set_max_free_words(CAP);
         // Each handout mints at most one chunk, which bounds the id space.
         let claims: StdArc<Vec<std::sync::atomic::AtomicBool>> = StdArc::new(
             (0..THREADS * ROUNDS * REQUESTS.len())
@@ -1146,9 +1052,6 @@ mod tests {
                         }
                         store.run_epochs().end(epoch);
                         store.reclaim_watermark();
-                        if store.stats().free_words > CAP {
-                            violations.push(format!("free pool over its cap: {:?}", store.stats()));
-                        }
                     }
                     violations
                 })
@@ -1163,11 +1066,11 @@ mod tests {
         let s = store.stats();
         assert_eq!(
             s.chunks_created,
-            s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+            s.chunks_active + s.chunks_quarantined + s.chunks_free,
             "conservation violated: {s:?}"
         );
         assert_eq!((s.chunks_active, s.chunks_quarantined), (0, 0), "{s:?}");
-        assert!(s.free_words <= CAP, "{s:?}");
+        assert!(s.total_allocated_words <= 2 * ROUND_WORDS, "{s:?}");
         assert!(s.chunks_recycled > 0, "nothing was recycled: {s:?}");
     }
 

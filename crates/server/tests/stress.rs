@@ -165,7 +165,6 @@ fn run_forced_schedule(seed: u64, ops: &[Op]) -> Result<u64, QuiescenceViolation
         n_workers: 2,
         chunk_words: 256,
         gc_threshold_words: 2048,
-        check_invariants: true,
         incremental_gc: true,
         ..Default::default()
     });

@@ -397,7 +397,6 @@ mod tests {
                 n_workers: workers,
                 chunk_words: 256,
                 gc_threshold_words: 2 * 1024,
-                check_invariants: true,
                 incremental_gc,
                 ..Default::default()
             })

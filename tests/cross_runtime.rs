@@ -89,7 +89,6 @@ fn adversarial_workloads_agree_across_runtimes_and_ablations() {
             n_workers: 3,
             chunk_words: 256,
             gc_threshold_words: 4 * 1024,
-            check_invariants: true,
             ..HhConfig::default()
         };
         let shapes: [(&str, HhConfig); 3] = [
@@ -497,10 +496,7 @@ fn bulk_ops_equal_scalar_loops_on_promoted_operands() {
         let reference = SeqRuntime::new().run(|ctx| random_op_mix(ctx, seed, false));
         for promotions in 0..=2 {
             for use_bulk in [false, true] {
-                let rt = HhRuntime::new(HhConfig {
-                    check_invariants: true,
-                    ..HhConfig::eager_heaps(hh_api::env_workers(2))
-                });
+                let rt = HhRuntime::new(HhConfig::eager_heaps(hh_api::env_workers(2)));
                 let (seen, masters) = mix_after_promotions(&rt, seed, use_bulk, promotions);
                 let what = format!("seed {seed}, {promotions} promotions, bulk {use_bulk}");
                 assert_eq!(seen, reference, "through the stale pointers ({what})");
@@ -758,12 +754,7 @@ fn promotion_counts_are_exact_on_union_find_and_entangle() {
     let uf_expected = SeqRuntime::new().run(|c| union_find(c, N, N, 512, SEED));
     let en_expected = SeqRuntime::new().run(|c| entangle(c, ACTORS, OPS, PERMILLE, SEED));
     for workers in [1, 8] {
-        let eager = || {
-            HhRuntime::new(HhConfig {
-                check_invariants: true,
-                ..HhConfig::eager_heaps(workers)
-            })
-        };
+        let eager = || HhRuntime::new(HhConfig::eager_heaps(workers));
         let rt = eager();
         assert_eq!(rt.run(|c| union_find(c, N, N, 512, SEED)), uf_expected);
         assert_eq!(rt.check_disentangled(), 0);

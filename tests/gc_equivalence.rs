@@ -23,7 +23,6 @@ fn cfg(gc_workers: usize) -> HhConfig {
         gc_workers,
         chunk_words: 256,
         gc_threshold_words: 4 * 1024,
-        check_invariants: true,
         ..HhConfig::default()
     }
 }
@@ -118,7 +117,6 @@ fn forced_team_collection_preserves_live_data_and_counts() {
         gc_workers: 4,
         chunk_words: 256,
         gc_threshold_words: usize::MAX / 2, // only the forced collection runs
-        check_invariants: true,
         ..HhConfig::default()
     });
     rt.run(|ctx| {

@@ -172,7 +172,6 @@ fn stress_wavefront_forced() {
                 n_workers: workers,
                 chunk_words: 256,
                 gc_threshold_words: 2 * 1024,
-                check_invariants: true,
                 lazy_child_heaps: false,
                 incremental_gc,
                 ..Default::default()
