@@ -7,8 +7,12 @@ pub struct HhConfig {
     pub n_workers: usize,
     /// Default chunk size in words (larger objects get dedicated chunks).
     pub chunk_words: usize,
-    /// A task heap whose allocation volume exceeds this many words becomes eligible for
-    /// collection at the next safe point.
+    /// A task heap becomes eligible for collection at the next safe point once it
+    /// has received this many words since its last collection: allocated by its
+    /// tasks, promoted into it, or brought in by joined children. The words a
+    /// collection retained never count, so a heap whose live data exceeds the
+    /// threshold is collected once per threshold of new words, not at every safe
+    /// point. See DESIGN.md §6.8.
     pub gc_threshold_words: usize,
     /// Size of the GC team a collection runs on (GC v2 / ablation A4).
     ///

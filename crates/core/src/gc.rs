@@ -54,7 +54,9 @@ impl Inner {
         configured.clamp(1, self.n_workers())
     }
 
-    /// True if `heap`'s allocation volume warrants a collection at the next safe point.
+    /// True if the words `heap` received since its last collection warrant another
+    /// at the next safe point. The one trigger of the zone collector and of the
+    /// incremental window start; what the last collection retained never counts.
     pub(crate) fn should_collect(&self, heap: HeapId) -> bool {
         self.registry.heap(heap).allocated_words() >= self.config.gc_threshold_words
     }

@@ -466,3 +466,49 @@ fn pointers_do_not_survive_across_runs() {
     );
     let _ = stale; // must not be dereferenced — that is the point
 }
+
+/// The collection trigger counts the words a heap received since its last
+/// collection, never the words that collection retained: a heap whose pinned live
+/// set is twice the threshold, collected once, is not collected again by safe
+/// points that allocate nothing. Both collector shapes share the rule (the
+/// incremental one opens its window on it). One worker and the `gc` benchmark's
+/// geometry: 1 Ki-word chunks, a 16 Ki-word threshold.
+#[test]
+fn live_data_over_threshold_is_not_recollected_without_allocation() {
+    const THRESHOLD: usize = 16 * 1024;
+    const ARRAYS: usize = 2 * THRESHOLD / 1000 + 1;
+    for incremental_gc in [false, true] {
+        let rt = HhRuntime::new(HhConfig {
+            n_workers: 1,
+            chunk_words: 1024,
+            gc_threshold_words: THRESHOLD,
+            incremental_gc,
+            ..Default::default()
+        });
+        let sum = rt.run(|ctx| {
+            let keep = ctx.alloc_ptr_array(ARRAYS);
+            ctx.pin(keep);
+            for i in 0..ARRAYS {
+                let a = ctx.alloc_data_array(1000);
+                ctx.write_nonptr(a, 0, i as u64);
+                ctx.write_ptr(keep, i, a);
+            }
+            assert!(ctx.force_collect(), "an owner always collects");
+            for _ in 0..100 {
+                ctx.maybe_collect();
+            }
+            let sum = (0..ARRAYS)
+                .map(|i| ctx.read_mut(ctx.read_mut_ptr(keep, i), 0))
+                .sum::<u64>();
+            ctx.unpin(keep);
+            sum
+        });
+        assert_eq!(sum, (0..ARRAYS as u64).sum());
+        let s = rt.stats();
+        assert_eq!(s.gc_count, 1, "incremental_gc={incremental_gc}: {s:?}");
+        assert!(
+            s.gc_copied_words >= 2 * THRESHOLD as u64,
+            "the live set must survive: {s:?}"
+        );
+    }
+}

@@ -28,8 +28,9 @@ struct LinePad {
 /// Point-in-time statistics for one heap.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct HeapStats {
-    /// Words of objects allocated in this heap since its creation or last collection,
-    /// by its owner and by promotions.
+    /// Words this heap received since its creation or last collection: allocated
+    /// by its owner or by promotions, or brought in by joined children. The
+    /// collection trigger's count.
     pub allocated_words: usize,
     /// Number of chunks currently owned.
     pub n_chunks: usize,
@@ -96,9 +97,12 @@ pub struct Heap {
     current: AtomicU32,
     /// Words allocated by [`Heap::alloc_obj`] since creation or the last flip.
     owner_words: AtomicUsize,
-    /// Words neither cursor placed since the last flip: a flip's survivors, an
-    /// adopted collection's, and a joined child's.
+    /// Words joined children brought in since the last flip: each child's whole
+    /// volume, its survivors included.
     absorbed_words: AtomicUsize,
+    /// Words the last flip installed and later adopted collections added: what
+    /// collection retained, kept apart so that it never counts toward the trigger.
+    survived_words: AtomicUsize,
     /// All chunks owned by this heap, in allocation order; the mutex also serializes
     /// refills of both cursors.
     chunks: Mutex<Vec<ChunkId>>,
@@ -140,6 +144,7 @@ impl Heap {
             current: AtomicU32::new(NO_CHUNK),
             owner_words: AtomicUsize::new(0),
             absorbed_words: AtomicUsize::new(0),
+            survived_words: AtomicUsize::new(0),
             chunks: Mutex::new(Vec::new()),
             collections: AtomicUsize::new(0),
             _owner_end: LinePad::default(),
@@ -335,10 +340,11 @@ impl Heap {
         }
     }
 
-    /// Words the owner and the promoters allocated into this heap since creation or
-    /// the last [`Heap::replace_chunks`], plus the words that flip installed and
-    /// later adoptions and joins added. All of them count toward the collection
-    /// trigger.
+    /// Words this heap received since creation or the last [`Heap::replace_chunks`]:
+    /// what the owner and the promoters allocated into it, and what joined children
+    /// brought. The collection trigger's count: the words a collection retained
+    /// never count, so a heap whose live data exceeds the threshold is not
+    /// collected again until it has received a threshold's worth of new words.
     pub fn allocated_words(&self) -> usize {
         self.owner_words.load(Ordering::Relaxed)
             + self.promoted_words.load(Ordering::Relaxed)
@@ -370,7 +376,8 @@ impl Heap {
         child.reset_cursors(NO_CHUNK);
         let w = child.owner_words.swap(0, Ordering::Relaxed)
             + child.promoted_words.swap(0, Ordering::Relaxed)
-            + child.absorbed_words.swap(0, Ordering::Relaxed);
+            + child.absorbed_words.swap(0, Ordering::Relaxed)
+            + child.survived_words.swap(0, Ordering::Relaxed);
         self.absorbed_words.fetch_add(w, Ordering::Relaxed);
         child.merged_into.store(self.id.raw(), Ordering::Release);
     }
@@ -383,23 +390,20 @@ impl Heap {
     }
 
     /// Replaces this heap's chunk list wholesale (used by the collector to install the
-    /// to-space as the new from-space). Returns the old chunk list.
+    /// to-space, holding `survived_words` words, as the new from-space). Returns the
+    /// old chunk list.
     ///
     /// Only at a point where nothing allocates into the heap (the collector's
     /// quiescence): the bump path takes no lock, so the flip of the current chunk
     /// would otherwise race it.
-    pub fn replace_chunks(
-        &self,
-        new_chunks: Vec<ChunkId>,
-        new_allocated_words: usize,
-    ) -> Vec<ChunkId> {
+    pub fn replace_chunks(&self, new_chunks: Vec<ChunkId>, survived_words: usize) -> Vec<ChunkId> {
         let mut chunks = self.chunks.lock();
         let old = std::mem::replace(&mut *chunks, new_chunks);
         self.reset_cursors(chunks.last().map_or(NO_CHUNK, |c| c.0));
         self.owner_words.store(0, Ordering::Relaxed);
         self.promoted_words.store(0, Ordering::Relaxed);
-        self.absorbed_words
-            .store(new_allocated_words, Ordering::Relaxed);
+        self.absorbed_words.store(0, Ordering::Relaxed);
+        self.survived_words.store(survived_words, Ordering::Relaxed);
         self.promoted_objects.store(0, Ordering::Relaxed);
         self.collections.fetch_add(1, Ordering::Relaxed);
         old
@@ -409,7 +413,7 @@ impl Heap {
     /// either allocation cursor (used by the incremental collector's finalize: the
     /// mutator and promoters have been allocating fresh chunks into this heap since
     /// the roots-only pause, and their bump chunks must stay current). Counts as a
-    /// collection.
+    /// collection; its `collected_words` survivors never count toward the trigger.
     ///
     /// Hands `collected` back, adopting nothing, when this heap has been merged
     /// away: the survivors belong to the heap it was merged into (see
@@ -427,7 +431,7 @@ impl Heap {
         *chunks = collected;
         // Both cursors still name their bump chunks (or none if nothing was
         // allocated since the flip); those stay on the list after the adopted ones.
-        self.absorbed_words
+        self.survived_words
             .fetch_add(collected_words, Ordering::Relaxed);
         self.collections.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -442,6 +446,7 @@ impl Heap {
         self.owner_words.store(0, Ordering::Relaxed);
         self.promoted_words.store(0, Ordering::Relaxed);
         self.absorbed_words.store(0, Ordering::Relaxed);
+        self.survived_words.store(0, Ordering::Relaxed);
         std::mem::take(&mut *chunks)
     }
 
@@ -635,6 +640,26 @@ mod tests {
         assert_eq!(h.n_chunks(), 1);
     }
 
+    /// The trigger's count is the words a heap received since its last collection:
+    /// a flip's and an adoption's survivors never enter it, but a join hands a
+    /// child's survivors to its parent, which has never collected them.
+    #[test]
+    fn survivors_count_toward_the_trigger_only_when_a_join_hands_them_on() {
+        let store = store();
+        let parent = Heap::new(HeapId(0), HeapId::NONE, 0);
+        let child = Heap::new(HeapId(1), HeapId(0), 1);
+        let header = Header::new(2, 0, ObjKind::Tuple);
+        child.replace_chunks(vec![], 100);
+        assert!(child.adopt_collected_chunks(vec![], 20).is_ok());
+        assert_eq!(child.allocated_words(), 0);
+        assert_eq!(child.survived_words.load(Ordering::Relaxed), 120);
+        child.alloc_obj(&store, header);
+        assert_eq!(child.allocated_words(), header.size_words());
+        parent.absorb_chunks_of(&child);
+        assert_eq!(parent.allocated_words(), 120 + header.size_words());
+        assert_eq!(parent.survived_words.load(Ordering::Relaxed), 0);
+    }
+
     /// A root heap marks every chunk it activates, cursor and dedicated alike, so
     /// a CAS can tell from the chunk that no promotion copies its objects; a child
     /// heap marks none.
@@ -748,6 +773,7 @@ mod tests {
             (offset_of!(Heap, current), size_of::<AtomicU32>()),
             (offset_of!(Heap, owner_words), size_of::<AtomicUsize>()),
             (offset_of!(Heap, absorbed_words), size_of::<AtomicUsize>()),
+            (offset_of!(Heap, survived_words), size_of::<AtomicUsize>()),
             (offset_of!(Heap, chunks), size_of::<Mutex<Vec<ChunkId>>>()),
             (offset_of!(Heap, collections), size_of::<AtomicUsize>()),
         ]);

@@ -192,3 +192,31 @@ fn stw_collections_run_in_team_mode() {
     );
     assert!(s.gc_max_pause_ns > 0);
 }
+
+/// Collection work follows allocation: on `frontier_bfs(8000)`, whose pinned graph
+/// outgrows the threshold early, both collector shapes copy at most twice the words
+/// the run allocates. A trigger that counted a collection's survivors as allocation
+/// re-collected the whole live set at every safe point and copied ~38× the words
+/// allocated. One worker and the `gc` benchmark's geometry: 1 Ki-word chunks, a
+/// 16 Ki-word threshold.
+#[test]
+fn frontier_bfs_copies_at_most_twice_what_it_allocates() {
+    for incremental_gc in [false, true] {
+        let rt = HhRuntime::new(HhConfig {
+            n_workers: 1,
+            chunk_words: 1024,
+            gc_threshold_words: 16 * 1024,
+            incremental_gc,
+            ..HhConfig::default()
+        });
+        rt.run(|ctx| frontier_bfs(ctx, 8_000, 8, 256, 1));
+        let s = rt.stats();
+        assert!(s.gc_count > 0, "incremental_gc={incremental_gc}: {s:?}");
+        assert!(
+            s.gc_copied_words <= 2 * s.allocated_words,
+            "incremental_gc={incremental_gc}: copied {} words for {} allocated",
+            s.gc_copied_words,
+            s.allocated_words
+        );
+    }
+}
