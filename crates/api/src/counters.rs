@@ -34,6 +34,21 @@ impl CounterShard {
     }
 }
 
+/// How a completed collection ran, for [`Counters::record_collection`].
+#[derive(Copy, Clone, Debug)]
+pub enum Collected {
+    /// Synchronously, in one stop-the-world pause.
+    Pause {
+        /// Team size: the trigger plus its helper slots (1 = solo).
+        members: usize,
+        /// Length of the pause.
+        pause: Duration,
+    },
+    /// Mutator-concurrently: an incremental window finalized. Its pauses are
+    /// recorded as they happen, not here.
+    Incremental,
+}
+
 /// A runtime's counters: one [`CounterShard`] per pool worker plus one for every
 /// other thread, and the GC pause samples, which are written once per collection
 /// pause and need no sharding.
@@ -74,6 +89,36 @@ impl Counters {
     /// Records one mutator-observed GC pause.
     pub fn record_gc_pause(&self, d: Duration) {
         self.pauses().record(d);
+    }
+
+    /// Counts one completed collection, which copied `copied_words` words of
+    /// survivors and stole `steal_blocks` scan blocks between its members, into
+    /// `shard`. Every collector of every runtime counts here.
+    pub fn record_collection(
+        &self,
+        shard: &CounterShard,
+        how: Collected,
+        copied_words: u64,
+        steal_blocks: u64,
+    ) {
+        let add = |counter: &AtomicU64, n: u64| {
+            counter.fetch_add(n, Ordering::Relaxed);
+        };
+        add(&shard.gc_count, 1);
+        add(&shard.gc_copied_words, copied_words);
+        if steal_blocks > 0 {
+            add(&shard.gc_steal_blocks, steal_blocks);
+        }
+        match how {
+            Collected::Pause { members, pause } => {
+                if members > 1 {
+                    add(&shard.gc_parallel_collections, 1);
+                }
+                shard.add_gc_time(pause);
+                self.record_gc_pause(pause);
+            }
+            Collected::Incremental => add(&shard.gc_incremental_collections, 1),
+        }
     }
 
     /// Builds a [`RunStats`] snapshot, combining these counters with the chunk
@@ -169,6 +214,29 @@ mod tests {
         assert_eq!(s.gc_max_pause_ns, 0);
         assert_eq!(s.gc_pause_count, 0);
         assert_eq!(s.teardown_panics, 0);
+    }
+
+    /// One accounting rule for every collector: a solo pause, a team pause and
+    /// an incremental finalize each count once, and only pauses are sampled.
+    #[test]
+    fn record_collection_counts_each_shape() {
+        let c = Counters::new(1);
+        let shard = c.shard(Some(0));
+        let pause = |members| Collected::Pause {
+            members,
+            pause: Duration::from_nanos(500),
+        };
+        c.record_collection(shard, pause(1), 10, 0);
+        c.record_collection(shard, pause(4), 20, 3);
+        c.record_collection(shard, Collected::Incremental, 30, 2);
+        let s = c.snapshot(&StoreStats::default());
+        assert_eq!(s.gc_count, 3);
+        assert_eq!(s.gc_copied_words, 60);
+        assert_eq!(s.gc_steal_blocks, 5);
+        assert_eq!(s.gc_parallel_collections, 1);
+        assert_eq!(s.gc_incremental_collections, 1);
+        assert_eq!(s.gc_pause_count, 2);
+        assert_eq!(s.gc_time, Duration::from_nanos(1_000));
     }
 
     /// The pause recorder feeds the longest pause and the pause CDF, and a reset

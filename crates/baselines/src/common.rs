@@ -3,7 +3,7 @@
 
 use hh_api::CounterShard;
 use hh_objmodel::{ChunkId, ChunkStore, Header, ObjPtr};
-use hh_sched::{EvacEngine, Safepoints, ToSpaceOwner};
+use hh_sched::{EvacEngine, EvacOutcome, ToSpaceOwner};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -269,91 +269,39 @@ impl RootRegistry {
     }
 }
 
-/// Result of a semispace collection.
-pub struct CollectOutcome {
-    /// Chunks of the new from-space (the to-space that was just filled).
-    pub new_chunks: Vec<ChunkId>,
-    /// Words of live data copied (survivors; excludes evacuation-race waste).
-    pub copied_words: usize,
-    /// Words occupying the to-space (survivors plus race-loser fillers) — what the
-    /// heap's allocation volume should restart from.
-    pub occupied_words: usize,
-    /// Scan blocks stolen between team members (0 for a solo collection).
-    pub steal_blocks: u64,
-}
-
-/// A plain (non-hierarchical) semispace collection over an explicit zone,
-/// optionally run on a **GC team** (GC v2): `draft = Some((safepoints, helpers))`
-/// offers the collection to up to `helpers` threads parked at the safepoint — the
-/// stop-the-world baselines' workers stop sleeping through the pause and collect
-/// instead, with the same evacuation engine as the hierarchical collector. `None`
-/// is a solo collection by the calling thread.
+/// A plain (non-hierarchical) semispace collection over an explicit zone, on the
+/// shared synchronous driver ([`EvacEngine::collect`]) with a team of `members`
+/// (GC v2). With more than one member, `draft` receives the helper body: the
+/// stop-the-world baselines offer it to their workers parked at the safepoint,
+/// which collect instead of sleeping through the pause. A team of one is a solo
+/// collection by the calling thread and never drafts.
 ///
 /// `zone` is the set of chunks being evacuated; objects outside it are left alone
 /// (membership is decided by epoch-tagged chunk metadata, not hash sets). Roots are
 /// rewritten in place via `registry`. The caller must have stopped the world;
 /// drafted helpers are parked mutators, so they are quiescent by construction.
-///
-/// The trigger is **pre-registered** at engine construction — before the
-/// pause-work offer is published — and non-idle throughout seeding, so a
-/// drafted helper that joins first and finds no work can never observe an
-/// all-idle team and finish the collection before the roots have seeded the
-/// wavefront (the PR-5 race, now guarded in exactly one place:
-/// `hh_sched::evac`).
+/// Returns the merged to-space, for the caller to install.
 pub fn par_semispace_collect(
     store: &Arc<ChunkStore>,
     owner_raw: u32,
     zone: &[ChunkId],
     registry: &RootRegistry,
-    draft: Option<(&Safepoints, usize)>,
-) -> CollectOutcome {
+    members: usize,
+    draft: impl FnOnce(Arc<dyn Fn(usize) + Send + Sync>),
+) -> EvacOutcome {
     let epoch = store.next_gc_epoch();
     for &c in zone {
         store.chunk(c).set_gc_from_space(epoch);
     }
-    let team = 1 + draft.map_or(0, |(_, helpers)| helpers);
     // The flat to-space belongs to one owner, attributed to no run.
     let owner = ToSpaceOwner {
         raw: owner_raw,
         run_tag: 0,
         root: false,
     };
-    let engine = Arc::new(EvacEngine::new(
-        owner,
-        Arc::clone(store),
-        epoch,
-        team,
-        false,
-    ));
-    // Slot assignment for drafted helpers (slot 0 is the triggering thread).
-    let next_slot = Arc::new(AtomicUsize::new(1));
-    let drafted = match draft {
-        Some((safepoints, helpers)) if helpers > 0 => {
-            let offer_engine = Arc::clone(&engine);
-            let offer_slot = Arc::clone(&next_slot);
-            safepoints.begin_pause_work(Arc::new(move || {
-                let slot = offer_slot.fetch_add(1, Ordering::Relaxed);
-                offer_engine.run_helper(slot);
-            }));
-            Some(safepoints)
-        }
-        _ => None,
-    };
-    engine.run_trigger(|fwd| {
-        registry.for_each_root_mut(|r| *r = fwd(*r));
-    });
-    engine.await_team();
-    if let Some(safepoints) = drafted {
-        safepoints.end_pause_work();
-    }
-    let outcome = engine.merge();
-    engine.retire_from_space(zone);
-    CollectOutcome {
-        new_chunks: outcome.chunks,
-        copied_words: outcome.copied_words as usize,
-        occupied_words: outcome.occupied_words,
-        steal_blocks: outcome.steal_blocks,
-    }
+    EvacEngine::collect(owner, store, epoch, members, zone, draft, |fwd| {
+        registry.for_each_root_mut(|r| *r = fwd(*r))
+    })
 }
 
 #[cfg(test)]
@@ -440,8 +388,8 @@ mod tests {
         roots.lock().push(list);
 
         let zone = heap.chunks();
-        let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, None);
-        heap.replace_chunks(outcome.new_chunks, outcome.copied_words);
+        let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, 1, |_| ());
+        heap.replace_chunks(outcome.chunks, outcome.occupied_words);
 
         // Live data: 5 cells of 5 words each.
         assert_eq!(outcome.copied_words, 5 * 5);
@@ -470,8 +418,8 @@ mod tests {
         roots.lock().push(obj);
         for _ in 0..2 {
             let zone = heap.chunks();
-            let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, None);
-            heap.replace_chunks(outcome.new_chunks, outcome.copied_words);
+            let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, 1, |_| ());
+            heap.replace_chunks(outcome.chunks, outcome.occupied_words);
             assert_eq!(outcome.copied_words, 5);
         }
         let cur = roots.lock()[0];

@@ -19,7 +19,7 @@
 
 use crate::common::{par_semispace_collect, resolve_tracked, RootRegistry, RunEpoch};
 use crate::common::{resolve_counted, FlatHeap, StoreEpochGuard};
-use hh_api::{CounterShard, Counters, ParCtx, RunStats, Runtime};
+use hh_api::{Collected, CounterShard, Counters, ParCtx, RunStats, Runtime};
 use hh_objmodel::{ChunkId, ChunkStore, Header, ObjKind, ObjPtr};
 use hh_sched::{Pool, Safepoints, Worker};
 use parking_lot::Mutex;
@@ -45,8 +45,9 @@ pub trait Exec: Send + Sync + Sized + 'static {
     /// Runs `f` with every other worker parked; false if another thread's
     /// collection ran instead.
     fn stop_the_world(&self, f: impl FnOnce()) -> bool;
-    /// The GC team offer for a stopped world: safepoints plus helper count.
-    fn draft(&self) -> Option<(&Safepoints, usize)>;
+    /// Offers the helper body of a collection team of `n_workers` members to the
+    /// other workers of a stopped world.
+    fn draft(&self, work: Arc<dyn Fn(usize) + Send + Sync>);
     /// Forks `fa` inline and `fb` as a stealable task; `fb` learns whether it
     /// was stolen.
     fn join<RA, RB, FA, FB>(&self, worker: &Self::Worker, fa: FA, fb: FB) -> (RA, RB)
@@ -90,9 +91,8 @@ impl Exec for Inline {
         false
     }
 
-    #[inline(always)]
-    fn draft(&self) -> Option<(&Safepoints, usize)> {
-        None
+    fn draft(&self, _: Arc<dyn Fn(usize) + Send + Sync>) {
+        unreachable!("a team of one drafts no helper")
     }
 
     fn join<RA, RB, FA, FB>(&self, _: &(), fa: FA, fb: FB) -> (RA, RB)
@@ -158,10 +158,10 @@ impl Exec for Pooled {
         self.safepoints.stop_the_world(f)
     }
 
-    fn draft(&self) -> Option<(&Safepoints, usize)> {
+    fn draft(&self, work: Arc<dyn Fn(usize) + Send + Sync>) {
         // The world is stopped, so every other worker is parked at the safepoint —
         // draft them into the collection team instead of letting them sleep.
-        Some((&self.safepoints, self.pool.n_workers().saturating_sub(1)))
+        self.safepoints.begin_pause_work(work);
     }
 
     fn join<RA, RB, FA, FB>(&self, worker: &Worker, fa: FA, fb: FB) -> (RA, RB)
@@ -293,28 +293,20 @@ impl<P: Policy> FlatInner<P> {
 
     fn collect(&self, c: &CounterShard) {
         let start = Instant::now();
-        let draft = self.exec.draft();
-        let helpers = draft.map_or(0, |(_, helpers)| helpers);
+        let members = self.exec.n_workers();
         let outcome = par_semispace_collect(
             &self.store,
             P::OWNER,
             &self.policy.zone(),
             &self.roots,
-            draft,
+            members,
+            |work| self.exec.draft(work),
         );
-        self.policy
-            .install(outcome.new_chunks, outcome.occupied_words);
-        c.gc_count.fetch_add(1, Ordering::Relaxed);
-        if helpers > 0 {
-            c.gc_parallel_collections.fetch_add(1, Ordering::Relaxed);
-        }
-        c.gc_steal_blocks
-            .fetch_add(outcome.steal_blocks, Ordering::Relaxed);
-        c.gc_copied_words
-            .fetch_add(outcome.copied_words as u64, Ordering::Relaxed);
+        let (copied, steals) = (outcome.copied_words, outcome.steal_blocks);
+        self.policy.install(outcome.chunks, outcome.occupied_words);
         let pause = start.elapsed();
-        c.add_gc_time(pause);
-        self.counters.record_gc_pause(pause);
+        let how = Collected::Pause { members, pause };
+        self.counters.record_collection(c, how, copied, steals);
     }
 }
 

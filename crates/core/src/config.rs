@@ -14,16 +14,6 @@ pub struct HhConfig {
     /// threshold is collected once per threshold of new words, not at every safe
     /// point. See DESIGN.md §6.8.
     pub gc_threshold_words: usize,
-    /// Size of the GC team a collection runs on (GC v2 / ablation A4).
-    ///
-    /// `0` (the default) means "the pool size": the triggering worker plus up to
-    /// `n_workers - 1` drafted helpers — parked or idle pool workers that pick up
-    /// the collection's helper jobs instead of sleeping through the pause. `1`
-    /// preserves the v1 single-threaded collection shape (no team, no forwarding
-    /// CAS) as the A4 ablation baseline; values above the pool size are clamped.
-    /// Helpers are best-effort — a busy pool contributes fewer members and the
-    /// collection still completes. See DESIGN.md §9.
-    pub gc_workers: usize,
     /// Run the debug-build invariant checker (promotion v2).
     ///
     /// When the build has `debug_assertions`, the runtime verifies after every
@@ -81,7 +71,6 @@ impl Default for HhConfig {
                 .unwrap_or(1),
             chunk_words: 8 * 1024,
             gc_threshold_words: 4 * 1024 * 1024,
-            gc_workers: 0,
             check_invariants: cfg!(debug_assertions),
             incremental_gc: false,
             lazy_child_heaps: true,
@@ -125,7 +114,6 @@ mod tests {
         assert!(c.n_workers >= 1);
         assert!(c.chunk_words >= 16);
         assert!(c.gc_threshold_words > c.chunk_words);
-        assert_eq!(c.gc_workers, 0, "default GC team = pool size");
         assert!(
             !c.incremental_gc,
             "incremental collection is opt-in; the default shape is the A6 ablation"

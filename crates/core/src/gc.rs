@@ -16,44 +16,33 @@
 //!   ([`hh_objmodel::ChunkStore::next_gc_epoch`]), so nothing is ever cleared and
 //!   concurrent collections of disjoint heaps cannot confuse each other's tags.
 //! * **Parallel evacuation** — the collection runs on a *GC team*
-//!   ([`hh_sched::TeamSync`]): the triggering worker plus parked/idle pool workers
-//!   drafted through [`hh_sched::Worker::run_gc_team`], sized by
-//!   [`crate::HhConfig::gc_workers`]. With `gc_workers = 1` (ablation A4) no team
-//!   is drafted and the forwarding install degrades to a plain store — the v1
-//!   shape minus the hash probes.
+//!   ([`hh_sched::TeamSync`]) of the pool's size: the triggering worker plus
+//!   parked/idle pool workers drafted through [`hh_sched::Worker::run_gc_team`].
+//!   A one-worker runtime drafts no team and its forwarding install degrades to a
+//!   plain store — the v1 shape minus the hash probes.
 //!
 //! Since GC v3, the member body, span pack/steal loop, CAS forwarding race,
 //! idle-termination protocol, merge and from-space retirement live in **one**
-//! shared module — `hh_sched::evac` — consumed by this collector and the flat
-//! baseline collector alike. This module contributes only what is hierarchical
-//! about the collection: the zone is one heap, which also owns the to-space
-//! ([`hh_sched::ToSpaceOwner`]: chunks owned and run-tagged by the collected heap,
-//! so survivors keep their placement in the hierarchy), zone assembly (chunk
-//! stamping plus the quarantine rescue walk), and the post-collection installation
-//! of the heap's chunk list. A zone never spans more than one heap: a child heap
+//! shared module — `hh_sched::evac` — and one synchronous driver,
+//! [`hh_sched::EvacEngine::collect`], runs this collector and the flat baseline
+//! collector alike: each supplies only its drafter. This module contributes only
+//! what is hierarchical about the collection: the zone is one heap, which also
+//! owns the to-space ([`hh_sched::ToSpaceOwner`]: chunks owned and run-tagged by
+//! the collected heap, so survivors keep their placement in the hierarchy), zone
+//! assembly (chunk stamping plus the quarantine rescue walk), and the
+//! post-collection installation of the heap's chunk list. A zone never spans more than one heap: a child heap
 //! joins its parent when its task ends, so the heap a collector may run on has no
 //! live descendant (DESIGN.md §5.3). §9 gives the full correctness argument for the
 //! team protocol, §11 for the incremental mode built on the same engine.
 
 use crate::runtime::Inner;
+use hh_api::Collected;
 use hh_heaps::HeapId;
 use hh_objmodel::{ChunkId, ObjPtr};
 use hh_sched::{EvacEngine, ToSpaceOwner, Worker};
-use parking_lot::Mutex;
-use std::sync::Arc;
 use std::time::Instant;
 
 impl Inner {
-    /// Effective GC team size: `gc_workers` (0 = "pool size"), clamped to the pool.
-    pub(crate) fn gc_team_size(&self) -> usize {
-        let configured = if self.config.gc_workers == 0 {
-            self.n_workers()
-        } else {
-            self.config.gc_workers
-        };
-        configured.clamp(1, self.n_workers())
-    }
-
     /// True if the words `heap` received since its last collection warrant another
     /// at the next safe point. The one trigger of the zone collector and of the
     /// incremental window start; what the last collection retained never counts.
@@ -125,9 +114,10 @@ impl Inner {
     /// heap's chunk list) is evacuated along with everything else, so it stops
     /// being immortal.
     ///
-    /// `worker` is the calling task's worker, which drafts the team. See the
-    /// module docs for the GC v2 structure (chunk-tag membership, the team,
-    /// scan-block stealing, the CAS forwarding race — all in `hh_sched::evac` now).
+    /// `worker` is the calling task's worker, which drafts the rest of the pool
+    /// into the team. See the module docs for the GC v2 structure (chunk-tag
+    /// membership, the team, scan-block stealing, the CAS forwarding race — all
+    /// in `hh_sched::evac` now).
     pub(crate) fn collect_heap(&self, worker: &Worker, heap: HeapId, roots: &mut [ObjPtr]) {
         // A monolithic collection requires a quiescent zone; an open incremental
         // window (necessarily of a disjoint zone, but conservatively: any) is
@@ -135,55 +125,21 @@ impl Inner {
         // structures' lifecycle (quarantine stamps, heap chunk lists).
         self.finalize_incremental_now(|_| true);
         let start = Instant::now();
-        let store = Arc::clone(self.registry.store());
-        let team = self.gc_team_size();
+        let store = self.registry.store();
+        let members = self.n_workers();
         let epoch = store.next_gc_epoch();
-
-        // --- Zone assembly: stamp membership into chunk metadata. ----------------
         let old = self.registry.heap(heap).chunks();
         self.stamp_chunks(heap, epoch, &old);
-
-        // --- Run the evacuation on the team. -------------------------------------
-        let engine = Arc::new(EvacEngine::new(
+        let outcome = EvacEngine::collect(
             self.to_space_owner(heap),
-            Arc::clone(&store),
+            store,
             epoch,
-            team,
-            false,
-        ));
-        // The root set, rewritten in place by the trigger (slot 0). It lives in
-        // a shared vector because `run_gc_team` runs the trigger through the
-        // same `Fn(usize)` closure it publishes to helpers.
-        let shared_roots = Arc::new(Mutex::new(roots.to_vec()));
-        if team > 1 {
-            let work: Arc<dyn Fn(usize) + Send + Sync> = {
-                let engine = Arc::clone(&engine);
-                let shared_roots = Arc::clone(&shared_roots);
-                Arc::new(move |slot| {
-                    if slot == 0 {
-                        engine.run_trigger(|fwd| {
-                            for r in shared_roots.lock().iter_mut() {
-                                *r = fwd(*r);
-                            }
-                        });
-                    } else {
-                        engine.run_helper(slot);
-                    }
-                })
-            };
-            worker.run_gc_team(team - 1, work);
-        } else {
-            engine.run_trigger(|fwd| {
-                for r in shared_roots.lock().iter_mut() {
-                    *r = fwd(*r);
-                }
-            });
-        }
-        engine.await_team();
-        roots.copy_from_slice(&shared_roots.lock());
-
-        // --- Install the to-space; retire the from-space. ------------------------
-        let outcome = engine.merge();
+            members,
+            &old,
+            |work| worker.run_gc_team(members - 1, work),
+            |fwd| roots.iter_mut().for_each(|r| *r = fwd(*r)),
+        );
+        let (copied, steals) = (outcome.copied_words, outcome.steal_blocks);
         if !outcome.chunks.is_empty() || !old.is_empty() {
             // The engine's merge already moved a partially filled bump chunk to
             // the end of the list — the heap's resume point.
@@ -191,47 +147,16 @@ impl Inner {
                 .heap(heap)
                 .replace_chunks(outcome.chunks, outcome.occupied_words);
         }
-        engine.retire_from_space(&old);
-
-        // --- Statistics. ---------------------------------------------------------
-        self.record_collection(
-            team,
-            outcome.steal_blocks,
-            outcome.copied_words,
-            start.elapsed(),
-        );
+        let how = Collected::Pause {
+            members,
+            pause: start.elapsed(),
+        };
+        self.counters
+            .record_collection(self.shard(), how, copied, steals);
 
         // Debug builds: re-verify disentanglement and forwarding acyclicity over the
         // just-collected heap (still quiescent — same precondition the collection
         // itself ran under). No-op in release builds.
         self.verify_heap(heap);
-    }
-
-    /// Bumps the collection counters and records the pause.
-    pub(crate) fn record_collection(
-        &self,
-        team: usize,
-        steal_blocks: u64,
-        copied_words: u64,
-        pause: std::time::Duration,
-    ) {
-        use std::sync::atomic::Ordering;
-        let shard = self.shard();
-        shard.gc_count.fetch_add(1, Ordering::Relaxed);
-        if team > 1 {
-            shard
-                .gc_parallel_collections
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if steal_blocks > 0 {
-            shard
-                .gc_steal_blocks
-                .fetch_add(steal_blocks, Ordering::Relaxed);
-        }
-        shard
-            .gc_copied_words
-            .fetch_add(copied_words, Ordering::Relaxed);
-        shard.add_gc_time(pause);
-        self.counters.record_gc_pause(pause);
     }
 }

@@ -7,8 +7,9 @@
 //! pin the exact interleaving: every rare transition of the incremental-window
 //! and run lifecycles fires a [`GcScheduleEvent`] through an installed
 //! [`GcScheduleHooks`], whose handler may **block** (stalling that thread at
-//! that point behind a gate) or **force** a collection trigger at a chosen
-//! mutator safe point ([`GcScheduleHooks::force_collect`]).
+//! that point behind a gate) or, on a runtime with `incremental_gc` on,
+//! **force** an incremental window open at a chosen mutator safe point
+//! ([`GcScheduleHooks::force_collect`]; the A6 collector never consults it).
 //!
 //! Hooks are per-runtime (parallel tests never share them) and cost one relaxed
 //! atomic load on the rare paths when none are installed — the hot mutator
@@ -81,9 +82,10 @@ pub trait GcScheduleHooks: Send + Sync {
     }
 
     /// Consulted by the collection-trigger safe point (`maybe_collect`) after
-    /// its threshold test: returning `true` forces a collection attempt even
-    /// under threshold, so a stress driver can open windows at chosen
-    /// fork/join points instead of relying on allocation pressure.
+    /// its threshold test, **only under `incremental_gc`**: returning `true`
+    /// there forces a window-start attempt even under threshold, so a stress
+    /// driver can open windows at chosen fork/join points instead of relying on
+    /// allocation pressure. The A6 (stop-the-world zone) path ignores it.
     fn force_collect(&self) -> bool {
         false
     }

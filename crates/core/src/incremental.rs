@@ -344,19 +344,12 @@ impl Inner {
             *slot = None;
             self.incremental_active.store(false, Ordering::Release);
         }
-        let shard = self.shard();
-        shard.gc_count.fetch_add(1, Ordering::Relaxed);
-        shard
-            .gc_incremental_collections
-            .fetch_add(1, Ordering::Relaxed);
-        if outcome.steal_blocks > 0 {
-            shard
-                .gc_steal_blocks
-                .fetch_add(outcome.steal_blocks, Ordering::Relaxed);
-        }
-        shard
-            .gc_copied_words
-            .fetch_add(outcome.copied_words, Ordering::Relaxed);
+        self.counters.record_collection(
+            self.shard(),
+            hh_api::Collected::Incremental,
+            outcome.copied_words,
+            outcome.steal_blocks,
+        );
         // The debug invariant walk (`verify_heaps`) is deliberately skipped here:
         // it requires a quiescent zone, and at an incremental finalize the zone's
         // mutator is running on another frame (or another thread, for idle-worker

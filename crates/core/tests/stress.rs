@@ -453,7 +453,7 @@ fn seed_count() -> u64 {
 }
 
 /// GC v2 lane: one seed on the hierarchical runtime with **parallel collection
-/// forced** — a GC team of 8 (clamped to the pool), tiny chunks, and a tiny
+/// forced** — a GC team of the pool's size (at least 2), tiny chunks, and a tiny
 /// `gc_threshold_words` on *every* seed, so the parallel evacuation (chunk-tag
 /// membership, CAS forwarding races, scan-block stealing) interleaves with
 /// promotion and recycling throughout. Run lazy and eager so both the subtree
@@ -468,7 +468,6 @@ fn run_case_parallel_gc(case: &Case) {
     let workers = hh_api::env_workers(4).max(2);
     let hh_cfg = |lazy: bool| HhConfig {
         n_workers: workers,
-        gc_workers: 8,
         chunk_words: 256,
         gc_threshold_words: 8 * 1024,
         lazy_child_heaps: lazy,

@@ -1,7 +1,8 @@
 //! The shared evacuation engine (GC v3) — **one** copy of the span pack/steal
-//! loop, the team-member body, and the idle-termination protocol, consumed by
-//! both the hierarchical collector (`hh-runtime`'s `collect_heap`) and the flat
-//! baseline collector (`hh-baselines`' `par_semispace_collect`).
+//! loop, the team-member body, the idle-termination protocol and the synchronous
+//! collection driver ([`EvacEngine::collect`]), consumed by both the hierarchical
+//! collector (`hh-runtime`'s `collect_heap`) and the flat baseline collector
+//! (`hh-baselines`' `par_semispace_collect`).
 //!
 //! GC v2 (PR 5) grew this machinery twice — once per collector — and its
 //! trigger-preregistration race had to be fixed in both copies. The engine
@@ -31,10 +32,11 @@
 //! ## Two drive modes
 //!
 //! **Synchronous team** (GC v2's shape, ablation A6 of the hierarchical
-//! runtime): the triggering thread runs [`EvacEngine::run_trigger`] while
-//! drafted helpers run [`EvacEngine::run_helper`]; the trigger then
-//! [`EvacEngine::await_team`]s and [`EvacEngine::merge`]s. Mutators are
-//! quiescent throughout.
+//! runtime): [`EvacEngine::collect`], the one driver. It hands the helper body to
+//! the caller's drafter (pool jobs for the hierarchical runtime, a pause-work
+//! offer to parked mutators for the stop-the-world baselines), runs the trigger
+//! member in the caller's frame, awaits the team, merges and retires the
+//! from-space. Mutators are quiescent throughout.
 //!
 //! **Incremental / mutator-concurrent** (GC v3): the initial pause only seeds
 //! the roots ([`EvacEngine::seed_roots`]); mutators then resume against the
@@ -646,15 +648,42 @@ impl EvacEngine {
         }
     }
 
-    /// Runs the triggering member (slot 0): seeds the roots through the
-    /// supplied closure — which receives the engine's forward step and must
-    /// apply it to every root — then works the wavefront to termination.
+    /// Runs one synchronous collection of the zone stamped `FromSpace` for
+    /// `epoch` (its chunks are `from_space`) on a team of `members`, retires the
+    /// from-space and returns the merged to-space for the caller to install.
     ///
-    /// The trigger is pre-registered and non-idle throughout seeding, so a
-    /// fast helper that joins first and finds no work can never observe an
-    /// all-idle team and finish the collection before the roots have seeded
-    /// the wavefront.
-    pub fn run_trigger(&self, seed: impl FnOnce(&mut dyn FnMut(ObjPtr) -> ObjPtr)) {
+    /// With `members > 1`, `draft` receives the helper body, publishes it to up
+    /// to `members - 1` threads as `body(1) .. body(members - 1)`, and returns;
+    /// a late or out-of-range slot bounces. A team of one never drafts, and its
+    /// forwarding install is a plain store. The trigger (slot 0) then runs in
+    /// the caller's frame, where `seed` applies the forward step to every root.
+    /// It is pre-registered and non-idle throughout seeding, so a fast helper
+    /// that finds no work can never finish the collection before the roots
+    /// have seeded the wavefront.
+    pub fn collect(
+        owner: ToSpaceOwner,
+        store: &Arc<ChunkStore>,
+        epoch: u64,
+        members: usize,
+        from_space: &[ChunkId],
+        draft: impl FnOnce(Arc<dyn Fn(usize) + Send + Sync>),
+        seed: impl FnOnce(&mut dyn FnMut(ObjPtr) -> ObjPtr),
+    ) -> EvacOutcome {
+        let engine = Arc::new(Self::new(owner, Arc::clone(store), epoch, members, false));
+        if members > 1 {
+            let team = Arc::clone(&engine);
+            draft(Arc::new(move |slot| team.run_helper(slot)));
+        }
+        engine.run_trigger(seed);
+        engine.await_team();
+        let outcome = engine.merge();
+        engine.retire_from_space(from_space);
+        outcome
+    }
+
+    /// Runs the triggering member (slot 0): seeds the roots through `seed`,
+    /// then works the wavefront to termination.
+    fn run_trigger(&self, seed: impl FnOnce(&mut dyn FnMut(ObjPtr) -> ObjPtr)) {
         // Depart on drop (unwind included): a trigger killed mid-collection
         // must still count as departed, or a later `await_team` caller would
         // spin forever on its registration.
@@ -668,7 +697,7 @@ impl EvacEngine {
     /// Runs a drafted helper member. A helper arriving after the collection
     /// finished (stale injector job) registers nothing and returns
     /// immediately; a slot beyond the team size likewise bounces.
-    pub fn run_helper(&self, slot: usize) {
+    fn run_helper(&self, slot: usize) {
         if slot == 0 || slot >= self.member_slots() {
             return;
         }
@@ -686,7 +715,7 @@ impl EvacEngine {
     /// Blocks until every registered member has departed (only the triggering
     /// thread calls this, after its own member body returned). After this, all
     /// per-member state is owned by the caller again.
-    pub fn await_team(&self) {
+    fn await_team(&self) {
         self.sync.await_departures();
         debug_assert!(
             self.roots_seeded.load(Ordering::Acquire),
@@ -866,9 +895,9 @@ impl EvacEngine {
     /// resume point; other members' partial chunks keep their unused tails
     /// (bounded internal fragmentation, reclaimed at the next collection).
     ///
-    /// Call after [`EvacEngine::await_team`] (synchronous mode) or
-    /// [`EvacEngine::finalize`] (incremental mode); the engine must be
-    /// quiescent.
+    /// Call once the team has departed (synchronous mode: [`EvacEngine::collect`]
+    /// does) or after [`EvacEngine::finalize`] (incremental mode); the engine
+    /// must be quiescent.
     pub fn merge(&self) -> EvacOutcome {
         debug_assert!(
             self.roots_seeded.load(Ordering::Acquire),
@@ -998,20 +1027,25 @@ mod tests {
         for &c in &chunks {
             store.chunk(c).set_gc_from_space(epoch);
         }
-        let engine = EvacEngine::new(owner(raw), Arc::clone(&store), epoch, 1, false);
-        let roots = Mutex::new(vec![list]);
-        engine.run_trigger(|fwd| {
-            for r in roots.lock().iter_mut() {
-                *r = fwd(*r);
-            }
-        });
-        engine.await_team();
-        let outcome = engine.merge();
+        let mut new_root = list;
+        let outcome = EvacEngine::collect(
+            owner(raw),
+            &store,
+            epoch,
+            1,
+            &chunks,
+            |_| panic!("a team of one drafts no helper"),
+            |fwd| new_root = fwd(new_root),
+        );
         assert_eq!(outcome.copied_words, 5 * 5);
         assert_eq!(outcome.waste_words, 0);
         assert_eq!(outcome.occupied_words, 25);
-        let new_root = roots.lock()[0];
+        assert_eq!(outcome.steal_blocks, 0);
         assert_ne!(new_root, list);
+        assert!(
+            chunks.iter().all(|&c| store.chunk(c).is_retired()),
+            "the driver retires the from-space"
+        );
         assert_eq!(walk_tags(&store, new_root), vec![4, 3, 2, 1, 0]);
     }
 
@@ -1036,25 +1070,26 @@ mod tests {
         for &c in &chunks {
             store.chunk(c).set_gc_from_space(epoch);
         }
-        let engine = EvacEngine::new(owner(raw), Arc::clone(&store), epoch, 2, false);
-        let roots = Mutex::new(vec![list]);
-        std::thread::scope(|s| {
-            s.spawn(|| engine.run_helper(1));
-            engine.run_trigger(|fwd| {
-                for r in roots.lock().iter_mut() {
-                    *r = fwd(*r);
-                }
-            });
+        let mut new_root = list;
+        let outcome = std::thread::scope(|s| {
+            EvacEngine::collect(
+                owner(raw),
+                &store,
+                epoch,
+                2,
+                &chunks,
+                |work| {
+                    s.spawn(move || work(1));
+                },
+                |fwd| new_root = fwd(new_root),
+            )
         });
-        engine.await_team();
-        let outcome = engine.merge();
         assert_eq!(outcome.copied_words, N * 5);
         assert_eq!(outcome.inplace_words, big_header.size_words() as u64);
         assert_eq!(
             outcome.occupied_words as u64,
             outcome.copied_words + outcome.inplace_words + outcome.waste_words
         );
-        let new_root = roots.lock()[0];
         assert_eq!(
             walk_tags(&store, new_root),
             (0..N).rev().collect::<Vec<_>>()

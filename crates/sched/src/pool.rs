@@ -312,10 +312,10 @@ impl Worker {
     }
 
     /// Drafts up to `helpers` of the pool's workers into a collection team (GC
-    /// v2): this worker runs `work(0)` inline as team member 0, and `helpers`
-    /// fire-and-forget jobs calling `work(1) .. work(helpers)` are injected for
-    /// idle workers to pick up. Every parked worker is woken so a sleeping pool
-    /// joins the collection instead of sleeping through it.
+    /// v2): injects `helpers` fire-and-forget jobs calling `work(1) ..
+    /// work(helpers)` for idle workers to pick up, and returns. Every parked
+    /// worker is woken so a sleeping pool joins the collection instead of
+    /// sleeping through it. The caller runs the team's member 0 itself.
     ///
     /// Helpers are **best-effort**: a worker busy with mutator tasks simply never
     /// takes its helper job, and a job executed after the collection finished must
@@ -359,7 +359,6 @@ impl Worker {
             // work, so draft them all.
             self.pool.wake_all();
         }
-        work(0);
     }
 }
 
@@ -718,9 +717,8 @@ mod tests {
             outside_worker(&pool).run_gc_team(
                 4,
                 Arc::new(move |slot| {
-                    if slot > 0 {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }
+                    assert!(slot > 0, "the drafter never runs member 0");
+                    counter.fetch_add(1, Ordering::Relaxed);
                 }),
             );
             assert_eq!(
@@ -938,14 +936,7 @@ mod tests {
         // there is no joining frame to propagate it to.
         let pool = Pool::new(2);
         let inner = Arc::clone(&pool.inner);
-        outside_worker(&pool).run_gc_team(
-            2,
-            Arc::new(|slot| {
-                if slot > 0 {
-                    panic!("injected helper fault");
-                }
-            }),
-        );
+        outside_worker(&pool).run_gc_team(2, Arc::new(|_| panic!("injected helper fault")));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while (pool.sched_stats().worker_panics < 2
             || inner.gc_helper_jobs.load(Ordering::Relaxed) != 0)

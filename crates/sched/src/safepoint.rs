@@ -29,12 +29,14 @@ struct State {
 type WakeHook = Arc<dyn Fn() + Send + Sync>;
 
 /// Work offered to threads parked at the safepoint (GC v2: the parallel collector's
-/// team entry). The generation lets each parked thread run a given offer exactly
-/// once — after its helper stint it goes back to waiting for the resume signal.
+/// helper body). The generation lets each parked thread run a given offer exactly
+/// once — after its helper stint it goes back to waiting for the resume signal —
+/// and `next_slot` gives each taker its own helper slot, `1, 2, ...`.
 #[derive(Default)]
 struct PauseWork {
     generation: u64,
-    work: Option<Arc<dyn Fn() + Send + Sync>>,
+    next_slot: usize,
+    work: Option<Arc<dyn Fn(usize) + Send + Sync>>,
 }
 
 /// Stop-the-world coordination for the baseline collectors.
@@ -108,20 +110,22 @@ impl Safepoints {
         }
     }
 
-    /// Offers `work` to every thread parked at this safepoint for the duration of
-    /// the current stop-the-world pause (GC v2: *drafting* — instead of sleeping
-    /// through the collection, parked mutators run the parallel collector's team
-    /// entry). Each parked thread runs the offer at most once, then resumes waiting;
+    /// Offers `work` to every thread parked at this safepoint for the rest of the
+    /// current stop-the-world pause (GC v2: *drafting* — instead of sleeping
+    /// through the collection, parked mutators run the parallel collector's
+    /// helper body). Each parked thread runs the offer at most once, as
+    /// `work(slot)` with a slot of its own numbered from 1, then resumes waiting;
     /// the offer must therefore not return until the team has no more work for it.
     ///
     /// Call only from inside the collection closure of
     /// [`Safepoints::stop_the_world`] (the world is stopped, so the drafted threads
-    /// are exactly the parked mutators), and pair with
-    /// [`Safepoints::end_pause_work`] before the closure returns.
-    pub fn begin_pause_work(&self, work: Arc<dyn Fn() + Send + Sync>) {
+    /// are exactly the parked mutators). The offer is withdrawn when the world
+    /// resumes.
+    pub fn begin_pause_work(&self, work: Arc<dyn Fn(usize) + Send + Sync>) {
         {
             let mut pw = self.pause_work.lock();
             pw.generation += 1;
+            pw.next_slot = 1;
             pw.work = Some(work);
         }
         // Parked threads wait on the resume condvar; poke them so they notice the
@@ -129,11 +133,6 @@ impl Safepoints {
         // thread's re-check and its wait.)
         let _st = self.state.lock();
         self.resume_cv.notify_all();
-    }
-
-    /// Withdraws the offer installed by [`Safepoints::begin_pause_work`].
-    pub fn end_pause_work(&self) {
-        self.pause_work.lock().work = None;
     }
 
     fn park(&self) {
@@ -159,20 +158,22 @@ impl Safepoints {
         let mut ran_generation = 0u64;
         while self.requested.load(Ordering::Acquire) {
             let offer = {
-                let pw = self.pause_work.lock();
+                let mut pw = self.pause_work.lock();
                 if pw.work.is_some() && pw.generation != ran_generation {
                     ran_generation = pw.generation;
-                    pw.work.clone()
+                    let slot = pw.next_slot;
+                    pw.next_slot += 1;
+                    pw.work.clone().map(|work| (work, slot))
                 } else {
                     None
                 }
             };
-            if let Some(work) = offer {
+            if let Some((work, slot)) = offer {
                 // Help the collection. The thread stays *logically* parked (it
                 // performs no mutator work), but the state lock is released so the
                 // collector and other helpers are not serialized on it.
                 drop(st);
-                work();
+                work(slot);
                 st = self.state.lock();
                 continue;
             }
@@ -214,8 +215,7 @@ impl Safepoints {
                 // Resume the world through an unwind guard: if `collect` panics
                 // (a fault-injected collection), leaving `requested` set would
                 // park every future poller forever. The guard also withdraws
-                // any pause-work offer the collection left installed, so a
-                // stale offer cannot leak into the next pause.
+                // the pause-work offer, so it cannot leak into the next pause.
                 struct ResumeWorld<'a>(&'a Safepoints);
                 impl Drop for ResumeWorld<'_> {
                     fn drop(&mut self) {
@@ -344,12 +344,15 @@ mod tests {
             assert!(r.is_err(), "the drafted helper stint should have panicked");
             sp2.unregister();
         });
-        let sp3 = Arc::clone(&sp);
+        let (taken_tx, taken) = std::sync::mpsc::channel();
         let ran = sp.stop_the_world(|| {
-            sp3.begin_pause_work(Arc::new(|| panic!("drafted helper fault")));
-            // Wait for the parked mutator to pick up the offer and die of it.
-            std::thread::sleep(Duration::from_millis(20));
-            sp3.end_pause_work();
+            sp.begin_pause_work(Arc::new(move |_| {
+                taken_tx.send(()).unwrap();
+                panic!("drafted helper fault")
+            }));
+            // The mutator is parked (the world is stopped), so it takes the
+            // offer; resume only once it has, or it would never panic.
+            taken.recv().unwrap();
         });
         assert!(ran);
         h.join().unwrap();
@@ -359,6 +362,52 @@ mod tests {
         let mut ran2 = false;
         assert!(sp.stop_the_world(|| ran2 = true));
         assert!(ran2);
+        sp.unregister();
+    }
+
+    #[test]
+    fn parked_threads_take_distinct_helper_slots_until_the_world_resumes() {
+        let sp = Arc::new(Safepoints::new());
+        let members = 3; // the collector and two parked mutators
+        for _ in 0..members {
+            sp.register();
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let mutators: Vec<_> = (1..members)
+            .map(|_| {
+                let (sp, stop) = (Arc::clone(&sp), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        sp.poll();
+                        std::hint::spin_loop();
+                    }
+                    sp.unregister();
+                })
+            })
+            .collect();
+        let slots = Arc::new(Mutex::new(Vec::new()));
+        let ran = sp.stop_the_world(|| {
+            let taken = Arc::clone(&slots);
+            sp.begin_pause_work(Arc::new(move |slot| taken.lock().push(slot)));
+            // Both mutators are parked, so each takes the offer once.
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while slots.lock().len() < members - 1 {
+                assert!(std::time::Instant::now() < deadline, "offer not taken");
+                std::thread::yield_now();
+            }
+        });
+        assert!(ran);
+        assert!(
+            sp.pause_work.lock().work.is_none(),
+            "the offer outlived its pause"
+        );
+        stop.store(true, Ordering::Relaxed);
+        for h in mutators {
+            h.join().unwrap();
+        }
+        let mut slots = slots.lock().clone();
+        slots.sort_unstable();
+        assert_eq!(slots, (1..members).collect::<Vec<_>>());
         sp.unregister();
     }
 

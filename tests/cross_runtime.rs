@@ -60,9 +60,9 @@ fn all_runtimes_agree_on_deterministic_benchmarks() {
 }
 
 /// The adversarial workloads (`wavefront`, `entangle`) agree across all four
-/// runtimes *and* across the hierarchical runtime's ablation matrix — A4
-/// (serial GC), A6 (monolithic collections, the default shape), and
-/// incremental collection — under GC-pressure thresholds
+/// runtimes *and* across the hierarchical runtime's collector shapes — a
+/// one-worker runtime (serial GC), A6 (monolithic collections on a team, the
+/// default shape), and incremental collection — under GC-pressure thresholds
 /// with the invariant checker on, leaving no entanglement after any run.
 #[test]
 fn adversarial_workloads_agree_across_runtimes_and_ablations() {
@@ -93,9 +93,9 @@ fn adversarial_workloads_agree_across_runtimes_and_ablations() {
         };
         let shapes: [(&str, HhConfig); 3] = [
             (
-                "A4 (serial GC)",
+                "one worker (serial GC)",
                 HhConfig {
-                    gc_workers: 1,
+                    n_workers: 1,
                     ..base.clone()
                 },
             ),

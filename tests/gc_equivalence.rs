@@ -1,34 +1,34 @@
 //! GC v2 acceptance tests: the parallel zone collector must be observably
-//! equivalent to the serial (`gc_workers = 1`, ablation A4) collector — same
-//! workload checksums, zero entanglement, comparable footprint — on the
-//! mutator-heavy and adversarial workloads under tiny GC thresholds, and the
-//! team counters must fire when a team is configured.
+//! equivalent to the serial collector of a one-worker runtime — same workload
+//! checksums, zero entanglement, comparable footprint — on the mutator-heavy and
+//! adversarial workloads under tiny GC thresholds, and the team counters must
+//! fire on a pool of more than one worker.
 
 use hierheap::workloads::adversary::entangle;
 use hierheap::workloads::mutator::{frontier_bfs, lru_churn, union_find};
 use hierheap::workloads::wavefront::wavefront;
 use hierheap::{HhConfig, HhRuntime, ObjPtr, ParCtx, Runtime};
 
-/// Tiny chunks and GC thresholds so collections fire constantly, on a pool big
-/// enough that a team actually has members to draft.
+/// Tiny chunks and GC thresholds so collections fire constantly, on a pool of
+/// `n_workers`; the collection team is the pool.
 ///
 /// The threshold must stay below what one *stolen* task of the smallest workload
 /// allocates on its own (~7.5K words for an lru-churn task): when every task is
 /// stolen into a private heap — likely on a loaded machine — no heap sees the
 /// other tasks' allocation, and a threshold above the per-task volume would let
 /// the whole run finish without a single collection.
-fn cfg(gc_workers: usize) -> HhConfig {
+fn cfg(n_workers: usize) -> HhConfig {
     HhConfig {
-        n_workers: 4,
-        gc_workers,
+        n_workers,
         chunk_words: 256,
         gc_threshold_words: 4 * 1024,
         ..HhConfig::default()
     }
 }
 
-/// Runs `work` under the serial collector and under a team of 8 (clamped to the
-/// pool), asserting checksum equality, no entanglement, collections on both
+/// Runs `work` on a one-worker runtime, whose collections are solo by
+/// construction, and on a 4-worker runtime, whose collections run on a team of 4,
+/// asserting checksum equality, no entanglement, collections on both
 /// sides, and that the parallel run's resident footprint stays within a small
 /// factor of the serial run's (parallel evacuation wastes bounded words on
 /// per-member partial chunks and CAS-race fillers, never unbounded ones).
@@ -56,10 +56,10 @@ fn assert_equivalent(work: impl Fn(&hierheap::HhCtx) -> u64 + Send + Copy) {
     assert!(s.gc_count > 0, "thresholds must force collections");
     assert_eq!(
         s.gc_parallel_collections, 0,
-        "gc_workers=1 must not form teams"
+        "a one-worker runtime must not form teams"
     );
 
-    let parallel = HhRuntime::new(cfg(8));
+    let parallel = HhRuntime::new(cfg(4));
     let parallel_sum = parallel.run(work);
     assert_eq!(
         parallel.check_disentangled(),
@@ -67,11 +67,11 @@ fn assert_equivalent(work: impl Fn(&hierheap::HhCtx) -> u64 + Send + Copy) {
         "parallel run left entanglement"
     );
     let p = parallel.stats();
-    assert_eq!(serial_sum, parallel_sum, "gc_workers=1 ≢ gc_workers=N");
+    assert_eq!(serial_sum, parallel_sum, "one worker ≢ a team of 4");
     assert!(p.gc_count > 0, "thresholds must force collections");
     assert_eq!(
         p.gc_parallel_collections, p.gc_count,
-        "every collection must run in team mode when a team is configured"
+        "every collection of a multi-worker runtime must run in team mode"
     );
     assert!(
         p.live_words <= s.live_words * 4 + 64 * 1024,
@@ -108,16 +108,13 @@ fn serial_and_parallel_gc_agree_on_entangle() {
     assert_equivalent(|ctx| entangle(ctx, 8, 4_000, 700, 0xAD55));
 }
 
-/// A forced collection of a large live set under a configured team bumps the
-/// team counters, survives intact, and reports a max pause.
+/// A forced collection of a large live set on a team of 4 bumps the team
+/// counters, survives intact, and reports a max pause.
 #[test]
 fn forced_team_collection_preserves_live_data_and_counts() {
     let rt = HhRuntime::new(HhConfig {
-        n_workers: 4,
-        gc_workers: 4,
-        chunk_words: 256,
         gc_threshold_words: usize::MAX / 2, // only the forced collection runs
-        ..HhConfig::default()
+        ..cfg(4)
     });
     rt.run(|ctx| {
         // A pinned list of 4000 cells plus plenty of garbage.
