@@ -50,11 +50,6 @@ impl RootFrame {
 pub struct HhCtx {
     inner: Arc<Inner>,
     heap: HeapId,
-    /// Epoch of the run this task belongs to (the heap's run tag; 0 when the run is
-    /// not epoch-tracked). Read by the cross-run assertion, which only exists in
-    /// debug builds — hence dead in release.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    run_tag: u64,
     worker: Worker,
     /// True if this task's heap was created for it (root / stolen / eager mode), false
     /// if it runs in its parent's heap under the lazy policy.
@@ -89,11 +84,9 @@ impl HhCtx {
         domain_frame: Option<Arc<RootFrame>>,
         run_ctl: Option<Arc<hh_api::RunCtl>>,
     ) -> HhCtx {
-        let run_tag = inner.registry.heap(heap).run_tag();
         HhCtx {
             inner,
             heap,
-            run_tag,
             worker,
             owns_heap: domain_frame.is_none(),
             frame: domain_frame.unwrap_or_else(RootFrame::new),
@@ -113,7 +106,8 @@ impl HhCtx {
     }
 
     /// Cross-run assertion (debug builds only): the chunk an accessed object
-    /// lives in must belong to this task's run. A stale `ObjPtr` carried
+    /// lives in must belong to this task's run, the run tag of its heap (fixed
+    /// at creation, shared by the run's whole tree). A stale `ObjPtr` carried
     /// across runs points into a chunk that is either still quarantined under its
     /// old run's tag or already recycled to a different run — both read as a foreign
     /// tag here and panic instead of silently resolving through recycled memory.
@@ -128,11 +122,11 @@ impl HhCtx {
         #[cfg(debug_assertions)]
         if !obj.is_null() {
             let tag = self.inner.registry.store().chunk(obj.chunk()).run_tag();
+            let run = self.inner.registry.heap(self.heap).run_tag();
             assert!(
-                tag == self.run_tag,
+                tag == run,
                 "cross-run ObjPtr: {obj:?} points into a chunk of run epoch {tag}, \
-                 accessed from run epoch {}",
-                self.run_tag
+                 accessed from run epoch {run}"
             );
         }
         #[cfg(not(debug_assertions))]

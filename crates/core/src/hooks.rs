@@ -11,10 +11,13 @@
 //! **force** an incremental window open at a chosen mutator safe point
 //! ([`GcScheduleHooks::force_collect`]; the A6 collector never consults it).
 //!
-//! Hooks are per-runtime (parallel tests never share them) and cost one relaxed
-//! atomic load on the rare paths when none are installed — the hot mutator
-//! paths (barrier fast path, allocation) never consult them. Production code
-//! must not install hooks; the installer is `#[doc(hidden)]`.
+//! Hooks are per-runtime (parallel tests never share them) and set once, on a
+//! fresh runtime: a second `install_gc_hooks` on one runtime panics. When none
+//! are installed a consulting site pays one atomic load of the empty set-once
+//! cell, taking no lock. The schedule points are rare paths; the one hot site
+//! is the allocation fault check, and the barrier fast path never consults
+//! them. Production code must not install hooks; the installer is
+//! `#[doc(hidden)]`.
 
 /// A schedule point in the incremental-collection / run lifecycle. Fired on the
 /// thread performing the transition, so a blocking handler stalls exactly that
@@ -93,7 +96,7 @@ pub trait GcScheduleHooks: Send + Sync {
     /// Consulted at the top of every `HhCtx::alloc` while hooks are installed:
     /// returning `true` makes the allocation fail by panicking with an
     /// [`hh_api::InjectedFault`] payload *before* any state is touched (the
-    /// modeled allocation failure of the chaos layer). Costs one relaxed load
+    /// modeled allocation failure of the chaos layer). Costs one atomic load
     /// per allocation when no hooks are installed — the only hook consulted on
     /// a hot path, which is the price of having an allocation fault site at
     /// all.

@@ -78,6 +78,12 @@ pub(crate) const GC_IDLE_INCREMENT_WORDS: usize = 4 * SCAN_BLOCK_WORDS as usize;
 /// idle-worker work — it is not bounded like a drain slice — but a saturated
 /// pool must not leave the window open indefinitely: at most one window exists
 /// per runtime, so a lingering one blocks all future collections.
+///
+/// A one-worker runtime has no idle worker, so there this valve is the only
+/// way a window closes: after 64 empty safe-point drains, and no window opens
+/// meanwhile. One-worker `frontier_bfs(8000)` at the `gc` benchmark's geometry
+/// (1 Ki-word chunks, a 16 Ki-word threshold) therefore finalizes one window,
+/// which copies about 1 k words of the 67 k it allocates.
 const GC_FINALIZE_STALENESS: usize = 64;
 
 /// One in-flight incremental collection. Installed in `Inner::active_gc` between
@@ -91,15 +97,15 @@ pub(crate) struct ActiveGc {
     /// stayed unclaimed (see `GC_FINALIZE_STALENESS`).
     empty_safepoint_ticks: AtomicUsize,
     /// The zone heap (as resolved at the start; it may join its parent
-    /// mid-window).
-    heap: HeapId,
+    /// mid-window). Its run tag names the run the window belongs to: `end_run`
+    /// force-finalizes a window whose run is ending, otherwise both semispaces
+    /// would leak (neither is on a heap's chunk list during the window, so
+    /// run-end disposal would miss them). A heap's tag is fixed at creation and
+    /// shared by its whole tree, so the join does not change it.
+    pub(crate) heap: HeapId,
     /// The flipped-out from-space chunk list — retired at finalize (the zone
     /// heap's own list was emptied at the flip).
     old_chunks: Vec<ChunkId>,
-    /// Run tag of the zone heap; `end_run` force-finalizes a window whose run
-    /// is ending, otherwise both semispaces would leak (neither is on a heap's
-    /// chunk list during the window, so run-end disposal would miss them).
-    pub(crate) zone_run_tag: u64,
     /// Claim flag: exactly one thread runs the finalize handshake.
     finalizing: AtomicBool,
 }
@@ -130,7 +136,6 @@ impl Inner {
         let start = Instant::now();
         let store = Arc::clone(self.registry.store());
         let epoch = store.next_gc_epoch();
-        let zone_run_tag = self.registry.heap(heap).run_tag();
         // Flip: take the heap's chunks out. The mutator's next allocation opens a
         // fresh (untagged, hence zone-outside) chunk, so everything it allocates
         // from here on is correctly excluded from the collection.
@@ -138,8 +143,8 @@ impl Inner {
         self.stamp_chunks(heap, epoch, &old_chunks);
         let engine = EvacEngine::new(self.to_space_owner(heap), store, epoch, 1, true);
         // Evacuate the pins — the only part of the live set the mutator waits
-        // for. Publication order: barriers must be fully armed (epoch, engine,
-        // then the flag, Release) before any *other* thread can reach a
+        // for. Publication order: barriers must be fully armed (engine, then the
+        // epoch, Release) before any *other* thread can reach a
         // from-space object; until this function returns none can (the caller
         // holds the heap's steal gate: no live descendant, no stolen child).
         engine.seed_roots(|fwd| {
@@ -147,16 +152,14 @@ impl Inner {
                 *r = fwd(*r);
             }
         });
-        self.active_gc_epoch.store(epoch, Ordering::Release);
         *guard = Some(Arc::new(ActiveGc {
             engine,
             empty_safepoint_ticks: AtomicUsize::new(0),
             heap,
             old_chunks,
-            zone_run_tag,
             finalizing: AtomicBool::new(false),
         }));
-        self.incremental_active.store(true, Ordering::Release);
+        self.active_gc_epoch.store(epoch, Ordering::Release);
         drop(guard);
         self.fire_hook(crate::hooks::GcScheduleEvent::WindowStart { epoch });
         let pause = start.elapsed();
@@ -295,7 +298,7 @@ impl Inner {
         let epoch = gc.engine.epoch();
         self.fire_hook(crate::hooks::GcScheduleEvent::FinalizeClaimed { epoch });
         // Residual drain + barrier quiescence. Barriers must stay answerable
-        // until `retired` flips inside, so the active flag is cleared only after.
+        // until `retired` flips inside, so the window epoch is cleared only after.
         gc.engine.finalize();
         guard.engine_finalized = true;
         self.fire_hook(crate::hooks::GcScheduleEvent::FinalizePreMerge { epoch });
@@ -342,7 +345,7 @@ impl Inner {
                 "finalizing a window that is not installed"
             );
             *slot = None;
-            self.incremental_active.store(false, Ordering::Release);
+            self.active_gc_epoch.store(0, Ordering::Release);
         }
         self.counters.record_collection(
             self.shard(),
@@ -361,16 +364,16 @@ impl Inner {
     /// `obj`, forward it out of the from-space so the operation's own
     /// write-then-recheck path lands on the to-space master. Two-level fast
     /// path: a plain config test (compiled shape, free when the feature is off),
-    /// then one atomic flag load per operation while it is on.
+    /// then one load of the window epoch per operation while it is on.
     #[inline]
     pub(crate) fn gc_barrier(&self, obj: ObjPtr) {
-        if !self.config.incremental_gc {
+        if !self.config.incremental_gc || obj.is_null() {
             return;
         }
-        if obj.is_null() || !self.incremental_active.load(Ordering::Acquire) {
-            return;
+        let epoch = self.active_gc_epoch.load(Ordering::Acquire);
+        if epoch != 0 {
+            self.gc_barrier_slow(obj, epoch);
         }
-        self.gc_barrier_slow(obj);
     }
 
     /// The write barrier's value hook: as `Inner::gc_barrier`, but returns the
@@ -379,32 +382,32 @@ impl Inner {
     /// revisit (`write_ptr`'s value operand, `pin` slots of mid-window frames).
     #[inline]
     pub(crate) fn gc_barrier_value(&self, p: ObjPtr) -> ObjPtr {
-        if !self.config.incremental_gc {
+        if !self.config.incremental_gc || p.is_null() {
             return p;
         }
-        if p.is_null() || !self.incremental_active.load(Ordering::Acquire) {
-            return p;
-        }
-        self.gc_barrier_value_slow(p)
-    }
-
-    #[cold]
-    fn gc_barrier_slow(&self, obj: ObjPtr) {
-        let _ = self.gc_barrier_value_slow(obj);
-    }
-
-    /// Cold path: only reached while a window is open. One chunk-tag load
-    /// filters out everything outside the zone before any lock is touched.
-    #[cold]
-    fn gc_barrier_value_slow(&self, p: ObjPtr) -> ObjPtr {
-        let store = self.registry.store();
         let epoch = self.active_gc_epoch.load(Ordering::Acquire);
+        if epoch == 0 {
+            return p;
+        }
+        self.gc_barrier_value_slow(p, epoch)
+    }
+
+    #[cold]
+    fn gc_barrier_slow(&self, obj: ObjPtr, epoch: u64) {
+        let _ = self.gc_barrier_value_slow(obj, epoch);
+    }
+
+    /// Cold path: only reached while window `epoch` is (or just was) open. One
+    /// chunk-tag load filters out everything outside the zone before any lock
+    /// is touched.
+    #[cold]
+    fn gc_barrier_value_slow(&self, p: ObjPtr, epoch: u64) -> ObjPtr {
+        let store = self.registry.store();
         let chunk = store.chunk(p.chunk());
-        // A stale epoch (a window that closed between the flag load and here)
-        // decodes as `Outside`: the closed window needed no barrier, and a chunk
-        // stamped by a *newer* window reads that window's epoch or `Outside`
-        // conservatively — the re-check under the engine's own epoch below
-        // settles it.
+        // A stale epoch (a window that closed after the epoch load) decodes as
+        // `Outside`: the closed window needed no barrier, and a chunk stamped by
+        // a *newer* window reads that window's epoch or `Outside` conservatively
+        // — the re-check under the engine's own epoch below settles it.
         if chunk.gc_state(epoch) != ChunkGcState::FromSpace {
             return p;
         }
@@ -421,7 +424,7 @@ impl Inner {
         }
         match gc.engine.barrier_forward(p) {
             Some(fwd) => fwd,
-            // Retired between the flag load and the call: the evacuation is
+            // Retired between the epoch load and the call: the evacuation is
             // complete, so ordinary forwarding resolution takes over.
             None => store.resolve_fwd(p),
         }

@@ -21,9 +21,11 @@
 //! | [`ops`]      | Figure 6 `findMaster` (as a lock-free chase), `readMutable`, `writeNonptr`; Figure 7 `writePtr` |
 //! | [`promote`]  | Figure 7 `writePromote`, `promote` (batched Cheney pass + path compression, v2) |
 //! | [`gc`]       | Figure 14 / Appendix A promotion-aware copy collection             |
+//! | [`incremental`] | mutator-concurrent incremental collection: window, drains, write barrier |
+//! | [`hooks`]    | test-only schedule hooks and the seeded fault plan               |
 //! | [`invariants`] | debug-build disentanglement / forwarding-acyclicity checker      |
 //! | [`runtime`]  | runtime construction, scheduler integration, statistics            |
-//! | [`config`]   | tunables (workers, chunk size, GC threshold and team, heap shapes) |
+//! | [`config`]   | tunables (workers, chunk size, GC threshold, invariant checks, collector and heap shapes) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

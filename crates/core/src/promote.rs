@@ -299,7 +299,6 @@ impl Inner {
         }
         self.verify_promotion(target.id(), [copy]);
         v.publish_fwd(copy);
-        target.note_promoted_in(1);
         let shard = self.shard();
         shard.promoted_objects.fetch_add(1, Ordering::Relaxed);
         shard
@@ -327,7 +326,7 @@ impl Inner {
                 cv.set_field(f, v.field(f));
             }
         };
-        if !self.incremental_active.load(Ordering::Acquire) {
+        if self.active_gc_epoch.load(Ordering::Acquire) == 0 {
             // The forwarding pointer is installed *before* the fields are filled in
             // (as in the paper): an optimistic writer that misses it wrote before
             // the copy reads the field, and one that sees it re-applies its write to
@@ -434,7 +433,6 @@ impl Inner {
         }
 
         // One statistics flush per pass instead of several atomics per object.
-        heap.note_promoted_in(stats.objects as usize);
         let shard = self.shard();
         shard
             .promoted_objects
@@ -652,8 +650,8 @@ mod tests {
             };
             inner.write_nonptr_impl(x, 1, 10);
             // A window is open somewhere in the runtime (nothing of ours is in its
-            // zone).
-            inner.incremental_active.store(true, Ordering::Release);
+            // zone): an epoch never issued, so no chunk reads as its from-space.
+            inner.active_gc_epoch.store(u64::MAX, Ordering::Release);
 
             std::thread::scope(|s| {
                 // A task two levels down publishes `x` into the root: promotes it.
@@ -680,7 +678,7 @@ mod tests {
                 gate.release.store(true, Ordering::Release);
                 assert_eq!(cas.join().unwrap(), Ok(10));
             });
-            inner.incremental_active.store(false, Ordering::Release);
+            inner.active_gc_epoch.store(0, Ordering::Release);
 
             let master = reg.store().resolve_fwd(x);
             assert_eq!(reg.heap_of(master), root, "x was promoted to the root");

@@ -7,7 +7,7 @@ use hh_heaps::{HeapId, HeapRegistry};
 use hh_objmodel::ChunkStore;
 use hh_sched::{Pool, PoolId};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Shared state of one hierarchical-heap runtime: the heap registry (which owns the
 /// chunk store), the configuration, and the statistics counters. The scheduler
@@ -21,26 +21,21 @@ pub(crate) struct Inner {
     /// One shard per pool worker plus one for outside threads; operations count
     /// into [`Inner::shard`].
     pub(crate) counters: Counters,
-    /// True while an incremental collection window is open (GC v3). The write
-    /// barrier's per-operation test: one atomic load, behind a plain
-    /// `config.incremental_gc` test so the A6 shape pays nothing.
-    pub(crate) incremental_active: std::sync::atomic::AtomicBool,
     /// The open incremental collection, if any (at most one per runtime).
     /// Barrier cold paths and increment drains clone the `Arc` out and release
     /// the lock immediately — in particular, the finalize handshake must never
     /// run under it (barrier calls need the lock to reach the engine).
     pub(crate) active_gc: parking_lot::Mutex<Option<Arc<crate::incremental::ActiveGc>>>,
-    /// GC epoch of the open window: lets the barrier cold path test a chunk's
-    /// zone membership (`gc_state(epoch)`) before touching the `active_gc` lock,
-    /// so operations on untouched heaps never contend on it.
+    /// GC epoch of the open window, 0 while none is installed (GC v3). The write
+    /// barrier's per-operation test: one atomic load, behind a plain
+    /// `config.incremental_gc` test so the A6 shape pays nothing. Its cold path
+    /// tests a chunk's zone membership (`gc_state(epoch)`) with the loaded value
+    /// before touching the `active_gc` lock, so operations on untouched heaps
+    /// never contend on it.
     pub(crate) active_gc_epoch: std::sync::atomic::AtomicU64,
-    /// Fast guard for the test-only schedule hooks: the rare-path sites fire
-    /// events only when this is set, so an un-hooked runtime pays one relaxed
-    /// load at schedule points and nothing anywhere else.
-    hooks_installed: std::sync::atomic::AtomicBool,
-    /// Test-only schedule hooks (see [`crate::hooks`]): per-runtime, so
-    /// parallel tests never observe each other's schedules.
-    hooks: parking_lot::Mutex<Option<Arc<dyn crate::hooks::GcScheduleHooks>>>,
+    /// Test-only schedule hooks (see [`crate::hooks`]), set at most once:
+    /// per-runtime, so parallel tests never observe each other's schedules.
+    hooks: OnceLock<Arc<dyn crate::hooks::GcScheduleHooks>>,
     /// One per pool worker: the object its `cas_nonptr` is about to change, or
     /// NULL (see `Inner::cas_master`).
     pub(crate) cas_slots: Box<[CasSlot]>,
@@ -69,15 +64,7 @@ impl Inner {
     /// handler may block — see [`crate::hooks`]). Only rare paths call this.
     #[inline]
     pub(crate) fn fire_hook(&self, event: crate::hooks::GcScheduleEvent) {
-        if self.hooks_installed.load(Ordering::Relaxed) {
-            self.fire_hook_cold(event);
-        }
-    }
-
-    #[cold]
-    fn fire_hook_cold(&self, event: crate::hooks::GcScheduleEvent) {
-        let hooks = self.hooks.lock().clone();
-        if let Some(h) = hooks {
+        if let Some(h) = self.hooks.get() {
             h.on_event(event);
         }
     }
@@ -86,28 +73,15 @@ impl Inner {
     /// the calling safe point (see [`crate::hooks::GcScheduleHooks::force_collect`]).
     #[inline]
     pub(crate) fn hook_force_collect(&self) -> bool {
-        if !self.hooks_installed.load(Ordering::Relaxed) {
-            return false;
-        }
-        let hooks = self.hooks.lock().clone();
-        hooks.is_some_and(|h| h.force_collect())
+        self.hooks.get().is_some_and(|h| h.force_collect())
     }
 
     /// True when installed schedule hooks ask the calling allocation to fail
-    /// (see [`crate::hooks::GcScheduleHooks::inject_alloc_fault`]). One relaxed
+    /// (see [`crate::hooks::GcScheduleHooks::inject_alloc_fault`]). One atomic
     /// load on the allocation path when no hooks are installed.
     #[inline]
     pub(crate) fn hook_alloc_fault(&self) -> bool {
-        if !self.hooks_installed.load(Ordering::Relaxed) {
-            return false;
-        }
-        self.hook_alloc_fault_cold()
-    }
-
-    #[cold]
-    fn hook_alloc_fault_cold(&self) -> bool {
-        let hooks = self.hooks.lock().clone();
-        hooks.is_some_and(|h| h.inject_alloc_fault())
+        self.hooks.get().is_some_and(|h| h.inject_alloc_fault())
     }
 
     /// Starts a run: the run draws a monotone epoch from the store's
@@ -147,7 +121,7 @@ impl Inner {
         // unconditional tail runs after, and the panic is re-raised last
         // (`EndRunGuard` decides whether re-raising is safe).
         let teardown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.finalize_incremental_now(|gc| gc.zone_run_tag == epoch);
+            self.finalize_incremental_now(|gc| self.registry.heap(gc.heap).run_tag() == epoch);
             self.fire_hook(crate::hooks::GcScheduleEvent::EndRunPreDispose { run_epoch: epoch });
         }));
         self.registry.dispose_subtree(root);
@@ -276,11 +250,9 @@ impl HhRuntime {
             registry,
             pool: pool.id(),
             counters: Counters::new(pool.n_workers()),
-            incremental_active: std::sync::atomic::AtomicBool::new(false),
             active_gc: parking_lot::Mutex::new(None),
             active_gc_epoch: std::sync::atomic::AtomicU64::new(0),
-            hooks_installed: std::sync::atomic::AtomicBool::new(false),
-            hooks: parking_lot::Mutex::new(None),
+            hooks: OnceLock::new(),
             cas_slots: (0..pool.n_workers())
                 .map(|_| CasSlot(hh_objmodel::ObjPtr::NULL.to_bits().into()))
                 .collect(),
@@ -293,7 +265,7 @@ impl HhRuntime {
             // `record_pause = false`).
             let inner = Arc::clone(&inner);
             pool.set_idle_hook(move |_worker| {
-                if inner.incremental_active.load(Ordering::Relaxed) {
+                if inner.active_gc_epoch.load(Ordering::Relaxed) != 0 {
                     inner.incremental_tick(false);
                 }
             });
@@ -349,10 +321,15 @@ impl HhRuntime {
     /// Installs the test-only GC schedule hooks (see [`crate::hooks`]): the
     /// deterministic window-schedule harness used by the race stress lanes and
     /// pinned reproducers. Not part of the public API surface.
+    ///
+    /// # Panics
+    /// Panics if this runtime already has hooks: they are set once.
     #[doc(hidden)]
     pub fn install_gc_hooks(&self, hooks: Arc<dyn crate::hooks::GcScheduleHooks>) {
-        *self.inner.hooks.lock() = Some(hooks);
-        self.inner.hooks_installed.store(true, Ordering::Release);
+        assert!(
+            self.inner.hooks.set(hooks).is_ok(),
+            "schedule hooks are already installed on this runtime"
+        );
     }
 
     /// Snapshot of the chunk store's memory accounting and lifecycle state (chunk
@@ -549,6 +526,61 @@ mod tests {
             "the panicking branch's heap did not join while the forker waited"
         );
         assert_eq!(rt.stats().runs_aborted, 1);
+        assert_store_drained(&rt);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule hooks are already installed")]
+    fn a_second_hook_install_panics() {
+        struct NoHooks;
+        impl crate::hooks::GcScheduleHooks for NoHooks {}
+        let rt = HhRuntime::with_workers(1);
+        rt.install_gc_hooks(Arc::new(NoHooks));
+        rt.install_gc_hooks(Arc::new(NoHooks));
+    }
+
+    /// The window epoch is the runtime's one record of an open window: non-zero
+    /// exactly while one is installed, and the checker's report agrees with it.
+    /// A run's end closes its own run's window, found through the window heap's
+    /// run tag, and leaves another run's open. The two runs are driven from
+    /// inside a run on the pool's one worker, so no idle worker drains or closes
+    /// the windows the test opens.
+    #[test]
+    fn window_epoch_is_nonzero_exactly_while_a_window_is_open() {
+        let rt = HhRuntime::new(HhConfig::incremental(1));
+        let inner = rt.inner();
+        let epoch = || inner.active_gc_epoch.load(Ordering::Acquire);
+        let window = || {
+            let r = rt.check_disentangled_report();
+            assert!(r.is_clean(), "{r}");
+            (r.window_open, r.window_epoch)
+        };
+        assert_eq!((epoch(), window()), (0, (false, 0)));
+        rt.run(|_| {
+            let (a, run_a) = inner.begin_run();
+            let (b, run_b) = inner.begin_run();
+            let header = hh_objmodel::Header::new(1, 0, hh_objmodel::ObjKind::Ref);
+            let mut roots = [inner.registry.alloc_obj(a, header)];
+            assert!(inner.start_incremental(a, &mut roots));
+            let first = epoch();
+            assert_ne!(first, 0);
+            assert_eq!(window(), (true, first));
+            assert!(
+                !inner.start_incremental(b, &mut []),
+                "a second window opened while one is open"
+            );
+            inner.finalize_incremental_now(|_| true);
+            assert_eq!((epoch(), window()), (0, (false, 0)));
+
+            assert!(inner.start_incremental(a, &mut roots));
+            let second = epoch();
+            assert!(second > first, "epochs {first} then {second}");
+            inner.end_run(b, run_b);
+            assert_eq!(window(), (true, second), "another run's end closed it");
+            inner.end_run(a, run_a);
+            assert_eq!((epoch(), window()), (0, (false, 0)));
+        });
+        assert_eq!(rt.stats().gc_incremental_collections, 2);
         assert_store_drained(&rt);
     }
 

@@ -25,25 +25,6 @@ struct LinePad {
     _bytes: [u64; 8],
 }
 
-/// Point-in-time statistics for one heap.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct HeapStats {
-    /// Words this heap received since its creation or last collection: allocated
-    /// by its owner or by promotions, or brought in by joined children. The
-    /// collection trigger's count.
-    pub allocated_words: usize,
-    /// Number of chunks currently owned.
-    pub n_chunks: usize,
-    /// Number of objects promoted *into* this heap since its creation or last
-    /// collection.
-    pub promoted_in_objects: usize,
-    /// Words allocated by promotions into this heap since its creation or last
-    /// collection (part of `allocated_words`).
-    pub promoted_in_words: usize,
-    /// Number of collections performed on this heap.
-    pub collections: usize,
-}
-
 /// One heap of the hierarchy.
 ///
 /// A heap is a linked list of chunks with a bump allocator, a readers–writer lock, a
@@ -53,10 +34,11 @@ pub struct HeapStats {
 ///
 /// The fields fall into three groups by who writes them, each kept off the others'
 /// cache lines (DESIGN.md §6.8): the read-mostly **identity**; the **promotion side**
-/// — the lock word, the steal gate, the promoters' bump cursor and the promoted-in
-/// accounting, written by promoters into this heap and by its stolen children — and
-/// the **owner side**, the owner's bump cursor and accounting. Allocation takes no lock: each side bumps its own chunk, and the
-/// chunk-list mutex is taken only to refill either cursor.
+/// — the lock word, the steal gate, the promoters' bump cursor and their word
+/// count, written by promoters into this heap and by its stolen children — and the
+/// **owner side**, the owner's bump cursor and word counts. Allocation takes no
+/// lock: each side bumps its own chunk, and the chunk-list mutex is taken only to
+/// refill either cursor.
 #[repr(C)]
 pub struct Heap {
     // -- Identity: fixed at creation, except `merged_into` (set once by the join,
@@ -67,7 +49,7 @@ pub struct Heap {
     /// children inherit it from their parent. Chunks allocated by this heap carry
     /// the tag, which becomes their quarantine stamp at retirement.
     run_tag: u64,
-    depth: AtomicU32,
+    depth: u32,
     /// Raw id of the heap this one has been merged into, or `HeapId::NONE.raw()` while live.
     merged_into: AtomicU32,
     _identity_end: LinePad,
@@ -87,8 +69,6 @@ pub struct Heap {
     promo_current: AtomicU32,
     /// Words allocated by promotions ([`BatchAlloc`]) since creation or the last flip.
     promoted_words: AtomicUsize,
-    /// Objects promoted in since creation or the last flip (statistics only).
-    promoted_objects: AtomicUsize,
     _promotion_end: LinePad,
 
     // -- Owner side: allocation.
@@ -106,7 +86,6 @@ pub struct Heap {
     /// All chunks owned by this heap, in allocation order; the mutex also serializes
     /// refills of both cursors.
     chunks: Mutex<Vec<ChunkId>>,
-    collections: AtomicUsize,
     _owner_end: LinePad,
 }
 
@@ -132,21 +111,19 @@ impl Heap {
             id,
             parent,
             run_tag,
-            depth: AtomicU32::new(depth),
+            depth,
             merged_into: AtomicU32::new(HeapId::NONE.raw()),
             _identity_end: LinePad::default(),
             lock: HeapRwLock::new(),
             steal_gate: std::sync::RwLock::new(()),
             promo_current: AtomicU32::new(NO_CHUNK),
             promoted_words: AtomicUsize::new(0),
-            promoted_objects: AtomicUsize::new(0),
             _promotion_end: LinePad::default(),
             current: AtomicU32::new(NO_CHUNK),
             owner_words: AtomicUsize::new(0),
             absorbed_words: AtomicUsize::new(0),
             survived_words: AtomicUsize::new(0),
             chunks: Mutex::new(Vec::new()),
-            collections: AtomicUsize::new(0),
             _owner_end: LinePad::default(),
         }
     }
@@ -172,7 +149,7 @@ impl Heap {
     /// Depth in the hierarchy: the root is at depth 0.
     #[inline]
     pub fn depth(&self) -> u32 {
-        self.depth.load(Ordering::Acquire)
+        self.depth
     }
 
     /// The heap this one has been merged into, or NONE while it is still live.
@@ -317,12 +294,6 @@ impl Heap {
         }
     }
 
-    /// Records `objects` objects promoted into this heap (statistics only; their
-    /// words were counted by the [`BatchAlloc`] that allocated them).
-    pub fn note_promoted_in(&self, objects: usize) {
-        self.promoted_objects.fetch_add(objects, Ordering::Relaxed);
-    }
-
     /// Opens a promotion-side allocation session on this heap: objects are placed
     /// as by [`Heap::alloc_obj`], but through the promotion cursor — a bump chunk of
     /// their own, so the owner's and the promoters' bumps never share a cache line —
@@ -354,11 +325,6 @@ impl Heap {
     /// Snapshot of the chunk ids currently owned by this heap.
     pub fn chunks(&self) -> Vec<ChunkId> {
         self.chunks.lock().clone()
-    }
-
-    /// Number of chunks currently owned by this heap.
-    pub fn n_chunks(&self) -> usize {
-        self.chunks.lock().len()
     }
 
     /// Splices all of `child`'s chunks onto this heap's chunk list (`joinHeap`) and
@@ -404,16 +370,14 @@ impl Heap {
         self.promoted_words.store(0, Ordering::Relaxed);
         self.absorbed_words.store(0, Ordering::Relaxed);
         self.survived_words.store(survived_words, Ordering::Relaxed);
-        self.promoted_objects.store(0, Ordering::Relaxed);
-        self.collections.fetch_add(1, Ordering::Relaxed);
         old
     }
 
     /// Prepends collected to-space chunks to this heap's chunk list without touching
     /// either allocation cursor (used by the incremental collector's finalize: the
     /// mutator and promoters have been allocating fresh chunks into this heap since
-    /// the roots-only pause, and their bump chunks must stay current). Counts as a
-    /// collection; its `collected_words` survivors never count toward the trigger.
+    /// the roots-only pause, and their bump chunks must stay current). Its
+    /// `collected_words` survivors never count toward the trigger.
     ///
     /// Hands `collected` back, adopting nothing, when this heap has been merged
     /// away: the survivors belong to the heap it was merged into (see
@@ -433,13 +397,12 @@ impl Heap {
         // allocated since the flip); those stay on the list after the adopted ones.
         self.survived_words
             .fetch_add(collected_words, Ordering::Relaxed);
-        self.collections.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Empties the heap's allocation state and returns every chunk it held. Unlike
-    /// [`Heap::replace_chunks`] this does not count as a collection; it is used by
-    /// the runtimes to dispose of a completed run's heap tree before recycling.
+    /// [`Heap::replace_chunks`] it installs no to-space: the runtimes use it to
+    /// dispose of a completed run's heap tree before recycling.
     pub fn take_all_chunks(&self) -> Vec<ChunkId> {
         let mut chunks = self.chunks.lock();
         self.reset_cursors(NO_CHUNK);
@@ -448,17 +411,6 @@ impl Heap {
         self.absorbed_words.store(0, Ordering::Relaxed);
         self.survived_words.store(0, Ordering::Relaxed);
         std::mem::take(&mut *chunks)
-    }
-
-    /// Point-in-time statistics.
-    pub fn stats(&self) -> HeapStats {
-        HeapStats {
-            allocated_words: self.allocated_words(),
-            n_chunks: self.n_chunks(),
-            promoted_in_objects: self.promoted_objects.load(Ordering::Relaxed),
-            promoted_in_words: self.promoted_words.load(Ordering::Relaxed),
-            collections: self.collections.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -558,7 +510,10 @@ mod tests {
             ptrs.push(h.alloc_obj(&store, header));
         }
         assert_eq!(h.allocated_words(), 20 * 8);
-        assert!(h.n_chunks() >= 2, "64-word chunks should have overflowed");
+        assert!(
+            h.chunks().len() >= 2,
+            "64-word chunks should have overflowed"
+        );
         // All objects readable and distinct.
         ptrs.sort();
         ptrs.dedup();
@@ -592,7 +547,7 @@ mod tests {
         let second = h.alloc_obj(&store, small);
         assert_eq!(second.chunk(), first.chunk(), "current chunk was abandoned");
         assert_ne!(big.chunk(), first.chunk());
-        assert_eq!(h.n_chunks(), 2);
+        assert_eq!(h.chunks().len(), 2);
     }
 
     #[test]
@@ -605,13 +560,14 @@ mod tests {
             child.alloc_obj(&store, header);
         }
         let child_words = child.allocated_words();
-        let child_chunks = child.n_chunks();
-        assert!(child_words > 0 && child_chunks > 0);
+        let child_chunks = child.chunks();
+        assert!(child_words > 0 && !child_chunks.is_empty());
         parent.alloc_obj(&store, header);
-        let parent_chunks_before = parent.n_chunks();
+        let mut spliced = parent.chunks();
         parent.absorb_chunks_of(&child);
-        assert_eq!(parent.n_chunks(), parent_chunks_before + child_chunks);
-        assert_eq!(child.n_chunks(), 0);
+        spliced.extend(child_chunks);
+        assert_eq!(parent.chunks(), spliced, "the child's list is appended");
+        assert!(child.chunks().is_empty());
         assert_eq!(child.allocated_words(), 0);
         assert_eq!(parent.allocated_words(), child_words + header.size_words());
         assert_eq!(
@@ -629,15 +585,16 @@ mod tests {
         for _ in 0..10 {
             h.alloc_obj(&store, header);
         }
+        let before = h.chunks();
         let old = h.replace_chunks(vec![], 0);
         assert!(!old.is_empty());
-        assert_eq!(h.n_chunks(), 0);
+        assert_eq!(old, before, "the flip returns the whole from-space");
+        assert!(h.chunks().is_empty());
         assert_eq!(h.allocated_words(), 0);
-        assert_eq!(h.stats().collections, 1);
         // Allocation after a flip starts a new chunk.
         let p = h.alloc_obj(&store, header);
         assert_eq!(store.view(p).n_fields(), 2);
-        assert_eq!(h.n_chunks(), 1);
+        assert_eq!(h.chunks(), [p.chunk()]);
     }
 
     /// The trigger's count is the words a heap received since its last collection:
@@ -756,7 +713,7 @@ mod tests {
             (offset_of!(Heap, id), size_of::<HeapId>()),
             (offset_of!(Heap, parent), size_of::<HeapId>()),
             (offset_of!(Heap, run_tag), size_of::<u64>()),
-            (offset_of!(Heap, depth), size_of::<AtomicU32>()),
+            (offset_of!(Heap, depth), size_of::<u32>()),
             (offset_of!(Heap, merged_into), size_of::<AtomicU32>()),
         ]);
         let promotion = range(&[
@@ -767,7 +724,6 @@ mod tests {
             ),
             (offset_of!(Heap, promo_current), size_of::<AtomicU32>()),
             (offset_of!(Heap, promoted_words), size_of::<AtomicUsize>()),
-            (offset_of!(Heap, promoted_objects), size_of::<AtomicUsize>()),
         ]);
         let owner = range(&[
             (offset_of!(Heap, current), size_of::<AtomicU32>()),
@@ -775,7 +731,6 @@ mod tests {
             (offset_of!(Heap, absorbed_words), size_of::<AtomicUsize>()),
             (offset_of!(Heap, survived_words), size_of::<AtomicUsize>()),
             (offset_of!(Heap, chunks), size_of::<Mutex<Vec<ChunkId>>>()),
-            (offset_of!(Heap, collections), size_of::<AtomicUsize>()),
         ]);
         assert!(promotion.0 >= identity.1 + 64);
         assert!(owner.0 >= promotion.1 + 64);
@@ -839,7 +794,6 @@ mod tests {
                                 out.push((p, tag));
                             }
                             drop(batch);
-                            heap.note_promoted_in(1 + pass as usize % 3);
                             heap.lock.unlock_exclusive();
                         }
                         out
@@ -861,7 +815,6 @@ mod tests {
             words(&owned) + words(&promoted),
             "owner plus promoted words, each counted once"
         );
-        assert_eq!(heap.stats().promoted_in_words, words(&promoted));
         let on_list: HashSet<ChunkId> = heap.chunks().into_iter().collect();
         for &(p, tag) in owned.iter().chain(&promoted) {
             assert!(
@@ -904,18 +857,20 @@ mod tests {
             let mut batch = h.batch_alloc(&store);
             batch.alloc(Header::new(2, 0, ObjKind::Tuple)); // 4 words
             batch.alloc(Header::new(4, 0, ObjKind::Tuple)); // 6 words
+            assert_eq!(batch.allocated_words(), 10);
+            assert_eq!(
+                h.allocated_words(),
+                3,
+                "published only when the session ends"
+            );
         }
-        h.note_promoted_in(2);
-        let s = h.stats();
-        assert_eq!(s.promoted_in_objects, 2);
-        assert_eq!(s.promoted_in_words, 10);
         assert_eq!(
-            s.allocated_words, 13,
+            h.allocated_words(),
+            13,
             "promoted words count toward the trigger"
         );
         h.replace_chunks(Vec::new(), 0);
-        let s = h.stats();
-        assert_eq!((s.promoted_in_objects, s.promoted_in_words), (0, 0));
+        assert_eq!(h.allocated_words(), 0, "a flip resets the promoted words");
     }
 
     /// Capacities of `chunks` in list order.

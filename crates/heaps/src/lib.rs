@@ -27,7 +27,7 @@ pub mod id;
 pub mod registry;
 pub mod rwlock;
 
-pub use heap::{BatchAlloc, Heap, HeapStats};
+pub use heap::{BatchAlloc, Heap};
 pub use id::HeapId;
 pub use registry::{EntanglementViolation, HeapRegistry};
 pub use rwlock::HeapRwLock;

@@ -480,7 +480,7 @@ mod tests {
         reg.join_heap(root, child);
         let back = reg.heap(child).adopt_collected_chunks(vec![survivors], 16);
         assert_eq!(back, Err(vec![survivors]), "a merged heap adopts nothing");
-        assert_eq!(reg.heap(child).n_chunks(), 0);
+        assert!(reg.heap(child).chunks().is_empty());
         reg.adopt_collected(child, vec![survivors], 16);
         assert_eq!(reg.heap(root).chunks(), vec![survivors]);
         // Survivors never count toward the collection trigger.
@@ -501,9 +501,8 @@ mod tests {
                 s.spawn(|| reg.join_heap(root, child));
                 s.spawn(|| reg.adopt_collected(child, vec![survivors], 16));
             });
-            assert_eq!(
-                reg.heap(child).n_chunks(),
-                0,
+            assert!(
+                reg.heap(child).chunks().is_empty(),
                 "survivors stranded on a merged heap"
             );
             let mut on_root = reg.heap(root).chunks();
@@ -529,8 +528,8 @@ mod tests {
         reg.join_heap(root, child);
         let retired = reg.dispose_subtree(root);
         assert!(retired >= 2);
-        assert_eq!(reg.heap(root).n_chunks(), 0);
-        assert_eq!(reg.heap(child).n_chunks(), 0);
+        assert!(reg.heap(root).chunks().is_empty());
+        assert!(reg.heap(child).chunks().is_empty());
         let s = reg.store().stats();
         assert_eq!(s.live_words, 0);
         assert_eq!(s.chunks_quarantined, retired);
