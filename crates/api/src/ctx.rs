@@ -2,7 +2,7 @@
 
 use crate::abort::RunError;
 use crate::stats::RunStats;
-use hh_objmodel::{ObjKind, ObjPtr};
+use hh_objmodel::{ChunkStore, ObjKind, ObjPtr};
 
 /// The per-task execution context: the paper's high-level operations (Figure 3) plus
 /// root pinning and a GC safe point.
@@ -316,6 +316,34 @@ impl<'c, C: ParCtx> Rooted<'c, C> {
 impl<C: ParCtx> Drop for Rooted<'_, C> {
     fn drop(&mut self) {
         self.ctx.unpin(self.obj);
+    }
+}
+
+/// Removes the topmost pin of `obj` from the shadow stack `pins`: every runtime's
+/// [`ParCtx::unpin`].
+///
+/// A collection (or promotion) between pin and unpin rewrote the pin slot in place,
+/// so the caller may hold a stale from-space address and the slot some other hop of
+/// the object's forwarding history — and path compression can shortcut either
+/// pointer past the other's hop. Old copies stay readable until the reuse horizon,
+/// and forwarding is confluent (every hop reaches the same final master), so when no
+/// slot holds `obj` itself, the slot whose resolved master is `obj`'s goes instead,
+/// keeping pin/unpin balanced across collections.
+#[inline]
+pub fn unpin_from(pins: &mut Vec<ObjPtr>, store: &ChunkStore, obj: ObjPtr) {
+    if let Some(pos) = pins.iter().rposition(|r| *r == obj) {
+        pins.swap_remove(pos);
+        return;
+    }
+    if obj.is_null() {
+        return;
+    }
+    let master = store.resolve_fwd(obj);
+    if let Some(pos) = pins
+        .iter()
+        .rposition(|r| !r.is_null() && store.resolve_fwd(*r) == master)
+    {
+        pins.swap_remove(pos);
     }
 }
 

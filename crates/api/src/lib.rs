@@ -56,7 +56,7 @@ pub mod stats;
 pub use abort::{silence_expected_aborts, AbortReason, InjectedFault, RunAbort, RunCtl, RunError};
 pub use bits::{f64_from_bits, f64_to_bits};
 pub use counters::{Collected, Counters};
-pub use ctx::{ParCtx, Rooted, Runtime};
+pub use ctx::{unpin_from, ParCtx, Rooted, Runtime};
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use rng::{hash64, Rng};
 pub use stats::{CounterShard, RunStats};

@@ -1,12 +1,11 @@
 //! Shared machinery for the baseline runtimes: flat heaps over the chunk store, the
-//! forwarding-resolution read barrier, root registries, and a plain semispace collector.
+//! forwarding-resolution read barrier, and a plain semispace collector.
 
 use hh_api::CounterShard;
 use hh_objmodel::{ChunkId, ChunkStore, Header, ObjPtr};
 use hh_sched::{EvacEngine, EvacOutcome, ToSpaceOwner};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Raw owner id used for the shared global heap of the parallel baselines.
@@ -94,96 +93,12 @@ impl FlatHeap {
         old
     }
 
-    /// Retires every chunk of this heap and resets its allocation state. Used by the
-    /// runtimes to dispose of a completed run's memory before recycling (memory v2).
+    /// Retires every chunk of this heap and resets its allocation state. The
+    /// runtimes call it when their last active run ends.
     pub fn dispose(&self) {
         for c in self.replace_chunks(Vec::new(), 0) {
             self.store.retire_chunk(c);
         }
-    }
-}
-
-/// Run-boundary bookkeeping shared by the baseline runtimes (memory v2).
-///
-/// The flat heaps of a completed run are unreachable once `run` has returned, but
-/// stale `ObjPtr`s in that run's Rust locals resolved through forwarding until then —
-/// so disposal (retire + reclaim into the store's free lists) happens at the *next*
-/// run start, and only once no other run is active — the global reuse horizon
-/// `HhRuntime` replaced with per-run epochs; see DESIGN.md §5.
-#[derive(Default)]
-pub struct RunEpoch {
-    state: Mutex<EpochState>,
-}
-
-#[derive(Default)]
-struct EpochState {
-    /// Number of `run` calls currently executing.
-    active: usize,
-    /// True once at least one run has completed since the last disposal.
-    completed: bool,
-}
-
-impl RunEpoch {
-    /// Marks a run as starting. If no other run is active and a previous run has
-    /// completed, `dispose` runs first — the runtime retires its heaps' chunks and
-    /// reclaims the store's quarantine there. The returned guard marks the run as
-    /// completed when dropped, so a panicking run closure cannot leave the epoch
-    /// permanently active (which would disable recycling for good).
-    #[must_use = "dropping the guard ends the run"]
-    pub fn begin(&self, dispose: impl FnOnce()) -> RunEpochGuard<'_> {
-        let mut st = self.state.lock();
-        if st.active == 0 && st.completed {
-            dispose();
-            st.completed = false;
-        }
-        st.active += 1;
-        RunEpochGuard { epoch: self }
-    }
-}
-
-/// Ends a run on drop; see [`RunEpoch::begin`].
-pub struct RunEpochGuard<'a> {
-    epoch: &'a RunEpoch,
-}
-
-impl Drop for RunEpochGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = self.epoch.state.lock();
-        st.active -= 1;
-        st.completed = true;
-    }
-}
-
-/// Registers one baseline `run` with the chunk store's epoch registry
-/// ([`hh_objmodel::RunEpochs`]) for its duration.
-///
-/// The baselines keep the quiescent full-dispose policy above (their flat heaps are
-/// shared across runs, so per-run disposal does not apply), but registering the run
-/// buys two things under overlapping load: the store's `active_runs_peak` gauge
-/// reports the overlap `serve` actually achieved, and dropping the guard advances
-/// the min-active-epoch watermark and drains the eligible quarantine — so chunks
-/// retired by *mid-run collections* recycle as soon as every run alive at their
-/// retirement has ended, instead of waiting for global quiescence. (Baseline
-/// allocations are untagged, so retirees carry the conservative latest-issued
-/// stamp; see `ChunkStore::retire_chunk`.)
-pub struct StoreEpochGuard<'a> {
-    store: &'a ChunkStore,
-    epoch: u64,
-}
-
-impl<'a> StoreEpochGuard<'a> {
-    /// Draws a fresh run epoch from `store`'s registry.
-    #[must_use = "dropping the guard ends the run's epoch"]
-    pub fn begin(store: &'a ChunkStore) -> StoreEpochGuard<'a> {
-        let epoch = store.run_epochs().begin();
-        StoreEpochGuard { store, epoch }
-    }
-}
-
-impl Drop for StoreEpochGuard<'_> {
-    fn drop(&mut self) {
-        self.store.run_epochs().end(self.epoch);
-        self.store.reclaim_watermark();
     }
 }
 
@@ -235,40 +150,6 @@ pub fn resolve_counted(store: &ChunkStore, counters: &CounterShard, obj: ObjPtr)
     resolve_tracked(store, counters, obj)
 }
 
-/// A registry of per-task shadow stacks, so a collector can find every root.
-#[derive(Default)]
-pub struct RootRegistry {
-    next_id: AtomicU64,
-    sets: Mutex<HashMap<u64, Arc<Mutex<Vec<ObjPtr>>>>>,
-}
-
-impl RootRegistry {
-    /// Registers a new task's root set and returns its id plus the shared vector.
-    pub fn register(&self) -> (u64, Arc<Mutex<Vec<ObjPtr>>>) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let set = Arc::new(Mutex::new(Vec::new()));
-        self.sets.lock().insert(id, Arc::clone(&set));
-        (id, set)
-    }
-
-    /// Removes a task's root set.
-    pub fn unregister(&self, id: u64) {
-        self.sets.lock().remove(&id);
-    }
-
-    /// Applies `f` to every registered root slot (used by collectors to trace and
-    /// rewrite roots). The world must be stopped while this runs.
-    pub fn for_each_root_mut(&self, mut f: impl FnMut(&mut ObjPtr)) {
-        let sets = self.sets.lock();
-        for set in sets.values() {
-            let mut roots = set.lock();
-            for r in roots.iter_mut() {
-                f(r);
-            }
-        }
-    }
-}
-
 /// A plain (non-hierarchical) semispace collection over an explicit zone, on the
 /// shared synchronous driver ([`EvacEngine::collect`]) with a team of `members`
 /// (GC v2). With more than one member, `draft` receives the helper body: the
@@ -277,15 +158,16 @@ impl RootRegistry {
 /// collection by the calling thread and never drafts.
 ///
 /// `zone` is the set of chunks being evacuated; objects outside it are left alone
-/// (membership is decided by epoch-tagged chunk metadata, not hash sets). Roots are
-/// rewritten in place via `registry`. The caller must have stopped the world;
-/// drafted helpers are parked mutators, so they are quiescent by construction.
-/// Returns the merged to-space, for the caller to install.
+/// (membership is decided by epoch-tagged chunk metadata, not hash sets). Every slot
+/// of every shadow stack in `roots` (one per worker lane) is rewritten in place. The
+/// caller must have stopped the world; drafted helpers are parked mutators, so they
+/// are quiescent by construction. Returns the merged to-space, for the caller to
+/// install.
 pub fn par_semispace_collect(
     store: &Arc<ChunkStore>,
     owner_raw: u32,
     zone: &[ChunkId],
-    registry: &RootRegistry,
+    roots: &[Mutex<Vec<ObjPtr>>],
     members: usize,
     draft: impl FnOnce(Arc<dyn Fn(usize) + Send + Sync>),
 ) -> EvacOutcome {
@@ -300,7 +182,11 @@ pub fn par_semispace_collect(
         root: false,
     };
     EvacEngine::collect(owner, store, epoch, members, zone, draft, |fwd| {
-        registry.for_each_root_mut(|r| *r = fwd(*r))
+        for stack in roots {
+            for r in stack.lock().iter_mut() {
+                *r = fwd(*r);
+            }
+        }
     })
 }
 
@@ -350,24 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn root_registry_registers_and_iterates() {
-        let reg = RootRegistry::default();
-        let count = |reg: &RootRegistry| {
-            let mut seen = 0;
-            reg.for_each_root_mut(|_| seen += 1);
-            seen
-        };
-        assert_eq!(count(&reg), 0);
-        let (id1, set1) = reg.register();
-        let (_id2, set2) = reg.register();
-        set1.lock().push(ObjPtr::new(hh_objmodel::ChunkId(0), 4));
-        set2.lock().push(ObjPtr::new(hh_objmodel::ChunkId(1), 8));
-        assert_eq!(count(&reg), 2);
-        reg.unregister(id1);
-        assert_eq!(count(&reg), 1);
-    }
-
-    #[test]
     fn semispace_collect_preserves_rooted_graph_and_drops_garbage() {
         let (store, heap) = setup();
         // Build: root cons-list of 5 cells, plus 100 garbage arrays.
@@ -383,18 +251,16 @@ mod tests {
         for _ in 0..100 {
             heap.alloc(0, Header::new(50, 0, ObjKind::ArrayData));
         }
-        let registry = RootRegistry::default();
-        let (_id, roots) = registry.register();
-        roots.lock().push(list);
+        let roots = [Mutex::new(vec![list])];
 
         let zone = heap.chunks();
-        let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, 1, |_| ());
+        let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &roots, 1, |_| ());
         heap.replace_chunks(outcome.chunks, outcome.occupied_words);
 
         // Live data: 5 cells of 5 words each.
         assert_eq!(outcome.copied_words, 5 * 5);
         // Walk through the updated root.
-        let new_root = roots.lock()[0];
+        let new_root = roots[0].lock()[0];
         let mut cur = new_root;
         let mut tags = Vec::new();
         while !cur.is_null() {
@@ -413,16 +279,14 @@ mod tests {
         let (store, heap) = setup();
         let obj = heap.alloc(0, Header::new(3, 0, ObjKind::ArrayData));
         store.view(obj).set_field(1, 42);
-        let registry = RootRegistry::default();
-        let (_id, roots) = registry.register();
-        roots.lock().push(obj);
+        let roots = [Mutex::new(vec![obj])];
         for _ in 0..2 {
             let zone = heap.chunks();
-            let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, 1, |_| ());
+            let outcome = par_semispace_collect(&store, OWNER_GLOBAL, &zone, &roots, 1, |_| ());
             heap.replace_chunks(outcome.chunks, outcome.occupied_words);
             assert_eq!(outcome.copied_words, 5);
         }
-        let cur = roots.lock()[0];
+        let cur = roots[0].lock()[0];
         assert_eq!(store.view(cur).field(1), 42);
     }
 }

@@ -11,14 +11,16 @@
 //!
 //! Everything else — the `ParCtx` op set, the bulk bodies, pin/unpin, join, the
 //! stop-the-world trigger, `run` and `stats` — lives once, in [`FlatCtx`] and
-//! [`FlatRuntime`]. Whether tasks run on a pool is the policy's [`Exec`], an
+//! [`FlatRuntime`]. A run ends as an `HhRuntime` run does: its epoch leaves the
+//! store's [`RunEpochs`](hh_objmodel::RunEpochs), the last active run disposes the
+//! policy's heaps, and the quarantine drains to the new watermark (see
+//! [`RunGuard`]). Whether tasks run on a pool is the policy's [`Exec`], an
 //! associated type: the sequential instantiation ([`Inline`]) resolves every
 //! safepoint poll to nothing and every fork to two inline calls at
 //! monomorphisation, so `SeqRuntime` — the `T_s` every overhead and speedup
 //! ratio divides by — carries no pool, no poll and no `dyn`.
 
-use crate::common::{par_semispace_collect, resolve_tracked, RootRegistry, RunEpoch};
-use crate::common::{resolve_counted, FlatHeap, StoreEpochGuard};
+use crate::common::{par_semispace_collect, resolve_counted, resolve_tracked, FlatHeap};
 use hh_api::{Collected, CounterShard, Counters, ParCtx, RunStats, Runtime};
 use hh_objmodel::{ChunkId, ChunkStore, Header, ObjKind, ObjPtr};
 use hh_sched::{Pool, Safepoints, Worker};
@@ -123,20 +125,16 @@ impl Exec for Pooled {
     type Worker = Worker;
 
     fn new(n_workers: usize) -> Pooled {
-        let safepoints = Arc::new(Safepoints::new());
-        // Every worker participates in the safepoint protocol for the lifetime of the
-        // pool (it polls either from mutator operations or from the idle/help hooks).
-        for _ in 0..n_workers {
-            safepoints.register();
-        }
         let pool = Pool::new(n_workers);
+        // Every worker takes part in the safepoint protocol for the lifetime of the
+        // pool (it polls either from mutator operations or from the idle/help hooks).
+        // Workers asleep on the pool condvar are not polling, so a requested
+        // collection kicks them awake; they then re-run the idle hook, hit `poll`,
+        // and park at the safepoint where the collector can count them.
+        let waker = pool.waker();
+        let safepoints = Arc::new(Safepoints::new(n_workers, move || waker.wake_all()));
         let sp = Arc::clone(&safepoints);
         pool.set_idle_hook(move |_| sp.poll());
-        // Parking interplay: workers asleep on the pool condvar are not polling, so a
-        // requested collection must kick them awake; they then re-run the idle hook,
-        // hit `poll`, and park at the safepoint where the collector can count them.
-        let waker = pool.waker();
-        safepoints.set_wake_hook(move || waker.wake_all());
         Pooled { pool, safepoints }
     }
 
@@ -266,8 +264,10 @@ pub(crate) struct FlatInner<P: Policy> {
     pub(crate) policy: P,
     pub(crate) counters: Counters,
     exec: P::Exec,
-    roots: RootRegistry,
-    epoch: RunEpoch,
+    /// One shadow stack of GC roots per worker lane (see [`FlatCtx`]).
+    roots: Vec<Mutex<Vec<ObjPtr>>>,
+    /// Orders run begins against run ends (see [`RunGuard`]).
+    runs: Mutex<()>,
     gc_threshold_words: usize,
 }
 
@@ -310,6 +310,41 @@ impl<P: Policy> FlatInner<P> {
     }
 }
 
+/// One run of a baseline runtime, registered with the store's
+/// [`RunEpochs`](hh_objmodel::RunEpochs) from begin to drop.
+///
+/// The drop runs on unwind too, so a panicking run closure cannot pin the
+/// watermark. Under the runtime's run lock it ends the run's epoch and, if that
+/// was the last active run, disposes the policy's heaps — they are shared by
+/// every run in flight, so only the last one out may retire them, and a run that
+/// begins meanwhile waits for the lock rather than allocating into heaps about to
+/// go. The quarantine then drains to the new watermark: with no run active that
+/// is every chunk retired so far, so the runtime holds no live chunk between runs.
+struct RunGuard<'a, P: Policy> {
+    inner: &'a FlatInner<P>,
+    epoch: u64,
+}
+
+impl<'a, P: Policy> RunGuard<'a, P> {
+    fn begin(inner: &'a FlatInner<P>) -> Self {
+        let _runs = inner.runs.lock();
+        let epoch = inner.store.run_epochs().begin();
+        RunGuard { inner, epoch }
+    }
+}
+
+impl<P: Policy> Drop for RunGuard<'_, P> {
+    fn drop(&mut self) {
+        let _runs = self.inner.runs.lock();
+        let epochs = self.inner.store.run_epochs();
+        epochs.end(self.epoch);
+        if epochs.active_runs() == 0 {
+            self.inner.policy.dispose();
+        }
+        self.inner.store.reclaim_watermark();
+    }
+}
+
 /// A baseline runtime: `SeqRuntime`, `StwRuntime` or `DlgRuntime`.
 pub struct FlatRuntime<P: Policy> {
     pub(crate) inner: Arc<FlatInner<P>>,
@@ -324,12 +359,20 @@ impl<P: Policy> FlatRuntime<P> {
                 policy: P::new(&store, n),
                 exec: P::Exec::new(n),
                 store,
-                roots: RootRegistry::default(),
+                roots: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
                 counters: Counters::new(n),
-                epoch: RunEpoch::default(),
+                runs: Mutex::new(()),
                 gc_threshold_words,
             }),
         }
+    }
+}
+
+impl<P: Policy> FlatRuntime<P> {
+    /// Snapshot of the chunk store's memory accounting and lifecycle state, as
+    /// `HhRuntime::store_stats` reports it.
+    pub fn store_stats(&self) -> hh_objmodel::StoreStats {
+        self.inner.store.stats()
     }
 }
 
@@ -346,26 +389,43 @@ impl<P: Policy<Exec = Pooled>> FlatRuntime<P> {
 }
 
 /// The per-task context of a baseline runtime.
+///
+/// A task pins onto its worker lane's shadow stack, above the `base` the stack had
+/// when the context was created, and the context's drop truncates the stack back to
+/// `base`. That is sound because one worker's task frames are nested: a task
+/// stolen or helped while its worker waits in a join runs on that worker's call
+/// stack and ends before the join returns, so a context is always the top frame of
+/// its lane while its task runs. `SeqRuntime` has one lane, so once it collects it
+/// serves one run at a time (its stop-the-world excludes no other thread either).
 pub struct FlatCtx<P: Policy> {
     inner: Arc<FlatInner<P>>,
     worker: <P::Exec as Exec>::Worker,
     /// True if this task was obtained by a steal (the DLG policy allocates its
     /// objects globally).
     stolen: bool,
-    root_id: u64,
-    roots: Arc<Mutex<Vec<ObjPtr>>>,
+    /// Length of the lane's shadow stack when this task began.
+    base: usize,
+    /// Keeps `FlatCtx: !Sync`: a branch that drove its suspended parent's context
+    /// from another worker would pin onto the parent's lane out of nesting order.
+    _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
 }
 
 impl<P: Policy> FlatCtx<P> {
     fn new(inner: Arc<FlatInner<P>>, worker: <P::Exec as Exec>::Worker, stolen: bool) -> Self {
-        let (root_id, roots) = inner.roots.register();
+        let base = inner.roots[P::Exec::lane(&worker)].lock().len();
         FlatCtx {
             inner,
             worker,
             stolen,
-            root_id,
-            roots,
+            base,
+            _not_sync: std::marker::PhantomData,
         }
+    }
+
+    /// The shadow stack of this task's worker lane.
+    #[inline]
+    fn roots(&self) -> &Mutex<Vec<ObjPtr>> {
+        &self.inner.roots[P::Exec::lane(&self.worker)]
     }
 
     /// This task's counter shard: its worker's lane (always 0 under `Inline`).
@@ -391,7 +451,7 @@ impl<P: Policy> FlatCtx<P> {
 
 impl<P: Policy> Drop for FlatCtx<P> {
     fn drop(&mut self) {
-        self.inner.roots.unregister(self.root_id);
+        self.roots().lock().truncate(self.base);
     }
 }
 
@@ -561,31 +621,12 @@ impl<P: Policy> ParCtx for FlatCtx<P> {
 
     #[inline(never)]
     fn pin(&self, obj: ObjPtr) {
-        self.roots.lock().push(obj);
+        self.roots().lock().push(obj);
     }
 
     #[inline(never)]
     fn unpin(&self, obj: ObjPtr) {
-        let mut roots = self.roots.lock();
-        if let Some(pos) = roots.iter().rposition(|r| *r == obj) {
-            roots.swap_remove(pos);
-            return;
-        }
-        // A collection or promotion between pin and unpin rewrote the pin slot in
-        // place, and path compression can shortcut either pointer past the other's
-        // hop. Forwarding is confluent, so compare resolved masters rather than raw
-        // pointers to keep pin/unpin balanced across collections.
-        if obj.is_null() {
-            return;
-        }
-        let store = &self.inner.store;
-        let master = store.resolve_fwd(obj);
-        if let Some(pos) = roots
-            .iter()
-            .rposition(|r| !r.is_null() && store.resolve_fwd(*r) == master)
-        {
-            roots.swap_remove(pos);
-        }
+        hh_api::unpin_from(&mut self.roots().lock(), &self.inner.store, obj);
     }
 
     #[inline(never)]
@@ -615,13 +656,7 @@ impl<P: Policy> Runtime for FlatRuntime<P> {
         R: Send,
         F: FnOnce(&Self::Ctx) -> R + Send,
     {
-        // Completed runs' memory is disposed of and recycled here, at the reuse
-        // horizon (see `RunEpoch`); the guard ends the run even if `f` panics.
-        let _epoch = self.inner.epoch.begin(|| {
-            self.inner.policy.dispose();
-            self.inner.store.reclaim_retired();
-        });
-        let _store_epoch = StoreEpochGuard::begin(&self.inner.store);
+        let _run = RunGuard::begin(&self.inner);
         let inner = Arc::clone(&self.inner);
         self.inner
             .exec

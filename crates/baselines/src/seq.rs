@@ -4,6 +4,9 @@
 //! the calling thread, and a plain semispace collection runs at safe points when the
 //! heap exceeds its threshold. Benchmark times measured on this runtime are the `T_s`
 //! baseline against which the parallel runtimes' overhead and speedup are computed.
+//!
+//! Once it collects, a `SeqRuntime` serves one run at a time: its collection stops no
+//! other thread's run, and every run pins onto its one root stack.
 
 use crate::common::FlatHeap;
 use crate::flat::{FlatCtx, FlatRuntime, Inline, Policy};

@@ -426,30 +426,8 @@ impl ParCtx for HhCtx {
     }
 
     fn unpin(&self, obj: ObjPtr) {
-        let mut roots = self.frame.pins.lock();
-        if let Some(pos) = roots.iter().rposition(|r| *r == obj) {
-            roots.swap_remove(pos);
-            return;
-        }
-        // A collection (or promotion) between pin and unpin rewrote the pin slot
-        // in place, so the caller may hold a stale from-space address and the
-        // slot some other hop of the object's forwarding history — and path
-        // compression can shortcut either pointer past the other's hop. Old
-        // copies stay readable until the reuse horizon, and forwarding is
-        // confluent (every hop reaches the same final master), so compare
-        // resolved masters rather than raw pointers to keep pin/unpin balanced
-        // across collections.
-        if obj.is_null() {
-            return;
-        }
         let store = self.inner.registry.store();
-        let master = store.resolve_fwd(obj);
-        if let Some(pos) = roots
-            .iter()
-            .rposition(|r| !r.is_null() && store.resolve_fwd(*r) == master)
-        {
-            roots.swap_remove(pos);
-        }
+        hh_api::unpin_from(&mut self.frame.pins.lock(), store, obj);
     }
 
     fn maybe_collect(&self) {

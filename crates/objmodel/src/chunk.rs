@@ -353,8 +353,8 @@ impl Chunk {
     ///
     /// The caller (the store) must guarantee the reuse horizon: no stale `ObjPtr`
     /// into this chunk may be dereferenced again. In this codebase that horizon is
-    /// "no run of the owning runtime is active" — see `ChunkStore::reclaim_retired`
-    /// and DESIGN.md §5.
+    /// "every run alive at the chunk's retirement has ended" — the epoch watermark
+    /// of `ChunkStore::reclaim_watermark` and DESIGN.md §5.2.
     pub(crate) fn recycle(&self, new_owner: u32) {
         let used = self.used();
         for i in 0..used {

@@ -1,9 +1,9 @@
 //! Run epochs: the registry behind quiescence-free chunk reclamation.
 //!
 //! The original reuse horizon was global: retired chunks stayed quarantined until *no
-//! run at all* was active (`ChunkStore::reclaim_retired`, called by the runtimes
-//! between runs). That horizon never arrives on a server that keeps many independent
-//! runs in flight, so recycling would stop exactly when traffic is sustained.
+//! run at all* was active, and the runtimes drained the whole quarantine between
+//! runs. That horizon never arrives on a server that keeps many independent runs in
+//! flight, so recycling would stop exactly when traffic is sustained.
 //!
 //! [`RunEpochs`] replaces the global horizon with a per-run one. Every run draws a
 //! monotone **epoch** at begin and retires it at dispose. A chunk retired on behalf of
@@ -15,9 +15,10 @@
 //!
 //! With a single run at a time the watermark degenerates to the old horizon: the only
 //! active epoch is the run's own, and its dispose advances the watermark past
-//! everything it retired. Only the baselines, whose flat heaps are shared across
-//! runs, still dispose of those at the global horizon; the hierarchical runtime's
-//! A5 ablation that kept it is retired (DESIGN.md §§5, 7).
+//! everything it retired. Every reclaim is watermark-driven: each runtime ends a run
+//! by retiring its epoch here and calling `ChunkStore::reclaim_watermark`, the
+//! baselines after their last active run disposed the flat heaps every run in
+//! flight shares (DESIGN.md §§5.2, 7, 14).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

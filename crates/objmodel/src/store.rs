@@ -21,9 +21,9 @@
 //!   forwarding pointers the evacuation installed (the stack-map substitution,
 //!   DESIGN.md §2) — so a retired chunk must not be reused while any task of the run
 //!   that produced those pointers is still alive.
-//! * **free**: past the reuse horizon — per run via the epoch watermark
-//!   ([`ChunkStore::reclaim_watermark`], called at every run dispose) or globally at
-//!   quiescence ([`ChunkStore::reclaim_retired`]) — parked on a size-classed
+//! * **free**: past the reuse horizon — the epoch watermark
+//!   ([`ChunkStore::reclaim_watermark`], which every runtime calls at every run
+//!   end) has passed the chunk's retirement stamp — parked on a size-classed
 //!   lock-free free list and counted in `free_words`. Every reclaimed chunk is
 //!   kept for reuse: buffers stay in the table for good, because `ObjPtr` resolution
 //!   requires the id → chunk mapping to be stable, so the store never gives memory
@@ -102,9 +102,8 @@ pub struct StoreStats {
     pub chunks_quarantined: usize,
     /// Chunks currently parked on the free lists.
     pub chunks_free: usize,
-    /// Chunks whose quarantine exit to the free lists was driven by the epoch
-    /// watermark ([`ChunkStore::reclaim_watermark`]) rather than by global
-    /// quiescence.
+    /// Chunks the epoch watermark ([`ChunkStore::reclaim_watermark`]) moved from
+    /// the quarantine to the free lists: every reclaim a runtime performs.
     pub epoch_reclaims: usize,
     /// Runs currently registered as active with the store's [`RunEpochs`].
     pub active_runs: usize,
@@ -415,8 +414,7 @@ impl ChunkStore {
     /// drops its words and the chunk enters the quarantine, stamped with its reuse
     /// horizon — the owning run's epoch (the chunk's run tag) when it has one, else
     /// the latest epoch issued (conservative: every run alive now must dispose
-    /// first). [`ChunkStore::reclaim_watermark`] or [`ChunkStore::reclaim_retired`]
-    /// later move it to the free lists.
+    /// first). [`ChunkStore::reclaim_watermark`] later moves it to the free lists.
     pub fn retire_chunk(&self, id: ChunkId) {
         let chunk = self.chunk(id);
         if chunk.try_retire() {
@@ -466,8 +464,9 @@ impl ChunkStore {
     /// `retired_at` stamp is strictly below the min-active-epoch watermark — to the
     /// free lists. Returns the number of chunks made reusable.
     ///
-    /// This is the quiescence-free reclaim: runtimes call it at every run dispose,
-    /// so one run's chunks recycle while other runs are still mid-flight. Soundness:
+    /// Runtimes call it at every run end, so one run's chunks recycle while other
+    /// runs are still mid-flight, and with no run active it drains the whole
+    /// quarantine (the watermark is then above every stamp). Soundness:
     /// only tasks of the run a chunk was retired for can hold stale [`ObjPtr`]s into
     /// it (pointers must not cross runs — DESIGN.md §5), and `retired_at` is that
     /// run's epoch, so `retired_at < min_active` means every such task is gone.
@@ -477,18 +476,13 @@ impl ChunkStore {
         parked
     }
 
-    /// Moves every quarantined chunk to the free lists, making the memory retired by
-    /// past collections available for reuse. This is the **global** horizon — the
-    /// watermark drain with an unbounded horizon, used by the baselines between runs.
-    ///
-    /// # Reuse horizon
-    ///
+    /// Moves every quarantined chunk to the free lists, uncounted in
+    /// [`StoreStats::epoch_reclaims`]: the drain with an unbounded horizon. No
+    /// runtime calls it (each reclaims through [`ChunkStore::reclaim_watermark`],
+    /// which with no run active drains the same chunks); it serves callers that
+    /// drive a bare store with no runs, such as the benchmark's per-layer probes.
     /// The caller asserts that no stale [`ObjPtr`] into a quarantined chunk will be
-    /// dereferenced again. Retired chunks stay readable precisely so that pointers
-    /// held in Rust locals keep resolving through forwarding (DESIGN.md §2); those
-    /// locals die with the tasks of the run that created them, so the runtimes call
-    /// this between runs, when no task is live. Returns the number of chunks moved
-    /// to the free lists.
+    /// dereferenced again.
     pub fn reclaim_retired(&self) -> usize {
         self.drain_quarantine(u64::MAX)
     }
@@ -777,7 +771,7 @@ mod tests {
         assert_eq!(store.stats().chunks_quarantined, 1);
         assert_eq!(store.stats().free_words, 0);
 
-        assert_eq!(store.reclaim_retired(), 1);
+        assert_eq!(store.reclaim_watermark(), 1);
         let s = store.stats();
         assert_eq!(s.chunks_quarantined, 0);
         assert_eq!(s.chunks_free, 1);
@@ -802,7 +796,7 @@ mod tests {
         let big = store.alloc_chunk(1, 1_000);
         let big_id = big.id();
         store.retire_chunk(big_id);
-        store.reclaim_retired();
+        store.reclaim_watermark();
         // A default-sized request must not get the 1000-word chunk's slot…
         let small = store.alloc_chunk(2, 0);
         assert_ne!(small.id(), big_id);
@@ -822,7 +816,7 @@ mod tests {
         let small = store.alloc_sized_chunk_for_run(1, 512, 0);
         assert_eq!(small.capacity(), 512);
         store.retire_chunk(small.id());
-        assert_eq!(store.reclaim_retired(), 1);
+        assert_eq!(store.reclaim_watermark(), 1);
         for _ in 0..8 {
             let c = store.alloc_chunk(2, 0);
             assert_ne!(c.id(), small.id());
@@ -928,8 +922,10 @@ mod tests {
                 }
                 _ => {
                     if runs.is_empty() {
-                        // Global quiescence only: the full-horizon reclaim.
-                        store.reclaim_retired();
+                        // Quiescence: the watermark passes every stamp.
+                        assert_eq!(store.stats().active_runs, 0);
+                        store.reclaim_watermark();
+                        assert_eq!(store.stats().chunks_quarantined, 0);
                     }
                 }
             }
@@ -1106,7 +1102,7 @@ mod tests {
             }
             assert!(!stale.is_empty());
             store.retire_chunk(chunk.id());
-            store.reclaim_retired();
+            store.reclaim_watermark();
             let reused = store.alloc_chunk(2, 0);
             assert_eq!(reused.id(), chunk.id());
             // Old pointers are detectably stale: the generation moved on and the old

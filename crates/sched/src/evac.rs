@@ -942,7 +942,7 @@ impl EvacEngine {
 
     /// Retires the collection's from-space chunks `old`. Their contents stay
     /// readable until the store's reuse horizon passes (they enter the
-    /// quarantine — see `ChunkStore::reclaim_retired`), which keeps stale
+    /// quarantine — see `ChunkStore::reclaim_watermark`), which keeps stale
     /// `ObjPtr` copies held in Rust locals harmless: they resolve through
     /// forwarding pointers on their next mutable access (DESIGN.md §2 and §5).
     /// A chunk whose tag reads `ToSpace` was promoted in place (a dedicated

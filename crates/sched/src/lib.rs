@@ -21,9 +21,10 @@
 //!   sleeper counter says someone is parked), idle workers spin briefly over
 //!   randomized steal victims and then park on a condvar; wake tokens close the
 //!   park-vs-push race. See `pool::worker_loop`;
-//! * a [`Safepoints`] coordinator used by the stop-the-world baseline runtime to park
-//!   every worker at a safe point while a single thread collects; its wake hook plugs
-//!   into [`Pool::waker`] so parked workers promptly reach the safepoint.
+//! * a [`Safepoints`] coordinator used by the stop-the-world baseline runtimes to
+//!   park every worker at a safe point while one thread collects. Its roster is
+//!   fixed when it is built (a pool's workers, none of which ever leaves) and so is
+//!   its wake hook, [`Pool::waker`], so parked workers promptly reach the safepoint.
 //!
 //! DESIGN.md (repository root) describes the deque memory orderings, the wake-token
 //! protocol, and the steal-time heap-creation interplay in detail.

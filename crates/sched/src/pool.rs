@@ -367,7 +367,7 @@ impl Worker {
 /// moving again without owning the pool.
 ///
 /// Holds only a `Weak` reference: wakers typically end up stored inside structures
-/// the pool itself references (the baselines install one in their `Safepoints`, whose
+/// the pool itself references (the baselines build their `Safepoints` with one, whose
 /// `poll` is the pool's idle hook), and a strong reference would make that loop leak
 /// the pool's state. A waker whose pool is gone is a no-op.
 #[derive(Clone)]

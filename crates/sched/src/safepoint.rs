@@ -5,28 +5,23 @@
 //! point and a single thread collects. [`Safepoints`] provides that coordination for
 //! the baseline runtimes in this repository:
 //!
-//! * every worker thread participating in mutator work [`register`](Safepoints::register)s
-//!   itself;
+//! * the roster is fixed at construction: [`Safepoints::new`] takes the number of
+//!   threads that poll (a pool's workers, which never leave it) and the hook that
+//!   wakes those of them asleep elsewhere;
 //! * mutators call [`poll`](Safepoints::poll) at allocation sites, writes, and scheduler
 //!   idle loops; if a collection has been requested they park until it finishes;
 //! * the thread that wants to collect calls [`stop_the_world`](Safepoints::stop_the_world)
-//!   with the collection closure; it runs once all *other* registered threads are parked.
+//!   with the collection closure; it runs once every *other* member is parked.
 //!
-//! This is a cooperative protocol: a registered thread that never polls delays the
-//! collection (a liveness, not a safety, concern). The runtimes in this repository poll
-//! on every allocation and at every fork/join, which bounds the wait by one sequential
-//! grain of work.
+//! This is a cooperative protocol: a member that never polls delays the collection (a
+//! liveness, not a safety, concern), and one that stops polling for good (a thread
+//! that exits) stalls every later collection. The runtimes in this repository poll
+//! on every allocation and at every fork/join, which bounds the wait by one
+//! sequential grain of work.
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-#[derive(Default)]
-struct State {
-    parked: usize,
-}
-
-type WakeHook = Arc<dyn Fn() + Send + Sync>;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Work offered to threads parked at the safepoint (GC v2: the parallel collector's
 /// helper body). The generation lets each parked thread run a given offer exactly
@@ -40,59 +35,40 @@ struct PauseWork {
 }
 
 /// Stop-the-world coordination for the baseline collectors.
-#[derive(Default)]
 pub struct Safepoints {
-    registered: AtomicUsize,
+    /// Threads that poll, the collector among them.
+    members: usize,
     requested: AtomicBool,
-    state: Mutex<State>,
+    /// Members currently parked.
+    parked: Mutex<usize>,
     parked_cv: Condvar,
     resume_cv: Condvar,
     collector_lock: Mutex<()>,
-    world_stops: AtomicUsize,
     /// Work offered to parked threads while a collection runs (see [`PauseWork`]).
     pause_work: Mutex<PauseWork>,
     /// Invoked right after a collection is requested. The parking scheduler needs
     /// this: workers parked on the pool's sleep condvar are not polling, so the
-    /// collector would otherwise wait out their parking timeout. The baselines install
-    /// `PoolWaker::wake_all` here, which kicks every parked worker back into its idle
+    /// collector would otherwise wait out their parking timeout. The baselines pass
+    /// `PoolWaker::wake_all`, which kicks every parked worker back into its idle
     /// loop where the idle hook polls (and parks them at this safepoint instead).
-    wake_hook: OnceLock<WakeHook>,
+    wake: Box<dyn Fn() + Send + Sync>,
 }
 
 impl Safepoints {
-    /// Creates a coordinator with no registered threads.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers the calling thread as a mutator that will poll.
-    pub fn register(&self) {
-        self.registered.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Unregisters the calling thread (it will no longer poll).
-    pub fn unregister(&self) {
-        let prev = self.registered.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "unregister without register");
-        // A collector may be waiting for this thread to park; wake it so it can
-        // re-evaluate its target.
-        self.parked_cv.notify_all();
-    }
-
-    /// Number of registered mutator threads.
-    pub fn registered(&self) -> usize {
-        self.registered.load(Ordering::SeqCst)
-    }
-
-    /// Number of stop-the-world pauses that have completed.
-    pub fn world_stops(&self) -> usize {
-        self.world_stops.load(Ordering::SeqCst)
-    }
-
-    /// Installs the hook run whenever a collection is requested (see the field doc).
-    /// Set-once; later calls are ignored.
-    pub fn set_wake_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        let _ = self.wake_hook.set(Arc::new(hook));
+    /// Creates a coordinator for `members` polling threads (the collector counts
+    /// every other one parked before it runs) that calls `wake` whenever a
+    /// collection is requested.
+    pub fn new(members: usize, wake: impl Fn() + Send + Sync + 'static) -> Self {
+        Safepoints {
+            members,
+            requested: AtomicBool::new(false),
+            parked: Mutex::new(0),
+            parked_cv: Condvar::new(),
+            resume_cv: Condvar::new(),
+            collector_lock: Mutex::new(()),
+            pause_work: Mutex::new(PauseWork::default()),
+            wake: Box::new(wake),
+        }
     }
 
     /// True if a collection has been requested and mutators should park.
@@ -129,29 +105,29 @@ impl Safepoints {
             pw.work = Some(work);
         }
         // Parked threads wait on the resume condvar; poke them so they notice the
-        // offer. (Lock the state mutex so the notify cannot slot between a parked
+        // offer. (Lock the parked count so the notify cannot slot between a parked
         // thread's re-check and its wait.)
-        let _st = self.state.lock();
+        let _parked = self.parked.lock();
         self.resume_cv.notify_all();
     }
 
     fn park(&self) {
         // On unwind the parked count is decremented by a guard: a pause-work
         // offer that panics (an injected fault inside a drafted helper stint)
-        // unwinds through this frame with the state lock *released*, and a
-        // leaked `parked` increment would let the next collector count a thread
-        // as parked that is actually gone — stopping the world one thread
-        // short. Declared before `st` so it drops after the lock guard. The
+        // unwinds through this frame with the count's lock *released*, and a
+        // leaked increment would let the next collector count a thread as
+        // parked that is actually gone — stopping the world one thread short.
+        // Declared before `parked` so it drops after the lock guard. The
         // normal exit decrements under the lock instead (below).
         struct ParkedToken<'a>(&'a Safepoints);
         impl Drop for ParkedToken<'_> {
             fn drop(&mut self) {
-                self.0.state.lock().parked -= 1;
+                *self.0.parked.lock() -= 1;
             }
         }
         let _token;
-        let mut st = self.state.lock();
-        st.parked += 1;
+        let mut parked = self.parked.lock();
+        *parked += 1;
         _token = ParkedToken(self);
         self.parked_cv.notify_all();
         // Generations start at 1, so 0 never suppresses a real offer.
@@ -170,73 +146,59 @@ impl Safepoints {
             };
             if let Some((work, slot)) = offer {
                 // Help the collection. The thread stays *logically* parked (it
-                // performs no mutator work), but the state lock is released so the
+                // performs no mutator work), but the lock is released so the
                 // collector and other helpers are not serialized on it.
-                drop(st);
+                drop(parked);
                 work(slot);
-                st = self.state.lock();
+                parked = self.parked.lock();
                 continue;
             }
-            self.resume_cv.wait(&mut st);
+            self.resume_cv.wait(&mut parked);
         }
         // Leave in the critical section that saw `requested` clear. Decrementing
         // after releasing the lock (the token's path) let the next collector count
         // this thread as parked while it was already back at mutator work.
-        st.parked -= 1;
+        *parked -= 1;
         std::mem::forget(_token);
     }
 
-    /// Stops the world and runs `collect` while all other registered threads are parked.
+    /// Stops the world and runs `collect` while every other member is parked.
     ///
     /// Returns `true` if `collect` ran. If another thread is already collecting, this
     /// thread parks like any other mutator and returns `false` once that collection is
     /// over (the caller should then re-check whether a collection is still needed).
     pub fn stop_the_world<F: FnOnce()>(&self, collect: F) -> bool {
-        match self.collector_lock.try_lock() {
-            Some(_guard) => {
-                self.requested.store(true, Ordering::Release);
-                // Get parked scheduler workers moving so they hit a poll and park
-                // *here* instead of sleeping out their pool timeout.
-                if let Some(hook) = self.wake_hook.get() {
-                    hook();
-                }
-                {
-                    let mut st = self.state.lock();
-                    // Wait until every *other* registered thread is parked. The target is
-                    // re-read each iteration because threads may unregister while we wait.
-                    loop {
-                        let target = self.registered().saturating_sub(1);
-                        if st.parked >= target {
-                            break;
-                        }
-                        self.parked_cv.wait(&mut st);
-                    }
-                }
-                // Resume the world through an unwind guard: if `collect` panics
-                // (a fault-injected collection), leaving `requested` set would
-                // park every future poller forever. The guard also withdraws
-                // the pause-work offer, so it cannot leak into the next pause.
-                struct ResumeWorld<'a>(&'a Safepoints);
-                impl Drop for ResumeWorld<'_> {
-                    fn drop(&mut self) {
-                        self.0.pause_work.lock().work = None;
-                        self.0.requested.store(false, Ordering::Release);
-                        let _st = self.0.state.lock();
-                        self.0.resume_cv.notify_all();
-                    }
-                }
-                let resume = ResumeWorld(self);
-                collect();
-                drop(resume);
-                self.world_stops.fetch_add(1, Ordering::SeqCst);
-                true
-            }
-            None => {
-                // Somebody else is collecting; behave like a mutator hitting a safepoint.
-                self.poll();
-                false
+        let Some(_guard) = self.collector_lock.try_lock() else {
+            // Somebody else is collecting; behave like a mutator hitting a safepoint.
+            self.poll();
+            return false;
+        };
+        self.requested.store(true, Ordering::Release);
+        // Get parked scheduler workers moving so they hit a poll and park *here*
+        // instead of sleeping out their pool timeout.
+        (self.wake)();
+        {
+            let mut parked = self.parked.lock();
+            while *parked + 1 < self.members {
+                self.parked_cv.wait(&mut parked);
             }
         }
+        // Resume the world through an unwind guard: if `collect` panics (a
+        // fault-injected collection), leaving `requested` set would park every
+        // future poller forever. The guard also withdraws the pause-work offer, so
+        // it cannot leak into the next pause.
+        struct ResumeWorld<'a>(&'a Safepoints);
+        impl Drop for ResumeWorld<'_> {
+            fn drop(&mut self) {
+                self.0.pause_work.lock().work = None;
+                self.0.requested.store(false, Ordering::Release);
+                let _parked = self.0.parked.lock();
+                self.0.resume_cv.notify_all();
+            }
+        }
+        let _resume = ResumeWorld(self);
+        collect();
+        true
     }
 }
 
@@ -247,30 +209,41 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// A coordinator for `members` threads with no one to wake.
+    fn roster(members: usize) -> Arc<Safepoints> {
+        Arc::new(Safepoints::new(members, || ()))
+    }
+
+    /// Polls `sp` until `stop` is set: a member that has finished its own work
+    /// stays on the roster, so it keeps parking for later collections.
+    fn poll_until(sp: &Safepoints, stop: &AtomicBool) {
+        while !stop.load(Ordering::Relaxed) {
+            sp.poll();
+            std::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn single_thread_world_stop_runs_collector() {
-        let sp = Safepoints::new();
-        sp.register();
+        let woken = Arc::new(AtomicUsize::new(0));
+        let w = Arc::clone(&woken);
+        let sp = Safepoints::new(1, move || {
+            w.fetch_add(1, Ordering::Relaxed);
+        });
         let mut ran = false;
         assert!(sp.stop_the_world(|| ran = true));
         assert!(ran);
-        assert_eq!(sp.world_stops(), 1);
+        assert_eq!(woken.load(Ordering::Relaxed), 1, "a request wakes the pool");
         assert!(!sp.collection_requested());
-        sp.unregister();
     }
 
     #[test]
     fn mutators_park_while_collection_runs() {
-        let sp = Arc::new(Safepoints::new());
         let n_mutators = 4;
+        let sp = roster(n_mutators + 1); // the collector thread is a member too
         let in_mutator_during_gc = Arc::new(AtomicUsize::new(0));
         let gc_running = Arc::new(AtomicBool::new(false));
         let stop = Arc::new(AtomicBool::new(false));
-
-        for _ in 0..n_mutators {
-            sp.register();
-        }
-        sp.register(); // the collector thread is registered too
 
         let mut handles = Vec::new();
         for _ in 0..n_mutators {
@@ -310,13 +283,11 @@ mod tests {
             0,
             "mutator observed running during a stop-the-world pause"
         );
-        assert_eq!(sp.world_stops(), 5);
     }
 
     #[test]
     fn panicking_collection_resumes_the_world() {
-        let sp = Safepoints::new();
-        sp.register();
+        let sp = roster(1);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sp.stop_the_world(|| panic!("injected collection fault"))
         }));
@@ -327,62 +298,64 @@ mod tests {
         let mut ran = false;
         assert!(sp.stop_the_world(|| ran = true));
         assert!(ran);
-        sp.unregister();
     }
 
     #[test]
     fn panicking_pause_work_does_not_leak_parked_count() {
-        let sp = Arc::new(Safepoints::new());
-        sp.register(); // collector
-        sp.register(); // mutator
-        let sp2 = Arc::clone(&sp);
+        let sp = roster(2); // the collector and one mutator
+        let stop = Arc::new(AtomicBool::new(false));
+        let (sp2, stop2) = (Arc::clone(&sp), Arc::clone(&stop));
+        let (recovered_tx, recovered) = std::sync::mpsc::channel();
         let h = std::thread::spawn(move || {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
                 sp2.poll();
                 std::hint::spin_loop();
             }));
             assert!(r.is_err(), "the drafted helper stint should have panicked");
-            sp2.unregister();
+            recovered_tx.send(()).unwrap();
+            // Still a member: park for the second collection below.
+            poll_until(&sp2, &stop2);
         });
         let (taken_tx, taken) = std::sync::mpsc::channel();
+        // The unwind leaves `park`, so a mutator that polls again before the
+        // world resumes parks afresh and takes the same offer once more; only
+        // the first stint panics.
+        let faulted = AtomicBool::new(false);
         let ran = sp.stop_the_world(|| {
             sp.begin_pause_work(Arc::new(move |_| {
-                taken_tx.send(()).unwrap();
-                panic!("drafted helper fault")
+                if !faulted.swap(true, Ordering::Relaxed) {
+                    taken_tx.send(()).unwrap();
+                    panic!("drafted helper fault")
+                }
             }));
             // The mutator is parked (the world is stopped), so it takes the
             // offer; resume only once it has, or it would never panic.
             taken.recv().unwrap();
         });
         assert!(ran);
-        h.join().unwrap();
+        recovered.recv().unwrap();
         // The panicked helper's park token was returned on unwind; a leak here
-        // would make a later collector count a dead thread as parked.
-        assert_eq!(sp.state.lock().parked, 0);
-        let mut ran2 = false;
-        assert!(sp.stop_the_world(|| ran2 = true));
-        assert!(ran2);
-        sp.unregister();
+        // would let this collector count the mutator as parked while it runs.
+        let mutator_parked = AtomicBool::new(false);
+        assert!(sp.stop_the_world(|| {
+            assert_eq!(*sp.parked.lock(), 1, "exactly the mutator is parked");
+            mutator_parked.store(true, Ordering::Relaxed);
+        }));
+        assert!(mutator_parked.load(Ordering::Relaxed));
+        stop.store(true, Ordering::Relaxed);
+        h.join().unwrap();
+        assert_eq!(*sp.parked.lock(), 0);
     }
 
     #[test]
     fn parked_threads_take_distinct_helper_slots_until_the_world_resumes() {
-        let sp = Arc::new(Safepoints::new());
         let members = 3; // the collector and two parked mutators
-        for _ in 0..members {
-            sp.register();
-        }
+        let sp = roster(members);
         let stop = Arc::new(AtomicBool::new(false));
         let mutators: Vec<_> = (1..members)
             .map(|_| {
                 let (sp, stop) = (Arc::clone(&sp), Arc::clone(&stop));
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        sp.poll();
-                        std::hint::spin_loop();
-                    }
-                    sp.unregister();
-                })
+                std::thread::spawn(move || poll_until(&sp, &stop))
             })
             .collect();
         let slots = Arc::new(Mutex::new(Vec::new()));
@@ -408,37 +381,39 @@ mod tests {
         let mut slots = slots.lock().clone();
         slots.sort_unstable();
         assert_eq!(slots, (1..members).collect::<Vec<_>>());
-        sp.unregister();
     }
 
     #[test]
     fn concurrent_collection_requests_do_not_deadlock() {
-        let sp = Arc::new(Safepoints::new());
-        let collections = Arc::new(AtomicUsize::new(0));
         let n_threads = 4;
-        for _ in 0..n_threads {
-            sp.register();
-        }
+        let sp = roster(n_threads);
+        let collections = Arc::new(AtomicUsize::new(0));
+        let finished = Arc::new(AtomicUsize::new(0));
+        let all_done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for _ in 0..n_threads {
             let sp = Arc::clone(&sp);
             let collections = Arc::clone(&collections);
+            let (finished, all_done) = (Arc::clone(&finished), Arc::clone(&all_done));
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
                     sp.poll();
-                    if sp.stop_the_world(|| {
+                    sp.stop_the_world(|| {
                         collections.fetch_add(1, Ordering::SeqCst);
-                    }) {
-                        // collected
-                    }
+                    });
                 }
-                sp.unregister();
+                // The last thread to finish releases the others, which keep
+                // parking for its collections until then.
+                if finished.fetch_add(1, Ordering::SeqCst) + 1 == n_threads {
+                    all_done.store(true, Ordering::Relaxed);
+                }
+                poll_until(&sp, &all_done);
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
         assert!(collections.load(Ordering::SeqCst) > 0);
-        assert_eq!(sp.registered(), 0);
+        assert_eq!(*sp.parked.lock(), 0);
     }
 }

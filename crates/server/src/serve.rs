@@ -379,9 +379,56 @@ mod tests {
         }
     }
 
+    /// Where [`HoldFirstEnd`] stands.
+    enum Hold {
+        /// No run has ended yet.
+        Open,
+        /// The run of this epoch waits at its `EndRunPreDispose`, still registered.
+        Holding(u64),
+        /// Another run reached its own end; nothing is held any more.
+        Released,
+    }
+
+    /// Holds the first run to reach `EndRunPreDispose` until another run reaches
+    /// its own, so two runs are registered at once on every schedule. A deadline
+    /// turns a schedule with no second run into a failed assertion, not a hang.
+    struct HoldFirstEnd {
+        hold: std::sync::Mutex<Hold>,
+        released: std::sync::Condvar,
+    }
+
+    impl GcScheduleHooks for HoldFirstEnd {
+        fn on_event(&self, event: hh_runtime::hooks::GcScheduleEvent) {
+            let hh_runtime::hooks::GcScheduleEvent::EndRunPreDispose { run_epoch } = event else {
+                return;
+            };
+            let mut hold = self.hold.lock().unwrap();
+            match *hold {
+                Hold::Open => {
+                    *hold = Hold::Holding(run_epoch);
+                    let _ = self
+                        .released
+                        .wait_timeout_while(hold, Duration::from_secs(60), |h| {
+                            matches!(h, Hold::Holding(_))
+                        })
+                        .unwrap();
+                }
+                Hold::Holding(held) if held != run_epoch => {
+                    *hold = Hold::Released;
+                    self.released.notify_all();
+                }
+                _ => {}
+            }
+        }
+    }
+
     #[test]
     fn serve_completes_all_runs_and_conserves_chunks() {
         let rt = HhRuntime::new(HhConfig::with_workers(2));
+        rt.install_gc_hooks(Arc::new(HoldFirstEnd {
+            hold: std::sync::Mutex::new(Hold::Open),
+            released: std::sync::Condvar::new(),
+        }));
         let report = serve(&rt, &small_cfg(48));
         assert_eq!(report.runs, 48);
         assert_eq!(report.completed_seeds.len(), 48);

@@ -2,6 +2,7 @@
 //! runtimes through the public facade, checking agreement, disentanglement, and the
 //! headline qualitative results of the paper.
 
+use hierheap::lowlevel::StoreStats;
 use hierheap::workloads::suite::{run_timed, BenchId, Params};
 use hierheap::{
     hash64, DlgRuntime, HhConfig, HhRuntime, ObjPtr, ParCtx, Rng, Runtime, SeqRuntime, StwRuntime,
@@ -979,4 +980,157 @@ fn facade_quickstart_compiles_and_runs() {
         ctx.read_mut(p, 0) + 1
     });
     assert_eq!(value, 42);
+}
+
+// ---------------------------------------------------------------------------
+// The baselines' run boundary and per-lane root stacks.
+// ---------------------------------------------------------------------------
+
+/// Words of the array the root-stack tests pin: well under their chunk size, so a
+/// collection that keeps it copies it.
+const PINNED_WORDS: usize = 1_000;
+
+/// Baseline geometry for the root-stack tests: two workers, 4 Ki-word chunks, and a
+/// threshold the pinned array alone stays under.
+fn small_stw() -> StwRuntime {
+    StwRuntime::with_params(2, 4 * 1024, 20_000)
+}
+
+/// A baseline returns its memory to the store when its last run ends, as
+/// `HhRuntime` does: no chunk stays live, the quarantine is drained, and every
+/// chunk ever minted is free.
+#[test]
+fn baselines_hold_no_live_chunk_after_their_last_run() {
+    fn check<R: Runtime>(rt: &R, store_stats: fn(&R) -> StoreStats) {
+        let name = rt.name();
+        for round in 0..2 {
+            let sum = rt.run(|ctx| run_timed(ctx, BenchId::Reduce, tiny()).checksum);
+            assert_ne!(sum, 0);
+            let s = store_stats(rt);
+            assert_eq!(s.live_words, 0, "{name} round {round}: {s:?}");
+            assert_eq!(s.quarantined_words, 0, "{name} round {round}: {s:?}");
+            assert_eq!(s.active_runs, 0, "{name} round {round}");
+            assert_eq!(
+                s.chunks_created,
+                s.chunks_active + s.chunks_quarantined + s.chunks_free,
+                "{name} round {round}: chunk conservation {s:?}"
+            );
+            assert_eq!(s.chunks_free, s.chunks_created, "{name} round {round}");
+            assert_eq!(rt.stats().live_words, 0, "{name} round {round}");
+        }
+    }
+    check(&SeqRuntime::new(), SeqRuntime::store_stats);
+    check(&StwRuntime::with_workers(2), StwRuntime::store_stats);
+    check(&DlgRuntime::with_workers(2), DlgRuntime::store_stats);
+}
+
+/// Two runs of one `StwRuntime` in flight at once share its heap: the first to end
+/// leaves the heap live under the other, and the last one out disposes it.
+#[test]
+fn overlapping_stw_runs_leave_the_shared_heap_to_the_last_one() {
+    let rt = StwRuntime::with_workers(2);
+    let both_in_flight = std::sync::Barrier::new(2);
+    let first_ended = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            rt.run(|ctx| {
+                let r = ctx.alloc_data_array(64);
+                ctx.write_nonptr(r, 0, 1);
+                both_in_flight.wait();
+            });
+            first_ended.wait();
+        });
+        rt.run(|ctx| {
+            let r = ctx.alloc_data_array(64);
+            ctx.write_nonptr(r, 0, 2);
+            both_in_flight.wait();
+            first_ended.wait();
+            let s = rt.store_stats();
+            assert_eq!(s.active_runs, 1);
+            assert!(s.live_words > 0, "the first run out disposed a shared heap");
+            assert_eq!(ctx.read_mut(r, 0), 2);
+        });
+    });
+    let s = rt.store_stats();
+    assert_eq!(s.active_runs_peak, 2);
+    assert_eq!(
+        s.live_words, 0,
+        "the last run out left the heap live: {s:?}"
+    );
+    assert_eq!(s.chunks_free, s.chunks_created);
+}
+
+/// A pin taken in a stolen branch is a root of a stop-the-world collection that
+/// another worker's allocation forces: the pinned array is copied, reads back, and
+/// its stale pointer still unpins it.
+#[test]
+fn pins_in_stolen_branches_survive_a_forced_world_stop() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let rt = small_stw();
+    let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+    rt.run(|ctx| {
+        let forker = std::thread::current().id();
+        ctx.join(
+            |c| {
+                // Hold the right branch on the deque until a thief takes it, then
+                // keep polling so its collection can stop this worker too.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                while !started.load(Ordering::Acquire) {
+                    assert!(std::time::Instant::now() < deadline, "no thief came");
+                    std::thread::yield_now();
+                }
+                while !done.load(Ordering::Acquire) {
+                    c.maybe_collect();
+                    std::thread::yield_now();
+                }
+            },
+            |c| {
+                started.store(true, Ordering::Release);
+                assert_ne!(std::thread::current().id(), forker, "branch not stolen");
+                let keep = c.alloc_data_array(PINNED_WORDS);
+                c.write_nonptr(keep, 7, 777);
+                c.pin(keep);
+                let before = rt.stats().gc_count;
+                while rt.stats().gc_count == before {
+                    c.alloc_data_array(500);
+                }
+                assert_eq!(c.read_mut(keep, 7), 777);
+                c.unpin(keep);
+                done.store(true, Ordering::Release);
+            },
+        );
+    });
+    let s = rt.stats();
+    assert!(s.gc_count >= 1);
+    assert!(
+        s.gc_copied_words >= PINNED_WORDS as u64,
+        "the stolen branch's pin was no root: {} words copied",
+        s.gc_copied_words
+    );
+}
+
+/// A branch's pins go with its context: a pin it never released is no root of a
+/// later collection in its parent.
+#[test]
+fn a_pin_left_by_a_finished_branch_is_no_root() {
+    let rt = small_stw();
+    rt.run(|ctx| {
+        ctx.join(
+            |c| {
+                let left_behind = c.alloc_data_array(PINNED_WORDS);
+                c.pin(left_behind);
+            },
+            |_| (),
+        );
+        while rt.stats().gc_count == 0 {
+            ctx.alloc_data_array(500);
+            ctx.maybe_collect();
+        }
+    });
+    let s = rt.stats();
+    assert!(
+        s.gc_copied_words < PINNED_WORDS as u64,
+        "a finished branch's pin kept its array: {} words copied",
+        s.gc_copied_words
+    );
 }
